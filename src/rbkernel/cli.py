@@ -26,7 +26,7 @@ from .operator import (
     DEFAULT_SPECTRAL_GRADING,
     DEFAULT_SPECTRAL_NODES,
     DEFAULT_SPECTRAL_PANELS,
-    ConvergenceError,
+    NUMERIC_ERRORS,
     apply_operator,
     sweep,
 )
@@ -219,13 +219,15 @@ def _cmd_identity_check(args) -> int:
         raise ValueError("points must be >= 1")
     spec = cx.reference_spec()
     p_r = cx.p_explicit(r).value
+    points = np.linspace(r / args.points, r, args.points)
+    rhs = eval_regular(2, points).value + p_r * eval_regular(0, points).value
     rows = []
-    for s in np.linspace(r / args.points, r, args.points):
-        s = float(s)
+    for s, rhs_s in zip(points.tolist(), rhs.tolist()):
+        # one call per point: perfbench's traced identity test expects one
+        # operator.apply entry per row
         j = apply_operator(spec, r, lambda t: eval_regular(2, t).value, s,
                            tol=args.tol)
-        rhs = eval_regular(2, s).value + p_r * eval_regular(0, s).value
-        rows.append((s, j, rhs, abs(j - rhs)))
+        rows.append((s, j, rhs_s, abs(j - rhs_s)))
     _emit_report(
         ScanReport(columns=("s", "J", "identity_rhs", "residual"), rows=rows), args
     )
@@ -283,7 +285,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OverflowError, ArithmeticError, ConvergenceError) as exc:
+    except NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -301,7 +301,7 @@ def find_root(lo, hi, tol: float = 1e-12, route: str = "explicit") -> RootResult
     return RootResult(root=x, bracket=bracket, residual=abs(f_x), iterations=iterations)
 
 
-def _u(m: int, t: float) -> float:
+def _u(m: int, t):
     return eval_regular(m, t).value
 
 
@@ -320,15 +320,10 @@ def check_identity(r, s_points=None, tol: float = 1e-10) -> float:
     points = _default_points(r) if s_points is None else np.asarray(s_points, float)
     if np.any(points <= 0.0) or np.any(points > r):
         raise ValueError("identity check points must lie in (0, r]")
-    spec = reference_spec()
     p_r = p_explicit(r).value
-    worst = 0.0
-    for s in points:
-        s = float(s)
-        j = apply_operator(spec, r, lambda t: _u(2, t), s, tol=tol)
-        residual = abs(j - _u(2, s) - p_r * _u(0, s))
-        worst = max(worst, residual)
-    return worst
+    j = apply_operator(reference_spec(), r, lambda t: _u(2, t), points, tol=tol)
+    residual = np.abs(j - _u(2, points) - p_r * _u(0, points))
+    return float(np.max(residual, initial=0.0))
 
 
 def check_ode(s_points) -> float:
@@ -404,10 +399,10 @@ def verify_counterexample(
 
     equation_residual = None
     try:
-        equation_residual = max(
-            abs(_u(2, s) - apply_operator(spec, r_used, lambda t: _u(2, t), float(s)))
-            for s in _default_points(r_used)
-        )
+        points = _default_points(r_used)
+        equation_residual = float(np.max(np.abs(
+            _u(2, points) - apply_operator(spec, r_used, lambda t: _u(2, t), points)
+        )))
         record("equation_residual", equation_residual, tolerances.equation,
                equation_residual <= tolerances.equation)
     except Exception as exc:

@@ -10,7 +10,8 @@ Two independent routes are provided.
 integration is split exactly at t = s (the kernel's derivative kink), so
 each side has a smooth integrand and composite Gauss-Legendre panels
 converge fast; panel counts double until the result is stable to the
-requested tolerance.
+requested tolerance.  It takes one point or an array of points and
+evaluates h and the kernel families on the nodes of all of them at once.
 
 ``nystrom_matrix`` builds the dense collocation matrix
 ``A[i, j] = -g(s_i, t_j) w_j / t_j**2`` on one shared grid.  The matrix
@@ -18,23 +19,26 @@ cannot split at the kink per row, so its accuracy is limited by the panel
 resolution (observed O(N^-2) in the total node count); grids are cheap, so
 the spectral certificate below simply uses a fine one.
 
-``min_singular_value`` returns the smallest singular value of I - A with its
-right singular vector: a scale-invariant measure of how close the discrete
-homogeneous equation h = K h is to having a nontrivial solution, plus the
-candidate solution itself.  ``DEFAULT_SPECTRAL_PANELS`` / ``_NODES`` /
-``_GRADING`` define the grid on which the certificate thresholds of the
-verification suite are calibrated: 128 uniform panels x 12 nodes push the
-kink-limited discretization error near the singular radius to ~5e-7,
-comfortably below the 1e-6 collapse threshold, while one SVD stays around a
-second.  Uniform panels beat origin-graded ones here because the kink error
+``min_singular_value`` returns the smallest singular value of I - A: a
+scale-invariant measure of how close the discrete homogeneous equation
+h = K h is to having a nontrivial solution.  It comes from a values-only
+SVD, which forms neither singular-vector matrix; the right singular vector
+(the candidate solution itself) is computed by a full SVD only when
+``SpectralResult.null_vector`` is first read.  ``DEFAULT_SPECTRAL_PANELS`` /
+``_NODES`` / ``_GRADING`` define the grid on which the certificate
+thresholds of the verification suite are calibrated: 128 uniform panels x
+12 nodes push the kink-limited discretization error near the singular
+radius to ~5e-7, comfortably below the 1e-6 collapse threshold, while the
+values-only SVD of the 1536-order matrix takes under two seconds on one
+core.  Uniform panels beat origin-graded ones here because the kink error
 lives in mid-interval panels, not at the origin.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -45,6 +49,7 @@ from .riccati import eval_irregular, eval_regular
 
 __all__ = [
     "ConvergenceError",
+    "NUMERIC_ERRORS",
     "QuadratureGrid",
     "NystromOperator",
     "SpectralResult",
@@ -73,6 +78,11 @@ _MAX_DOUBLINGS = 14
 
 class ConvergenceError(RuntimeError):
     """Raised when panel doubling fails to reach the requested tolerance."""
+
+
+# The numeric failures a point of a sweep, or a CLI command, may end in;
+# anything else (a TypeError, say) is a programming error and propagates.
+NUMERIC_ERRORS = (ValueError, OverflowError, ArithmeticError, ConvergenceError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,11 +131,20 @@ class NystromOperator:
 
 @dataclass(frozen=True, eq=False)
 class SpectralResult:
-    """Smallest singular value of I - A with its unit right singular vector."""
+    """Smallest singular value of I - A, and its unit right singular vector.
+
+    ``null_vector`` costs a full SVD, so it is computed on first read; its
+    values and sign are exactly those of ``np.linalg.svd(I - A)``.
+    """
 
     sigma_min: float
-    null_vector: np.ndarray
+    operator: NystromOperator = field(repr=False)
     r: float
+
+    @cached_property
+    def null_vector(self) -> np.ndarray:
+        _, _, v_rows = np.linalg.svd(_identity_minus(self.operator))
+        return v_rows[-1].copy()
 
 
 @lru_cache(maxsize=32)
@@ -135,11 +154,13 @@ def _gauss_rule(n: int):
 
 
 def _panel_nodes(bounds: np.ndarray, nodes_per_panel: int):
+    """Gauss nodes and weights of the panels along the last axis of ``bounds``."""
     x, w = _gauss_rule(nodes_per_panel)
-    mid = 0.5 * (bounds[1:] + bounds[:-1])
-    half = 0.5 * (bounds[1:] - bounds[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    mid = 0.5 * (bounds[..., 1:] + bounds[..., :-1])
+    half = 0.5 * (bounds[..., 1:] - bounds[..., :-1])
+    shape = bounds.shape[:-1] + (-1,)
+    nodes = (mid[..., None] + half[..., None] * x).reshape(shape)
+    weights = (half[..., None] * w).reshape(shape)
     return nodes, weights
 
 
@@ -198,9 +219,9 @@ def _family_tables(spec: KernelSpec, points: np.ndarray):
     tables = []
     for m, g in zip(spec.sets.s_orders, spec.gamma):
         order = int(m)
-        u = np.array([eval_regular(order, t).value for t in points])
-        v = np.array([eval_irregular(order, t).value for t in points])
-        tables.append((g, u, v))
+        tables.append(
+            (g, eval_regular(order, points).value, eval_irregular(order, points).value)
+        )
     return tables
 
 
@@ -229,19 +250,21 @@ def nystrom_matrix(spec: KernelSpec, grid: QuadratureGrid) -> NystromOperator:
     return NystromOperator(grid=grid, matrix=a_matrix, spec=spec)
 
 
-def min_singular_value(op: NystromOperator) -> SpectralResult:
-    """Smallest singular value of I - A and its right singular vector.
+def _identity_minus(op: NystromOperator) -> np.ndarray:
+    return np.eye(op.grid.size) - op.matrix
 
-    A near-zero value certifies a nontrivial discrete solution of h = K h;
-    the singular vector is the candidate solution sampled at the grid nodes
-    (unit Euclidean norm, sign as returned by the SVD).
+
+def min_singular_value(op: NystromOperator) -> SpectralResult:
+    """Smallest singular value of I - A, from a values-only SVD.
+
+    A near-zero value certifies a nontrivial discrete solution of h = K h.
+    The result's ``null_vector`` is the candidate solution sampled at the
+    grid nodes (unit Euclidean norm, sign as returned by the full SVD),
+    computed when first read.
     """
-    matrix = np.eye(op.grid.size) - op.matrix
-    _, singular_values, v_rows = np.linalg.svd(matrix)
+    singular_values = np.linalg.svd(_identity_minus(op), compute_uv=False)
     return SpectralResult(
-        sigma_min=float(singular_values[-1]),
-        null_vector=v_rows[-1].copy(),
-        r=op.grid.r,
+        sigma_min=float(singular_values[-1]), operator=op, r=op.grid.r
     )
 
 
@@ -256,54 +279,63 @@ def dump_matrix(op: NystromOperator, path) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _integrate_fixed(
-    f: Callable[[float], float], bounds: np.ndarray, nodes_per_panel: int
-) -> float:
-    nodes, weights = _panel_nodes(bounds, nodes_per_panel)
-    values = np.array([f(t) for t in nodes])
-    return float(np.dot(weights, values))
+def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float,
+                          panels: int | None, nodes_per_panel: int):
+    """I_m^< and I_m^> of :func:`apply_operator` at every point of ``s``.
 
-
-def _graded_bounds(a: float, b: float, panels: int, grading: float) -> np.ndarray:
-    frac = (np.arange(panels + 1) / panels) ** grading
-    return a + (b - a) * frac
-
-
-def _integrate_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float,
-    grading: float,
-    nodes_per_panel: int,
-    start_panels: int,
-) -> float:
-    if b <= a:
-        return 0.0
-    panels = start_panels
-    previous = None
-    for _ in range(_MAX_DOUBLINGS):
-        value = _integrate_fixed(f, _graded_bounds(a, b, panels, grading), nodes_per_panel)
-        if previous is not None and abs(value - previous) <= tol:
-            return value
-        previous = value
-        panels *= 2
-    raise ConvergenceError(
-        f"integral on [{a:g}, {b:g}] did not stabilize to {tol:.1e} "
-        f"within {panels // 2} panels"
-    )
+    One row per side of each point: [0, s] graded toward the origin
+    (exponent 2), [s, r] uniform.  All rows start at 2 panels and double
+    together; a row is frozen once two consecutive values differ by at most
+    ``tol``, so it ends with exactly the panels it would get on its own.
+    A fixed ``panels`` is one level with no convergence test.
+    """
+    n = len(s)
+    lo = np.concatenate([np.zeros(n), s])
+    hi = np.concatenate([s, np.full(n, r)])
+    is_left = np.arange(2 * n) < n
+    values = np.zeros(2 * n)
+    previous = np.full(2 * n, np.nan)
+    active = lo < hi  # the right side of s = r is empty
+    count = 2 if panels is None else panels
+    for _ in range(_MAX_DOUBLINGS if panels is None else 1):
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        ticks = np.arange(count + 1) / count
+        frac = np.where(is_left[rows, None], ticks**2.0, ticks)
+        bounds = lo[rows, None] + (hi - lo)[rows, None] * frac
+        nodes, weights = _panel_nodes(bounds, nodes_per_panel)
+        h_values = np.broadcast_to(h(nodes.ravel()), (nodes.size,)).reshape(nodes.shape)
+        family = np.empty_like(nodes)
+        left = is_left[rows]
+        if left.any():
+            family[left] = eval_regular(order, nodes[left]).value
+        if not left.all():
+            family[~left] = eval_irregular(order, nodes[~left]).value
+        integrand = family * h_values / (nodes * nodes)
+        level = np.array([np.dot(wr, fr) for wr, fr in zip(weights, integrand)])
+        active[rows[np.abs(level - previous[rows]) <= tol]] = False
+        values[rows] = previous[rows] = level
+        count *= 2
+    if panels is None and active.any():
+        row = np.flatnonzero(active)[0]
+        raise ConvergenceError(
+            f"integral on [{lo[row]:g}, {hi[row]:g}] did not stabilize to {tol:.1e} "
+            f"within {count // 2} panels"
+        )
+    return values[:n], values[n:]
 
 
 def apply_operator(
     spec: KernelSpec,
     r,
-    h: Callable[[float], float],
+    h: Callable[[np.ndarray], np.ndarray | float],
     s,
     tol: float = DEFAULT_QUAD_TOL,
     panels: int | None = None,
     nodes_per_panel: int = 16,
-) -> float:
-    """Apply the integral operator to a function h at the point s.
+) -> float | np.ndarray:
+    """Apply the integral operator to a function h at the point(s) s.
 
     Uses the separable kernel split at t = s, so both sub-integrals are
     smooth:
@@ -313,9 +345,14 @@ def apply_operator(
         I_m^> = integral_s^r v_m(t) h(t) t^-2 dt.
 
     h must vanish at the origin at least linearly so that h(t) t^-2 stays
-    integrable.  With ``panels=None`` each sub-integral doubles its panel
-    count until consecutive values differ by at most ``tol`` (absolute);
-    a fixed ``panels`` skips the adaptivity (used by convergence studies).
+    integrable.  It is called with a 1-D array of quadrature nodes and must
+    return an array of their length or a scalar (broadcast to every node);
+    each doubling level calls it once, on the nodes of every point that has
+    not yet converged.  ``s`` is a float, giving a float, or a 1-D array,
+    giving an array; every point gets the same value it gets on its own.
+    With ``panels=None`` each sub-integral doubles its panel count until
+    consecutive values differ by at most ``tol`` (absolute); a fixed
+    ``panels`` skips the adaptivity (used by convergence studies).
 
     Raises
     ------
@@ -325,50 +362,26 @@ def apply_operator(
     if not spec.sets.integer_orders:
         raise UnsupportedOrderError("operator application needs integer orders in S")
     r = float(r)
-    s = float(s)
     if not math.isfinite(r) or r <= 0.0:
         raise ValueError(f"radius must be positive and finite, got {r!r}")
-    if not 0.0 < s <= r:
-        raise ValueError(f"evaluation point must lie in (0, r], got {s!r}")
+    points = np.asarray(s, dtype=float)
+    if points.ndim > 1:
+        raise ValueError("evaluation points must be a float or a 1-D array")
+    inside = (points > 0.0) & (points <= r)
+    if not inside.all():
+        raise ValueError(
+            f"evaluation point must lie in (0, r], got {float(points[~inside][0])!r}"
+        )
 
-    total = 0.0
+    flat = np.atleast_1d(points)
+    total = np.zeros(flat.size)
     for m, g in zip(spec.sets.s_orders, spec.gamma):
         order = int(m)
-
-        def left_integrand(t, _order=order):
-            return eval_regular(_order, t).value * h(t) / (t * t)
-
-        def right_integrand(t, _order=order):
-            return eval_irregular(_order, t).value * h(t) / (t * t)
-
-        if panels is not None:
-            left = _integrate_fixed(
-                left_integrand, _graded_bounds(0.0, s, panels, 2.0), nodes_per_panel
-            )
-            right = (
-                _integrate_fixed(
-                    right_integrand, _graded_bounds(s, r, panels, 1.0), nodes_per_panel
-                )
-                if s < r
-                else 0.0
-            )
-        else:
-            left = _integrate_adaptive(
-                left_integrand, 0.0, s, tol, grading=2.0,
-                nodes_per_panel=nodes_per_panel, start_panels=2,
-            )
-            right = (
-                _integrate_adaptive(
-                    right_integrand, s, r, tol, grading=1.0,
-                    nodes_per_panel=nodes_per_panel, start_panels=2,
-                )
-                if s < r
-                else 0.0
-            )
+        left, right = _kink_split_integrals(order, h, flat, r, tol, panels, nodes_per_panel)
         total += g * (
-            eval_irregular(order, s).value * left + eval_regular(order, s).value * right
+            eval_irregular(order, flat).value * left + eval_regular(order, flat).value * right
         )
-    return -total
+    return float(-total[0]) if points.ndim == 0 else -total
 
 
 def sweep(
@@ -407,7 +420,7 @@ def sweep(
                 sigma_fine = min_singular_value(nystrom_matrix(spec, fine)).sigma_min
                 delta = abs(sigma_fine - sigma)
             rows.append((r, sigma, delta))
-        except Exception as exc:  # per-point failures must not kill the scan
+        except NUMERIC_ERRORS as exc:  # per-point failures must not kill the scan
             failures.append((r, str(exc)))
     return ScanReport(
         columns=("r", "sigma_min", "refinement_delta"),

@@ -26,6 +26,13 @@ Evaluation strategy, chosen for double precision:
   dominant solution as the order grows;
 
 * derivatives always via the ladder identity, never finite differences.
+
+Both evaluators take a single radius or a numpy array of radii for one fixed
+order.  An array is evaluated element by element with the branch above
+selected per element by mask; each element keeps its own series stopping
+point and its own backward-recurrence start, so its value is bit for bit the
+one a call on that element alone returns, whatever else is in the batch.  A
+float in gives a ``FunctionPair`` of Python floats out.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ from __future__ import annotations
 import math
 import operator as _op
 from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "FunctionPair",
@@ -57,10 +66,13 @@ _RESCALE_LIMIT = 1e250
 
 
 class FunctionPair(NamedTuple):
-    """Value and first derivative of one Riccati-Bessel function."""
+    """Value and first derivative of one Riccati-Bessel function.
 
-    value: float
-    derivative: float
+    Python floats for a scalar radius, arrays of the radii's shape otherwise.
+    """
+
+    value: float | np.ndarray
+    derivative: float | np.ndarray
 
 
 def _check_order(m) -> int:
@@ -73,12 +85,14 @@ def _check_order(m) -> int:
     return m
 
 
-def _check_radius(r, *, allow_zero: bool = False) -> float:
-    r = float(r)
-    if not math.isfinite(r):
-        raise ValueError(f"radius must be finite, got {r!r}")
-    if r < 0.0 or (r == 0.0 and not allow_zero):
-        raise ValueError(f"radius must be positive, got {r!r}")
+def _check_radii(r, *, allow_zero: bool = False) -> np.ndarray:
+    r = np.asarray(r, dtype=float)
+    finite = np.isfinite(r)
+    if not finite.all():
+        raise ValueError(f"radius must be finite, got {float(r[~finite].flat[0])!r}")
+    bad = r <= 0.0 if not allow_zero else r < 0.0
+    if bad.any():
+        raise ValueError(f"radius must be positive, got {float(r[bad].flat[0])!r}")
     return r
 
 
@@ -92,63 +106,125 @@ def _double_factorial(n: int) -> float:
     return out
 
 
-def _regular_series(m: int, r: float) -> float:
+def _regular_series(m: int, r):
     # u_m(r) = r^(m+1)/(2m+1)!! * sum_k (-r^2/2)^k / (k! (2m+3)...(2m+2k+1)),
     # an alternating series with factorially shrinking terms; safe for any r
-    # but only needed (and used) near zero.
-    if m == -1:
-        return math.cos(r)
-    prefactor = r ** (m + 1) / _double_factorial(2 * m + 1)
-    if prefactor == 0.0:
-        return 0.0
-    total = 1.0
-    term = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= (-0.5 * r * r) / (k * (2 * m + 2 * k + 1))
-        total += term
-        if abs(term) <= 1e-18 * abs(total) or k > 200:
+    # but only needed (and used) near zero.  Each element stops summing on
+    # its own once its terms no longer contribute.
+    r = np.asarray(r, dtype=float)
+    # float_power calls C pow like Python's float ** int; numpy's ** takes a
+    # different route for integer exponents and can differ in the last bit
+    prefactor = np.float_power(r, m + 1) / _double_factorial(2 * m + 1)
+    half_r2 = -0.5 * r * r
+    total = np.ones_like(r)
+    term = np.ones_like(r)
+    active = prefactor != 0.0
+    for k in range(1, 202):
+        if not active.any():
             break
+        np.multiply(term, half_r2 / (k * (2 * m + 2 * k + 1)), out=term, where=active)
+        np.add(total, term, out=total, where=active)
+        active &= np.abs(term) > 1e-18 * np.abs(total)
     return prefactor * total
 
 
-def _regular_forward(m: int, r: float):
+def _regular_forward(m: int, r: np.ndarray):
     """(u_m, u_{m-1}) by forward recurrence from the exact u_0, u_1 seeds.
 
     Only safe while the order stays below the argument, where u_m has not
     started to decay and the recurrence is neutral in both directions; the
     caller restricts this branch to m <= r - 2 sqrt(r).
     """
-    prev = math.sin(r)
-    cur = math.sin(r) / r - math.cos(r)
+    prev = np.sin(r)
+    cur = prev / r - np.cos(r)
     for k in range(1, m):
         prev, cur = cur, (2 * k + 1) / r * cur - prev
     return cur, prev
 
 
-def _regular_backward(m: int, r: float):
+def _regular_backward(m: int, r):
     """Unnormalized table f_0..f_top by backward recurrence, plus the scale.
 
-    Returns the array ``f`` and the factor ``lam`` such that ``lam * f[k]``
-    is u_k(r).  The normalization reference is whichever of u_0, u_1 is
-    larger in magnitude, so that zeros of sin(r) cannot poison the scale.
+    Returns the table ``f`` (one column per radius) and the factors ``lam``
+    such that ``lam * f[k]`` is u_k(r).  Each radius starts its recurrence at
+    its own ``top = max(m, ceil r) + _MILLER_PAD``; rows above it stay zero.
+    The normalization reference is whichever of u_0, u_1 is larger in
+    magnitude, so that zeros of sin(r) cannot poison the scale.
     """
-    top = max(m, math.ceil(r)) + _MILLER_PAD
-    f = [0.0] * (top + 2)
-    f[top] = 1e-300  # arbitrary tiny seed; scale drops out
-    for k in range(top, 0, -1):
-        f[k - 1] = (2 * k + 1) / r * f[k] - f[k + 1]
-        if abs(f[k - 1]) > _RESCALE_LIMIT:
-            for i in range(k - 1, top + 2):
-                f[i] *= 1e-250
-    u0 = math.sin(r)
-    u1 = math.sin(r) / r - math.cos(r)
-    if abs(u0) >= abs(u1):
-        lam = u0 / f[0]
-    else:
-        lam = u1 / f[1]
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    top = np.maximum(m, np.ceil(r)).astype(int) + _MILLER_PAD
+    kmax = int(top.max())
+    starts = set(top.tolist())
+    # Each step down multiplies max|f| by at most (2k + 1)/r + 1, so a batch
+    # whose bound keeps the 1e-300 seed well under the limit never rescales.
+    growth = np.sum(np.log10((2 * np.arange(1, kmax + 1) + 1) / r.min() + 1.0))
+    may_rescale = growth - 300.0 > math.log10(_RESCALE_LIMIT) - 1.0
+    f = np.zeros((kmax + 2, r.size))
+    coef = (2 * np.arange(kmax + 1) + 1)[:, None] / r  # coef[k] = (2k + 1) / r
+    for k in range(kmax, 0, -1):
+        if k in starts:
+            f[k, top == k] = 1e-300  # arbitrary tiny seed; scale drops out
+        row = f[k - 1]
+        np.multiply(coef[k], f[k], out=row)
+        row -= f[k + 1]
+        if may_rescale:
+            big = np.abs(f[k - 1]) > _RESCALE_LIMIT
+            if big.any():
+                f[k - 1:, big] *= 1e-250
+    u0 = np.sin(r)
+    u1 = u0 / r - np.cos(r)
+    lam = np.where(np.abs(u0) >= np.abs(u1), u0 / f[0], u1 / f[1])
     return f, lam
+
+
+def _regular(m: int, r: np.ndarray):
+    """(u_m, u'_m) over a 1-D array of radii >= 0, branch chosen per element."""
+    if m == 0:
+        return np.sin(r), np.cos(r)  # exact at the origin too
+    value = np.zeros_like(r)  # the origin limit for m >= 1: (0, 0)
+    below = np.zeros_like(r)  # u_{m-1}
+    series = (r > 0.0) & (r < SERIES_CROSSOVER)
+    rest = r >= SERIES_CROSSOVER
+    if series.any():
+        x = r[series]
+        value[series] = _regular_series(m, x)
+        below[series] = _regular_series(m - 1, x)
+    if m == 1:
+        x = r[rest]
+        below[rest] = np.sin(x)
+        value[rest] = below[rest] / x - np.cos(x)
+    else:
+        forward = rest & (m <= r - 2.0 * np.sqrt(r))
+        backward = rest & ~forward
+        if forward.any():
+            value[forward], below[forward] = _regular_forward(m, r[forward])
+        if backward.any():
+            f, lam = _regular_backward(m, r[backward])
+            value[backward] = lam * f[m]
+            below[backward] = lam * f[m - 1]
+    derivative = np.zeros_like(r)
+    positive = r > 0.0
+    derivative[positive] = below[positive] - (m / r[positive]) * value[positive]
+    return value, derivative
+
+
+def _irregular(m: int, r: np.ndarray):
+    """(v_m, v'_m) by forward recurrence from v_{-1} = sin, v_0 = -cos."""
+    prev = np.sin(r)
+    cur = -np.cos(r)
+    for k in range(m):
+        prev, cur = cur, (2 * k + 1) / r * cur - prev
+    return cur, prev - (m / r) * cur
+
+
+def _pair(value, derivative, r: np.ndarray, message: str) -> FunctionPair:
+    """Check finiteness and shape the result like the radii that came in."""
+    finite = np.isfinite(value) & np.isfinite(derivative)
+    if not finite.all():
+        raise OverflowError(message.format(float(r.flat[np.argmin(finite)])))
+    if r.ndim == 0:
+        return FunctionPair(float(value[0]), float(derivative[0]))
+    return FunctionPair(value.reshape(r.shape), derivative.reshape(r.shape))
 
 
 def eval_regular(m, r) -> FunctionPair:
@@ -158,38 +234,22 @@ def eval_regular(m, r) -> FunctionPair:
     ----------
     m : int
         Nonnegative order.
-    r : float
-        Radius, >= 0.  The origin is handled as the exact limit
+    r : float or array_like
+        Radius or radii, >= 0.  The origin is handled as the exact limit
         (value 0, derivative 1 for m = 0 and 0 otherwise).
 
     Returns
     -------
     FunctionPair
         ``(u_m(r), u'_m(r))``, relative accuracy <= 1e-12 for m <= 50,
-        r <= 100.
+        r <= 100: Python floats for a scalar ``r``, arrays of its shape
+        otherwise.
     """
     m = _check_order(m)
-    r = _check_radius(r, allow_zero=True)
-    if r == 0.0:
-        return FunctionPair(0.0, 1.0 if m == 0 else 0.0)
-    if m == 0:
-        return FunctionPair(math.sin(r), math.cos(r))
-    if r < SERIES_CROSSOVER:
-        value = _regular_series(m, r)
-        below = _regular_series(m - 1, r)
-    elif m == 1:
-        value = math.sin(r) / r - math.cos(r)
-        below = math.sin(r)
-    elif m <= r - 2.0 * math.sqrt(r):
-        value, below = _regular_forward(m, r)
-    else:
-        f, lam = _regular_backward(m, r)
-        value = lam * f[m]
-        below = lam * f[m - 1]
-    derivative = below - (m / r) * value
-    if not (math.isfinite(value) and math.isfinite(derivative)):
-        raise OverflowError(f"u_{m}({r}) is not finite in double precision")
-    return FunctionPair(value, derivative)
+    r = _check_radii(r, allow_zero=True)
+    with np.errstate(all="ignore"):
+        value, derivative = _regular(m, r.ravel())
+    return _pair(value, derivative, r, f"u_{m}({{}}) is not finite in double precision")
 
 
 def eval_irregular(m, r) -> FunctionPair:
@@ -197,21 +257,17 @@ def eval_irregular(m, r) -> FunctionPair:
 
     The family is pinned by ``v_0(r) = -cos r`` and the three-term
     recurrence; the derivative comes from the ladder identity.  Requires
-    r > 0 strictly (v_m blows up like r^-m at the origin).
+    r > 0 strictly (v_m blows up like r^-m at the origin).  Takes a radius
+    or an array of radii, like :func:`eval_regular`.
     """
     m = _check_order(m)
-    r = _check_radius(r)
-    prev = math.sin(r)  # v_{-1}
-    cur = -math.cos(r)  # v_0
-    for k in range(m):
-        prev, cur = cur, (2 * k + 1) / r * cur - prev
-    derivative = prev - (m / r) * cur
-    if not (math.isfinite(cur) and math.isfinite(derivative)):
-        raise OverflowError(f"v_{m}({r}) overflows double precision")
-    return FunctionPair(cur, derivative)
+    r = _check_radii(r)
+    with np.errstate(all="ignore"):
+        value, derivative = _irregular(m, r.ravel())
+    return _pair(value, derivative, r, f"v_{m}({{}}) overflows double precision")
 
 
-def wronskian(m, r) -> float:
+def wronskian(m, r):
     """u_m(r) v'_m(r) - u'_m(r) v_m(r); equals 1 for any order and radius.
 
     Purely diagnostic: deviations from 1 measure the combined evaluation

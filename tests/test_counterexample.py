@@ -1,6 +1,10 @@
 """Tests for the p function, its root, and the verification chain."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -227,6 +231,17 @@ class TestVerifyCounterexample:
                                   sigma=0.0, root=0.0)
         )
         assert not report.passed
+
+    def test_certificate_does_not_import_scipy(self):
+        # scipy is a test oracle only; the certificate path must not load it
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        code = ("import sys, rbkernel; assert rbkernel.verify_counterexample().passed; "
+                "sys.exit('scipy' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
 
     def test_summary_mentions_radius(self):
         report = verify_counterexample()

@@ -179,6 +179,33 @@ class TestApplyOperator:
             apply_operator(
                 reference_spec, 1.0, lambda t: float(rng.standard_normal()), 0.5
             )
+        with pytest.raises(ConvergenceError):
+            apply_operator(
+                reference_spec, 1.0, lambda t: rng.standard_normal(t.shape),
+                np.array([0.25, 0.5, 1.0]),
+            )
+
+    @pytest.mark.parametrize("r", [1.0, "R", 3.0])
+    @pytest.mark.parametrize("panels", [None, 32])
+    # u_2 converges at the same level on every side; t cos(30 t) does not
+    @pytest.mark.parametrize("h", [u2, lambda t: t * np.cos(30.0 * t)], ids=["u2", "wiggle"])
+    def test_batched_points_match_single_calls(self, reference_spec, root_r, r, panels, h):
+        r = root_r if r == "R" else r
+        points = np.linspace(r / 7, r, 7)  # ends at s = r, whose right side is empty
+        batched = apply_operator(reference_spec, r, h, points, panels=panels)
+        assert isinstance(batched, np.ndarray) and batched.shape == points.shape
+        for s, value in zip(points, batched):
+            alone = apply_operator(reference_spec, r, h, float(s), panels=panels)
+            assert type(alone) is float
+            assert abs(value - alone) <= 1e-15, s
+
+    def test_batched_point_validation(self, reference_spec):
+        with pytest.raises(ValueError):
+            apply_operator(reference_spec, 1.0, u2, np.array([0.5, 1.5]))
+        with pytest.raises(ValueError):
+            apply_operator(reference_spec, 1.0, u2, np.array([0.5, math.nan]))
+        with pytest.raises(ValueError):
+            apply_operator(reference_spec, 1.0, u2, np.full((2, 2), 0.5))
 
 
 class TestMinSingularValue:
@@ -203,6 +230,16 @@ class TestMinSingularValue:
             (np.eye(grid.size) - op.matrix) @ result.null_vector
         )
         assert residual <= result.sigma_min * (1.0 + 1e-8) + 1e-15
+
+    @pytest.mark.parametrize("r", [0.5, 2.0, "R"])
+    def test_values_only_svd_matches_full_svd(self, reference_spec, root_r, r):
+        grid = build_grid(root_r if r == "R" else r, panels_count=8, nodes_per_panel=12)
+        op = nystrom_matrix(reference_spec, grid)
+        result = min_singular_value(op)
+        _, singular_values, v_rows = np.linalg.svd(np.eye(grid.size) - op.matrix)
+        assert abs(result.sigma_min - singular_values[-1]) <= 1e-15
+        # the lazily computed vector is the full SVD's, sign included
+        assert np.array_equal(result.null_vector, v_rows[-1])
 
     def test_collapse_at_root(self, reference_spec, root_r):
         grid = spectral_grid(root_r)
@@ -264,6 +301,22 @@ class TestSweep:
         assert len(report.failures) == 1
         assert report.failures[0][0] == 1.0
         assert "synthetic" in report.failures[0][1]
+
+    def test_programming_errors_propagate(self, reference_spec, monkeypatch):
+        def broken(spec, points):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(op_module, "_family_tables", broken)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            op_module.sweep(reference_spec, 0.5, 1.5, 3)
+
+        def failing(spec, points):
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setattr(op_module, "_family_tables", failing)
+        report = op_module.sweep(reference_spec, 0.5, 1.5, 3)
+        assert report.rows == []
+        assert [message for _, message in report.failures] == ["synthetic failure"] * 3
 
     def test_argument_validation(self, reference_spec):
         with pytest.raises(ValueError):

@@ -7,7 +7,12 @@ import pytest
 from scipy.special import spherical_jn, spherical_yn
 
 from rbkernel import eval_irregular, eval_regular, wronskian
-from rbkernel.riccati import SERIES_CROSSOVER, _regular_backward, _regular_series
+from rbkernel.riccati import (
+    _MILLER_PAD,
+    SERIES_CROSSOVER,
+    _regular_backward,
+    _regular_series,
+)
 
 from conftest import mp_irregular, mp_regular
 
@@ -171,6 +176,69 @@ class TestAgainstScipy:
             ref_d = spherical_yn(m, r) + r * spherical_yn(m, r, derivative=True)
             assert abs(value - ref) <= 1e-12 * abs(ref), (m, r)
             assert abs(derivative - ref_d) <= 5e-12 * abs(ref_d), (m, r)
+
+    def test_array_calls_over_the_domain(self):
+        # one call per order over 60 radii in [1e-3, 100] (irregular: [1e-2, 100])
+        rng = np.random.default_rng(4242)
+        for m in range(51):
+            r = 10 ** rng.uniform(-3, 2, 60)
+            value, derivative = eval_regular(m, r)
+            ref = r * spherical_jn(m, r)
+            ref_d = spherical_jn(m, r) + r * spherical_jn(m, r, derivative=True)
+            assert np.all(np.abs(value - ref) <= 1e-12 * np.abs(ref)), m
+            assert np.all(np.abs(derivative - ref_d) <= 5e-12 * np.abs(ref_d)), m
+            r = 10 ** rng.uniform(-2, 2, 60)
+            value, derivative = eval_irregular(m, r)
+            ref = r * spherical_yn(m, r)
+            ref_d = spherical_yn(m, r) + r * spherical_yn(m, r, derivative=True)
+            assert np.all(np.abs(value - ref) <= 1e-12 * np.abs(ref)), m
+            assert np.all(np.abs(derivative - ref_d) <= 5e-12 * np.abs(ref_d)), m
+
+
+class TestArrayEvaluation:
+    # per order: the origin, the series (r < 0.5), m = 1's closed form, the
+    # forward branch (m <= r - 2 sqrt r) and the backward recurrence; m = 200
+    # at r = 0.6 drives the backward recurrence through its overflow rescale
+    RADII = np.array([0.0, 0.01, 0.3, 0.499, 0.5, 0.6, 1.0, 3.0, 20.0, 80.0, 100.0])
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 50, 200])
+    def test_batch_gives_the_bits_of_single_calls(self, m):
+        value, derivative = eval_regular(m, self.RADII)
+        for i, r in enumerate(self.RADII):
+            alone = eval_regular(m, float(r))
+            assert (alone.value, alone.derivative) == (value[i], derivative[i]), (m, r)
+        positive = self.RADII[1:]
+        value, derivative = eval_irregular(min(m, 50), positive)
+        for i, r in enumerate(positive):
+            alone = eval_irregular(min(m, 50), float(r))
+            assert (alone.value, alone.derivative) == (value[i], derivative[i]), (m, r)
+
+    def test_rescale_path_is_exercised(self):
+        table, _ = _regular_backward(200, 0.6)
+        # the 1e-300 seed at the start row was scaled down by the rescale
+        assert table[200 + _MILLER_PAD, 0] < 1e-300
+
+    def test_float_in_gives_python_floats(self):
+        for pair in (eval_regular(2, 1.5), eval_regular(3, 0.2), eval_regular(0, 0),
+                     eval_irregular(2, 1.5), eval_irregular(1, 1)):
+            assert type(pair.value) is float and type(pair.derivative) is float
+
+    def test_array_keeps_its_shape(self):
+        radii = np.linspace(0.1, 5.0, 6).reshape(2, 3)
+        assert eval_regular(4, radii).value.shape == (2, 3)
+        assert eval_irregular(4, radii).derivative.shape == (2, 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_array_with_a_bad_radius_raises(self, bad):
+        radii = np.array([0.5, 1.0, bad, 2.0])
+        with pytest.raises(ValueError):
+            eval_regular(2, radii)
+        with pytest.raises(ValueError):
+            eval_irregular(2, radii)
+
+    def test_irregular_array_rejects_the_origin(self):
+        with pytest.raises(ValueError):
+            eval_irregular(0, np.array([1.0, 0.0]))
 
 
 class TestAgainstMpmath:
