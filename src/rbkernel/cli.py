@@ -28,6 +28,7 @@ from .operator import (
     DEFAULT_SPECTRAL_PANELS,
     NUMERIC_ERRORS,
     apply_operator,
+    dump_matrix,
     sweep,
 )
 from .report import ScanReport, fmt_float
@@ -105,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", type=float, required=True)
     p.add_argument("--r-max", type=float, required=True)
     p.add_argument("--steps", type=int, default=101)
-    p.add_argument("--route", choices=("auto", "explicit", "wronskian", "series"),
+    p.add_argument("--route", choices=("auto", *cx.P_ROUTES),
                    default="auto", help="evaluation route (auto = explicit with "
                    "its small-radius series guard)")
     _add_io(p, "csv")
@@ -181,8 +182,7 @@ def _cmd_kernel_eval(args) -> int:
 
 
 def _cmd_p_scan(args) -> int:
-    route = {"auto": cx.p_explicit, "explicit": cx.p_explicit,
-             "wronskian": cx.p_wronskian, "series": cx.p_series}[args.route]
+    route = cx.P_ROUTES["explicit" if args.route == "auto" else args.route]
     if args.steps < 2:
         raise ValueError("steps must be >= 2")
     if not 0.0 < args.r_min < args.r_max:
@@ -251,21 +251,16 @@ def _cmd_verify(args) -> int:
         equation=args.tol_equation, sigma=args.tol_sigma, root=args.tol_root,
     )
     report = cx.verify_counterexample(
-        tolerances=tolerances,
-        r_override=args.force_r,
-        spectral_panels=args.panels if args.panels != DEFAULT_SPECTRAL_PANELS else None,
-        spectral_nodes=args.nodes if args.nodes != DEFAULT_SPECTRAL_NODES else None,
-        spectral_grading=args.grading if args.grading != DEFAULT_SPECTRAL_GRADING else None,
+        tolerances=tolerances, r_override=args.force_r,
+        panels=args.panels, nodes=args.nodes, grading=args.grading,
     )
     sys.stdout.write(report.summary_text())
     if args.output is not None:
         Path(args.output).write_text(report.to_json_text())
     if args.dump_matrix is not None:
-        from .operator import build_grid, dump_matrix, nystrom_matrix
-
-        grid = build_grid(report.r_used, panels_count=args.panels,
-                          nodes_per_panel=args.nodes, grading=args.grading)
-        dump_matrix(nystrom_matrix(cx.reference_spec(), grid), args.dump_matrix)
+        if report.spectral is None:
+            raise ValueError("no matrix to dump: the spectral step failed")
+        dump_matrix(report.spectral.operator, args.dump_matrix)
     return 0 if report.passed else 1
 
 

@@ -36,11 +36,12 @@ from .operator import (
     DEFAULT_SPECTRAL_GRADING,
     DEFAULT_SPECTRAL_NODES,
     DEFAULT_SPECTRAL_PANELS,
+    NUMERIC_ERRORS,
+    SpectralResult,
     apply_operator,
     build_grid,
     min_singular_value,
     nystrom_matrix,
-    spectral_grid,
 )
 from .riccati import eval_irregular, eval_regular
 
@@ -52,6 +53,7 @@ __all__ = [
     "EXPLICIT_CROSSOVER",
     "SERIES_RADIUS",
     "DEFAULT_BRACKET",
+    "P_ROUTES",
     "reference_spec",
     "p_explicit",
     "p_wronskian",
@@ -71,8 +73,6 @@ SERIES_RADIUS = 0.5
 
 # Default sign-change bracket for the first positive root of p.
 DEFAULT_BRACKET = (2.0, 2.5)
-
-_ROUTES = ("explicit", "wronskian", "series")
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,9 @@ class VerificationReport:
     """Outcome of the full verification chain.
 
     ``steps`` holds one (name, value, threshold, ok) entry per sub-step;
-    a sub-step that raised is recorded with value None and ok False.
+    a sub-step that raised a numeric error is recorded with value None and
+    ok False.  ``spectral`` keeps the certificate's singular value and
+    Nystrom operator (None if that step failed); the JSON leaves it out.
     """
 
     r_used: float
@@ -121,6 +123,7 @@ class VerificationReport:
     passed: bool
     steps: list[tuple] = field(default_factory=list)
     root: RootResult | None = None
+    spectral: SpectralResult | None = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -217,10 +220,13 @@ def p_wronskian(r) -> PValue:
     return PValue(r=r, value=v0 * du2 - dv0 * u2, route="wronskian")
 
 
-def _p_route(route: str):
-    if route not in _ROUTES:
-        raise ValueError(f"unknown p route {route!r}; expected one of {_ROUTES}")
-    return {"explicit": p_explicit, "wronskian": p_wronskian, "series": p_series}[route]
+# Route name -> evaluator of p.  Entries look their function up when called,
+# so rebinding a module function (monkeypatch, profiler) reaches the table.
+P_ROUTES = {
+    "explicit": lambda r: p_explicit(r),
+    "wronskian": lambda r: p_wronskian(r),
+    "series": lambda r: p_series(r),
+}
 
 
 def find_root(lo, hi, tol: float = 1e-12, route: str = "explicit") -> RootResult:
@@ -237,7 +243,9 @@ def find_root(lo, hi, tol: float = 1e-12, route: str = "explicit") -> RootResult
         If p(lo) and p(hi) do not have opposite signs, or an evaluation is
         not finite.
     """
-    p = _p_route(route)
+    if route not in P_ROUTES:
+        raise ValueError(f"unknown p route {route!r}; expected one of {tuple(P_ROUTES)}")
+    p = P_ROUTES[route]
     lo = float(lo)
     hi = float(hi)
     if not lo < hi:
@@ -333,36 +341,34 @@ def check_ode(s_points) -> float:
     identity twice, u_2'' = u_0 - (3/s) u_1 + (6/s^2) u_2, so the residual
     measures the internal consistency of the evaluated family.
     """
-    worst = 0.0
-    for s in np.asarray(s_points, dtype=float):
-        s = float(s)
-        if s <= 0.0:
-            raise ValueError("ODE check points must be positive")
-        u0 = _u(0, s)
-        u1 = _u(1, s)
-        u2 = _u(2, s)
-        second = u0 - 3.0 / s * u1 + 6.0 / (s * s) * u2
-        worst = max(worst, abs(second + u2 - 6.0 / (s * s) * u2))
-    return worst
+    s = np.asarray(s_points, dtype=float)
+    if np.any(s <= 0.0):
+        raise ValueError("ODE check points must be positive")
+    u0, u1, u2 = (_u(m, s) for m in (0, 1, 2))
+    second = u0 - 3.0 / s * u1 + 6.0 / (s * s) * u2
+    return float(np.max(np.abs(second + u2 - 6.0 / (s * s) * u2), initial=0.0))
 
 
 def verify_counterexample(
     tolerances: Tolerances = Tolerances(),
     r_override=None,
-    identity_radii=(1.0, None, 3.0),
-    spectral_panels: int | None = None,
-    spectral_nodes: int | None = None,
-    spectral_grading: float | None = None,
+    panels: int = DEFAULT_SPECTRAL_PANELS,
+    nodes: int = DEFAULT_SPECTRAL_NODES,
+    grading: float = DEFAULT_SPECTRAL_GRADING,
 ) -> VerificationReport:
     """Run the full verification chain and report pass/fail per step.
 
     Steps: solve gamma_0 (must be -6), find the root R of p in the default
-    bracket, check the integration-by-parts identity at several radii
-    (``None`` in ``identity_radii`` stands for R), check the homogeneous
-    equation residual of u_2 at R, and compute the spectral certificate
-    sigma_min(I - A) at R.  ``r_override`` substitutes a different radius
-    for R in the equation and spectral steps (useful to watch the
-    verification fail away from the root).
+    bracket, check the integration-by-parts identity at radii 1, R and 3,
+    check the homogeneous equation residual of u_2 at R, and compute the
+    spectral certificate sigma_min(I - A) at R on the grid of ``panels``
+    panels x ``nodes`` Gauss nodes with boundaries graded by ``grading``
+    (see :func:`build_grid`; the defaults are the calibrated spectral grid).
+    ``r_override`` substitutes a different radius for R in the identity,
+    equation and spectral steps (useful to watch the verification fail away
+    from the root).  A grid that cannot be built raises ValueError before
+    any step runs; a numeric error inside a step is recorded as a failed
+    step, and any other exception propagates.
     """
     steps = []
     passed = True
@@ -387,14 +393,14 @@ def verify_counterexample(
         record(f"root_search ({exc})", None, tolerances.root, False)
         r_star = 0.5 * (DEFAULT_BRACKET[0] + DEFAULT_BRACKET[1])
     r_used = float(r_override) if r_override is not None else r_star
+    grid = build_grid(r_used, panels, nodes, grading=grading)
 
     identity_residual = None
     try:
-        radii = [r_used if r is None else float(r) for r in identity_radii]
-        identity_residual = max(check_identity(r) for r in radii)
+        identity_residual = max(check_identity(r) for r in (1.0, r_used, 3.0))
         record("identity_residual", identity_residual, tolerances.identity,
                identity_residual <= tolerances.identity)
-    except Exception as exc:
+    except NUMERIC_ERRORS as exc:
         record(f"identity_check ({exc})", None, tolerances.identity, False)
 
     equation_residual = None
@@ -405,23 +411,15 @@ def verify_counterexample(
         )))
         record("equation_residual", equation_residual, tolerances.equation,
                equation_residual <= tolerances.equation)
-    except Exception as exc:
+    except NUMERIC_ERRORS as exc:
         record(f"equation_check ({exc})", None, tolerances.equation, False)
 
-    sigma = None
+    spectral = None
     try:
-        if spectral_panels is None and spectral_nodes is None and spectral_grading is None:
-            grid = spectral_grid(r_used)
-        else:
-            grid = build_grid(
-                r_used,
-                panels_count=spectral_panels or DEFAULT_SPECTRAL_PANELS,
-                nodes_per_panel=spectral_nodes or DEFAULT_SPECTRAL_NODES,
-                grading=spectral_grading or DEFAULT_SPECTRAL_GRADING,
-            )
-        sigma = min_singular_value(nystrom_matrix(spec, grid)).sigma_min
+        spectral = min_singular_value(nystrom_matrix(spec, grid))
+        sigma = spectral.sigma_min
         record("sigma_min_at_R", sigma, tolerances.sigma, sigma <= tolerances.sigma)
-    except Exception as exc:
+    except NUMERIC_ERRORS as exc:
         record(f"spectral_certificate ({exc})", None, tolerances.sigma, False)
 
     return VerificationReport(
@@ -429,8 +427,9 @@ def verify_counterexample(
         gamma0=gamma0,
         identity_residual=identity_residual,
         equation_residual=equation_residual,
-        sigma_min_at_r=sigma,
+        sigma_min_at_r=None if spectral is None else spectral.sigma_min,
         passed=passed,
         steps=steps,
         root=root,
+        spectral=spectral,
     )

@@ -86,33 +86,6 @@ class KernelSpec:
     sets: IndexSets
     gamma: tuple[float, ...]
 
-    @property
-    def gamma_map(self) -> dict[float, float]:
-        return dict(zip(self.sets.s_orders, self.gamma))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "S": list(self.sets.s_orders),
-            "T": list(self.sets.t_orders),
-            "gamma": list(self.gamma),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "KernelSpec":
-        sets = validate_sets(data["S"], data["T"])
-        gamma = tuple(float(g) for g in data["gamma"])
-        if len(gamma) != sets.size:
-            raise SetValidationError(
-                f"gamma has {len(gamma)} entries for {sets.size} orders"
-            )
-        residual = equation_residual(sets, gamma)
-        if not residual <= GAMMA_RESIDUAL_TOL:
-            raise SetValidationError(
-                f"stored gamma violates the coefficient equation "
-                f"(residual {residual:.3e})"
-            )
-        return cls(sets=sets, gamma=gamma)
-
 
 def _as_set(values, name: str) -> tuple[float, ...]:
     out = []

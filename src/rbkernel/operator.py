@@ -75,6 +75,9 @@ DEFAULT_QUAD_TOL = 1e-10
 
 _MAX_DOUBLINGS = 14
 
+# Gauss-Legendre nodes per panel of the apply_operator quadrature.
+_QUAD_NODES = 16
+
 
 class ConvergenceError(RuntimeError):
     """Raised when panel doubling fails to reach the requested tolerance."""
@@ -97,7 +100,6 @@ class QuadratureGrid:
     panel_bounds: tuple[float, ...]
     nodes: np.ndarray
     weights: np.ndarray
-    grading: float
 
     def __post_init__(self):
         if len(self.nodes) != len(self.weights):
@@ -112,10 +114,6 @@ class QuadratureGrid:
             raise ValueError("weights must sum to r")
 
     @property
-    def panels(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.panel_bounds[:-1], self.panel_bounds[1:]))
-
-    @property
     def size(self) -> int:
         return len(self.nodes)
 
@@ -126,7 +124,6 @@ class NystromOperator:
 
     grid: QuadratureGrid
     matrix: np.ndarray
-    spec: KernelSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +136,6 @@ class SpectralResult:
 
     sigma_min: float
     operator: NystromOperator = field(repr=False)
-    r: float
 
     @cached_property
     def null_vector(self) -> np.ndarray:
@@ -168,15 +164,12 @@ def build_grid(
     r,
     panels_count: int = 8,
     nodes_per_panel: int = 12,
-    split_at=None,
     grading: float = 2.0,
 ) -> QuadratureGrid:
     """Build a composite Gauss-Legendre grid on (0, r].
 
     Panels are graded toward the origin: boundary i sits at
-    ``r * (i / panels)**grading`` (grading 1 gives uniform panels).  If
-    ``split_at`` is given, it is inserted as an extra panel boundary, so the
-    grid can resolve a known kink exactly.
+    ``r * (i / panels)**grading`` (grading 1 gives uniform panels).
     """
     r = float(r)
     if not math.isfinite(r) or r <= 0.0:
@@ -188,19 +181,9 @@ def build_grid(
     if grading < 1.0:
         raise ValueError("grading exponent must be >= 1")
     bounds = r * (np.arange(panels_count + 1) / panels_count) ** grading
-    if split_at is not None:
-        split_at = float(split_at)
-        if not 0.0 < split_at < r:
-            raise ValueError(f"split_at must lie in (0, r), got {split_at!r}")
-        if not np.any(np.abs(bounds - split_at) <= 1e-14 * r):
-            bounds = np.sort(np.append(bounds, split_at))
     nodes, weights = _panel_nodes(bounds, nodes_per_panel)
     return QuadratureGrid(
-        r=r,
-        panel_bounds=tuple(float(b) for b in bounds),
-        nodes=nodes,
-        weights=weights,
-        grading=float(grading),
+        r=r, panel_bounds=tuple(float(b) for b in bounds), nodes=nodes, weights=weights
     )
 
 
@@ -247,7 +230,7 @@ def nystrom_matrix(spec: KernelSpec, grid: QuadratureGrid) -> NystromOperator:
     a_matrix = -g_matrix * (grid.weights / grid.nodes**2)[None, :]
     if not np.all(np.isfinite(a_matrix)):
         raise ValueError("Nystrom matrix contains non-finite entries")
-    return NystromOperator(grid=grid, matrix=a_matrix, spec=spec)
+    return NystromOperator(grid=grid, matrix=a_matrix)
 
 
 def _identity_minus(op: NystromOperator) -> np.ndarray:
@@ -263,9 +246,7 @@ def min_singular_value(op: NystromOperator) -> SpectralResult:
     computed when first read.
     """
     singular_values = np.linalg.svd(_identity_minus(op), compute_uv=False)
-    return SpectralResult(
-        sigma_min=float(singular_values[-1]), operator=op, r=op.grid.r
-    )
+    return SpectralResult(sigma_min=float(singular_values[-1]), operator=op)
 
 
 def dump_matrix(op: NystromOperator, path) -> None:
@@ -279,15 +260,13 @@ def dump_matrix(op: NystromOperator, path) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float,
-                          panels: int | None, nodes_per_panel: int):
+def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
     """I_m^< and I_m^> of :func:`apply_operator` at every point of ``s``.
 
     One row per side of each point: [0, s] graded toward the origin
     (exponent 2), [s, r] uniform.  All rows start at 2 panels and double
     together; a row is frozen once two consecutive values differ by at most
     ``tol``, so it ends with exactly the panels it would get on its own.
-    A fixed ``panels`` is one level with no convergence test.
     """
     n = len(s)
     lo = np.concatenate([np.zeros(n), s])
@@ -296,15 +275,15 @@ def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float,
     values = np.zeros(2 * n)
     previous = np.full(2 * n, np.nan)
     active = lo < hi  # the right side of s = r is empty
-    count = 2 if panels is None else panels
-    for _ in range(_MAX_DOUBLINGS if panels is None else 1):
+    count = 2
+    for _ in range(_MAX_DOUBLINGS):
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
         ticks = np.arange(count + 1) / count
         frac = np.where(is_left[rows, None], ticks**2.0, ticks)
         bounds = lo[rows, None] + (hi - lo)[rows, None] * frac
-        nodes, weights = _panel_nodes(bounds, nodes_per_panel)
+        nodes, weights = _panel_nodes(bounds, _QUAD_NODES)
         h_values = np.broadcast_to(h(nodes.ravel()), (nodes.size,)).reshape(nodes.shape)
         family = np.empty_like(nodes)
         left = is_left[rows]
@@ -317,7 +296,7 @@ def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float,
         active[rows[np.abs(level - previous[rows]) <= tol]] = False
         values[rows] = previous[rows] = level
         count *= 2
-    if panels is None and active.any():
+    if active.any():
         row = np.flatnonzero(active)[0]
         raise ConvergenceError(
             f"integral on [{lo[row]:g}, {hi[row]:g}] did not stabilize to {tol:.1e} "
@@ -332,8 +311,6 @@ def apply_operator(
     h: Callable[[np.ndarray], np.ndarray | float],
     s,
     tol: float = DEFAULT_QUAD_TOL,
-    panels: int | None = None,
-    nodes_per_panel: int = 16,
 ) -> float | np.ndarray:
     """Apply the integral operator to a function h at the point(s) s.
 
@@ -350,9 +327,8 @@ def apply_operator(
     each doubling level calls it once, on the nodes of every point that has
     not yet converged.  ``s`` is a float, giving a float, or a 1-D array,
     giving an array; every point gets the same value it gets on its own.
-    With ``panels=None`` each sub-integral doubles its panel count until
-    consecutive values differ by at most ``tol`` (absolute); a fixed
-    ``panels`` skips the adaptivity (used by convergence studies).
+    Each sub-integral doubles its count of 16-node Gauss-Legendre panels
+    until consecutive values differ by at most ``tol`` (absolute).
 
     Raises
     ------
@@ -377,7 +353,7 @@ def apply_operator(
     total = np.zeros(flat.size)
     for m, g in zip(spec.sets.s_orders, spec.gamma):
         order = int(m)
-        left, right = _kink_split_integrals(order, h, flat, r, tol, panels, nodes_per_panel)
+        left, right = _kink_split_integrals(order, h, flat, r, tol)
         total += g * (
             eval_irregular(order, flat).value * left + eval_regular(order, flat).value * right
         )

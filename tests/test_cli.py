@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
-from rbkernel import read_report
-from rbkernel.cli import main
+from rbkernel import build_grid, find_root, nystrom_matrix, read_report, reference_spec
+from rbkernel.cli import build_parser, main
+from rbkernel.counterexample import P_ROUTES
+from rbkernel.operator import dump_matrix
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +81,11 @@ class TestPScan:
     def test_validation(self, capsys):
         code, _, err = run_cli(capsys, "p-scan", "--r-min", "2", "--r-max", "1")
         assert code == 2 and "r-min" in err
+
+    def test_route_choices_follow_the_route_table(self):
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        route = next(a for a in commands.choices["p-scan"]._actions if a.dest == "route")
+        assert route.choices == ("auto", *P_ROUTES)
 
 
 class TestFindRoot:
@@ -157,6 +164,23 @@ class TestVerify:
         rows = [line.split(",") for line in path.read_text().splitlines()]
         assert len(rows) == 12 and all(len(row) == 12 for row in rows)
         assert all(float(cell) == float(cell) for row in rows for cell in row)
+        # the dump is the certificate's own matrix on the requested grid
+        grid = build_grid(find_root(2.0, 2.5).root, 4, 3, grading=1.0)
+        expected = tmp_path / "expected.csv"
+        dump_matrix(nystrom_matrix(reference_spec(), grid), expected)
+        assert path.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--panels", "0", "panels_count"),
+        ("--nodes", "1", "nodes_per_panel"),
+        ("--grading", "0.5", "grading"),
+    ])
+    def test_invalid_grid_is_a_usage_error(self, capsys, flag, value, message):
+        # an invalid grid must not fall back to the default one and pass
+        code, out, err = run_cli(capsys, "verify", flag, value)
+        assert code == 2
+        assert message in err
+        assert "overall: PASS" not in out
 
 
 class TestDeterminism:

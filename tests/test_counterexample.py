@@ -22,7 +22,8 @@ from rbkernel import (
     p_wronskian,
     verify_counterexample,
 )
-from rbkernel.counterexample import EXPLICIT_CROSSOVER, SERIES_RADIUS
+import rbkernel.counterexample as cx_module
+from rbkernel.counterexample import EXPLICIT_CROSSOVER, P_ROUTES, SERIES_RADIUS
 
 from conftest import mp_p
 
@@ -161,8 +162,9 @@ class TestFindRoot:
             find_root(2.5, 2.0)
         with pytest.raises(ValueError):
             find_root(2.0, 2.5, tol=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             find_root(2.0, 2.5, route="nope")
+        assert all(repr(route) in str(exc.value) for route in P_ROUTES)
 
 
 class TestCheckIdentity:
@@ -196,6 +198,10 @@ class TestCheckOde:
         assert check_ode([1.0]) <= 1e-10
         assert check_ode([0.01]) <= 1e-10  # series branch
         assert check_ode([20.0]) <= 1e-9
+        points = np.geomspace(0.01, 80.0, 10)
+        worst = check_ode(points)  # one array pass
+        assert worst <= 1e-9
+        assert worst == max(check_ode([s]) for s in points)
 
     def test_rejects_nonpositive_points(self):
         with pytest.raises(ValueError):
@@ -231,6 +237,27 @@ class TestVerifyCounterexample:
                                   sigma=0.0, root=0.0)
         )
         assert not report.passed
+
+    def test_invalid_grid_raises(self):
+        with pytest.raises(ValueError, match="nodes_per_panel"):
+            verify_counterexample(nodes=1)
+
+    def test_only_numeric_errors_become_failed_steps(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(cx_module, "apply_operator", broken)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            verify_counterexample(panels=8, nodes=4)
+
+        def failing(*args, **kwargs):
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setattr(cx_module, "apply_operator", failing)
+        report = verify_counterexample(panels=8, nodes=4)
+        assert not report.passed
+        for step in ("identity_check", "equation_check"):
+            assert (f"{step} (synthetic failure)", None, 1e-8, False) in report.steps
 
     def test_certificate_does_not_import_scipy(self):
         # scipy is a test oracle only; the certificate path must not load it

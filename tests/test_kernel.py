@@ -100,26 +100,6 @@ class TestSolveGamma:
         assert equation_residual(spec.sets, spec.gamma) <= 1e-14
 
 
-class TestKernelSpecSerialization:
-    def test_round_trip(self):
-        spec = solve_gamma(validate_sets([0, 1], [2, 3]))
-        data = spec.to_json_dict()
-        assert data["S"] == [0.0, 1.0]
-        assert data["T"] == [2.0, 3.0]
-        assert data["gamma"] == pytest.approx([-36.0, 20.0], rel=1e-12)
-        clone = KernelSpec.from_json_dict(data)
-        assert clone == spec
-
-    def test_tampered_gamma_rejected(self):
-        data = {"S": [0.0], "T": [2.0], "gamma": [-5.0]}
-        with pytest.raises(SetValidationError, match="coefficient equation"):
-            KernelSpec.from_json_dict(data)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(SetValidationError, match="entries"):
-            KernelSpec.from_json_dict({"S": [0.0], "T": [2.0], "gamma": [-6.0, 1.0]})
-
-
 class TestEvalKernel:
     # g(2, 1) = -6 u_0(1) v_0(2) = -6 sin(1) (-cos 2); 40-digit oracle value
     G_2_1 = -2.1010529302440879

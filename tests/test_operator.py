@@ -41,10 +41,6 @@ class TestBuildGrid:
         grid = build_grid(1.0, panels_count=4, nodes_per_panel=8)
         assert abs(float(np.sum(grid.weights)) - 1.0) <= 1e-14
 
-    def test_split_point_becomes_boundary(self):
-        grid = build_grid(2.44, panels_count=8, nodes_per_panel=12, split_at=1.0)
-        assert any(abs(b - 1.0) <= 1e-14 for b in grid.panel_bounds)
-
     def test_grading_clusters_toward_origin(self):
         grid = build_grid(1.0, panels_count=4, nodes_per_panel=4, grading=2.0)
         widths = np.diff(grid.panel_bounds)
@@ -55,8 +51,6 @@ class TestBuildGrid:
             build_grid(0.0)
         with pytest.raises(ValueError):
             build_grid(-2.0)
-        with pytest.raises(ValueError):
-            build_grid(1.0, split_at=1.5)
         with pytest.raises(ValueError):
             build_grid(1.0, panels_count=0)
         with pytest.raises(ValueError):
@@ -71,7 +65,6 @@ class TestBuildGrid:
                 panel_bounds=(0.0, 1.0),
                 nodes=np.array([0.5]),
                 weights=np.array([0.9]),
-                grading=1.0,
             )
         with pytest.raises(ValueError, match="positive"):
             QuadratureGrid(
@@ -79,7 +72,6 @@ class TestBuildGrid:
                 panel_bounds=(0.0, 1.0),
                 nodes=np.array([0.3, 0.7]),
                 weights=np.array([1.5, -0.5]),
-                grading=1.0,
             )
 
 
@@ -90,7 +82,6 @@ class TestNystromMatrix:
             panel_bounds=(0.0, 1.0),
             nodes=np.array([0.5]),
             weights=np.array([1.0]),
-            grading=1.0,
         )
         op = nystrom_matrix(reference_spec, grid)
         assert op.matrix[0, 0] == pytest.approx(A00_SINGLE_NODE, rel=1e-13)
@@ -144,11 +135,6 @@ class TestApplyOperator:
             )
             assert worst <= 1e-8, r
 
-    def test_panel_doubling_stability(self, reference_spec):
-        coarse = apply_operator(reference_spec, 1.0, u2, 0.6, panels=32)
-        fine = apply_operator(reference_spec, 1.0, u2, 0.6, panels=64)
-        assert abs(fine - coarse) <= 1e-9
-
     def test_agrees_with_nystrom_and_refines(self, reference_spec):
         gaps = []
         for panels in (8, 16):
@@ -186,16 +172,17 @@ class TestApplyOperator:
             )
 
     @pytest.mark.parametrize("r", [1.0, "R", 3.0])
-    @pytest.mark.parametrize("panels", [None, 32])
+    @pytest.mark.parametrize("tol", [None, 1e-12])  # None: the default tolerance
     # u_2 converges at the same level on every side; t cos(30 t) does not
     @pytest.mark.parametrize("h", [u2, lambda t: t * np.cos(30.0 * t)], ids=["u2", "wiggle"])
-    def test_batched_points_match_single_calls(self, reference_spec, root_r, r, panels, h):
+    def test_batched_points_match_single_calls(self, reference_spec, root_r, r, tol, h):
         r = root_r if r == "R" else r
+        quad = {} if tol is None else {"tol": tol}
         points = np.linspace(r / 7, r, 7)  # ends at s = r, whose right side is empty
-        batched = apply_operator(reference_spec, r, h, points, panels=panels)
+        batched = apply_operator(reference_spec, r, h, points, **quad)
         assert isinstance(batched, np.ndarray) and batched.shape == points.shape
         for s, value in zip(points, batched):
-            alone = apply_operator(reference_spec, r, h, float(s), panels=panels)
+            alone = apply_operator(reference_spec, r, h, float(s), **quad)
             assert type(alone) is float
             assert abs(value - alone) <= 1e-15, s
 
@@ -211,8 +198,7 @@ class TestApplyOperator:
 class TestMinSingularValue:
     def test_zero_matrix_limit(self, reference_spec):
         grid = build_grid(1.0, panels_count=2, nodes_per_panel=4)
-        op = NystromOperator(grid=grid, matrix=np.zeros((grid.size, grid.size)),
-                             spec=reference_spec)
+        op = NystromOperator(grid=grid, matrix=np.zeros((grid.size, grid.size)))
         result = min_singular_value(op)
         assert result.sigma_min == pytest.approx(1.0, abs=1e-14)
         assert np.linalg.norm(result.null_vector) == pytest.approx(1.0, rel=1e-12)
