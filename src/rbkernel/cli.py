@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from . import counterexample as cx
 from .kernel import eval_kernel, solve_gamma, validate_sets
 from .operator import (
+    DEFAULT_QUAD_TOL,
     DEFAULT_SPECTRAL_GRADING,
     DEFAULT_SPECTRAL_NODES,
     DEFAULT_SPECTRAL_PANELS,
@@ -123,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=None,
                    help="radius (default: the root R of p)")
     p.add_argument("--points", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--tol", type=float, default=DEFAULT_QUAD_TOL,
                    help="quadrature tolerance per integral")
     _add_io(p, "csv")
 
@@ -150,11 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force-r", type=float, default=None,
                    help="use this radius instead of the root R (for exploring "
                    "how the verification fails away from the root)")
-    p.add_argument("--tol-gamma", type=float, default=cx.Tolerances.gamma)
-    p.add_argument("--tol-identity", type=float, default=cx.Tolerances.identity)
-    p.add_argument("--tol-equation", type=float, default=cx.Tolerances.equation)
-    p.add_argument("--tol-sigma", type=float, default=cx.Tolerances.sigma)
-    p.add_argument("--tol-root", type=float, default=cx.Tolerances.root)
+    for tol in fields(cx.Tolerances):
+        p.add_argument(f"--tol-{tol.name}", type=float, default=tol.default)
     p.add_argument("--output", "-o", default=None, metavar="PATH",
                    help="also write the full JSON report to PATH")
     p.add_argument("--dump-matrix", default=None, metavar="PATH",
@@ -247,8 +246,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     tolerances = cx.Tolerances(
-        gamma=args.tol_gamma, identity=args.tol_identity,
-        equation=args.tol_equation, sigma=args.tol_sigma, root=args.tol_root,
+        **{tol.name: getattr(args, f"tol_{tol.name}") for tol in fields(cx.Tolerances)}
     )
     report = cx.verify_counterexample(
         tolerances=tolerances, r_override=args.force_r,

@@ -13,13 +13,12 @@ integrating the operator against u_2 by parts twice gives, for every r,
 so u_2 is an exact nontrivial solution precisely when p(r) = 0.  p has the
 closed form 1 - (3 + 3 cos^2 r)/r^2 + 3 sin(2r)/r^3, starts off as -r^2/5
 near the origin, tends to 1 at infinity, and crosses zero for the first
-time at R = 2.4431401944938765 (the default bracket (2.0, 2.5) pins it).
+time at R = 2.4431401944938766 (the default bracket (2.0, 2.5) pins it).
 
-This module evaluates p by three independent routes, locates R with a
-bracketing root finder, checks the integration-by-parts identity and the
-defining ODE numerically, and bundles everything into a single pass/fail
-verification report backed by the spectral certificate of
-:mod:`rbkernel.operator`.
+This module evaluates p by three independent routes, locates R by bisection,
+checks the integration-by-parts identity and the defining ODE numerically,
+and bundles everything into a single pass/fail verification report backed
+by the spectral certificate of :mod:`rbkernel.operator`.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ import numpy as np
 
 from .kernel import KernelSpec, solve_gamma, validate_sets
 from .operator import (
+    DEFAULT_QUAD_TOL,
     DEFAULT_SPECTRAL_GRADING,
     DEFAULT_SPECTRAL_NODES,
     DEFAULT_SPECTRAL_PANELS,
@@ -111,7 +111,8 @@ class VerificationReport:
 
     ``steps`` holds one (name, value, threshold, ok) entry per sub-step;
     a sub-step that raised a numeric error is recorded with value None and
-    ok False.  ``spectral`` keeps the certificate's singular value and
+    ok False.  ``passed`` is derived from the steps: true when every step
+    is ok.  ``spectral`` keeps the certificate's singular value and
     Nystrom operator (None if that step failed); the JSON leaves it out.
     """
 
@@ -120,10 +121,13 @@ class VerificationReport:
     identity_residual: float | None
     equation_residual: float | None
     sigma_min_at_r: float | None
-    passed: bool
     steps: list[tuple] = field(default_factory=list)
     root: RootResult | None = None
     spectral: SpectralResult | None = field(default=None, repr=False)
+
+    @property
+    def passed(self) -> bool:
+        return all(ok for *_, ok in self.steps)
 
     def to_json_dict(self) -> dict:
         return {
@@ -230,18 +234,18 @@ P_ROUTES = {
 
 
 def find_root(lo, hi, tol: float = 1e-12, route: str = "explicit") -> RootResult:
-    """Locate a root of p inside a sign-change bracket.
+    """Locate a root of p inside a sign-change bracket by bisection.
 
-    Bisection guarantees progress; a secant step is tried each iteration and
-    accepted only when it lands strictly inside the current bracket.  The
-    iteration stops once both |p(root)| <= tol and the bracket width is at
-    most max(tol, a few ulps of the root).
+    The bracket is halved until its ends are adjacent doubles (or p vanishes
+    exactly at a midpoint), and whichever end has the smaller |p| is
+    returned; ``iterations`` counts the bisection steps.  ``tol`` is an
+    acceptance bound on that |p|, not a stopping rule.
 
     Raises
     ------
     ValueError
-        If p(lo) and p(hi) do not have opposite signs, or an evaluation is
-        not finite.
+        If p(lo) and p(hi) do not have opposite signs, an evaluation is not
+        finite, or |p(root)| exceeds ``tol``.
     """
     if route not in P_ROUTES:
         raise ValueError(f"unknown p route {route!r}; expected one of {tuple(P_ROUTES)}")
@@ -257,56 +261,27 @@ def find_root(lo, hi, tol: float = 1e-12, route: str = "explicit") -> RootResult
     f_hi = p(hi).value
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
         raise ValueError("p is not finite at the bracket endpoints")
-    if f_lo == 0.0:
-        return RootResult(root=lo, bracket=(lo, hi), residual=0.0, iterations=0)
-    if f_hi == 0.0:
-        return RootResult(root=hi, bracket=(lo, hi), residual=0.0, iterations=0)
-    if f_lo * f_hi > 0.0:
+    if f_lo != 0.0 and f_hi != 0.0 and (f_lo < 0.0) == (f_hi < 0.0):
         raise ValueError(
             f"no sign change on [{lo:g}, {hi:g}]: p(lo) = {f_lo:g}, p(hi) = {f_hi:g}"
         )
-    bracket = (lo, hi)
     a, b, f_a, f_b = lo, hi, f_lo, f_hi
-    x, f_x = a, f_a
     iterations = 0
-    for _ in range(200):
-        # secant candidate, falling back to the midpoint when it escapes
-        mid = 0.5 * (a + b)
-        x = a - f_a * (b - a) / (f_b - f_a) if f_b != f_a else mid
-        if not a < x < b:
-            x = mid
-        f_x = p(x).value
-        if not math.isfinite(f_x):
-            raise ValueError(f"p({x!r}) is not finite")
+    mid = 0.5 * (a + b)
+    while f_a != 0.0 and f_b != 0.0 and a < mid < b:
+        f_mid = p(mid).value
+        if not math.isfinite(f_mid):
+            raise ValueError(f"p({mid!r}) is not finite")
         iterations += 1
-        if f_x == 0.0:
-            break
-        if f_a * f_x < 0.0:
-            b, f_b = x, f_x
+        if (f_mid < 0.0) == (f_a < 0.0):
+            a, f_a = mid, f_mid
         else:
-            a, f_a = x, f_x
-        width_floor = max(tol, 4.0 * math.ulp(max(abs(a), abs(b))))
-        if abs(f_x) <= tol and (b - a) <= width_floor:
-            break
-        # force a bisection step whenever the secant stalls on one side
-        if (b - a) > width_floor and iterations % 2 == 0:
-            mid = 0.5 * (a + b)
-            f_mid = p(mid).value
-            iterations += 1
-            if f_mid == 0.0:
-                x, f_x = mid, f_mid
-                break
-            if f_a * f_mid < 0.0:
-                b, f_b = mid, f_mid
-            else:
-                a, f_a = mid, f_mid
-            if abs(f_mid) < abs(f_x):
-                x, f_x = mid, f_mid
-            if abs(f_x) <= tol and (b - a) <= width_floor:
-                break
-    else:
-        raise ValueError(f"root iteration failed to converge to {tol:g}")
-    return RootResult(root=x, bracket=bracket, residual=abs(f_x), iterations=iterations)
+            b, f_b = mid, f_mid
+        mid = 0.5 * (a + b)
+    root, residual = (a, abs(f_a)) if abs(f_a) <= abs(f_b) else (b, abs(f_b))
+    if residual > tol:
+        raise ValueError(f"|p| = {residual:g} at the root {root!r} exceeds tol {tol:g}")
+    return RootResult(root=root, bracket=(lo, hi), residual=residual, iterations=iterations)
 
 
 def _u(m: int, t):
@@ -317,7 +292,7 @@ def _default_points(r: float, count: int = 20) -> np.ndarray:
     return np.linspace(r / count, r, count)
 
 
-def check_identity(r, s_points=None, tol: float = 1e-10) -> float:
+def check_identity(r, s_points=None, tol: float = DEFAULT_QUAD_TOL) -> float:
     """Max residual of (K u_2)(s) - u_2(s) - p(r) u_0(s) over the points.
 
     The identity holds for every radius, not only at the root, so this is a
@@ -371,26 +346,21 @@ def verify_counterexample(
     step, and any other exception propagates.
     """
     steps = []
-    passed = True
 
-    def record(name, value, threshold, ok):
-        nonlocal passed
-        steps.append((name, value, threshold, ok))
-        passed = passed and ok
+    def record(name, value, threshold):
+        steps.append((name, value, threshold, value is not None and value <= threshold))
 
     spec = reference_spec()
     gamma0 = spec.gamma[0]
-    record("gamma0_matches_-6", abs(gamma0 + 6.0), tolerances.gamma,
-           abs(gamma0 + 6.0) <= tolerances.gamma)
+    record("gamma0_matches_-6", abs(gamma0 + 6.0), tolerances.gamma)
 
     root = None
     try:
         root = find_root(*DEFAULT_BRACKET, tol=tolerances.root)
-        record("root_residual", root.residual, tolerances.root,
-               root.residual <= tolerances.root)
+        record("root_residual", root.residual, tolerances.root)
         r_star = root.root
     except ValueError as exc:
-        record(f"root_search ({exc})", None, tolerances.root, False)
+        record(f"root_search ({exc})", None, tolerances.root)
         r_star = 0.5 * (DEFAULT_BRACKET[0] + DEFAULT_BRACKET[1])
     r_used = float(r_override) if r_override is not None else r_star
     grid = build_grid(r_used, panels, nodes, grading=grading)
@@ -398,10 +368,9 @@ def verify_counterexample(
     identity_residual = None
     try:
         identity_residual = max(check_identity(r) for r in (1.0, r_used, 3.0))
-        record("identity_residual", identity_residual, tolerances.identity,
-               identity_residual <= tolerances.identity)
+        record("identity_residual", identity_residual, tolerances.identity)
     except NUMERIC_ERRORS as exc:
-        record(f"identity_check ({exc})", None, tolerances.identity, False)
+        record(f"identity_check ({exc})", None, tolerances.identity)
 
     equation_residual = None
     try:
@@ -409,18 +378,16 @@ def verify_counterexample(
         equation_residual = float(np.max(np.abs(
             _u(2, points) - apply_operator(spec, r_used, lambda t: _u(2, t), points)
         )))
-        record("equation_residual", equation_residual, tolerances.equation,
-               equation_residual <= tolerances.equation)
+        record("equation_residual", equation_residual, tolerances.equation)
     except NUMERIC_ERRORS as exc:
-        record(f"equation_check ({exc})", None, tolerances.equation, False)
+        record(f"equation_check ({exc})", None, tolerances.equation)
 
     spectral = None
     try:
         spectral = min_singular_value(nystrom_matrix(spec, grid))
-        sigma = spectral.sigma_min
-        record("sigma_min_at_R", sigma, tolerances.sigma, sigma <= tolerances.sigma)
+        record("sigma_min_at_R", spectral.sigma_min, tolerances.sigma)
     except NUMERIC_ERRORS as exc:
-        record(f"spectral_certificate ({exc})", None, tolerances.sigma, False)
+        record(f"spectral_certificate ({exc})", None, tolerances.sigma)
 
     return VerificationReport(
         r_used=r_used,
@@ -428,7 +395,6 @@ def verify_counterexample(
         identity_residual=identity_residual,
         equation_residual=equation_residual,
         sigma_min_at_r=None if spectral is None else spectral.sigma_min,
-        passed=passed,
         steps=steps,
         root=root,
         spectral=spectral,

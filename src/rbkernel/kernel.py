@@ -73,8 +73,8 @@ class IndexSets:
     def integer_orders(self) -> bool:
         """True when every element of S is a nonnegative integer.
 
-        Only then can the kernel itself be evaluated; coefficient solving
-        works either way.
+        Only then can the kernel itself be evaluated (:meth:`KernelSpec.terms`
+        checks this); coefficient solving works either way.
         """
         return all(x >= 0.0 and float(x).is_integer() for x in self.s_orders)
 
@@ -85,6 +85,18 @@ class KernelSpec:
 
     sets: IndexSets
     gamma: tuple[float, ...]
+
+    def terms(self) -> list[tuple[int, float]]:
+        """The (m, gamma_m) pairs of the kernel sum, with m as an int.
+
+        Raises UnsupportedOrderError unless every m is a nonnegative integer.
+        """
+        if not self.sets.integer_orders:
+            raise UnsupportedOrderError(
+                "the kernel needs nonnegative integer orders in S, got "
+                f"S={list(self.sets.s_orders)}"
+            )
+        return [(int(m), g) for m, g in zip(self.sets.s_orders, self.gamma)]
 
 
 def _as_set(values, name: str) -> tuple[float, ...]:
@@ -175,18 +187,13 @@ def eval_kernel(spec: KernelSpec, s, t) -> float:
     split makes the symmetry bitwise exact); on the diagonal s = t the
     common continuous limit is returned.
     """
-    if not spec.sets.integer_orders:
-        raise UnsupportedOrderError(
-            f"kernel evaluation needs nonnegative integer orders, got "
-            f"S={list(spec.sets.s_orders)}"
-        )
+    terms = spec.terms()
     s = float(s)
     t = float(t)
     if not (math.isfinite(s) and math.isfinite(t)) or s <= 0.0 or t <= 0.0:
         raise ValueError(f"kernel arguments must be positive and finite, got {s!r}, {t!r}")
     lo, hi = (s, t) if s <= t else (t, s)
     total = 0.0
-    for m, g in zip(spec.sets.s_orders, spec.gamma):
-        order = int(m)
-        total += g * eval_regular(order, lo).value * eval_irregular(order, hi).value
+    for m, g in terms:
+        total += g * eval_regular(m, lo).value * eval_irregular(m, hi).value
     return total

@@ -43,8 +43,8 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import KernelSpec, UnsupportedOrderError
-from .report import ScanReport
+from .kernel import KernelSpec
+from .report import ScanReport, fmt_float
 from .riccati import eval_irregular, eval_regular
 
 __all__ = [
@@ -199,13 +199,10 @@ def spectral_grid(r) -> QuadratureGrid:
 
 def _family_tables(spec: KernelSpec, points: np.ndarray):
     """u_m and v_m sampled at the given points, per order in S."""
-    tables = []
-    for m, g in zip(spec.sets.s_orders, spec.gamma):
-        order = int(m)
-        tables.append(
-            (g, eval_regular(order, points).value, eval_irregular(order, points).value)
-        )
-    return tables
+    return [
+        (g, eval_regular(m, points).value, eval_irregular(m, points).value)
+        for m, g in spec.terms()
+    ]
 
 
 def nystrom_matrix(spec: KernelSpec, grid: QuadratureGrid) -> NystromOperator:
@@ -215,10 +212,6 @@ def nystrom_matrix(spec: KernelSpec, grid: QuadratureGrid) -> NystromOperator:
     form of the kernel keeps assembly at O(N) function evaluations plus
     O(N^2) arithmetic.
     """
-    if not spec.sets.integer_orders:
-        raise UnsupportedOrderError(
-            "Nystrom assembly needs nonnegative integer orders in S"
-        )
     x = grid.nodes
     g_matrix = np.zeros((len(x), len(x)))
     for g, u, v in _family_tables(spec, x):
@@ -251,8 +244,6 @@ def min_singular_value(op: NystromOperator) -> SpectralResult:
 
 def dump_matrix(op: NystromOperator, path) -> None:
     """Write the dense matrix as CSV (debugging aid; one row per line)."""
-    from .report import fmt_float
-
     lines = [
         ",".join(fmt_float(entry) for entry in row) for row in op.matrix
     ]
@@ -335,8 +326,7 @@ def apply_operator(
     ConvergenceError
         If doubling exhausts its budget before reaching ``tol``.
     """
-    if not spec.sets.integer_orders:
-        raise UnsupportedOrderError("operator application needs integer orders in S")
+    terms = spec.terms()
     r = float(r)
     if not math.isfinite(r) or r <= 0.0:
         raise ValueError(f"radius must be positive and finite, got {r!r}")
@@ -351,11 +341,10 @@ def apply_operator(
 
     flat = np.atleast_1d(points)
     total = np.zeros(flat.size)
-    for m, g in zip(spec.sets.s_orders, spec.gamma):
-        order = int(m)
-        left, right = _kink_split_integrals(order, h, flat, r, tol)
+    for m, g in terms:
+        left, right = _kink_split_integrals(m, h, flat, r, tol)
         total += g * (
-            eval_irregular(order, flat).value * left + eval_regular(order, flat).value * right
+            eval_irregular(m, flat).value * left + eval_regular(m, flat).value * right
         )
     return float(-total[0]) if points.ndim == 0 else -total
 
@@ -374,8 +363,10 @@ def sweep(
 
     With ``refine=True`` every radius is redone at doubled panel count and
     the absolute change is recorded in the ``refinement_delta`` column
-    (otherwise the column is empty).  Per-point failures are recorded in
-    ``report.failures`` instead of aborting the sweep.
+    (otherwise the column is empty).  Non-integer orders in S and a grid
+    that cannot be built raise ValueError before any point is computed;
+    numeric failures at a point are recorded in ``report.failures`` instead
+    of aborting the sweep.
     """
     r_min = float(r_min)
     r_max = float(r_max)
@@ -383,16 +374,18 @@ def sweep(
         raise ValueError(f"need 0 < r_min < r_max, got {r_min!r}, {r_max!r}")
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    spec.terms()  # non-integer orders fail here, not at every point
     rows = []
     failures = []
     for r in np.linspace(r_min, r_max, steps):
         r = float(r)
+        grid = build_grid(r, panels_count, nodes_per_panel, grading=grading)
+        if refine:
+            fine = build_grid(r, 2 * panels_count, nodes_per_panel, grading=grading)
         try:
-            grid = build_grid(r, panels_count, nodes_per_panel, grading=grading)
             sigma = min_singular_value(nystrom_matrix(spec, grid)).sigma_min
             delta = None
             if refine:
-                fine = build_grid(r, 2 * panels_count, nodes_per_panel, grading=grading)
                 sigma_fine = min_singular_value(nystrom_matrix(spec, fine)).sigma_min
                 delta = abs(sigma_fine - sigma)
             rows.append((r, sigma, delta))

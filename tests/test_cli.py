@@ -3,10 +3,18 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
-from rbkernel import build_grid, find_root, nystrom_matrix, read_report, reference_spec
+from rbkernel import (
+    Tolerances,
+    build_grid,
+    find_root,
+    nystrom_matrix,
+    read_report,
+    reference_spec,
+)
 from rbkernel.cli import build_parser, main
 from rbkernel.counterexample import P_ROUTES
 from rbkernel.operator import dump_matrix
@@ -137,6 +145,20 @@ class TestSweep:
         for line in out.splitlines()[1:]:
             assert line.split(",")[2] != ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--panels", "0"], "panels_count must be >= 1"),
+        (["--nodes", "1", "--refine"], "nodes_per_panel must be >= 2"),
+        (["--s", "0.5", "--t", "2"], "nonnegative integer orders in S"),
+    ])
+    def test_usage_errors_exit_2(self, capsys, argv, message):
+        # validated once before the loop, not recorded as a failure per radius
+        code, out, err = run_cli(capsys, "sweep", "--r-min", "1", "--r-max", "2",
+                                 "--steps", "3", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestVerify:
     def test_passes_and_writes_report(self, capsys, tmp_path):
@@ -169,6 +191,12 @@ class TestVerify:
         expected = tmp_path / "expected.csv"
         dump_matrix(nystrom_matrix(reference_spec(), grid), expected)
         assert path.read_bytes() == expected.read_bytes()
+
+    def test_tolerance_flags_follow_the_tolerances(self):
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        flags = {a.dest: a.default for a in commands.choices["verify"]._actions
+                 if a.dest.startswith("tol_")}
+        assert flags == {f"tol_{f.name}": f.default for f in fields(Tolerances)}
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--panels", "0", "panels_count"),

@@ -141,11 +141,20 @@ class TestFindRoot:
         assert 2.0 < result.root < 2.5
         assert round(result.root, 2) == 2.44
         assert result.root == pytest.approx(R_TRUE, abs=1e-12)
+        assert result.root == 2.4431401944938766
         assert result.bracket == (2.0, 2.5)
+        # bisection ends on adjacent doubles: p changes sign between the root
+        # and a neighbouring double, and here it has opposite signs on either side
+        below, above = (p_explicit(math.nextafter(result.root, x)).value
+                        for x in (0.0, 3.0))
+        assert below < 0.0 < above
 
     def test_no_sign_change_reported(self):
         with pytest.raises(ValueError, match="sign change"):
             find_root(0.5, 1.5)
+        # p ~ -r^2/5 here: the product p(lo) p(hi) underflows to 0, the signs do not
+        with pytest.raises(ValueError, match="sign change"):
+            find_root(1e-150, 1e-140)
 
     def test_tolerance_refinement_consistency(self):
         loose = find_root(2.0, 2.5, tol=1e-6).root
@@ -155,13 +164,16 @@ class TestFindRoot:
     def test_route_invariance(self):
         via_explicit = find_root(2.0, 2.5, tol=1e-12, route="explicit").root
         via_wronskian = find_root(2.0, 2.5, tol=1e-12, route="wronskian").root
-        assert abs(via_explicit - via_wronskian) <= 1e-10
+        assert via_explicit == via_wronskian
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             find_root(2.5, 2.0)
         with pytest.raises(ValueError):
             find_root(2.0, 2.5, tol=0.0)
+        # tol bounds the returned |p|: the Wronskian route ends at 5.6e-17
+        with pytest.raises(ValueError, match="exceeds tol"):
+            find_root(2.0, 2.5, route="wronskian", tol=1e-20)
         with pytest.raises(ValueError) as exc:
             find_root(2.0, 2.5, route="nope")
         assert all(repr(route) in str(exc.value) for route in P_ROUTES)

@@ -10,9 +10,13 @@ from rbkernel import (
     SetValidationError,
     SingularSystemError,
     UnsupportedOrderError,
+    apply_operator,
+    build_grid,
     equation_residual,
     eval_kernel,
+    nystrom_matrix,
     solve_gamma,
+    sweep,
     validate_sets,
 )
 
@@ -128,8 +132,15 @@ class TestEvalKernel:
 
     def test_non_integer_orders_rejected(self):
         spec = solve_gamma(validate_sets([0.5], [1.5]))
-        with pytest.raises(UnsupportedOrderError):
+        message = r"the kernel needs nonnegative integer orders in S, got S=\[0\.5\]"
+        with pytest.raises(UnsupportedOrderError, match=message):
             eval_kernel(spec, 1.0, 2.0)
+        with pytest.raises(UnsupportedOrderError, match=message):
+            nystrom_matrix(spec, build_grid(1.0, 2, 4))
+        with pytest.raises(UnsupportedOrderError, match=message):
+            apply_operator(spec, 1.0, lambda t: t, 0.5)
+        with pytest.raises(UnsupportedOrderError, match=message):
+            sweep(spec, 1.0, 2.0, 3)  # raised once, not recorded per point
 
     def test_domain_errors(self, reference_spec):
         with pytest.raises(ValueError):

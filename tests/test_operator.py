@@ -309,3 +309,6 @@ class TestSweep:
             sweep(reference_spec, 2.0, 1.0, 5)
         with pytest.raises(ValueError):
             sweep(reference_spec, 1.0, 2.0, 1)
+        # an unbuildable grid is an argument error, not a per-point failure
+        with pytest.raises(ValueError, match="panels_count"):
+            sweep(reference_spec, 1.0, 2.0, 3, panels_count=0)
