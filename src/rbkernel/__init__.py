@@ -5,8 +5,8 @@ products, discretizes the associated integral operator on (0, r], and
 certifies numerically that for the single-pair kernel (S = {0}, T = {2})
 there is a radius R where the homogeneous equation h = K h acquires the
 nontrivial solution u_2: the scalar function p(r) crosses zero at R, the
-integration-by-parts identity closes, and the smallest singular value of
-the discretized I - K collapses with a null vector matching u_2.
+integration-by-parts identity closes, and the eigenvalue of the discretized
+self-adjoint K nearest 1 reaches it with an eigenvector matching u_2.
 """
 
 from .counterexample import (
@@ -39,11 +39,14 @@ from .operator import (
     ConvergenceError,
     NystromOperator,
     QuadratureGrid,
+    SelfAdjointCertificate,
     SpectralResult,
     apply_operator,
     build_grid,
+    kink_exact_matrix,
     min_singular_value,
     nystrom_matrix,
+    self_adjoint_certificate,
     spectral_grid,
     sweep,
 )
@@ -70,12 +73,15 @@ __all__ = [
     "QuadratureGrid",
     "NystromOperator",
     "SpectralResult",
+    "SelfAdjointCertificate",
     "ConvergenceError",
     "build_grid",
     "spectral_grid",
     "nystrom_matrix",
+    "kink_exact_matrix",
     "apply_operator",
     "min_singular_value",
+    "self_adjoint_certificate",
     "sweep",
     "ScanReport",
     "read_report",

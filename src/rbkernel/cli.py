@@ -24,10 +24,10 @@ import numpy as np
 from . import counterexample as cx
 from .kernel import eval_kernel, solve_gamma, validate_sets
 from .operator import (
+    DEFAULT_CERTIFICATE_GRADING,
+    DEFAULT_CERTIFICATE_NODES,
+    DEFAULT_CERTIFICATE_PANELS,
     DEFAULT_QUAD_TOL,
-    DEFAULT_SPECTRAL_GRADING,
-    DEFAULT_SPECTRAL_NODES,
-    DEFAULT_SPECTRAL_PANELS,
     NUMERIC_ERRORS,
     apply_operator,
     dump_matrix,
@@ -143,21 +143,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify",
                        help="run the full nontrivial-solution verification")
-    p.add_argument("--panels", type=int, default=DEFAULT_SPECTRAL_PANELS,
-                   help="spectral grid panels (default %(default)s)")
-    p.add_argument("--nodes", type=int, default=DEFAULT_SPECTRAL_NODES,
-                   help="spectral grid nodes per panel (default %(default)s)")
-    p.add_argument("--grading", type=float, default=DEFAULT_SPECTRAL_GRADING,
-                   help="spectral grid grading exponent (default %(default)s)")
+    p.add_argument("--panels", type=int, default=DEFAULT_CERTIFICATE_PANELS,
+                   help="certificate grid panels (default %(default)s)")
+    p.add_argument("--nodes", type=int, default=DEFAULT_CERTIFICATE_NODES,
+                   help="certificate grid nodes per panel (default %(default)s)")
+    p.add_argument("--grading", type=float, default=DEFAULT_CERTIFICATE_GRADING,
+                   help="certificate grid grading exponent (default %(default)s)")
     p.add_argument("--force-r", type=float, default=None,
                    help="use this radius instead of the root R (for exploring "
                    "how the verification fails away from the root)")
     for tol in fields(cx.Tolerances):
-        p.add_argument(f"--tol-{tol.name}", type=float, default=tol.default)
+        p.add_argument(f"--tol-{tol.name.replace('_', '-')}", type=float,
+                       default=tol.default)
     p.add_argument("--output", "-o", default=None, metavar="PATH",
                    help="also write the full JSON report to PATH")
     p.add_argument("--dump-matrix", default=None, metavar="PATH",
-                   help="debug: dump the spectral Nystrom matrix as CSV")
+                   help="debug: dump the certificate's kink-exact matrix as CSV")
 
     return parser
 

@@ -18,7 +18,10 @@ time at R = 2.4431401944938766 (the default bracket (2.0, 2.5) pins it).
 This module evaluates p by three independent routes, locates R by bisection,
 checks the integration-by-parts identity and the defining ODE numerically,
 and bundles everything into a single pass/fail verification report backed
-by the spectral certificate of :mod:`rbkernel.operator`.
+by the self-adjoint certificate of :mod:`rbkernel.operator`: the kink-exact
+matrix of K on 8 uniform panels x 16 nodes, whose eigenvalue nearest 1
+reaches it to rounding level at R and stays a grid-independent distance
+away at r = 1 and r = 3.
 """
 
 from __future__ import annotations
@@ -32,16 +35,16 @@ import numpy as np
 
 from .kernel import KernelSpec, solve_gamma, validate_sets
 from .operator import (
+    DEFAULT_CERTIFICATE_GRADING,
+    DEFAULT_CERTIFICATE_NODES,
+    DEFAULT_CERTIFICATE_PANELS,
     DEFAULT_QUAD_TOL,
-    DEFAULT_SPECTRAL_GRADING,
-    DEFAULT_SPECTRAL_NODES,
-    DEFAULT_SPECTRAL_PANELS,
     NUMERIC_ERRORS,
-    SpectralResult,
+    SelfAdjointCertificate,
     apply_operator,
     build_grid,
-    min_singular_value,
-    nystrom_matrix,
+    kink_exact_matrix,
+    self_adjoint_certificate,
 )
 from .riccati import eval_irregular, eval_regular
 
@@ -101,8 +104,11 @@ class Tolerances:
     gamma: float = 1e-14
     identity: float = 1e-8
     equation: float = 1e-8
-    sigma: float = 1e-6
+    sigma: float = 1e-12
     root: float = 1e-12
+    collapse: float = 1e-10
+    grid_delta: float = 1e-4
+    null_vector: float = 1e-10
 
 
 @dataclass
@@ -112,8 +118,9 @@ class VerificationReport:
     ``steps`` holds one (name, value, threshold, ok) entry per sub-step;
     a sub-step that raised a numeric error is recorded with value None and
     ok False.  ``passed`` is derived from the steps: true when every step
-    is ok.  ``spectral`` keeps the certificate's singular value and
-    Nystrom operator (None if that step failed); the JSON leaves it out.
+    is ok.  ``spectral`` keeps the self-adjoint certificate at the radius
+    used, with its kink-exact operator (None if that step failed); the JSON
+    gives its grid, ``next_sigma`` and ``asymmetry`` under ``certificate``.
     """
 
     r_used: float
@@ -123,11 +130,24 @@ class VerificationReport:
     sigma_min_at_r: float | None
     steps: list[tuple] = field(default_factory=list)
     root: RootResult | None = None
-    spectral: SpectralResult | None = field(default=None, repr=False)
+    spectral: SelfAdjointCertificate | None = field(default=None, repr=False)
 
     @property
     def passed(self) -> bool:
         return all(ok for *_, ok in self.steps)
+
+    def _certificate_dict(self) -> dict | None:
+        if self.spectral is None:
+            return None
+        grid = self.spectral.operator.grid
+        panels = len(grid.panel_bounds) - 1
+        return {
+            "panels": panels,
+            "nodes": grid.size // panels,
+            "size": grid.size,
+            "next_sigma": self.spectral.next_sigma,
+            "asymmetry": self.spectral.asymmetry,
+        }
 
     def to_json_dict(self) -> dict:
         return {
@@ -136,6 +156,7 @@ class VerificationReport:
             "identity_residual": self.identity_residual,
             "equation_residual": self.equation_residual,
             "sigma_min_at_R": self.sigma_min_at_r,
+            "certificate": self._certificate_dict(),
             "pass": self.passed,
             "steps": [
                 {"name": name, "value": value, "threshold": threshold, "ok": ok}
@@ -148,6 +169,13 @@ class VerificationReport:
 
     def summary_text(self) -> str:
         lines = [f"R ≈ {self.r_used:.6f}"]
+        certificate = self._certificate_dict()
+        if certificate is not None:
+            lines.append(
+                "  certificate: {panels} panels x {nodes} nodes (N = {size}), "
+                "next |1 - lambda| {next_sigma:.6e}, asymmetry {asymmetry:.1e}"
+                .format(**certificate)
+            )
         for name, value, threshold, ok in self.steps:
             shown = "failed to evaluate" if value is None else f"{value:.6e}"
             lines.append(
@@ -324,26 +352,44 @@ def check_ode(s_points) -> float:
     return float(np.max(np.abs(second + u2 - 6.0 / (s * s) * u2), initial=0.0))
 
 
+def _null_vector_deviation(certificate: SelfAdjointCertificate) -> float:
+    """Max deviation of the certificate's null vector from u_2, both D-scaled."""
+    grid = certificate.operator.grid
+    target = _u(2, grid.nodes) * grid.l2_scaling
+    target /= np.linalg.norm(target)
+    vector = certificate.null_vector
+    if float(vector @ target) < 0.0:
+        vector = -vector
+    return float(np.max(np.abs(vector - target)))
+
+
 def verify_counterexample(
     tolerances: Tolerances = Tolerances(),
     r_override=None,
-    panels: int = DEFAULT_SPECTRAL_PANELS,
-    nodes: int = DEFAULT_SPECTRAL_NODES,
-    grading: float = DEFAULT_SPECTRAL_GRADING,
+    panels: int = DEFAULT_CERTIFICATE_PANELS,
+    nodes: int = DEFAULT_CERTIFICATE_NODES,
+    grading: float = DEFAULT_CERTIFICATE_GRADING,
 ) -> VerificationReport:
     """Run the full verification chain and report pass/fail per step.
 
     Steps: solve gamma_0 (must be -6), find the root R of p in the default
     bracket, check the integration-by-parts identity at radii 1, R and 3,
-    check the homogeneous equation residual of u_2 at R, and compute the
-    spectral certificate sigma_min(I - A) at R on the grid of ``panels``
-    panels x ``nodes`` Gauss nodes with boundaries graded by ``grading``
-    (see :func:`build_grid`; the defaults are the calibrated spectral grid).
+    and check the homogeneous equation residual of u_2 at R.  Then the
+    self-adjoint certificate of the kink-exact matrix (see
+    :func:`rbkernel.operator.self_adjoint_certificate`) is taken at R on the
+    grid of ``panels`` panels x ``nodes`` Gauss nodes with boundaries graded
+    by ``grading`` (see :func:`build_grid`; the defaults give 8 uniform
+    panels x 16 nodes), with four gated steps: min |1 - lambda| at R
+    (``sigma_min_at_R``); the deviation of its null vector from u_2
+    (``null_vector_deviation``); its ratio to the smaller value at r = 1
+    and r = 3 (``collapse_ratio``), which fails on a grid that collapses
+    everywhere; and the largest change of those off-root values when the
+    panels are doubled (``off_root_grid_delta``).  No SVD is computed.
     ``r_override`` substitutes a different radius for R in the identity,
-    equation and spectral steps (useful to watch the verification fail away
-    from the root).  A grid that cannot be built raises ValueError before
-    any step runs; a numeric error inside a step is recorded as a failed
-    step, and any other exception propagates.
+    equation and certificate steps (useful to watch the verification fail
+    away from the root).  A grid that cannot be built raises ValueError
+    before any step runs; a numeric error inside a step is recorded as a
+    failed step, and any other exception propagates.
     """
     steps = []
 
@@ -384,10 +430,30 @@ def verify_counterexample(
 
     spectral = None
     try:
-        spectral = min_singular_value(nystrom_matrix(spec, grid))
+        spectral = self_adjoint_certificate(kink_exact_matrix(spec, grid))
         record("sigma_min_at_R", spectral.sigma_min, tolerances.sigma)
+        record("null_vector_deviation", _null_vector_deviation(spectral),
+               tolerances.null_vector)
     except NUMERIC_ERRORS as exc:
         record(f"spectral_certificate ({exc})", None, tolerances.sigma)
+
+    try:
+        off_root = {
+            (r, count): self_adjoint_certificate(kink_exact_matrix(
+                spec, build_grid(r, count, nodes, grading=grading)
+            )).sigma_min
+            for r in (1.0, 3.0)
+            for count in (panels, 2 * panels)
+        }
+        record("collapse_ratio",
+               None if spectral is None
+               else spectral.sigma_min / min(off_root[1.0, panels], off_root[3.0, panels]),
+               tolerances.collapse)
+        record("off_root_grid_delta",
+               max(abs(off_root[r, panels] - off_root[r, 2 * panels]) for r in (1.0, 3.0)),
+               tolerances.grid_delta)
+    except NUMERIC_ERRORS as exc:
+        record(f"off_root_check ({exc})", None, tolerances.collapse)
 
     return VerificationReport(
         r_used=r_used,

@@ -4,7 +4,7 @@ The operator acts on functions vanishing at the origin:
 
     (K h)(s) = - integral_0^r g(s, t) h(t) t^-2 dt,   0 < s <= r.
 
-Two independent routes are provided.
+Three independent routes are provided.
 
 ``apply_operator`` exploits the separable form of the kernel: the
 integration is split exactly at t = s (the kernel's derivative kink), so
@@ -13,27 +13,40 @@ converge fast; panel counts double until the result is stable to the
 requested tolerance.  It takes one point or an array of points and
 evaluates h and the kernel families on the nodes of all of them at once.
 
+``kink_exact_matrix`` discretizes the same split on one grid.  Since
+g = u(min) v(max), (K h)(s_i) combines two cumulative integrals that end
+exactly at the node s_i; each is taken by panel-wise Legendre product
+integration (Greengard, SIAM J. Numer. Anal. 28, 1991; Atkinson, The
+Numerical Solution of Integral Equations of the Second Kind, 1997, ch. 4),
+so the matrix is as accurate as the polynomial interpolant of h on each
+panel and the kink costs nothing.
+
 ``nystrom_matrix`` builds the dense collocation matrix
 ``A[i, j] = -g(s_i, t_j) w_j / t_j**2`` on one shared grid.  The matrix
 cannot split at the kink per row, so its accuracy is limited by the panel
-resolution (observed O(N^-2) in the total node count); grids are cheap, so
-the spectral certificate below simply uses a fine one.
+resolution (observed O(N^-2) in the total node count).
 
-``min_singular_value`` returns the smallest singular value of I - A: a
-scale-invariant measure of how close the discrete homogeneous equation
-h = K h is to having a nontrivial solution.  It comes from a values-only
-SVD, which forms neither singular-vector matrix; the right singular vector
-(the candidate solution itself) is computed by a full SVD only when
-``SpectralResult.null_vector`` is first read.  ``DEFAULT_SPECTRAL_PANELS`` /
-``_NODES`` / ``_GRADING`` define the grid on which the certificate
-thresholds of the verification suite are calibrated: 128 uniform panels x
-12 nodes push the kink-limited discretization error near the singular
-radius to ~5e-7, comfortably below the 1e-6 collapse threshold, while the
-values-only SVD of the 1536-order matrix takes under two seconds on one
-core.  Uniform panels beat origin-graded ones here because the kink error
+Both matrices act on values at the grid nodes.  K is self-adjoint on
+L^2((0, r], t^-2 dt), and ``D = sqrt(w)/t`` maps node values to vectors
+whose Euclidean norm is that norm, so ``self_adjoint_certificate`` takes the
+eigenvalues of the symmetric form ``D A D^-1`` with one symmetric
+eigensolve: min |1 - lambda| measures how close h = K h is to having a
+nontrivial solution, on a scale that does not depend on the grid.
+``verify`` uses it on the kink-exact matrix of the
+``DEFAULT_CERTIFICATE_*`` grid, 8 uniform panels x 16 nodes, where it
+reaches rounding level at the singular radius.
+
+``min_singular_value`` returns the smallest singular value of I - A from a
+values-only SVD, which forms neither singular-vector matrix; the right
+singular vector is computed by a full SVD only when
+``SpectralResult.null_vector`` is first read.  ``sweep`` and the public
+``spectral_grid`` use it; ``DEFAULT_SPECTRAL_PANELS`` / ``_NODES`` /
+``_GRADING`` define the grid on which its 1e-6 collapse threshold was
+calibrated: 128 uniform panels x 12 nodes push the kink-limited
+discretization error of the Nystrom matrix near the singular radius to
+~5e-7.  Uniform panels beat origin-graded ones here because the kink error
 lives in mid-interval panels, not at the origin.
 """
-
 from __future__ import annotations
 
 import math
@@ -53,19 +66,30 @@ __all__ = [
     "QuadratureGrid",
     "NystromOperator",
     "SpectralResult",
+    "SelfAdjointCertificate",
+    "DEFAULT_CERTIFICATE_PANELS",
+    "DEFAULT_CERTIFICATE_NODES",
+    "DEFAULT_CERTIFICATE_GRADING",
     "DEFAULT_SPECTRAL_PANELS",
     "DEFAULT_SPECTRAL_NODES",
     "DEFAULT_SPECTRAL_GRADING",
     "build_grid",
     "spectral_grid",
     "nystrom_matrix",
+    "kink_exact_matrix",
     "apply_operator",
     "min_singular_value",
+    "self_adjoint_certificate",
     "dump_matrix",
     "sweep",
 ]
 
-# Grid on which the sigma_min collapse threshold (1e-6) is calibrated.
+# Grid of verify's self-adjoint certificate on the kink-exact matrix.
+DEFAULT_CERTIFICATE_PANELS = 8
+DEFAULT_CERTIFICATE_NODES = 16
+DEFAULT_CERTIFICATE_GRADING = 1.0
+
+# Grid on which the Nystrom sigma_min collapse threshold (1e-6) is calibrated.
 DEFAULT_SPECTRAL_PANELS = 128
 DEFAULT_SPECTRAL_NODES = 12
 DEFAULT_SPECTRAL_GRADING = 1.0
@@ -74,6 +98,11 @@ DEFAULT_SPECTRAL_GRADING = 1.0
 DEFAULT_QUAD_TOL = 1e-10
 
 _MAX_DOUBLINGS = 14
+
+# Most quadrature nodes apply_operator holds at once: a doubling level's rows
+# are processed in chunks of at most this many nodes (one row may exceed it),
+# so a call that fails to converge stays within a few rows' worth of memory.
+_CHUNK_NODES = 2**16
 
 # Gauss-Legendre nodes per panel of the apply_operator quadrature.
 _QUAD_NODES = 16
@@ -117,10 +146,19 @@ class QuadratureGrid:
     def size(self) -> int:
         return len(self.nodes)
 
+    @property
+    def l2_scaling(self) -> np.ndarray:
+        """D = sqrt(w)/t: node values to vectors normed in L^2((0, r], t^-2 dt)."""
+        return np.sqrt(self.weights) / self.nodes
+
 
 @dataclass(frozen=True, eq=False)
 class NystromOperator:
-    """Dense collocation matrix A[i, j] = -g(s_i, t_j) w_j / t_j^2."""
+    """Dense matrix A on the grid's nodes: (K h)(t_i) ~ sum_j A[i, j] h(t_j).
+
+    Built by :func:`nystrom_matrix` (collocation) or
+    :func:`kink_exact_matrix` (product integration).
+    """
 
     grid: QuadratureGrid
     matrix: np.ndarray
@@ -141,6 +179,24 @@ class SpectralResult:
     def null_vector(self) -> np.ndarray:
         _, _, v_rows = np.linalg.svd(_identity_minus(self.operator))
         return v_rows[-1].copy()
+
+
+@dataclass(frozen=True, eq=False)
+class SelfAdjointCertificate:
+    """Eigenvalues lambda of the symmetric form D A D^-1, measured from 1.
+
+    ``sigma_min`` and ``next_sigma`` are the smallest and second-smallest
+    |1 - lambda|; ``null_vector`` is the unit eigenvector of the smallest,
+    i.e. the candidate solution's node values scaled by D = sqrt(w)/t (sign
+    as returned by ``np.linalg.eigh``); ``asymmetry`` is max |S - S^T| of
+    S = D A D^-1 before it was symmetrized.
+    """
+
+    sigma_min: float
+    next_sigma: float
+    asymmetry: float
+    null_vector: np.ndarray = field(repr=False)
+    operator: NystromOperator = field(repr=False)
 
 
 @lru_cache(maxsize=32)
@@ -226,6 +282,88 @@ def nystrom_matrix(spec: KernelSpec, grid: QuadratureGrid) -> NystromOperator:
     return NystromOperator(grid=grid, matrix=a_matrix)
 
 
+@lru_cache(maxsize=32)
+def _legendre_cumulative(n: int) -> np.ndarray:
+    """Q[i, j] = integral_{-1}^{x_i} l_j on the n-point Gauss rule x.
+
+    l_j is the Lagrange polynomial of node j; its Legendre coefficients
+    (2k + 1)/2 w_j P_k(x_j) follow from the rule's exactness to degree 2n - 1.
+    """
+    x, w = _gauss_rule(n)
+    legendre = np.polynomial.legendre
+    vander = legendre.legvander(x, n - 1)
+    coefficients = ((np.arange(n) + 0.5)[:, None] * vander.T) * w[None, :]
+    return legendre.legvander(x, n) @ legendre.legint(coefficients, lbnd=-1, axis=0)
+
+
+def _cumulative_integration(grid: QuadratureGrid) -> np.ndarray:
+    """L with sum_j L[i, j] f(t_j) ~ integral_0^{t_i} f, panel by panel.
+
+    Earlier panels contribute their full Gauss weights, the node's own panel
+    the integral of the polynomial interpolant up to t_i; L is exact for
+    polynomials of degree below the nodes per panel on each panel.
+    """
+    panels = len(grid.panel_bounds) - 1
+    nodes_per_panel, rest = divmod(grid.size, panels)
+    if rest:
+        raise ValueError("the grid must have the same number of nodes in every panel")
+    panel = np.repeat(np.arange(panels), nodes_per_panel)
+    matrix = np.where(panel[:, None] > panel[None, :], grid.weights[None, :], 0.0)
+    in_panel = _legendre_cumulative(nodes_per_panel)
+    for k, half in enumerate(0.5 * np.diff(grid.panel_bounds)):
+        block = slice(k * nodes_per_panel, (k + 1) * nodes_per_panel)
+        matrix[block, block] = half * in_panel
+    return matrix
+
+
+def kink_exact_matrix(spec: KernelSpec, grid: QuadratureGrid) -> NystromOperator:
+    """Assemble the product-integration matrix of K on the grid's nodes.
+
+    With L the cumulative integration matrix (integral_0^{t_i}) and
+    U = W - L its complement (integral_{t_i}^r),
+
+        A = -sum_m gamma_m [diag(v_m) L diag(u_m/t^2) + diag(u_m) U diag(v_m/t^2)],
+
+    the discrete form of :func:`apply_operator`'s split at t = s.  The grid
+    must have the same Gauss-Legendre rule on every panel, as
+    :func:`build_grid` gives.
+    """
+    lower = _cumulative_integration(grid)
+    upper = grid.weights[None, :] - lower
+    t2 = grid.nodes**2
+    a_matrix = np.zeros_like(lower)
+    for g, u, v in _family_tables(spec, grid.nodes):
+        a_matrix -= g * (
+            v[:, None] * lower * (u / t2)[None, :] + u[:, None] * upper * (v / t2)[None, :]
+        )
+    if not np.all(np.isfinite(a_matrix)):
+        raise ValueError("kink-exact matrix contains non-finite entries")
+    return NystromOperator(grid=grid, matrix=a_matrix)
+
+
+def self_adjoint_certificate(op: NystromOperator) -> SelfAdjointCertificate:
+    """|1 - lambda| for the eigenvalues of D A D^-1, from one symmetric eigensolve.
+
+    K is self-adjoint on L^2((0, r], t^-2 dt), so S = D A D^-1 with
+    D = sqrt(w)/t is symmetric up to discretization and rounding; its
+    symmetric part goes to ``np.linalg.eigh``.  A near-zero ``sigma_min``
+    certifies a nontrivial discrete solution of h = K h.
+    """
+    scaling = op.grid.l2_scaling
+    symmetric_form = scaling[:, None] * op.matrix / scaling[None, :]
+    asymmetry = float(np.max(np.abs(symmetric_form - symmetric_form.T)))
+    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (symmetric_form + symmetric_form.T))
+    distance = np.abs(1.0 - eigenvalues)
+    nearest, second = np.argsort(distance)[:2]
+    return SelfAdjointCertificate(
+        sigma_min=float(distance[nearest]),
+        next_sigma=float(distance[second]),
+        asymmetry=asymmetry,
+        null_vector=eigenvectors[:, nearest].copy(),
+        operator=op,
+    )
+
+
 def _identity_minus(op: NystromOperator) -> np.ndarray:
     return np.eye(op.grid.size) - op.matrix
 
@@ -243,12 +381,40 @@ def min_singular_value(op: NystromOperator) -> SpectralResult:
 
 
 def dump_matrix(op: NystromOperator, path) -> None:
-    """Write the dense matrix as CSV (debugging aid; one row per line)."""
+    """Write the dense matrix A as CSV (debugging aid; one row per line)."""
     lines = [
         ",".join(fmt_float(entry) for entry in row) for row in op.matrix
     ]
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
+
+
+def _panel_sums(order: int, h, lo, hi, left, count: int) -> np.ndarray:
+    """Per row, the ``count``-panel Gauss sum of f_m h / t^2 over [lo, hi].
+
+    f_m is u_m on ``left`` rows, whose panels are graded toward the origin
+    (exponent 2), and v_m on the others, whose panels are uniform.
+    """
+    ticks = np.arange(count + 1) / count
+    frac = np.where(left[:, None], ticks**2.0, ticks)
+    bounds = lo[:, None] + (hi - lo)[:, None] * frac
+    nodes, weights = _panel_nodes(bounds, _QUAD_NODES)
+    h_values = np.broadcast_to(h(nodes.ravel()), (nodes.size,)).reshape(nodes.shape)
+    family = np.empty_like(nodes)
+    if left.any():
+        family[left] = eval_regular(order, nodes[left]).value
+    if not left.all():
+        family[~left] = eval_irregular(order, nodes[~left]).value
+    square = nodes * nodes
+    tiny = square == 0.0  # t * t underflows below ~1e-162
+    square[tiny] = 1.0
+    integrand = family * h_values / square
+    if tiny.any():
+        # divide by t twice; t = 0 only on a subnormal [0, s], whose weights
+        # leave nothing of the value there
+        t = np.where(nodes[tiny] > 0.0, nodes[tiny], np.inf)
+        integrand[tiny] = family[tiny] / t * (h_values[tiny] / t)
+    return np.array([np.dot(wr, fr) for wr, fr in zip(weights, integrand)])
 
 
 def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
@@ -258,6 +424,9 @@ def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
     (exponent 2), [s, r] uniform.  All rows start at 2 panels and double
     together; a row is frozen once two consecutive values differ by at most
     ``tol``, so it ends with exactly the panels it would get on its own.
+    A level's rows are evaluated in chunks of at most ``_CHUNK_NODES``
+    nodes (at least one row each), which bounds the memory a call holds
+    however many of its points fail to converge.
     """
     n = len(s)
     lo = np.concatenate([np.zeros(n), s])
@@ -268,24 +437,15 @@ def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
     active = lo < hi  # the right side of s = r is empty
     count = 2
     for _ in range(_MAX_DOUBLINGS):
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
+        level_rows = np.flatnonzero(active)
+        if level_rows.size == 0:
             break
-        ticks = np.arange(count + 1) / count
-        frac = np.where(is_left[rows, None], ticks**2.0, ticks)
-        bounds = lo[rows, None] + (hi - lo)[rows, None] * frac
-        nodes, weights = _panel_nodes(bounds, _QUAD_NODES)
-        h_values = np.broadcast_to(h(nodes.ravel()), (nodes.size,)).reshape(nodes.shape)
-        family = np.empty_like(nodes)
-        left = is_left[rows]
-        if left.any():
-            family[left] = eval_regular(order, nodes[left]).value
-        if not left.all():
-            family[~left] = eval_irregular(order, nodes[~left]).value
-        integrand = family * h_values / (nodes * nodes)
-        level = np.array([np.dot(wr, fr) for wr, fr in zip(weights, integrand)])
-        active[rows[np.abs(level - previous[rows]) <= tol]] = False
-        values[rows] = previous[rows] = level
+        chunk_rows = max(1, _CHUNK_NODES // (count * _QUAD_NODES))
+        for start in range(0, level_rows.size, chunk_rows):
+            rows = level_rows[start:start + chunk_rows]
+            level = _panel_sums(order, h, lo[rows], hi[rows], is_left[rows], count)
+            active[rows[np.abs(level - previous[rows]) <= tol]] = False
+            values[rows] = previous[rows] = level
         count *= 2
     if active.any():
         row = np.flatnonzero(active)[0]
@@ -315,9 +475,11 @@ def apply_operator(
     h must vanish at the origin at least linearly so that h(t) t^-2 stays
     integrable.  It is called with a 1-D array of quadrature nodes and must
     return an array of their length or a scalar (broadcast to every node);
-    each doubling level calls it once, on the nodes of every point that has
-    not yet converged.  ``s`` is a float, giving a float, or a 1-D array,
-    giving an array; every point gets the same value it gets on its own.
+    each doubling level calls it on the nodes of every point that has not
+    yet converged, once per chunk of at most 2**16 nodes (one side of a
+    point may exceed that alone).  ``s`` is a float, giving a float, or a
+    1-D array, giving an array; every point gets the same value it gets on
+    its own.
     Each sub-integral doubles its count of 16-node Gauss-Legendre panels
     until consecutive values differ by at most ``tol`` (absolute).
 

@@ -25,7 +25,10 @@ Evaluation strategy, chosen for double precision:
 * ``v_m`` always by forward recurrence, which is stable because v_m is the
   dominant solution as the order grows;
 
-* derivatives always via the ladder identity, never finite differences.
+* derivatives via the ladder identity, never finite differences; where the
+  series value of u_m underflows (subnormal or 0, r below ~1e-154 for
+  m = 1), via its leading term, u'_m = u_{m-1} (m + 1)/(2m + 1), because the
+  ladder would lose its (m/r) u_m term or overflow.
 
 Both evaluators take a single radius or a numpy array of radii for one fixed
 order.  An array is evaluated element by element with the branch above
@@ -55,6 +58,9 @@ __all__ = [
 # backward recurrence take over.  Both branches deliver >= 12 digits in the
 # overlap window [0.3, 0.7].
 SERIES_CROSSOVER = 0.5
+
+# Smallest normal double.
+_TINY = np.finfo(float).tiny
 
 # Extra orders above max(m, r) for the backward recurrence start.  Downward
 # contamination by the irregular solution shrinks at least geometrically once
@@ -203,8 +209,14 @@ def _regular(m: int, r: np.ndarray):
             value[backward] = lam * f[m]
             below[backward] = lam * f[m - 1]
     derivative = np.zeros_like(r)
-    positive = r > 0.0
-    derivative[positive] = below[positive] - (m / r[positive]) * value[positive]
+    # a subnormal or zero u_m at r > 0 is a series value that lost digits to
+    # underflow (r^(m+1)/(2m+1)!! < 2.2e-308); its leading term gives
+    # u'_m = u_{m-1} (m+1)/(2m+1), where the ladder would lose (m/r) u_m, a
+    # term of the same order, or overflow in m/r
+    underflow = (np.abs(value) < _TINY) & (r > 0.0) & (r < SERIES_CROSSOVER)
+    derivative[underflow] = below[underflow] * ((m + 1) / (2 * m + 1))
+    ladder = (r > 0.0) & ~underflow
+    derivative[ladder] = below[ladder] - (m / r[ladder]) * value[ladder]
     return value, derivative
 
 

@@ -14,16 +14,25 @@ from rbkernel import (
     eval_irregular,
     eval_regular,
     find_root,
+    kink_exact_matrix,
     min_singular_value,
     nystrom_matrix,
     p_explicit,
     p_series,
     p_wronskian,
+    self_adjoint_certificate,
     solve_gamma,
     spectral_grid,
     validate_sets,
 )
-from rbkernel.operator import DEFAULT_SPECTRAL_NODES, DEFAULT_SPECTRAL_PANELS, build_grid
+from rbkernel.operator import (
+    DEFAULT_CERTIFICATE_GRADING,
+    DEFAULT_CERTIFICATE_NODES,
+    DEFAULT_CERTIFICATE_PANELS,
+    DEFAULT_SPECTRAL_NODES,
+    DEFAULT_SPECTRAL_PANELS,
+    build_grid,
+)
 
 
 def _report(number: int, description: str, detail: str, ok: bool):
@@ -154,3 +163,38 @@ def test_criterion_10_cross_route_agreement():
     worst = max(worst_wide, worst_series)
     _report(10, "p routes agree within 1e-9 on [0.25, 50]",
             f"worst {worst:.2e}", worst <= 1e-9)
+
+
+def test_criterion_11_kink_exact_certificate(reference_spec, root_r):
+    def certificate(r, panels=DEFAULT_CERTIFICATE_PANELS):
+        grid = build_grid(r, panels, DEFAULT_CERTIFICATE_NODES,
+                          grading=DEFAULT_CERTIFICATE_GRADING)
+        return self_adjoint_certificate(kink_exact_matrix(reference_spec, grid))
+
+    result = certificate(root_r)
+    away = {r: certificate(r).sigma_min for r in (0.5, 1.0, 1.5)}
+
+    grid = result.operator.grid
+    samples = np.array([eval_regular(2, t).value for t in grid.nodes]) * grid.l2_scaling
+    samples /= np.linalg.norm(samples)
+    null_vec = result.null_vector
+    if float(null_vec @ samples) < 0.0:
+        null_vec = -null_vec
+    deviation = float(np.max(np.abs(null_vec - samples)))
+
+    # at rounding level a halving ratio means nothing: the off-root value
+    # must instead be the same on a grid with twice the panels
+    off_root_delta = abs(certificate(3.0).sigma_min
+                         - certificate(3.0, 2 * DEFAULT_CERTIFICATE_PANELS).sigma_min)
+
+    ok = (
+        result.sigma_min <= 1e-6
+        and all(sigma >= 0.1 for sigma in away.values())
+        and deviation <= 1e-4
+        and off_root_delta <= 1e-8
+    )
+    _report(11, "kink-exact self-adjoint certificate collapses only at R",
+            f"sigma(R) {result.sigma_min:.2e} <= 1e-6, "
+            f"min away {min(away.values()):.2f} >= 0.1, "
+            f"null-vector dev {deviation:.2e} <= 1e-4, "
+            f"sigma(3) across 2x panels {off_root_delta:.2e} <= 1e-8", ok)

@@ -11,7 +11,7 @@ from rbkernel import (
     Tolerances,
     build_grid,
     find_root,
-    nystrom_matrix,
+    kink_exact_matrix,
     read_report,
     reference_spec,
 )
@@ -178,10 +178,34 @@ class TestVerify:
         assert code == 1
         assert "overall: FAIL" in out
 
+    @pytest.mark.parametrize("radius", ["1.0", "3.0"])
+    def test_forced_off_root_radius_fails(self, capsys, radius):
+        code, out, _ = run_cli(capsys, "verify", "--force-r", radius)
+        assert code == 1
+        assert "FAIL  collapse_ratio" in out
+        assert "overall: FAIL" in out
+
+    def test_certificate_gates_and_grid_in_report(self, capsys, tmp_path):
+        path = tmp_path / "verify.json"
+        code, out, _ = run_cli(capsys, "verify", "--output", str(path))
+        assert code == 0
+        assert "certificate: 8 panels x 16 nodes (N = 128)" in out
+        payload = json.loads(path.read_text())
+        assert payload["sigma_min_at_R"] <= 1e-12
+        gated = {step["name"]: step for step in payload["steps"]}
+        for name in ("sigma_min_at_R", "null_vector_deviation", "collapse_ratio",
+                     "off_root_grid_delta"):
+            assert gated[name]["ok"] is True
+        assert set(payload["certificate"]) == {"panels", "nodes", "size",
+                                               "next_sigma", "asymmetry"}
+
     def test_matrix_dump(self, capsys, tmp_path):
         path = tmp_path / "matrix.csv"
+        # a 4x3 grid meets no certificate gate, so every one is opened
         code, _, _ = run_cli(capsys, "verify", "--panels", "4", "--nodes", "3",
-                             "--tol-sigma", "1", "--dump-matrix", str(path))
+                             "--tol-sigma", "1", "--tol-null-vector", "1",
+                             "--tol-collapse", "1", "--tol-grid-delta", "1",
+                             "--dump-matrix", str(path))
         assert code == 0
         rows = [line.split(",") for line in path.read_text().splitlines()]
         assert len(rows) == 12 and all(len(row) == 12 for row in rows)
@@ -189,7 +213,7 @@ class TestVerify:
         # the dump is the certificate's own matrix on the requested grid
         grid = build_grid(find_root(2.0, 2.5).root, 4, 3, grading=1.0)
         expected = tmp_path / "expected.csv"
-        dump_matrix(nystrom_matrix(reference_spec(), grid), expected)
+        dump_matrix(kink_exact_matrix(reference_spec(), grid), expected)
         assert path.read_bytes() == expected.read_bytes()
 
     def test_tolerance_flags_follow_the_tolerances(self):

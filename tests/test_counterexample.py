@@ -204,6 +204,11 @@ class TestCheckIdentity:
         with pytest.raises(ValueError):
             check_identity(1.0, s_points=[0.5, 1.5])
 
+    def test_tiny_points(self):
+        # t * t underflows on [0, s] and u_2 with it; the identity still closes
+        for r in (0.3, 1.0, 5.0):
+            assert check_identity(r, s_points=[1e-160, 1e-200, 1e-300, 1e-320, 5e-324]) <= 1e-8
+
 
 class TestCheckOde:
     def test_spot_values(self):
@@ -242,6 +247,60 @@ class TestVerifyCounterexample:
         assert report.equation_residual == pytest.approx(expected, rel=1e-2)
         # the identity itself still holds away from the root
         assert report.identity_residual <= 1e-8
+
+    @pytest.mark.parametrize("r", [1.0, 3.0])
+    def test_forced_off_root_radius_fails_the_certificate(self, r):
+        report = verify_counterexample(r_override=r)
+        assert not report.passed
+        steps = {name: (value, ok) for name, value, _, ok in report.steps}
+        assert report.sigma_min_at_r >= 0.1
+        assert not steps["sigma_min_at_R"][1]
+        assert not steps["collapse_ratio"][1]
+        assert steps["collapse_ratio"][0] >= 1.0  # r = 3 is one of the off-root radii
+        assert not steps["null_vector_deviation"][1]
+        assert steps["off_root_grid_delta"][1]  # the off-root values do not depend on R
+
+    def test_certificate_calls_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("verify must not compute an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        report = verify_counterexample()
+        assert report.passed
+        steps = {name: value for name, value, _, _ in report.steps}
+        assert steps["sigma_min_at_R"] <= 1e-12
+        assert steps["null_vector_deviation"] <= 1e-10
+        assert steps["collapse_ratio"] <= 1e-10
+        assert steps["off_root_grid_delta"] <= 1e-4
+
+    def test_report_explains_the_certificate(self):
+        report = verify_counterexample()
+        certificate = report.to_json_dict()["certificate"]
+        assert {k: certificate[k] for k in ("panels", "nodes", "size")} == {
+            "panels": 8, "nodes": 16, "size": 128}
+        assert certificate["next_sigma"] == pytest.approx(1.0, abs=1e-4)
+        assert certificate["asymmetry"] <= 1e-10
+        assert "certificate: 8 panels x 16 nodes (N = 128)" in report.summary_text()
+        # no wall times: a second run gives the same bytes
+        again = verify_counterexample()
+        assert again.to_json_text() == report.to_json_text()
+        assert again.summary_text() == report.summary_text()
+        coarse = verify_counterexample(panels=4, nodes=6)
+        assert coarse.to_json_dict()["certificate"]["size"] == 24
+
+    def test_failed_certificate_reports_no_grid(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setattr(cx_module, "kink_exact_matrix", failing)
+        report = verify_counterexample()
+        assert not report.passed
+        assert report.spectral is None
+        assert report.to_json_dict()["certificate"] is None
+        assert "certificate:" not in report.summary_text()
+        names = [name for name, *_ in report.steps]
+        assert names[-2:] == ["spectral_certificate (synthetic failure)",
+                              "off_root_check (synthetic failure)"]
 
     def test_zero_tolerances_unreachable(self):
         report = verify_counterexample(

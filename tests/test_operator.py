@@ -1,6 +1,7 @@
 """Tests for the quadrature grids, Nystrom matrix, and spectral machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from rbkernel import (
     apply_operator,
     build_grid,
     eval_regular,
+    kink_exact_matrix,
     min_singular_value,
     nystrom_matrix,
+    self_adjoint_certificate,
     spectral_grid,
     sweep,
 )
@@ -24,6 +27,10 @@ J_R1_S_HALF = -0.062715474113685405
 
 # -g(0.5, 0.5) * 1.0 / 0.25 = 6 sin(0.5) (-cos 0.5) * 4 = -12 sin(1)
 A00_SINGLE_NODE = -10.097651817694758
+
+# min |1 - lambda| of the kink-exact certificate at r = 3; the same to 12
+# digits on 8x16, 16x16 and 32x16 uniform grids
+KINK_EXACT_SIGMA_R3 = 0.749202529949
 
 
 def u2(t):
@@ -101,6 +108,61 @@ class TestNystromMatrix:
         w = grid.weights
         lhs = a * (t**2 / w)[None, :]
         assert np.allclose(lhs, lhs.T, rtol=1e-12, atol=1e-14)
+
+
+class TestKinkExactMatrix:
+    @pytest.mark.parametrize("panels, nodes, grading", [
+        (1, 16, 1.0), (8, 16, 1.0), (5, 7, 2.0), (6, 12, 3.0),
+    ])
+    def test_cumulative_integration_exact_for_monomials(self, panels, nodes, grading):
+        grid = build_grid(2.0, panels_count=panels, nodes_per_panel=nodes,
+                          grading=grading)
+        lower = op_module._cumulative_integration(grid)
+        for k in range(nodes):
+            exact = grid.nodes ** (k + 1) / (k + 1)
+            error = np.max(np.abs(lower @ grid.nodes**k - exact)) / np.max(exact)
+            assert error <= 1e-13, k
+
+    def test_unequal_panels_rejected(self, reference_spec):
+        grid = QuadratureGrid(
+            r=1.0,
+            panel_bounds=(0.0, 0.5, 1.0),
+            nodes=np.array([0.2, 0.5, 0.8]),
+            weights=np.array([0.3, 0.4, 0.3]),
+        )
+        with pytest.raises(ValueError, match="same number of nodes"):
+            kink_exact_matrix(reference_spec, grid)
+
+    @pytest.mark.parametrize("panels, nodes", [(4, 12), (8, 16), (16, 16)])
+    @pytest.mark.parametrize("r", [1.0, "R", 3.0])
+    def test_symmetric_in_the_weighted_norm(self, reference_spec, root_r, panels, nodes, r):
+        grid = build_grid(root_r if r == "R" else r, panels, nodes, grading=1.0)
+        certificate = self_adjoint_certificate(kink_exact_matrix(reference_spec, grid))
+        assert certificate.asymmetry <= 1e-10
+        assert np.linalg.norm(certificate.null_vector) == pytest.approx(1.0, rel=1e-14)
+        assert certificate.sigma_min <= certificate.next_sigma
+
+    def test_independent_routes_agree_off_root(self, reference_spec):
+        kink = self_adjoint_certificate(
+            kink_exact_matrix(reference_spec, build_grid(3.0, 8, 16, grading=1.0))
+        ).sigma_min
+        assert kink == pytest.approx(KINK_EXACT_SIGMA_R3, abs=1e-10)
+        # the collocation matrix in the same D-scaled form: another
+        # discretization, which cannot split at the kink
+        nystrom = self_adjoint_certificate(
+            nystrom_matrix(reference_spec, build_grid(3.0, 32, 16, grading=1.0))
+        ).sigma_min
+        assert abs(kink - nystrom) <= 1e-3
+
+    def test_collapse_at_root(self, reference_spec, root_r):
+        grid = build_grid(root_r, 8, 16, grading=1.0)
+        certificate = self_adjoint_certificate(kink_exact_matrix(reference_spec, grid))
+        assert certificate.sigma_min <= 1e-12
+        assert certificate.next_sigma >= 0.5
+        # the eigenvector is u_2 at the nodes, D-scaled, up to sign
+        samples = u2(grid.nodes) * grid.l2_scaling
+        samples /= np.linalg.norm(samples)
+        assert abs(float(certificate.null_vector @ samples)) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestApplyOperator:
@@ -185,6 +247,35 @@ class TestApplyOperator:
             alone = apply_operator(reference_spec, r, h, float(s), **quad)
             assert type(alone) is float
             assert abs(value - alone) <= 1e-15, s
+
+    @pytest.mark.parametrize("h", [u2, lambda t: t * np.cos(30.0 * t)], ids=["u2", "wiggle"])
+    def test_chunked_levels_give_identical_values(self, reference_spec, monkeypatch, h):
+        points = np.linspace(0.1, 1.0, 10)
+        whole = apply_operator(reference_spec, 1.0, h, points, tol=1e-12)
+        monkeypatch.setattr(op_module, "_CHUNK_NODES", 40)  # one row per chunk
+        chunked = apply_operator(reference_spec, 1.0, h, points, tol=1e-12)
+        assert np.array_equal(chunked, whole)
+
+    def test_failing_call_memory_does_not_grow_with_points(self, reference_spec, monkeypatch):
+        # small limits keep this cheap; the default levels run 64 times deeper
+        monkeypatch.setattr(op_module, "_MAX_DOUBLINGS", 9)
+        monkeypatch.setattr(op_module, "_CHUNK_NODES", 2**12)
+
+        def peak_bytes(points):
+            rng = np.random.default_rng(5)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ConvergenceError):
+                    apply_operator(reference_spec, 1.0,
+                                   lambda t: rng.standard_normal(t.shape), points)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(0.5)  # fill the lazy caches first
+        one = peak_bytes(0.5)
+        many = peak_bytes(np.linspace(1 / 16, 1.0, 16))
+        assert many <= 1.5 * one
 
     def test_batched_point_validation(self, reference_spec):
         with pytest.raises(ValueError):

@@ -152,6 +152,21 @@ def test_small_radius_leading_term():
     assert abs(ratio - 1.0 / 15.0) <= 1e-5 / 15.0
 
 
+@pytest.mark.parametrize("r", [1e-155, 1e-160, 1e-200, 1e-300])
+def test_underflowed_series_keeps_its_derivative(r):
+    # u_1 = r^2/3 is subnormal or 0 below ~1e-154, but u'_1 = 2r/3 is not;
+    # the ladder u_0 - u_1/r would lose the u_1/r term (giving r at 1e-200)
+    assert eval_regular(1, r).derivative == pytest.approx(2.0 * r / 3.0, rel=1e-15, abs=0.0)
+    assert eval_regular(2, r).value == 0.0
+
+
+@pytest.mark.parametrize("r", [1e-310, 5e-324])
+def test_subnormal_radius_is_finite(r):
+    # m/r overflows here; the pair is still representable
+    assert eval_regular(2, r) == (0.0, 0.0)
+    assert 0.0 < eval_regular(1, r).derivative <= r
+
+
 class TestAgainstScipy:
     def test_regular_random_domain(self):
         rng = np.random.default_rng(20240817)
