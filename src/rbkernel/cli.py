@@ -153,8 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use this radius instead of the root R (for exploring "
                    "how the verification fails away from the root)")
     for tol in fields(cx.Tolerances):
-        p.add_argument(f"--tol-{tol.name.replace('_', '-')}", type=float,
-                       default=tol.default)
+        p.add_argument(f"--tol-{tol.name}", type=float, default=tol.default)
     p.add_argument("--output", "-o", default=None, metavar="PATH",
                    help="also write the full JSON report to PATH")
     p.add_argument("--dump-matrix", default=None, metavar="PATH",

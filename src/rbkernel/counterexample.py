@@ -77,6 +77,13 @@ SERIES_RADIUS = 0.5
 # Default sign-change bracket for the first positive root of p.
 DEFAULT_BRACKET = (2.0, 2.5)
 
+# Gates of the self-adjoint certificate next to sigma_min_at_R: the null
+# vector's deviation from u_2, sigma at R over the smaller off-root value,
+# and the change of the off-root values when the panels are doubled.
+_NULL_VECTOR_TOL = 1e-10
+_COLLAPSE_TOL = 1e-10
+_GRID_DELTA_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class PValue:
@@ -106,9 +113,6 @@ class Tolerances:
     equation: float = 1e-8
     sigma: float = 1e-12
     root: float = 1e-12
-    collapse: float = 1e-10
-    grid_delta: float = 1e-4
-    null_vector: float = 1e-10
 
 
 @dataclass
@@ -433,7 +437,7 @@ def verify_counterexample(
         spectral = self_adjoint_certificate(kink_exact_matrix(spec, grid))
         record("sigma_min_at_R", spectral.sigma_min, tolerances.sigma)
         record("null_vector_deviation", _null_vector_deviation(spectral),
-               tolerances.null_vector)
+               _NULL_VECTOR_TOL)
     except NUMERIC_ERRORS as exc:
         record(f"spectral_certificate ({exc})", None, tolerances.sigma)
 
@@ -448,12 +452,12 @@ def verify_counterexample(
         record("collapse_ratio",
                None if spectral is None
                else spectral.sigma_min / min(off_root[1.0, panels], off_root[3.0, panels]),
-               tolerances.collapse)
+               _COLLAPSE_TOL)
         record("off_root_grid_delta",
                max(abs(off_root[r, panels] - off_root[r, 2 * panels]) for r in (1.0, 3.0)),
-               tolerances.grid_delta)
+               _GRID_DELTA_TOL)
     except NUMERIC_ERRORS as exc:
-        record(f"off_root_check ({exc})", None, tolerances.collapse)
+        record(f"off_root_check ({exc})", None, _COLLAPSE_TOL)
 
     return VerificationReport(
         r_used=r_used,

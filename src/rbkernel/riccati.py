@@ -27,8 +27,9 @@ Evaluation strategy, chosen for double precision:
 
 * derivatives via the ladder identity, never finite differences; where the
   series value of u_m underflows (subnormal or 0, r below ~1e-154 for
-  m = 1), via its leading term, u'_m = u_{m-1} (m + 1)/(2m + 1), because the
-  ladder would lose its (m/r) u_m term or overflow.
+  m = 1), via the same identity written with the two series sums,
+  u'_m = u_{m-1} (1 - m/(2m + 1) S_m/S_{m-1}), because the plain ladder
+  would lose its (m/r) u_m term or overflow in m/r.
 
 Both evaluators take a single radius or a numpy array of radii for one fixed
 order.  An array is evaluated element by element with the branch above
@@ -113,10 +114,17 @@ def _double_factorial(n: int) -> float:
 
 
 def _regular_series(m: int, r):
-    # u_m(r) = r^(m+1)/(2m+1)!! * sum_k (-r^2/2)^k / (k! (2m+3)...(2m+2k+1)),
+    prefactor, total = _regular_series_parts(m, r)
+    return prefactor * total
+
+
+def _regular_series_parts(m: int, r):
+    # u_m(r) = r^(m+1)/(2m+1)!! * S_m(r),
+    # S_m(r) = sum_k (-r^2/2)^k / (k! (2m+3)...(2m+2k+1)),
     # an alternating series with factorially shrinking terms; safe for any r
     # but only needed (and used) near zero.  Each element stops summing on
-    # its own once its terms no longer contribute.
+    # its own once its terms no longer contribute.  Returns the prefactor
+    # and S_m separately: S_m is near 1 even where u_m underflows.
     r = np.asarray(r, dtype=float)
     # float_power calls C pow like Python's float ** int; numpy's ** takes a
     # different route for integer exponents and can differ in the last bit
@@ -124,14 +132,14 @@ def _regular_series(m: int, r):
     half_r2 = -0.5 * r * r
     total = np.ones_like(r)
     term = np.ones_like(r)
-    active = prefactor != 0.0
+    active = np.ones_like(r, dtype=bool)
     for k in range(1, 202):
         if not active.any():
             break
         np.multiply(term, half_r2 / (k * (2 * m + 2 * k + 1)), out=term, where=active)
         np.add(total, term, out=total, where=active)
         active &= np.abs(term) > 1e-18 * np.abs(total)
-    return prefactor * total
+    return prefactor, total
 
 
 def _regular_forward(m: int, r: np.ndarray):
@@ -189,12 +197,16 @@ def _regular(m: int, r: np.ndarray):
         return np.sin(r), np.cos(r)  # exact at the origin too
     value = np.zeros_like(r)  # the origin limit for m >= 1: (0, 0)
     below = np.zeros_like(r)  # u_{m-1}
+    sum_ratio = np.zeros_like(r)  # S_m / S_{m-1} on the series branch
     series = (r > 0.0) & (r < SERIES_CROSSOVER)
     rest = r >= SERIES_CROSSOVER
     if series.any():
         x = r[series]
-        value[series] = _regular_series(m, x)
-        below[series] = _regular_series(m - 1, x)
+        prefactor, total = _regular_series_parts(m, x)
+        prefactor_below, total_below = _regular_series_parts(m - 1, x)
+        value[series] = prefactor * total
+        below[series] = prefactor_below * total_below
+        sum_ratio[series] = total / total_below
     if m == 1:
         x = r[rest]
         below[rest] = np.sin(x)
@@ -210,11 +222,13 @@ def _regular(m: int, r: np.ndarray):
             below[backward] = lam * f[m - 1]
     derivative = np.zeros_like(r)
     # a subnormal or zero u_m at r > 0 is a series value that lost digits to
-    # underflow (r^(m+1)/(2m+1)!! < 2.2e-308); its leading term gives
-    # u'_m = u_{m-1} (m+1)/(2m+1), where the ladder would lose (m/r) u_m, a
-    # term of the same order, or overflow in m/r
-    underflow = (np.abs(value) < _TINY) & (r > 0.0) & (r < SERIES_CROSSOVER)
-    derivative[underflow] = below[underflow] * ((m + 1) / (2 * m + 1))
+    # underflow (r^(m+1)/(2m+1)!! < 2.2e-308), so the ladder would lose
+    # (m/r) u_m, a term of the same order, or overflow in m/r.  With
+    # (m/r) u_m = u_{m-1} m/(2m+1) S_m/S_{m-1} the ladder needs neither.
+    underflow = (np.abs(value) < _TINY) & series
+    derivative[underflow] = below[underflow] * (
+        1.0 - (m / (2 * m + 1)) * sum_ratio[underflow]
+    )
     ladder = (r > 0.0) & ~underflow
     derivative[ladder] = below[ladder] - (m / r[ladder]) * value[ladder]
     return value, derivative

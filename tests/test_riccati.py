@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import spherical_jn, spherical_yn
@@ -158,6 +159,16 @@ def test_underflowed_series_keeps_its_derivative(r):
     # the ladder u_0 - u_1/r would lose the u_1/r term (giving r at 1e-200)
     assert eval_regular(1, r).derivative == pytest.approx(2.0 * r / 3.0, rel=1e-15, abs=0.0)
     assert eval_regular(2, r).value == 0.0
+
+
+@pytest.mark.parametrize("m, r", [(100, 0.066), (60, 3.8e-4)])
+def test_underflowed_series_derivative_matches_oracle(m, r):
+    # u_m is subnormal here while u_{m-1} is not; a leading-term derivative
+    # would be off by ~1e-7 relative at m = 100
+    value, derivative = eval_regular(m, r)
+    assert 0.0 < value < np.finfo(float).tiny
+    expected = mp_regular(m - 1, r) - m / mp.mpf(r) * mp_regular(m, r)
+    assert abs(derivative - expected) <= 1e-14 * abs(expected)
 
 
 @pytest.mark.parametrize("r", [1e-310, 5e-324])
