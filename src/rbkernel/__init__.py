@@ -13,7 +13,6 @@ from .counterexample import (
     DEFAULT_BRACKET,
     PValue,
     RootResult,
-    Tolerances,
     VerificationReport,
     check_identity,
     check_ode,
@@ -87,7 +86,6 @@ __all__ = [
     "read_report",
     "PValue",
     "RootResult",
-    "Tolerances",
     "VerificationReport",
     "DEFAULT_BRACKET",
     "p_explicit",

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +23,6 @@ import numpy as np
 from . import counterexample as cx
 from .kernel import eval_kernel, solve_gamma, validate_sets
 from .operator import (
-    DEFAULT_CERTIFICATE_GRADING,
-    DEFAULT_CERTIFICATE_NODES,
-    DEFAULT_CERTIFICATE_PANELS,
     DEFAULT_QUAD_TOL,
     NUMERIC_ERRORS,
     apply_operator,
@@ -143,17 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify",
                        help="run the full nontrivial-solution verification")
-    p.add_argument("--panels", type=int, default=DEFAULT_CERTIFICATE_PANELS,
-                   help="certificate grid panels (default %(default)s)")
-    p.add_argument("--nodes", type=int, default=DEFAULT_CERTIFICATE_NODES,
-                   help="certificate grid nodes per panel (default %(default)s)")
-    p.add_argument("--grading", type=float, default=DEFAULT_CERTIFICATE_GRADING,
-                   help="certificate grid grading exponent (default %(default)s)")
     p.add_argument("--force-r", type=float, default=None,
                    help="use this radius instead of the root R (for exploring "
                    "how the verification fails away from the root)")
-    for tol in fields(cx.Tolerances):
-        p.add_argument(f"--tol-{tol.name}", type=float, default=tol.default)
     p.add_argument("--output", "-o", default=None, metavar="PATH",
                    help="also write the full JSON report to PATH")
     p.add_argument("--dump-matrix", default=None, metavar="PATH",
@@ -245,13 +233,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tolerances = cx.Tolerances(
-        **{tol.name: getattr(args, f"tol_{tol.name}") for tol in fields(cx.Tolerances)}
-    )
-    report = cx.verify_counterexample(
-        tolerances=tolerances, r_override=args.force_r,
-        panels=args.panels, nodes=args.nodes, grading=args.grading,
-    )
+    report = cx.verify_counterexample(r_override=args.force_r)
     sys.stdout.write(report.summary_text())
     if args.output is not None:
         Path(args.output).write_text(report.to_json_text())

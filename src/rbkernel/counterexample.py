@@ -51,11 +51,11 @@ from .riccati import eval_irregular, eval_regular
 __all__ = [
     "PValue",
     "RootResult",
-    "Tolerances",
     "VerificationReport",
     "EXPLICIT_CROSSOVER",
     "SERIES_RADIUS",
     "DEFAULT_BRACKET",
+    "GATES",
     "P_ROUTES",
     "reference_spec",
     "p_explicit",
@@ -77,12 +77,19 @@ SERIES_RADIUS = 0.5
 # Default sign-change bracket for the first positive root of p.
 DEFAULT_BRACKET = (2.0, 2.5)
 
-# Gates of the self-adjoint certificate next to sigma_min_at_R: the null
-# vector's deviation from u_2, sigma at R over the smaller off-root value,
-# and the change of the off-root values when the panels are doubled.
-_NULL_VECTOR_TOL = 1e-10
-_COLLAPSE_TOL = 1e-10
-_GRID_DELTA_TOL = 1e-4
+# The certificate: each gated step of verify_counterexample and the largest
+# value that passes it.  The last four are calibrated on the certificate's
+# DEFAULT_CERTIFICATE_* grid.
+GATES = {
+    "gamma0_matches_-6": 1e-14,
+    "root_residual": 1e-12,
+    "identity_residual": 1e-8,
+    "equation_residual": 1e-8,
+    "sigma_min_at_R": 1e-12,
+    "null_vector_deviation": 1e-10,
+    "collapse_ratio": 1e-10,
+    "off_root_grid_delta": 1e-4,
+}
 
 
 @dataclass(frozen=True)
@@ -104,34 +111,21 @@ class RootResult:
     iterations: int
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Thresholds for the verification report."""
-
-    gamma: float = 1e-14
-    identity: float = 1e-8
-    equation: float = 1e-8
-    sigma: float = 1e-12
-    root: float = 1e-12
-
-
 @dataclass
 class VerificationReport:
     """Outcome of the full verification chain.
 
     ``steps`` holds one (name, value, threshold, ok) entry per sub-step;
     a sub-step that raised a numeric error is recorded with value None and
-    ok False.  ``passed`` is derived from the steps: true when every step
-    is ok.  ``spectral`` keeps the self-adjoint certificate at the radius
-    used, with its kink-exact operator (None if that step failed); the JSON
-    gives its grid, ``next_sigma`` and ``asymmetry`` under ``certificate``.
+    ok False.  ``passed`` (every step ok) and the residuals are read from
+    the steps.  ``spectral`` keeps the self-adjoint certificate at the
+    radius used, with its kink-exact operator (None if that step failed);
+    the JSON gives its grid, ``next_sigma`` and ``asymmetry`` under
+    ``certificate``.
     """
 
     r_used: float
     gamma0: float
-    identity_residual: float | None
-    equation_residual: float | None
-    sigma_min_at_r: float | None
     steps: list[tuple] = field(default_factory=list)
     root: RootResult | None = None
     spectral: SelfAdjointCertificate | None = field(default=None, repr=False)
@@ -139,6 +133,21 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(ok for *_, ok in self.steps)
+
+    def _step_value(self, name: str) -> float | None:
+        return next((value for step, value, *_ in self.steps if step == name), None)
+
+    @property
+    def identity_residual(self) -> float | None:
+        return self._step_value("identity_residual")
+
+    @property
+    def equation_residual(self) -> float | None:
+        return self._step_value("equation_residual")
+
+    @property
+    def sigma_min_at_r(self) -> float | None:
+        return None if self.spectral is None else self.spectral.sigma_min
 
     def _certificate_dict(self) -> dict | None:
         if self.spectral is None:
@@ -287,7 +296,7 @@ def find_root(lo, hi, tol: float = 1e-12, route: str = "explicit") -> RootResult
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {lo!r}, {hi!r}")
     tol = float(tol)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     f_lo = p(lo).value
     f_hi = p(hi).value
@@ -367,105 +376,93 @@ def _null_vector_deviation(certificate: SelfAdjointCertificate) -> float:
     return float(np.max(np.abs(vector - target)))
 
 
-def verify_counterexample(
-    tolerances: Tolerances = Tolerances(),
-    r_override=None,
-    panels: int = DEFAULT_CERTIFICATE_PANELS,
-    nodes: int = DEFAULT_CERTIFICATE_NODES,
-    grading: float = DEFAULT_CERTIFICATE_GRADING,
-) -> VerificationReport:
+def verify_counterexample(r_override=None) -> VerificationReport:
     """Run the full verification chain and report pass/fail per step.
 
     Steps: solve gamma_0 (must be -6), find the root R of p in the default
     bracket, check the integration-by-parts identity at radii 1, R and 3,
     and check the homogeneous equation residual of u_2 at R.  Then the
     self-adjoint certificate of the kink-exact matrix (see
-    :func:`rbkernel.operator.self_adjoint_certificate`) is taken at R on the
-    grid of ``panels`` panels x ``nodes`` Gauss nodes with boundaries graded
-    by ``grading`` (see :func:`build_grid`; the defaults give 8 uniform
-    panels x 16 nodes), with four gated steps: min |1 - lambda| at R
+    :func:`rbkernel.operator.self_adjoint_certificate`) is taken at R on
+    8 uniform panels x 16 Gauss nodes (``DEFAULT_CERTIFICATE_*`` of
+    :mod:`rbkernel.operator`), with four gated steps: min |1 - lambda| at R
     (``sigma_min_at_R``); the deviation of its null vector from u_2
     (``null_vector_deviation``); its ratio to the smaller value at r = 1
     and r = 3 (``collapse_ratio``), which fails on a grid that collapses
     everywhere; and the largest change of those off-root values when the
     panels are doubled (``off_root_grid_delta``).  No SVD is computed.
+    A step passes when its value is at most its threshold in :data:`GATES`.
     ``r_override`` substitutes a different radius for R in the identity,
     equation and certificate steps (useful to watch the verification fail
-    away from the root).  A grid that cannot be built raises ValueError
-    before any step runs; a numeric error inside a step is recorded as a
+    away from the root); one whose grid cannot be built raises ValueError
+    before any step runs.  A numeric error inside a step is recorded as a
     failed step, and any other exception propagates.
     """
     steps = []
 
-    def record(name, value, threshold):
-        steps.append((name, value, threshold, value is not None and value <= threshold))
+    def record(gate, value, name=None):
+        threshold = GATES[gate]
+        steps.append((name or gate, value, threshold,
+                      value is not None and value <= threshold))
+
+    panels = DEFAULT_CERTIFICATE_PANELS
+
+    def grid(r, count=panels):
+        return build_grid(r, count, DEFAULT_CERTIFICATE_NODES,
+                          grading=DEFAULT_CERTIFICATE_GRADING)
 
     spec = reference_spec()
     gamma0 = spec.gamma[0]
-    record("gamma0_matches_-6", abs(gamma0 + 6.0), tolerances.gamma)
+    record("gamma0_matches_-6", abs(gamma0 + 6.0))
 
     root = None
     try:
-        root = find_root(*DEFAULT_BRACKET, tol=tolerances.root)
-        record("root_residual", root.residual, tolerances.root)
+        root = find_root(*DEFAULT_BRACKET, tol=GATES["root_residual"])
+        record("root_residual", root.residual)
         r_star = root.root
     except ValueError as exc:
-        record(f"root_search ({exc})", None, tolerances.root)
+        record("root_residual", None, f"root_search ({exc})")
         r_star = 0.5 * (DEFAULT_BRACKET[0] + DEFAULT_BRACKET[1])
     r_used = float(r_override) if r_override is not None else r_star
-    grid = build_grid(r_used, panels, nodes, grading=grading)
+    grid_at_r = grid(r_used)
 
-    identity_residual = None
     try:
-        identity_residual = max(check_identity(r) for r in (1.0, r_used, 3.0))
-        record("identity_residual", identity_residual, tolerances.identity)
+        record("identity_residual", max(check_identity(r) for r in (1.0, r_used, 3.0)))
     except NUMERIC_ERRORS as exc:
-        record(f"identity_check ({exc})", None, tolerances.identity)
+        record("identity_residual", None, f"identity_check ({exc})")
 
-    equation_residual = None
     try:
         points = _default_points(r_used)
-        equation_residual = float(np.max(np.abs(
+        record("equation_residual", float(np.max(np.abs(
             _u(2, points) - apply_operator(spec, r_used, lambda t: _u(2, t), points)
-        )))
-        record("equation_residual", equation_residual, tolerances.equation)
+        ))))
     except NUMERIC_ERRORS as exc:
-        record(f"equation_check ({exc})", None, tolerances.equation)
+        record("equation_residual", None, f"equation_check ({exc})")
 
     spectral = None
     try:
-        spectral = self_adjoint_certificate(kink_exact_matrix(spec, grid))
-        record("sigma_min_at_R", spectral.sigma_min, tolerances.sigma)
-        record("null_vector_deviation", _null_vector_deviation(spectral),
-               _NULL_VECTOR_TOL)
+        spectral = self_adjoint_certificate(kink_exact_matrix(spec, grid_at_r))
+        record("sigma_min_at_R", spectral.sigma_min)
+        record("null_vector_deviation", _null_vector_deviation(spectral))
     except NUMERIC_ERRORS as exc:
-        record(f"spectral_certificate ({exc})", None, tolerances.sigma)
+        record("sigma_min_at_R", None, f"spectral_certificate ({exc})")
 
     try:
         off_root = {
-            (r, count): self_adjoint_certificate(kink_exact_matrix(
-                spec, build_grid(r, count, nodes, grading=grading)
-            )).sigma_min
+            (r, count): self_adjoint_certificate(
+                kink_exact_matrix(spec, grid(r, count))
+            ).sigma_min
             for r in (1.0, 3.0)
             for count in (panels, 2 * panels)
         }
         record("collapse_ratio",
                None if spectral is None
-               else spectral.sigma_min / min(off_root[1.0, panels], off_root[3.0, panels]),
-               _COLLAPSE_TOL)
+               else spectral.sigma_min / min(off_root[1.0, panels], off_root[3.0, panels]))
         record("off_root_grid_delta",
-               max(abs(off_root[r, panels] - off_root[r, 2 * panels]) for r in (1.0, 3.0)),
-               _GRID_DELTA_TOL)
+               max(abs(off_root[r, panels] - off_root[r, 2 * panels]) for r in (1.0, 3.0)))
     except NUMERIC_ERRORS as exc:
-        record(f"off_root_check ({exc})", None, _COLLAPSE_TOL)
+        record("collapse_ratio", None, f"off_root_check ({exc})")
 
     return VerificationReport(
-        r_used=r_used,
-        gamma0=gamma0,
-        identity_residual=identity_residual,
-        equation_residual=equation_residual,
-        sigma_min_at_r=None if spectral is None else spectral.sigma_min,
-        steps=steps,
-        root=root,
-        spectral=spectral,
+        r_used=r_used, gamma0=gamma0, steps=steps, root=root, spectral=spectral,
     )

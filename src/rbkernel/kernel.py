@@ -171,7 +171,7 @@ def solve_gamma(sets: IndexSets) -> KernelSpec:
             f"(condition estimate {condition:.3e})"
         )
     gamma = np.linalg.solve(matrix, np.ones(sets.size))
-    residual = float(np.max(np.abs(matrix @ gamma - 1.0)))
+    residual = equation_residual(sets, gamma)
     if not residual <= GAMMA_RESIDUAL_TOL:
         raise SingularSystemError(
             f"solved gamma for S={list(sets.s_orders)}, T={list(sets.t_orders)} "

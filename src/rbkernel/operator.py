@@ -481,10 +481,14 @@ def apply_operator(
     1-D array, giving an array; every point gets the same value it gets on
     its own.
     Each sub-integral doubles its count of 16-node Gauss-Legendre panels
-    until consecutive values differ by at most ``tol`` (absolute).
+    until consecutive values differ by at most ``tol`` (absolute); with
+    ``tol = 0`` that means until they agree bit for bit.
 
     Raises
     ------
+    ValueError
+        If r is not positive and finite, ``tol`` is negative or NaN, or a
+        point lies outside (0, r].
     ConvergenceError
         If doubling exhausts its budget before reaching ``tol``.
     """
@@ -492,6 +496,9 @@ def apply_operator(
     r = float(r)
     if not math.isfinite(r) or r <= 0.0:
         raise ValueError(f"radius must be positive and finite, got {r!r}")
+    tol = float(tol)
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
     points = np.asarray(s, dtype=float)
     if points.ndim > 1:
         raise ValueError("evaluation points must be a float or a 1-D array")

@@ -3,12 +3,10 @@
 import json
 import subprocess
 import sys
-from dataclasses import fields
 
 import pytest
 
 from rbkernel import (
-    Tolerances,
     build_grid,
     find_root,
     kink_exact_matrix,
@@ -171,13 +169,6 @@ class TestVerify:
         assert payload["pass"] is True
         assert payload["sigma_min_at_R"] <= 1e-6
 
-    def test_failure_exit_code(self, capsys):
-        # an unreachable tolerance must flip the exit code to 1
-        code, out, _ = run_cli(capsys, "verify", "--tol-identity", "0",
-                               "--panels", "8", "--nodes", "4")
-        assert code == 1
-        assert "overall: FAIL" in out
-
     @pytest.mark.parametrize("radius", ["1.0", "3.0"])
     def test_forced_off_root_radius_fails(self, capsys, radius):
         code, out, _ = run_cli(capsys, "verify", "--force-r", radius)
@@ -201,37 +192,25 @@ class TestVerify:
 
     def test_matrix_dump(self, capsys, tmp_path):
         path = tmp_path / "matrix.csv"
-        # a 4x3 grid fails the certificate's other gates; the dump is
-        # written whatever the verdict
-        code, _, _ = run_cli(capsys, "verify", "--panels", "4", "--nodes", "3",
-                             "--tol-sigma", "1", "--dump-matrix", str(path))
-        assert code == 1
+        code, _, _ = run_cli(capsys, "verify", "--dump-matrix", str(path))
+        assert code == 0
         rows = [line.split(",") for line in path.read_text().splitlines()]
-        assert len(rows) == 12 and all(len(row) == 12 for row in rows)
+        assert len(rows) == 128 and all(len(row) == 128 for row in rows)
         assert all(float(cell) == float(cell) for row in rows for cell in row)
-        # the dump is the certificate's own matrix on the requested grid
-        grid = build_grid(find_root(2.0, 2.5).root, 4, 3, grading=1.0)
+        # the dump is the certificate's own matrix on its 8 x 16 grid
+        grid = build_grid(find_root(2.0, 2.5).root, 8, 16, grading=1.0)
         expected = tmp_path / "expected.csv"
         dump_matrix(kink_exact_matrix(reference_spec(), grid), expected)
         assert path.read_bytes() == expected.read_bytes()
 
-    def test_tolerance_flags_follow_the_tolerances(self):
-        commands = next(a for a in build_parser()._actions if a.dest == "command")
-        flags = {a.dest: a.default for a in commands.choices["verify"]._actions
-                 if a.dest.startswith("tol_")}
-        assert flags == {f"tol_{f.name}": f.default for f in fields(Tolerances)}
-
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--panels", "0", "panels_count"),
-        ("--nodes", "1", "nodes_per_panel"),
-        ("--grading", "0.5", "grading"),
-    ])
-    def test_invalid_grid_is_a_usage_error(self, capsys, flag, value, message):
-        # an invalid grid must not fall back to the default one and pass
-        code, out, err = run_cli(capsys, "verify", flag, value)
-        assert code == 2
-        assert message in err
-        assert "overall: PASS" not in out
+    def test_certificate_is_not_settable(self, capsys):
+        # the gates and the grid are fixed: a flag that would loosen or
+        # move them is a usage error, not a run
+        for argv in (["--tol-sigma", "1"], ["--panels", "4"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", *argv])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -219,6 +219,13 @@ class TestApplyOperator:
             apply_operator(reference_spec, 1.0, u2, 1.5)
         with pytest.raises(ValueError):
             apply_operator(reference_spec, -1.0, u2, 0.5)
+        # a negative or nan tol can never be met: reject it before any quadrature
+        for tol in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+                apply_operator(reference_spec, 1.0, u2, 0.5, tol=tol)
+        # tol = 0 converges once consecutive values agree bit for bit
+        assert apply_operator(reference_spec, 1.0, u2, 0.5, tol=0.0) == pytest.approx(
+            apply_operator(reference_spec, 1.0, u2, 0.5), abs=1e-14)
 
     def test_nonconvergence_reported(self, reference_spec):
         # a pathological integrand (noise) can never stabilize to 1e-10
