@@ -174,8 +174,12 @@ def _cmd_p_scan(args) -> int:
         raise ValueError("steps must be >= 2")
     if not 0.0 < args.r_min < args.r_max:
         raise ValueError("need 0 < r-min < r-max")
-    rows = [(float(r), route(float(r)).value)
-            for r in np.linspace(args.r_min, args.r_max, args.steps)]
+    radii = np.linspace(args.r_min, args.r_max, args.steps)
+    if args.route == "wronskian":  # one array pass, the bits of per-point calls
+        values = cx.p_wronskian(radii).value.tolist()
+    else:
+        values = [route(r).value for r in radii.tolist()]
+    rows = list(zip(radii.tolist(), values))
     _emit_report(ScanReport(columns=("r", "p"), rows=rows), args)
     return 0
 

@@ -258,8 +258,19 @@ def p_explicit(r) -> PValue:
 
 
 def p_wronskian(r) -> PValue:
-    """Cross-family route: p(r) = v_0 u'_2 - v'_0 u_2 from function pairs."""
-    r = _check_radius(r)
+    """Cross-family route: p(r) = v_0 u'_2 - v'_0 u_2 from function pairs.
+
+    ``r`` may also be a 1-D array of radii, evaluated in one array pass;
+    then ``r`` and ``value`` of the result are arrays, and each value has
+    the bits of the call on its radius alone.
+    """
+    if np.ndim(r) == 0:
+        r = _check_radius(r)
+    else:
+        r = np.asarray(r, dtype=float)
+        bad = ~(np.isfinite(r) & (r > 0.0))
+        if bad.any():
+            _check_radius(r[bad][0])
     v0, dv0 = eval_irregular(0, r)
     u2, du2 = eval_regular(2, r)
     return PValue(r=r, value=v0 * du2 - dv0 * u2, route="wronskian")

@@ -24,7 +24,9 @@ panel and the kink costs nothing.
 ``nystrom_matrix`` builds the dense collocation matrix
 ``A[i, j] = -g(s_i, t_j) w_j / t_j**2`` on one shared grid.  The matrix
 cannot split at the kink per row, so its accuracy is limited by the panel
-resolution (observed O(N^-2) in the total node count).
+resolution (observed O(N^-2) in the total node count).  Its lower triangle
+is one outer product v(s_i) u(t_j) per order, and the upper triangle is
+its mirror image.
 
 Both matrices act on values at the grid nodes.  K is self-adjoint on
 L^2((0, r], t^-2 dt), and ``D = sqrt(w)/t`` maps node values to vectors
@@ -46,6 +48,10 @@ calibrated: 128 uniform panels x 12 nodes push the kink-limited
 discretization error of the Nystrom matrix near the singular radius to
 ~5e-7.  Uniform panels beat origin-graded ones here because the kink error
 lives in mid-interval panels, not at the origin.
+
+``sweep`` takes the Riccati tables of a chunk of radii from one call per
+order and family on all their grids' nodes, and assembles and solves each
+grid on its own.
 """
 from __future__ import annotations
 
@@ -102,6 +108,8 @@ _MAX_DOUBLINGS = 14
 # Most quadrature nodes apply_operator holds at once: a doubling level's rows
 # are processed in chunks of at most this many nodes (one row may exceed it),
 # so a call that fails to converge stays within a few rows' worth of memory.
+# sweep tabulates the Riccati functions on chunks of radii of at most this
+# many grid nodes (one radius may exceed it), so a long sweep stays bounded.
 _CHUNK_NODES = 2**16
 
 # Gauss-Legendre nodes per panel of the apply_operator quadrature.
@@ -261,6 +269,16 @@ def _family_tables(spec: KernelSpec, points: np.ndarray):
     ]
 
 
+def _grid_tables(spec: KernelSpec, grids) -> list:
+    """``_family_tables`` of each grid, from one call on all their nodes."""
+    ends = np.cumsum([grid.size for grid in grids])[:-1]
+    per_grid = [[] for _ in grids]
+    for g, u, v in _family_tables(spec, np.concatenate([grid.nodes for grid in grids])):
+        for tables, u_part, v_part in zip(per_grid, np.split(u, ends), np.split(v, ends)):
+            tables.append((g, u_part, v_part))
+    return per_grid
+
+
 def nystrom_matrix(spec: KernelSpec, grid: QuadratureGrid) -> NystromOperator:
     """Assemble the dense Nystrom matrix on the grid's nodes.
 
@@ -268,15 +286,23 @@ def nystrom_matrix(spec: KernelSpec, grid: QuadratureGrid) -> NystromOperator:
     form of the kernel keeps assembly at O(N) function evaluations plus
     O(N^2) arithmetic.
     """
-    x = grid.nodes
-    g_matrix = np.zeros((len(x), len(x)))
-    for g, u, v in _family_tables(spec, x):
-        # rows are collocation s_i, columns integration t_j; nodes ascending,
-        # so i >= j means t_j <= s_i and the u(min) v(max) split is triangular
-        g_matrix += g * (
-            np.tril(np.outer(v, u)) + np.triu(np.outer(u, v), k=1)
-        )
-    a_matrix = -g_matrix * (grid.weights / grid.nodes**2)[None, :]
+    return _nystrom_assembly(grid, _family_tables(spec, grid.nodes))
+
+
+def _nystrom_assembly(grid: QuadratureGrid, tables) -> NystromOperator:
+    """The Nystrom matrix from the grid and its ``_family_tables`` at the nodes."""
+    n = grid.size
+    # rows are collocation s_i, columns integration t_j; nodes ascending, so
+    # i >= j means t_j <= s_i and g = v(s_i) u(t_j).  The rest is the mirror
+    # image, since u(s_i) v(t_j) is the same product as v(t_j) u(s_i).
+    lower = np.zeros((n, n))
+    for g, u, v in tables:
+        term = np.multiply.outer(v, u)
+        term *= g
+        lower += term
+    a_matrix = np.where(np.tri(n, dtype=bool), lower, lower.T)
+    np.negative(a_matrix, out=a_matrix)
+    a_matrix *= grid.weights / grid.nodes**2
     if not np.all(np.isfinite(a_matrix)):
         raise ValueError("Nystrom matrix contains non-finite entries")
     return NystromOperator(grid=grid, matrix=a_matrix)
@@ -536,6 +562,13 @@ def sweep(
     that cannot be built raise ValueError before any point is computed;
     numeric failures at a point are recorded in ``report.failures`` instead
     of aborting the sweep.
+
+    The radii go in chunks of at most ``_CHUNK_NODES`` grid nodes (at least
+    one radius each), and the family tables of a chunk's grids come from
+    one Riccati call per order and family on all their nodes, which gives
+    each node the bits of a call on its own grid.  A chunk whose tables
+    raise a numeric error is redone one radius at a time, so every failing
+    radius records the message it gets alone.
     """
     r_min = float(r_min)
     r_max = float(r_max)
@@ -544,22 +577,35 @@ def sweep(
     if steps < 2:
         raise ValueError("steps must be >= 2")
     spec.terms()  # non-integer orders fail here, not at every point
+    panel_counts = (panels_count, 2 * panels_count) if refine else (panels_count,)
+    radius_nodes = sum(panel_counts) * nodes_per_panel
+    chunk_radii = max(1, _CHUNK_NODES // max(radius_nodes, 1))
+    radii = np.linspace(r_min, r_max, steps).tolist()
     rows = []
     failures = []
-    for r in np.linspace(r_min, r_max, steps):
-        r = float(r)
-        grid = build_grid(r, panels_count, nodes_per_panel, grading=grading)
-        if refine:
-            fine = build_grid(r, 2 * panels_count, nodes_per_panel, grading=grading)
+    for start in range(0, steps, chunk_radii):
+        chunk = radii[start:start + chunk_radii]
+        grids = [
+            build_grid(r, count, nodes_per_panel, grading=grading)
+            for r in chunk for count in panel_counts
+        ]
         try:
-            sigma = min_singular_value(nystrom_matrix(spec, grid)).sigma_min
-            delta = None
-            if refine:
-                sigma_fine = min_singular_value(nystrom_matrix(spec, fine)).sigma_min
-                delta = abs(sigma_fine - sigma)
-            rows.append((r, sigma, delta))
-        except NUMERIC_ERRORS as exc:  # per-point failures must not kill the scan
-            failures.append((r, str(exc)))
+            tables = _grid_tables(spec, grids)
+        except NUMERIC_ERRORS:  # each radius redoes its own, for its own message
+            tables = [None] * len(grids)
+        for i, r in enumerate(chunk):
+            own = slice(i * len(panel_counts), (i + 1) * len(panel_counts))
+            try:
+                sigmas = []
+                for grid, grid_tables in zip(grids[own], tables[own]):
+                    if grid_tables is None:
+                        grid_tables = _family_tables(spec, grid.nodes)
+                    op = _nystrom_assembly(grid, grid_tables)
+                    sigmas.append(min_singular_value(op).sigma_min)
+                delta = abs(sigmas[1] - sigmas[0]) if refine else None
+                rows.append((r, sigmas[0], delta))
+            except NUMERIC_ERRORS as exc:  # per-point failures must not kill the scan
+                failures.append((r, str(exc)))
     return ScanReport(
         columns=("r", "sigma_min", "refinement_delta"),
         rows=rows,

@@ -64,8 +64,10 @@ class ScanReport:
 
 
 def _parse_csv(text: str) -> ScanReport:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    # every line after the header is a row: an empty one is a one-column
+    # row whose cell is None
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
         raise ValueError("empty CSV report")
     columns = tuple(lines[0].split(","))
     rows = []

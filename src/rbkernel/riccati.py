@@ -20,7 +20,8 @@ Evaluation strategy, chosen for double precision:
   forward recurrence from the exact u_0, u_1 seeds, which is neutral there
   and keeps errors at a few ulps of the oscillation amplitude; otherwise by
   backward Miller-style recurrence normalized against the closed forms of
-  u_0 / u_1;
+  u_0 / u_1, which keeps a three-row window, so n radii take O(n) memory
+  at any order;
 
 * ``v_m`` always by forward recurrence, which is stable because v_m is the
   dominant solution as the order grows;
@@ -157,13 +158,15 @@ def _regular_forward(m: int, r: np.ndarray):
 
 
 def _regular_backward(m: int, r):
-    """Unnormalized table f_0..f_top by backward recurrence, plus the scale.
+    """(u_m, u_{m-1}) by backward Miller recurrence, for m >= 2.
 
-    Returns the table ``f`` (one column per radius) and the factors ``lam``
-    such that ``lam * f[k]`` is u_k(r).  Each radius starts its recurrence at
-    its own ``top = max(m, ceil r) + _MILLER_PAD``; rows above it stay zero.
-    The normalization reference is whichever of u_0, u_1 is larger in
-    magnitude, so that zeros of sin(r) cannot poison the scale.
+    The unnormalized f_k run down from f_top = 1e-300 (an arbitrary tiny
+    seed; the scale drops out), each radius from its own
+    ``top = max(m, ceil r) + _MILLER_PAD`` with zeros above it, and are
+    scaled to u_k by whichever of u_0, u_1 is larger in magnitude, so that
+    zeros of sin(r) cannot poison the scale.  Only the rows f_{k+1}, f_k,
+    f_{k-1} of the current step and the rows m and m - 1 are held, so a
+    batch of n radii takes O(n) memory whatever the order.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     top = np.maximum(m, np.ceil(r)).astype(int) + _MILLER_PAD
@@ -173,22 +176,27 @@ def _regular_backward(m: int, r):
     # whose bound keeps the 1e-300 seed well under the limit never rescales.
     growth = np.sum(np.log10((2 * np.arange(1, kmax + 1) + 1) / r.min() + 1.0))
     may_rescale = growth - 300.0 > math.log10(_RESCALE_LIMIT) - 1.0
-    f = np.zeros((kmax + 2, r.size))
-    coef = (2 * np.arange(kmax + 1) + 1)[:, None] / r  # coef[k] = (2k + 1) / r
+    above, cur, new = np.zeros_like(r), np.zeros_like(r), np.empty_like(r)
+    saved = {}  # f_m and f_{m-1}, once the recurrence has reached them
     for k in range(kmax, 0, -1):
         if k in starts:
-            f[k, top == k] = 1e-300  # arbitrary tiny seed; scale drops out
-        row = f[k - 1]
-        np.multiply(coef[k], f[k], out=row)
-        row -= f[k + 1]
+            cur[top == k] = 1e-300
+        np.divide(2 * k + 1, r, out=new)
+        new *= cur
+        new -= above  # f_{k-1} = ((2k + 1)/r) f_k - f_{k+1}
         if may_rescale:
-            big = np.abs(f[k - 1]) > _RESCALE_LIMIT
+            big = np.abs(new) > _RESCALE_LIMIT
             if big.any():
-                f[k - 1:, big] *= 1e-250
+                for row in (new, cur, *saved.values()):
+                    row[big] *= 1e-250
+        if k - 1 in (m, m - 1):
+            saved[k - 1] = new.copy()
+        above, cur, new = cur, new, above
+    f0, f1 = cur, above
     u0 = np.sin(r)
     u1 = u0 / r - np.cos(r)
-    lam = np.where(np.abs(u0) >= np.abs(u1), u0 / f[0], u1 / f[1])
-    return f, lam
+    lam = np.where(np.abs(u0) >= np.abs(u1), u0 / f0, u1 / f1)
+    return lam * saved[m], lam * saved[m - 1]
 
 
 def _regular(m: int, r: np.ndarray):
@@ -217,9 +225,7 @@ def _regular(m: int, r: np.ndarray):
         if forward.any():
             value[forward], below[forward] = _regular_forward(m, r[forward])
         if backward.any():
-            f, lam = _regular_backward(m, r[backward])
-            value[backward] = lam * f[m]
-            below[backward] = lam * f[m - 1]
+            value[backward], below[backward] = _regular_backward(m, r[backward])
     derivative = np.zeros_like(r)
     # a subnormal or zero u_m at r > 0 is a series value that lost digits to
     # underflow (r^(m+1)/(2m+1)!! < 2.2e-308), so the ladder would lose

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from rbkernel import (
@@ -16,6 +17,7 @@ from rbkernel import (
 from rbkernel.cli import build_parser, main
 from rbkernel.counterexample import P_ROUTES
 from rbkernel.operator import dump_matrix
+from rbkernel.report import fmt_float
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +89,29 @@ class TestPScan:
     def test_validation(self, capsys):
         code, _, err = run_cli(capsys, "p-scan", "--r-min", "2", "--r-max", "1")
         assert code == 2 and "r-min" in err
+
+    def test_wronskian_route_is_one_array_pass(self, capsys, monkeypatch):
+        import rbkernel.counterexample as cx_module
+
+        calls = []
+
+        def counted(evaluate):
+            def wrapper(m, r):
+                calls.append((evaluate.__name__, m, np.size(r)))
+                return evaluate(m, r)
+            return wrapper
+
+        for evaluate in (cx_module.eval_regular, cx_module.eval_irregular):
+            monkeypatch.setattr(cx_module, evaluate.__name__, counted(evaluate))
+        code, out, _ = run_cli(capsys, "p-scan", "--r-min", "0.3", "--r-max", "5",
+                               "--steps", "1001", "--route", "wronskian")
+        assert code == 0
+        assert sorted(calls) == [("eval_irregular", 0, 1001), ("eval_regular", 2, 1001)]
+        monkeypatch.undo()
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [(float(r), p) for r, p in rows] == [
+            (float(r), fmt_float(P_ROUTES["wronskian"](float(r)).value)) for r, _ in rows
+        ]
 
     def test_route_choices_follow_the_route_table(self):
         commands = next(a for a in build_parser()._actions if a.dest == "command")

@@ -75,6 +75,27 @@ class TestWronskianRoute:
     def test_matches_explicit(self, r):
         assert abs(p_wronskian(r).value - p_explicit(r).value) <= 1e-10
 
+    def test_array_gives_the_bits_of_per_point_calls(self):
+        # every Riccati branch of u_2 (series, backward, forward), underflowed
+        # series values and the p-scan range
+        radii = np.concatenate([
+            [5e-324, 1e-310, 1e-200, 1e-155, 0.3, 0.5, 2.4431401944938766],
+            np.geomspace(1e-3, 800.0, 200),
+            np.linspace(0.3, 5.0, 1001),
+        ])
+        batch = p_wronskian(radii)
+        assert batch.route == "wronskian" and np.array_equal(batch.r, radii)
+        alone = np.array([p_wronskian(float(r)).value for r in radii])
+        assert np.array_equal(batch.value.view(np.int64), alone.view(np.int64))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_array_rejects_a_bad_radius_like_a_scalar(self, bad):
+        with pytest.raises(ValueError) as scalar:
+            p_wronskian(bad)
+        with pytest.raises(ValueError) as batch:
+            p_wronskian(np.array([1.0, bad, 2.0]))
+        assert str(batch.value) == str(scalar.value)
+
 
 class TestSeriesRoute:
     def test_leading_term_dominates_near_zero(self):

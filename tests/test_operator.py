@@ -18,8 +18,11 @@ from rbkernel import (
     min_singular_value,
     nystrom_matrix,
     self_adjoint_certificate,
+    solve_gamma,
+    SpectralResult,
     spectral_grid,
     sweep,
+    validate_sets,
 )
 
 # (K u_2)(0.5) at r = 1 equals u_2(0.5) + p(1) u_0(0.5); 40-digit oracle value
@@ -372,14 +375,14 @@ class TestSweep:
         assert all(d is None for d in plain.column("refinement_delta"))
 
     def test_per_point_failures_recorded(self, reference_spec, monkeypatch):
-        real = op_module.nystrom_matrix
+        real = op_module._nystrom_assembly
 
-        def flaky(spec, grid):
+        def flaky(grid, tables):
             if abs(grid.r - 1.0) < 1e-12:
                 raise ValueError("synthetic failure")
-            return real(spec, grid)
+            return real(grid, tables)
 
-        monkeypatch.setattr(op_module, "nystrom_matrix", flaky)
+        monkeypatch.setattr(op_module, "_nystrom_assembly", flaky)
         report = op_module.sweep(reference_spec, 0.5, 1.5, 3)
         assert len(report.rows) == 2
         assert len(report.failures) == 1
@@ -410,3 +413,97 @@ class TestSweep:
         # an unbuildable grid is an argument error, not a per-point failure
         with pytest.raises(ValueError, match="panels_count"):
             sweep(reference_spec, 1.0, 2.0, 3, panels_count=0)
+
+
+
+def per_radius_sweep(spec, r_min, r_max, steps, panels_count=8, nodes_per_panel=12,
+                     grading=2.0, refine=False):
+    """sweep's rows and failures from one nystrom_matrix per grid, radius by radius."""
+    rows, failures = [], []
+    for r in np.linspace(r_min, r_max, steps).tolist():
+        try:
+            sigmas = [
+                min_singular_value(nystrom_matrix(
+                    spec, build_grid(r, count, nodes_per_panel, grading=grading)
+                )).sigma_min
+                for count in ((panels_count, 2 * panels_count) if refine else (panels_count,))
+            ]
+            rows.append((r, sigmas[0], abs(sigmas[1] - sigmas[0]) if refine else None))
+        except op_module.NUMERIC_ERRORS as exc:
+            failures.append((r, str(exc)))
+    return rows, failures
+
+
+THREE_TERMS = ([0, 4, 8], [2, 6, 10])
+
+
+class TestBatchedSweep:
+    """The chunked sweep against a per-radius loop, compared with == throughout."""
+
+    @pytest.fixture
+    def table_calls(self, monkeypatch):
+        calls = []
+        real = op_module._family_tables
+
+        def counted(spec, points):
+            calls.append(len(points))
+            return real(spec, points)
+
+        monkeypatch.setattr(op_module, "_family_tables", counted)
+        return calls
+
+    @pytest.mark.parametrize("sets", [([0], [2]), THREE_TERMS])
+    @pytest.mark.parametrize("grading", [1.0, 2.0])
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_rows_equal_the_per_radius_loop(self, sets, grading, refine, table_calls):
+        spec = solve_gamma(validate_sets(*sets))
+        report = sweep(spec, 0.5, 4.5, 6, panels_count=4, nodes_per_panel=6,
+                       grading=grading, refine=refine)
+        assert table_calls == [6 * (3 if refine else 1) * 24]  # one batch
+        assert (report.rows, report.failures) == per_radius_sweep(
+            spec, 0.5, 4.5, 6, panels_count=4, nodes_per_panel=6,
+            grading=grading, refine=refine,
+        )
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_failing_chunk_falls_back_per_radius(self, refine, table_calls):
+        # v_30 overflows at the first node of r = 1e-5: the batch raises, and
+        # each radius redoes its own tables
+        spec = solve_gamma(validate_sets([0, 30], [2, 40]))
+        report = sweep(spec, 1e-5, 1.0, 5, refine=refine)
+        # the batch, then each radius; r = 1e-5 stops at its first grid's tables
+        assert len(table_calls) == (1 + 1 + 4 * 2 if refine else 1 + 5)
+        assert report.failures == [
+            (1e-05, "v_30(1.4405754494750553e-09) overflows double precision")
+        ]
+        assert len(report.rows) == 4
+        assert (report.rows, report.failures) == per_radius_sweep(
+            spec, 1e-5, 1.0, 5, refine=refine
+        )
+
+    @pytest.mark.parametrize("chunk_nodes", [1, 200, 300, 600])
+    def test_chunk_boundaries(self, monkeypatch, table_calls, chunk_nodes):
+        # 96 + 192 nodes a radius: 1 radius a chunk at 1, 200 and 300 nodes
+        # (a radius never splits), 2 at 600; the failing first chunk falls back
+        monkeypatch.setattr(op_module, "_CHUNK_NODES", chunk_nodes)
+        spec = solve_gamma(validate_sets([0, 30], [2, 40]))
+        report = sweep(spec, 1e-5, 2.0, 7, refine=True)
+        per_chunk = max(1, chunk_nodes // 288)
+        batches = [n for n in table_calls if n > 192]
+        assert len(batches) == -(-7 // per_chunk)
+        assert max(batches) == per_chunk * 288
+        assert (report.rows, report.failures) == per_radius_sweep(
+            spec, 1e-5, 2.0, 7, refine=True
+        )
+        assert len(report.failures) == 1
+
+    def test_chunks_hold_at_most_the_chunk_nodes(self, monkeypatch, table_calls):
+        # 128 x 12 nodes and its doubled grid: 14 radii (64512 nodes) a chunk;
+        # the matrices are stubbed out, only the tables are measured
+        monkeypatch.setattr(op_module, "_nystrom_assembly", lambda grid, tables: None)
+        monkeypatch.setattr(op_module, "min_singular_value",
+                            lambda op: SpectralResult(sigma_min=0.0, operator=op))
+        report = sweep(solve_gamma(validate_sets([0], [2])), 1.0, 1.1, 29,
+                       panels_count=128, nodes_per_panel=12, refine=True)
+        assert table_calls == [14 * 4608, 14 * 4608, 4608]
+        assert len(report.rows) == 29

@@ -9,7 +9,6 @@ from scipy.special import spherical_jn, spherical_yn
 
 from rbkernel import eval_irregular, eval_regular, wronskian
 from rbkernel.riccati import (
-    _MILLER_PAD,
     SERIES_CROSSOVER,
     _regular_backward,
     _regular_series,
@@ -138,8 +137,7 @@ class TestBranchAgreement:
                 if m in closed:
                     other = closed[m]
                 else:
-                    table, lam = _regular_backward(m, r)
-                    other = lam * table[m]
+                    other = float(_regular_backward(m, r)[0][0])
                 assert abs(series - other) <= 1e-12 * abs(other), (m, r)
 
     def test_crossover_constant(self):
@@ -240,9 +238,16 @@ class TestArrayEvaluation:
             assert (alone.value, alone.derivative) == (value[i], derivative[i]), (m, r)
 
     def test_rescale_path_is_exercised(self):
-        table, _ = _regular_backward(200, 0.6)
-        # the 1e-300 seed at the start row was scaled down by the rescale
-        assert table[200 + _MILLER_PAD, 0] < 1e-300
+        # the recurrence from the 1e-300 seed at order m + _MILLER_PAD grows
+        # past 1e308 on its way down to order 0 (by ~1e660 at (30, 1e-7)), so
+        # u_m and u_{m-1}, both normal doubles, come out right only because
+        # it rescales; without the rescale they are inf or nan
+        for m, r in ((30, 1e-7), (20, 1e-10)):
+            value, below = _regular_backward(m, r)
+            for got, order in ((value[0], m), (below[0], m - 1)):
+                expected = mp_regular(order, r)
+                assert abs(got - expected) <= 1e-12 * abs(expected), (m, r, order)
+        assert np.isfinite(eval_regular(200, 0.6).value)  # rescaled, underflows to 0
 
     def test_float_in_gives_python_floats(self):
         for pair in (eval_regular(2, 1.5), eval_regular(3, 0.2), eval_regular(0, 0),
