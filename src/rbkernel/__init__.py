@@ -42,6 +42,7 @@ from .operator import (
     SpectralResult,
     apply_operator,
     build_grid,
+    certificate_sigma,
     kink_exact_matrix,
     min_singular_value,
     nystrom_matrix,
@@ -81,6 +82,7 @@ __all__ = [
     "apply_operator",
     "min_singular_value",
     "self_adjoint_certificate",
+    "certificate_sigma",
     "sweep",
     "ScanReport",
     "read_report",

@@ -43,6 +43,7 @@ from .operator import (
     SelfAdjointCertificate,
     apply_operator,
     build_grid,
+    certificate_sigma,
     kink_exact_matrix,
     self_adjoint_certificate,
 )
@@ -344,6 +345,10 @@ def _default_points(r: float, count: int = 20) -> np.ndarray:
     return np.linspace(r / count, r, count)
 
 
+def _u2(t):
+    return eval_regular(2, t).value
+
+
 def check_identity(r, s_points=None, tol: float = DEFAULT_QUAD_TOL) -> float:
     """Max residual of (K u_2)(s) - u_2(s) - p(r) u_0(s) over the points.
 
@@ -353,11 +358,17 @@ def check_identity(r, s_points=None, tol: float = DEFAULT_QUAD_TOL) -> float:
     """
     r = _check_radius(r)
     points = _default_points(r) if s_points is None else np.asarray(s_points, float)
+    return _identity_residual(
+        r, points, lambda: apply_operator(reference_spec(), r, _u2, points, tol=tol)
+    )
+
+
+def _identity_residual(r: float, points: np.ndarray, k_u2) -> float:
+    """:func:`check_identity` at a checked radius, with (K u_2)(points) from ``k_u2()``."""
     if np.any(points <= 0.0) or np.any(points > r):
         raise ValueError("identity check points must lie in (0, r]")
     p_r = p_explicit(r).value
-    j = apply_operator(reference_spec(), r, lambda t: _u(2, t), points, tol=tol)
-    residual = np.abs(j - _u(2, points) - p_r * _u(0, points))
+    residual = np.abs(k_u2() - _u(2, points) - p_r * _u(0, points))
     return float(np.max(residual, initial=0.0))
 
 
@@ -408,6 +419,14 @@ def verify_counterexample(r_override=None) -> VerificationReport:
     away from the root); one whose grid cannot be built raises ValueError
     before any step runs.  A numeric error inside a step is recorded as a
     failed step, and any other exception propagates.
+
+    (K u_2) at the radius used is computed once, on the 20 points of
+    :func:`check_identity`, and both the identity step's term at that radius
+    and the equation step read it (with the error it raised, if any).  Every
+    |1 - lambda| comes from eigenvalues alone (``np.linalg.eigvalsh``):
+    :func:`rbkernel.operator.certificate_sigma` for the four off-root values,
+    and :func:`rbkernel.operator.self_adjoint_certificate` at the radius
+    used, whose one ``np.linalg.eigh`` gives only the null vector.
     """
     steps = []
 
@@ -437,16 +456,31 @@ def verify_counterexample(r_override=None) -> VerificationReport:
     r_used = float(r_override) if r_override is not None else r_star
     grid_at_r = grid(r_used)
 
+    # K u_2 at r_used's default points, or the numeric error computing it
+    # raised: the identity step's r_used term and the equation step share it.
+    points = _default_points(r_used)
     try:
-        record("identity_residual", max(check_identity(r) for r in (1.0, r_used, 3.0)))
+        k_u2 = apply_operator(spec, r_used, _u2, points)
+    except NUMERIC_ERRORS as exc:
+        k_u2 = exc
+
+    def k_u2_at_r_used():
+        if isinstance(k_u2, Exception):
+            raise k_u2
+        return k_u2
+
+    try:
+        record("identity_residual", max(
+            check_identity(1.0),
+            _identity_residual(r_used, points, k_u2_at_r_used),
+            check_identity(3.0),
+        ))
     except NUMERIC_ERRORS as exc:
         record("identity_residual", None, f"identity_check ({exc})")
 
     try:
-        points = _default_points(r_used)
-        record("equation_residual", float(np.max(np.abs(
-            _u(2, points) - apply_operator(spec, r_used, lambda t: _u(2, t), points)
-        ))))
+        record("equation_residual",
+               float(np.max(np.abs(_u(2, points) - k_u2_at_r_used()))))
     except NUMERIC_ERRORS as exc:
         record("equation_residual", None, f"equation_check ({exc})")
 
@@ -460,9 +494,7 @@ def verify_counterexample(r_override=None) -> VerificationReport:
 
     try:
         off_root = {
-            (r, count): self_adjoint_certificate(
-                kink_exact_matrix(spec, grid(r, count))
-            ).sigma_min
+            (r, count): certificate_sigma(kink_exact_matrix(spec, grid(r, count)))
             for r in (1.0, 3.0)
             for count in (panels, 2 * panels)
         }

@@ -30,13 +30,16 @@ its mirror image.
 
 Both matrices act on values at the grid nodes.  K is self-adjoint on
 L^2((0, r], t^-2 dt), and ``D = sqrt(w)/t`` maps node values to vectors
-whose Euclidean norm is that norm, so ``self_adjoint_certificate`` takes the
-eigenvalues of the symmetric form ``D A D^-1`` with one symmetric
-eigensolve: min |1 - lambda| measures how close h = K h is to having a
+whose Euclidean norm is that norm, so min |1 - lambda| over the eigenvalues
+of the symmetric form ``D A D^-1`` measures how close h = K h is to having a
 nontrivial solution, on a scale that does not depend on the grid.
-``verify`` uses it on the kink-exact matrix of the
-``DEFAULT_CERTIFICATE_*`` grid, 8 uniform panels x 16 nodes, where it
-reaches rounding level at the singular radius.
+``certificate_sigma`` takes it from the eigenvalues alone
+(``np.linalg.eigvalsh``, LAPACK's values-only symmetric eigensolver);
+``self_adjoint_certificate`` takes the same values, bit for bit, from the
+same call, and one ``np.linalg.eigh`` for the null vector.  ``verify`` uses
+them on the kink-exact matrix of the ``DEFAULT_CERTIFICATE_*`` grid,
+8 uniform panels x 16 nodes, where min |1 - lambda| reaches rounding level
+at the singular radius.
 
 ``min_singular_value`` returns the smallest singular value of I - A from a
 values-only SVD, which forms neither singular-vector matrix; the right
@@ -86,6 +89,7 @@ __all__ = [
     "apply_operator",
     "min_singular_value",
     "self_adjoint_certificate",
+    "certificate_sigma",
     "dump_matrix",
     "sweep",
 ]
@@ -279,6 +283,14 @@ def _grid_tables(spec: KernelSpec, grids) -> list:
     return per_grid
 
 
+def _node_squares(grid: QuadratureGrid) -> np.ndarray:
+    """t*t at the grid's nodes; ValueError if it underflows to 0 at any of them."""
+    squares = grid.nodes**2
+    if not squares.all():
+        raise ValueError(f"t*t underflows to 0 at the nodes of radius {grid.r!r}")
+    return squares
+
+
 def nystrom_matrix(spec: KernelSpec, grid: QuadratureGrid) -> NystromOperator:
     """Assemble the dense Nystrom matrix on the grid's nodes.
 
@@ -291,6 +303,7 @@ def nystrom_matrix(spec: KernelSpec, grid: QuadratureGrid) -> NystromOperator:
 
 def _nystrom_assembly(grid: QuadratureGrid, tables) -> NystromOperator:
     """The Nystrom matrix from the grid and its ``_family_tables`` at the nodes."""
+    node_squares = _node_squares(grid)
     n = grid.size
     # rows are collocation s_i, columns integration t_j; nodes ascending, so
     # i >= j means t_j <= s_i and g = v(s_i) u(t_j).  The rest is the mirror
@@ -302,7 +315,8 @@ def _nystrom_assembly(grid: QuadratureGrid, tables) -> NystromOperator:
         lower += term
     a_matrix = np.where(np.tri(n, dtype=bool), lower, lower.T)
     np.negative(a_matrix, out=a_matrix)
-    a_matrix *= grid.weights / grid.nodes**2
+    with np.errstate(all="ignore"):  # the finiteness check below reports it
+        a_matrix *= grid.weights / node_squares
     if not np.all(np.isfinite(a_matrix)):
         raise ValueError("Nystrom matrix contains non-finite entries")
     return NystromOperator(grid=grid, matrix=a_matrix)
@@ -356,34 +370,58 @@ def kink_exact_matrix(spec: KernelSpec, grid: QuadratureGrid) -> NystromOperator
     """
     lower = _cumulative_integration(grid)
     upper = grid.weights[None, :] - lower
-    t2 = grid.nodes**2
+    t2 = _node_squares(grid)
     a_matrix = np.zeros_like(lower)
     for g, u, v in _family_tables(spec, grid.nodes):
-        a_matrix -= g * (
-            v[:, None] * lower * (u / t2)[None, :] + u[:, None] * upper * (v / t2)[None, :]
-        )
+        with np.errstate(all="ignore"):  # the finiteness check below reports it
+            a_matrix -= g * (
+                v[:, None] * lower * (u / t2)[None, :] + u[:, None] * upper * (v / t2)[None, :]
+            )
     if not np.all(np.isfinite(a_matrix)):
         raise ValueError("kink-exact matrix contains non-finite entries")
     return NystromOperator(grid=grid, matrix=a_matrix)
 
 
+def _symmetric_form(op: NystromOperator):
+    """S = D A D^-1 with D = sqrt(w)/t, and its symmetric part (S + S^T)/2."""
+    scaling = op.grid.l2_scaling
+    form = scaling[:, None] * op.matrix / scaling[None, :]
+    return form, 0.5 * (form + form.T)
+
+
+def _distances_from_one(symmetric: np.ndarray) -> np.ndarray:
+    """|1 - lambda| of a symmetric matrix, ascending, from its eigenvalues alone."""
+    return np.sort(np.abs(1.0 - np.linalg.eigvalsh(symmetric)))
+
+
+def certificate_sigma(op: NystromOperator) -> float:
+    """min |1 - lambda| over the eigenvalues of D A D^-1, from eigenvalues alone.
+
+    The same value, bit for bit, as ``self_adjoint_certificate(op).sigma_min``,
+    without the eigenvectors or the asymmetry.
+    """
+    return float(_distances_from_one(_symmetric_form(op)[1])[0])
+
+
 def self_adjoint_certificate(op: NystromOperator) -> SelfAdjointCertificate:
-    """|1 - lambda| for the eigenvalues of D A D^-1, from one symmetric eigensolve.
+    """|1 - lambda| for the eigenvalues of D A D^-1, and the null vector.
 
     K is self-adjoint on L^2((0, r], t^-2 dt), so S = D A D^-1 with
-    D = sqrt(w)/t is symmetric up to discretization and rounding; its
-    symmetric part goes to ``np.linalg.eigh``.  A near-zero ``sigma_min``
-    certifies a nontrivial discrete solution of h = K h.
+    D = sqrt(w)/t is symmetric up to discretization and rounding.
+    ``sigma_min`` and ``next_sigma`` come from the eigenvalues of its
+    symmetric part alone (``np.linalg.eigvalsh``, as in
+    :func:`certificate_sigma`); one ``np.linalg.eigh`` gives the null
+    vector, the eigenvector of its own eigenvalue nearest 1.  A near-zero
+    ``sigma_min`` certifies a nontrivial discrete solution of h = K h.
     """
-    scaling = op.grid.l2_scaling
-    symmetric_form = scaling[:, None] * op.matrix / scaling[None, :]
-    asymmetry = float(np.max(np.abs(symmetric_form - symmetric_form.T)))
-    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (symmetric_form + symmetric_form.T))
-    distance = np.abs(1.0 - eigenvalues)
-    nearest, second = np.argsort(distance)[:2]
+    form, symmetric = _symmetric_form(op)
+    asymmetry = float(np.max(np.abs(form - form.T)))
+    distance = _distances_from_one(symmetric)
+    eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
+    nearest = np.argmin(np.abs(1.0 - eigenvalues))
     return SelfAdjointCertificate(
-        sigma_min=float(distance[nearest]),
-        next_sigma=float(distance[second]),
+        sigma_min=float(distance[0]),
+        next_sigma=float(distance[1]),
         asymmetry=asymmetry,
         null_vector=eigenvectors[:, nearest].copy(),
         operator=op,

@@ -14,6 +14,7 @@ from rbkernel import (
     read_report,
     reference_spec,
 )
+import rbkernel.cli as cli_module
 from rbkernel.cli import build_parser, main
 from rbkernel.counterexample import P_ROUTES
 from rbkernel.operator import dump_matrix
@@ -236,6 +237,60 @@ class TestVerify:
                 main(["verify", *argv])
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestSmallRadiusUnderflow:
+    """Below about 1e-159, t*t underflows to 0 at the grid nodes: each command
+    says so once per failure, and numpy prints nothing."""
+
+    @staticmethod
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "rbkernel.cli", *argv],
+                              capture_output=True, text=True)
+
+    def test_verify(self):
+        proc = self.run("verify", "--force-r", "1e-300")
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert ("FAIL  spectral_certificate (t*t underflows to 0 at the nodes of "
+                "radius 1e-300): failed to evaluate") in proc.stdout
+
+    def test_sweep(self):
+        proc = self.run("sweep", "--r-min", "1e-300", "--r-max", "1e-299", "--steps", "3")
+        assert proc.returncode == 0
+        assert proc.stdout == "r,sigma_min,refinement_delta\n"
+        assert proc.stderr.splitlines() == [
+            f"warning: point {r} failed: t*t underflows to 0 at the nodes of radius {r}"
+            for r in ("1e-300", "5.5e-300", "1e-299")
+        ]
+
+
+class TestParserReuse:
+    def test_main_reuses_one_parser(self):
+        assert cli_module._parser() is cli_module._parser()
+        assert build_parser() is not build_parser()
+        assert build_parser() is not cli_module._parser()
+
+    def test_repeated_calls_give_the_same_bytes(self, capsys):
+        for argv in (["gamma"], ["gamma", "--s", "0,4", "--t", "2,6"],
+                     ["find-root", "--format", "csv"], ["verify"]):
+            first = run_cli(capsys, *argv)
+            assert run_cli(capsys, *argv) == first
+        # the default sets are not changed by a call that overrode them
+        assert run_cli(capsys, "gamma") == (0, '{"gamma":[-6.0]}\n', "")
+
+    def test_usage_error_then_a_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--r-min", "1", "--r-max", "2", "--steps", "x"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        assert run_cli(capsys, "gamma") == (0, '{"gamma":[-6.0]}\n', "")
+        with pytest.raises(SystemExit):
+            main(["verify", "--panels", "4"])
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "find-root")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["R"] == find_root(2.0, 2.5).root
 
 
 class TestDeterminism:

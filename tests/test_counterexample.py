@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from rbkernel import (
+    ConvergenceError,
     apply_operator,
     check_identity,
     check_ode,
@@ -339,6 +340,65 @@ class TestVerifyCounterexample:
         assert not report.passed
         for step in ("identity_check", "equation_check"):
             assert (f"{step} (synthetic failure)", None, 1e-8, False) in report.steps
+
+    def test_one_eigh_and_three_quadratures(self, monkeypatch):
+        calls = {"eigh": 0, "eigvalsh": 0, "apply_operator": []}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                if name == "apply_operator":
+                    calls[name].append(args[1])
+                else:
+                    calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(cx_module, "apply_operator",
+                            counting("apply_operator", cx_module.apply_operator))
+        report = verify_counterexample()
+        assert report.passed
+        # eigh only for the null vector at R; every |1 - lambda| from eigvalsh
+        assert calls["eigh"] == 1
+        assert calls["eigvalsh"] == 5
+        # K u_2 at R once, shared by the identity and equation steps
+        assert sorted(calls["apply_operator"]) == sorted([1.0, report.r_used, 3.0])
+
+    def test_shared_quadrature_keeps_the_residuals(self, reference_spec):
+        report = verify_counterexample()
+        r = report.r_used
+        assert report.identity_residual == max(check_identity(x) for x in (1.0, r, 3.0))
+        points = np.linspace(r / 20, r, 20)
+        u2 = lambda t: eval_regular(2, t).value  # noqa: E731
+        assert report.equation_residual == float(np.max(np.abs(
+            u2(points) - apply_operator(reference_spec, r, u2, points))))
+
+    def test_failed_shared_quadrature_fails_both_steps(self, monkeypatch):
+        r_star = find_root(2.0, 2.5).root
+        original = cx_module.apply_operator
+
+        def failing_at_r_star(spec, r, *args, **kwargs):
+            if r == r_star:
+                raise ConvergenceError(f"synthetic failure at {r!r}")
+            return original(spec, r, *args, **kwargs)
+
+        monkeypatch.setattr(cx_module, "apply_operator", failing_at_r_star)
+        report = verify_counterexample()
+        assert not report.passed
+        message = f"synthetic failure at {r_star!r}"
+        assert report.steps[2:4] == [
+            (f"identity_check ({message})", None, 1e-8, False),
+            (f"equation_check ({message})", None, 1e-8, False),
+        ]
+        assert report.identity_residual is None and report.equation_residual is None
+        assert all(ok for _, _, _, ok in report.steps[4:])
+
+    def test_forced_radius_three_is_its_own_off_root_value(self):
+        # the radius used and r = 3 go through the same eigvalsh on the same matrix
+        report = verify_counterexample(r_override=3.0)
+        steps = {name: value for name, value, _, _ in report.steps}
+        assert steps["collapse_ratio"] == 1.0
 
     def test_certificate_does_not_import_scipy(self):
         # scipy is a test oracle only; the certificate path must not load it

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rbkernel import (
     QuadratureGrid,
     apply_operator,
     build_grid,
+    certificate_sigma,
     eval_regular,
     kink_exact_matrix,
     min_singular_value,
@@ -140,10 +142,21 @@ class TestKinkExactMatrix:
     @pytest.mark.parametrize("r", [1.0, "R", 3.0])
     def test_symmetric_in_the_weighted_norm(self, reference_spec, root_r, panels, nodes, r):
         grid = build_grid(root_r if r == "R" else r, panels, nodes, grading=1.0)
-        certificate = self_adjoint_certificate(kink_exact_matrix(reference_spec, grid))
+        op = kink_exact_matrix(reference_spec, grid)
+        certificate = self_adjoint_certificate(op)
         assert certificate.asymmetry <= 1e-10
         assert np.linalg.norm(certificate.null_vector) == pytest.approx(1.0, rel=1e-14)
         assert certificate.sigma_min <= certificate.next_sigma
+        # sigma_min and next_sigma come from eigvalsh, the null vector from eigh
+        assert certificate.sigma_min == certificate_sigma(op)
+        scaling = op.grid.l2_scaling
+        form = scaling[:, None] * op.matrix / scaling[None, :]
+        eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (form + form.T))
+        distance = np.abs(1.0 - eigenvalues)
+        nearest = np.argmin(distance)
+        assert abs(certificate.sigma_min - distance[nearest]) <= 1e-14
+        assert abs(certificate.next_sigma - np.sort(distance)[1]) <= 1e-14
+        assert np.array_equal(certificate.null_vector, eigenvectors[:, nearest])
 
     def test_independent_routes_agree_off_root(self, reference_spec):
         kink = self_adjoint_certificate(
@@ -166,6 +179,46 @@ class TestKinkExactMatrix:
         samples = u2(grid.nodes) * grid.l2_scaling
         samples /= np.linalg.norm(samples)
         assert abs(float(certificate.null_vector @ samples)) == pytest.approx(1.0, abs=1e-14)
+
+
+class TestNodeUnderflow:
+    """t*t underflows to 0 at the nodes below about 1e-159: K is defined there,
+    but neither matrix can be formed in double precision."""
+
+    @pytest.mark.parametrize("build", [kink_exact_matrix, nystrom_matrix])
+    @pytest.mark.parametrize("r", [1e-300, 5.5e-300, 1e-170])
+    def test_named_value_error(self, reference_spec, build, r):
+        grid = build_grid(r, 8, 16, grading=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"t\*t underflows to 0 at the nodes of radius {r!r}$"):
+                build(reference_spec, grid)
+
+    def test_kink_exact_overflow_is_reported_without_warnings(self, reference_spec):
+        # t*t is subnormal, not 0, at the first nodes; v_0 / t^2 overflows
+        grid = build_grid(1e-155, 8, 16, grading=1.0)
+        assert np.all(grid.nodes**2 > 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="kink-exact matrix contains non-finite entries"):
+                kink_exact_matrix(reference_spec, grid)
+
+    @pytest.mark.parametrize("r", [2e-151, 1.2e-151])
+    def test_subnormal_squares_still_assemble(self, reference_spec, r):
+        grid = build_grid(r, 8, 16, grading=1.0)
+        assert np.any(grid.nodes**2 < np.finfo(float).tiny)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (kink_exact_matrix, nystrom_matrix):
+                assert np.all(np.isfinite(build(reference_spec, grid).matrix))
+
+    def test_sweep_records_the_message_per_radius(self, reference_spec):
+        report = sweep(reference_spec, 1e-300, 1e-299, 3)
+        assert report.rows == []
+        assert [message for _, message in report.failures] == [
+            f"t*t underflows to 0 at the nodes of radius {r!r}"
+            for r in (1e-300, 5.5e-300, 1e-299)
+        ]
 
 
 class TestApplyOperator:
