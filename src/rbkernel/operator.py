@@ -109,9 +109,10 @@ DEFAULT_QUAD_TOL = 1e-10
 
 _MAX_DOUBLINGS = 14
 
-# Most quadrature nodes apply_operator holds at once: a doubling level's rows
-# are processed in chunks of at most this many nodes (one row may exceed it),
-# so a call that fails to converge stays within a few rows' worth of memory.
+# Most quadrature nodes apply_operator holds at once: a pass's rows are
+# processed in chunks of at most this many nodes over all the pass's levels
+# (one row may exceed it), so a call that fails to converge stays within a
+# few rows' worth of memory.
 # sweep tabulates the Riccati functions on chunks of radii of at most this
 # many grid nodes (one radius may exceed it), so a long sweep stays bounded.
 _CHUNK_NODES = 2**16
@@ -366,17 +367,33 @@ def kink_exact_matrix(spec: KernelSpec, grid: QuadratureGrid) -> NystromOperator
 
     the discrete form of :func:`apply_operator`'s split at t = s.  The grid
     must have the same Gauss-Legendre rule on every panel, as
-    :func:`build_grid` gives.
+    :func:`build_grid` gives.  A column that is not finite this way (1/t^2
+    overflows where t*t is subnormal) is formed dividing by t twice instead.
+    Caveat: at high orders (S = {0, 4, 8}, T = {2, 6, 10}) D A D^-1 is far
+    from symmetric (max |S - S^T| ~30 at 12 nodes a panel, ~5e3 at 16) and
+    min |1 - lambda| moves with the nodes per panel.
     """
     lower = _cumulative_integration(grid)
     upper = grid.weights[None, :] - lower
+    t = grid.nodes
     t2 = _node_squares(grid)
+    tables = _family_tables(spec, t)
     a_matrix = np.zeros_like(lower)
-    for g, u, v in _family_tables(spec, grid.nodes):
-        with np.errstate(all="ignore"):  # the finiteness check below reports it
+    with np.errstate(all="ignore"):  # the finiteness check below reports it
+        for g, u, v in tables:
             a_matrix -= g * (
                 v[:, None] * lower * (u / t2)[None, :] + u[:, None] * upper * (v / t2)[None, :]
             )
+        redo = ~np.isfinite(a_matrix).all(axis=0)
+        if redo.any():
+            tj = t[redo]
+            columns = np.zeros((t.size, tj.size))
+            for g, u, v in tables:
+                columns -= g * (
+                    v[:, None] / tj * lower[:, redo] * (u[redo] / tj)
+                    + u[:, None] / tj * upper[:, redo] * (v[redo] / tj)
+                )
+            a_matrix[:, redo] = columns
     if not np.all(np.isfinite(a_matrix)):
         raise ValueError("kink-exact matrix contains non-finite entries")
     return NystromOperator(grid=grid, matrix=a_matrix)
@@ -453,22 +470,30 @@ def dump_matrix(op: NystromOperator, path) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _panel_sums(order: int, h, lo, hi, left, count: int) -> np.ndarray:
-    """Per row, the ``count``-panel Gauss sum of f_m h / t^2 over [lo, hi].
+def _panel_sums(order: int, h, lo, hi, left, counts) -> list:
+    """Per panel count in ``counts``, each row's Gauss sum of f_m h / t^2.
 
-    f_m is u_m on ``left`` rows, whose panels are graded toward the origin
-    (exponent 2), and v_m on the others, whose panels are uniform.
+    A row integrates over [lo, hi]; f_m is u_m on ``left`` rows, whose panels are graded toward the origin
+    (exponent 2), and v_m on the others, whose panels are uniform.  h and
+    each Riccati family are called once on the nodes of every count, and
+    each sum is the dot product of one count's weights and integrand.
     """
-    ticks = np.arange(count + 1) / count
-    frac = np.where(left[:, None], ticks**2.0, ticks)
-    bounds = lo[:, None] + (hi - lo)[:, None] * frac
-    nodes, weights = _panel_nodes(bounds, _QUAD_NODES)
-    h_values = np.broadcast_to(h(nodes.ravel()), (nodes.size,)).reshape(nodes.shape)
+    levels = []
+    for count in counts:
+        ticks = np.arange(count + 1) / count
+        frac = np.where(left[:, None], ticks**2.0, ticks)
+        bounds = lo[:, None] + (hi - lo)[:, None] * frac
+        levels.append(_panel_nodes(bounds, _QUAD_NODES))
+    nodes = np.concatenate([level_nodes.ravel() for level_nodes, _ in levels])
+    on_left = np.concatenate([
+        np.repeat(left, level_nodes.shape[1]) for level_nodes, _ in levels
+    ])
+    h_values = np.broadcast_to(h(nodes), nodes.shape)
     family = np.empty_like(nodes)
-    if left.any():
-        family[left] = eval_regular(order, nodes[left]).value
-    if not left.all():
-        family[~left] = eval_irregular(order, nodes[~left]).value
+    if on_left.any():
+        family[on_left] = eval_regular(order, nodes[on_left]).value
+    if not on_left.all():
+        family[~on_left] = eval_irregular(order, nodes[~on_left]).value
     square = nodes * nodes
     tiny = square == 0.0  # t * t underflows below ~1e-162
     square[tiny] = 1.0
@@ -478,7 +503,11 @@ def _panel_sums(order: int, h, lo, hi, left, count: int) -> np.ndarray:
         # leave nothing of the value there
         t = np.where(nodes[tiny] > 0.0, nodes[tiny], np.inf)
         integrand[tiny] = family[tiny] / t * (h_values[tiny] / t)
-    return np.array([np.dot(wr, fr) for wr, fr in zip(weights, integrand)])
+    ends = np.cumsum([level_nodes.size for level_nodes, _ in levels])[:-1]
+    return [
+        np.array([np.dot(wr, fr) for wr, fr in zip(weights, block.reshape(weights.shape))])
+        for (_, weights), block in zip(levels, np.split(integrand, ends))
+    ]
 
 
 def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
@@ -486,11 +515,13 @@ def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
 
     One row per side of each point: [0, s] graded toward the origin
     (exponent 2), [s, r] uniform.  All rows start at 2 panels and double
-    together; a row is frozen once two consecutive values differ by at most
-    ``tol``, so it ends with exactly the panels it would get on its own.
-    A level's rows are evaluated in chunks of at most ``_CHUNK_NODES``
-    nodes (at least one row each), which bounds the memory a call holds
-    however many of its points fail to converge.
+    together, up to ``2**_MAX_DOUBLINGS``; a row is frozen once two
+    consecutive values differ by at most ``tol``, so it ends with exactly
+    the panels it would get on its own.  No row can stop at 2 panels, so the
+    first pass evaluates 2 and 4 panels together, and each later pass one
+    level.  A pass's rows are evaluated in chunks of at most ``_CHUNK_NODES``
+    nodes over all its levels (at least one row each), which bounds the
+    memory a call holds however many of its points fail to converge.
     """
     n = len(s)
     lo = np.concatenate([np.zeros(n), s])
@@ -499,23 +530,23 @@ def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
     values = np.zeros(2 * n)
     previous = np.full(2 * n, np.nan)
     active = lo < hi  # the right side of s = r is empty
-    count = 2
-    for _ in range(_MAX_DOUBLINGS):
-        level_rows = np.flatnonzero(active)
-        if level_rows.size == 0:
+    levels = [2 << k for k in range(_MAX_DOUBLINGS)]
+    passes = [levels[:2]] + [[count] for count in levels[2:]] if levels else []
+    for counts in passes:
+        pass_rows = np.flatnonzero(active)
+        if pass_rows.size == 0:
             break
-        chunk_rows = max(1, _CHUNK_NODES // (count * _QUAD_NODES))
-        for start in range(0, level_rows.size, chunk_rows):
-            rows = level_rows[start:start + chunk_rows]
-            level = _panel_sums(order, h, lo[rows], hi[rows], is_left[rows], count)
-            active[rows[np.abs(level - previous[rows]) <= tol]] = False
-            values[rows] = previous[rows] = level
-        count *= 2
+        chunk_rows = max(1, _CHUNK_NODES // (sum(counts) * _QUAD_NODES))
+        for start in range(0, pass_rows.size, chunk_rows):
+            rows = pass_rows[start:start + chunk_rows]
+            for level in _panel_sums(order, h, lo[rows], hi[rows], is_left[rows], counts):
+                active[rows[np.abs(level - previous[rows]) <= tol]] = False
+                values[rows] = previous[rows] = level
     if active.any():
         row = np.flatnonzero(active)[0]
         raise ConvergenceError(
             f"integral on [{lo[row]:g}, {hi[row]:g}] did not stabilize to {tol:.1e} "
-            f"within {count // 2} panels"
+            f"within {2**_MAX_DOUBLINGS} panels"
         )
     return values[:n], values[n:]
 
@@ -539,11 +570,12 @@ def apply_operator(
     h must vanish at the origin at least linearly so that h(t) t^-2 stays
     integrable.  It is called with a 1-D array of quadrature nodes and must
     return an array of their length or a scalar (broadcast to every node);
-    each doubling level calls it on the nodes of every point that has not
-    yet converged, once per chunk of at most 2**16 nodes (one side of a
-    point may exceed that alone).  ``s`` is a float, giving a float, or a
-    1-D array, giving an array; every point gets the same value it gets on
-    its own.
+    each pass calls it on the nodes of every point that has not yet
+    converged, once per chunk of at most 2**16 nodes (one side of a point
+    may exceed that alone).  The first pass covers 2 and 4 panels, so a
+    scalar h gives both levels the same value; each later pass covers one
+    level.  ``s`` is a float, giving a float, or a 1-D array, giving an
+    array; every point gets the same value it gets on its own.
     Each sub-integral doubles its count of 16-node Gauss-Legendre panels
     until consecutive values differ by at most ``tol`` (absolute); with
     ``tol = 0`` that means until they agree bit for bit.

@@ -255,6 +255,18 @@ class TestSmallRadiusUnderflow:
         assert ("FAIL  spectral_certificate (t*t underflows to 0 at the nodes of "
                 "radius 1e-300): failed to evaluate") in proc.stdout
 
+    def test_verify_in_the_subnormal_band(self):
+        # t*t is subnormal, not 0, at the first nodes: the certificate forms,
+        # and the u_2 steps name its underflow
+        proc = self.run("verify", "--force-r", "1e-155")
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert "non-finite entries" not in proc.stdout
+        assert "FAIL  sigma_min_at_R: 1.000004e+00" in proc.stdout
+        assert ("FAIL  null_vector_check (u_2 underflows to 0 at the nodes of "
+                "radius 1e-155): failed to evaluate") in proc.stdout
+        assert "FAIL  equation_check (u_2 underflows to 0 at every point)" in proc.stdout
+
     def test_sweep(self):
         proc = self.run("sweep", "--r-min", "1e-300", "--r-max", "1e-299", "--steps", "3")
         assert proc.returncode == 0

@@ -266,11 +266,37 @@ class TestVerifyCounterexample:
     def test_forced_radius_fails_equation(self):
         report = verify_counterexample(r_override=1.0)
         assert not report.passed
-        # residual is |p(1)| max_s u_0(s) = |p(1)| sin(1) for s in (0, 1]
-        expected = abs(P_AT_1) * math.sin(1.0)
+        # residual is |p(1)| max_s u_0(s) = |p(1)| sin(1) for s in (0, 1],
+        # relative to max_s u_2(s) = u_2(1) = 2 sin(1) - 3 cos(1)
+        expected = abs(P_AT_1) * math.sin(1.0) / (2.0 * math.sin(1.0) - 3.0 * math.cos(1.0))
         assert report.equation_residual == pytest.approx(expected, rel=1e-2)
         # the identity itself still holds away from the root
         assert report.identity_residual <= 1e-8
+
+    def test_equation_residual_is_relative_to_u2(self, root_r):
+        # |u_2 - K u_2| = |p(r)| u_0 ~ r^3/5 at a small radius, below the 1e-8
+        # gate; relative to max |u_2| ~ r^3/15 it is 3
+        steps = {name: (value, ok) for name, value, _, ok in
+                 verify_counterexample(r_override=0.001).steps}
+        value, ok = steps["equation_residual"]
+        assert value == pytest.approx(3.0, rel=1e-5) and not ok
+        steps = {name: (value, ok) for name, value, _, ok in
+                 verify_counterexample().steps}
+        value, ok = steps["equation_residual"]
+        assert ok and value <= 1e-12
+        # max |u_2| < 1 on R's points, so the scale is max |u_2| itself
+        u2 = eval_regular(2, np.linspace(root_r / 20, root_r, 20)).value
+        assert 0.1 < np.max(np.abs(u2)) < 1.0
+
+    def test_equation_residual_never_looser_than_absolute(self, reference_spec):
+        # |u_2| peaks at 1.11 near r = 3.87: the scale is min(1, max |u_2|)
+        points = np.linspace(0.2, 4.5, 20)
+        u2 = eval_regular(2, points).value
+        k_u2 = u2 + 1e-9
+        assert np.max(np.abs(u2)) > 1.0
+        assert cx_module._equation_residual(u2, k_u2) == float(np.max(np.abs(u2 - k_u2)))
+        with pytest.raises(ValueError, match="u_2 underflows to 0 at every point"):
+            cx_module._equation_residual(np.zeros(3), np.zeros(3))
 
     @pytest.mark.parametrize("r", [1.0, 3.0])
     def test_forced_off_root_radius_fails_the_certificate(self, r):
@@ -371,8 +397,10 @@ class TestVerifyCounterexample:
         assert report.identity_residual == max(check_identity(x) for x in (1.0, r, 3.0))
         points = np.linspace(r / 20, r, 20)
         u2 = lambda t: eval_regular(2, t).value  # noqa: E731
+        # relative to max |u_2| on the points, which is below 1 at R
         assert report.equation_residual == float(np.max(np.abs(
-            u2(points) - apply_operator(reference_spec, r, u2, points))))
+            u2(points) - apply_operator(reference_spec, r, u2, points)
+        ))) / float(np.max(np.abs(u2(points))))
 
     def test_failed_shared_quadrature_fails_both_steps(self, monkeypatch):
         r_star = find_root(2.0, 2.5).root

@@ -194,14 +194,36 @@ class TestNodeUnderflow:
             with pytest.raises(ValueError, match=rf"t\*t underflows to 0 at the nodes of radius {r!r}$"):
                 build(reference_spec, grid)
 
-    def test_kink_exact_overflow_is_reported_without_warnings(self, reference_spec):
-        # t*t is subnormal, not 0, at the first nodes; v_0 / t^2 overflows
-        grid = build_grid(1e-155, 8, 16, grading=1.0)
+    @pytest.mark.parametrize("r", [2.5e-159, 1e-155, 1e-152, 1.1e-151])
+    def test_kink_exact_subnormal_band_assembles_without_warnings(self, reference_spec, r):
+        # t*t is subnormal, not 0, at the first nodes, and 1/t^2 overflows
+        # there: those columns divide by t twice
+        grid = build_grid(r, 8, 16, grading=1.0)
         assert np.all(grid.nodes**2 > 0.0)
+        assert grid.nodes[0] ** 2 < 1.0 / np.finfo(float).max
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="kink-exact matrix contains non-finite entries"):
-                kink_exact_matrix(reference_spec, grid)
+            op = kink_exact_matrix(reference_spec, grid)
+        assert np.all(np.isfinite(op.matrix))
+        # below r ~ 1e-4 the certificate sits at its small-radius limit
+        certificate = self_adjoint_certificate(op)
+        small = self_adjoint_certificate(
+            kink_exact_matrix(reference_spec, build_grid(1e-140, 8, 16, grading=1.0))
+        )
+        assert certificate.sigma_min == pytest.approx(small.sigma_min, abs=1e-12)
+        assert certificate.asymmetry <= 1e-10
+
+    def test_kink_exact_bits_kept_where_formed_before(self, reference_spec):
+        # 1/t^2 is finite at every node: the plain product, with no columns redone
+        grid = build_grid(2e-151, 8, 16, grading=1.0)
+        assert np.any(grid.nodes**2 < np.finfo(float).tiny)
+        lower = op_module._cumulative_integration(grid)
+        upper = grid.weights[None, :] - lower
+        t2 = grid.nodes**2
+        ((g, u, v),) = op_module._family_tables(reference_spec, grid.nodes)
+        plain = 0.0 - g * (v[:, None] * lower * (u / t2)[None, :]
+                           + u[:, None] * upper * (v / t2)[None, :])
+        assert np.array_equal(kink_exact_matrix(reference_spec, grid).matrix, plain)
 
     @pytest.mark.parametrize("r", [2e-151, 1.2e-151])
     def test_subnormal_squares_still_assemble(self, reference_spec, r):
@@ -347,6 +369,167 @@ class TestApplyOperator:
             apply_operator(reference_spec, 1.0, u2, np.array([0.5, math.nan]))
         with pytest.raises(ValueError):
             apply_operator(reference_spec, 1.0, u2, np.full((2, 2), 0.5))
+
+
+def levelwise_split_integrals(order, h, s, r, tol):
+    """``_kink_split_integrals`` with one ``_panel_sums`` pass per doubling level."""
+    n = len(s)
+    lo = np.concatenate([np.zeros(n), s])
+    hi = np.concatenate([s, np.full(n, r)])
+    is_left = np.arange(2 * n) < n
+    values = np.zeros(2 * n)
+    previous = np.full(2 * n, np.nan)
+    active = lo < hi
+    count = 2
+    for _ in range(op_module._MAX_DOUBLINGS):
+        level_rows = np.flatnonzero(active)
+        if level_rows.size == 0:
+            break
+        chunk_rows = max(1, op_module._CHUNK_NODES // (count * op_module._QUAD_NODES))
+        for start in range(0, level_rows.size, chunk_rows):
+            rows = level_rows[start:start + chunk_rows]
+            (level,) = op_module._panel_sums(order, h, lo[rows], hi[rows], is_left[rows],
+                                             (count,))
+            active[rows[np.abs(level - previous[rows]) <= tol]] = False
+            values[rows] = previous[rows] = level
+        count *= 2
+    if active.any():
+        row = np.flatnonzero(active)[0]
+        raise ConvergenceError(
+            f"integral on [{lo[row]:g}, {hi[row]:g}] did not stabilize to {tol:.1e} "
+            f"within {count // 2} panels"
+        )
+    return values[:n], values[n:]
+
+
+def apply_outcome(spec, r, h, points, **quad):
+    """apply_operator's values, or the message of the ConvergenceError it raised."""
+    try:
+        return apply_operator(spec, r, h, points, **quad)
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+WIGGLE = lambda t: t * np.cos(30.0 * t)  # noqa: E731
+H_CASES = [u2, WIGGLE, lambda t: 0.7]  # 0.7 / t diverges on [0, s]: never converges
+H_IDS = ["u2", "wiggle", "scalar"]
+
+
+class TestFirstPass:
+    """apply_operator evaluates its 2- and 4-panel levels in one pass."""
+
+    @pytest.fixture
+    def panel_passes(self, monkeypatch):
+        passes = []
+        real = op_module._panel_sums
+
+        def recorded(order, h, lo, hi, left, counts):
+            passes.append((len(lo), tuple(counts)))
+            return real(order, h, lo, hi, left, counts)
+
+        monkeypatch.setattr(op_module, "_panel_sums", recorded)
+        return passes
+
+    @pytest.mark.parametrize("h", H_CASES, ids=H_IDS)
+    def test_one_pass_gives_each_level_its_own_sums(self, h):
+        lo = np.array([0.0, 0.0, 0.3, 1.0])
+        hi = np.array([0.3, 1.0, 1.0, 1.0])  # the last row is empty
+        left = np.array([True, True, False, False])
+        together = op_module._panel_sums(0, h, lo, hi, left, (2, 4))
+        apart = [op_module._panel_sums(0, h, lo, hi, left, (count,))[0] for count in (2, 4)]
+        assert len(together) == 2
+        for joint, single in zip(together, apart):
+            assert np.array_equal(joint, single)
+
+    @pytest.mark.parametrize("chunk_nodes", [None, 40])  # None: the default chunks
+    @pytest.mark.parametrize("tol", [None, 1e-12, 0.0])  # None: the default tolerance
+    @pytest.mark.parametrize("h", H_CASES, ids=H_IDS)
+    def test_bits_equal_the_level_by_level_loop(self, reference_spec, monkeypatch,
+                                                chunk_nodes, tol, h):
+        # 2**8 panels keep the failing cases cheap; u_2 converges well within it
+        monkeypatch.setattr(op_module, "_MAX_DOUBLINGS", 8)
+        if chunk_nodes is not None:
+            monkeypatch.setattr(op_module, "_CHUNK_NODES", chunk_nodes)
+        quad = {} if tol is None else {"tol": tol}
+        points = np.linspace(0.2, 1.0, 5)  # ends at s = r, whose right side is empty
+        passes = apply_outcome(reference_spec, 1.0, h, points, **quad)
+        monkeypatch.setattr(op_module, "_kink_split_integrals", levelwise_split_integrals)
+        levels = apply_outcome(reference_spec, 1.0, h, points, **quad)
+        if isinstance(levels, str):
+            assert passes == levels
+        else:
+            assert isinstance(passes, np.ndarray) and np.array_equal(passes, levels)
+        if h is u2:
+            assert not isinstance(levels, str)
+
+    def test_h_called_once_when_converged_at_four_panels(self, reference_spec, panel_passes):
+        calls = []
+
+        def counted(t):
+            calls.append(len(t))
+            return u2(t)
+
+        value = apply_operator(reference_spec, 1.0, counted, 0.5)
+        assert panel_passes == [(2, (2, 4))]  # both sides stop at 4 panels
+        assert calls == [2 * 6 * op_module._QUAD_NODES]
+        assert value == apply_operator(reference_spec, 1.0, u2, 0.5)
+
+    @pytest.mark.parametrize("chunk_nodes, rows_per_pass", [(40, 1), (200, 2), (400, 4)])
+    def test_chunks_count_the_nodes_of_both_levels(self, reference_spec, monkeypatch,
+                                                   panel_passes, chunk_nodes, rows_per_pass):
+        monkeypatch.setattr(op_module, "_CHUNK_NODES", chunk_nodes)
+        points = np.linspace(0.1, 1.0, 4)  # 8 rows, the right side of s = r empty
+        apply_operator(reference_spec, 1.0, WIGGLE, points, tol=1e-12)
+        first = [rows for rows, counts in panel_passes if counts == (2, 4)]
+        assert sum(first) == 7
+        assert max(first) == rows_per_pass
+        for rows, counts in panel_passes:
+            nodes = rows * sum(counts) * op_module._QUAD_NODES
+            assert rows == 1 or nodes <= chunk_nodes
+
+    def test_one_doubling_evaluates_two_panels_only(self, reference_spec, monkeypatch,
+                                                    panel_passes):
+        monkeypatch.setattr(op_module, "_MAX_DOUBLINGS", 1)
+        with pytest.raises(ConvergenceError, match="within 2 panels$"):
+            apply_operator(reference_spec, 1.0, u2, 0.5)
+        assert panel_passes == [(2, (2,))]
+
+    def test_deepest_level_and_message_unchanged(self, reference_spec, panel_passes):
+        with pytest.raises(ConvergenceError, match="within 16384 panels$"):
+            apply_operator(reference_spec, 1.0, lambda t: 0.7, 0.5)
+        assert [counts for _, counts in panel_passes] == (
+            [(2, 4)] + [(2**k,) for k in range(3, 15)]
+        )
+
+    def test_identity_check_op_calls(self, monkeypatch, capsys):
+        import rbkernel.cli as cli
+
+        riccati = []
+
+        def counted(real):
+            def call(*args, **kwargs):
+                riccati.append(None)
+                return real(*args, **kwargs)
+            return call
+
+        # h is cli's own lambda over cli.eval_regular
+        monkeypatch.setattr(cli, "eval_regular", counted(cli.eval_regular))
+        for name in ("eval_regular", "eval_irregular"):
+            monkeypatch.setattr(op_module, name, counted(getattr(op_module, name)))
+        per_point = []
+        real_apply = cli.apply_operator
+
+        def apply(*args, **kwargs):
+            before = len(riccati)
+            result = real_apply(*args, **kwargs)
+            per_point.append(len(riccati) - before)
+            return result
+
+        monkeypatch.setattr(cli, "apply_operator", apply)
+        assert cli.main(["identity-check", "--r", "2.3", "--tol", "1e-10"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 21
+        assert len(per_point) == 20  # one call per point
+        assert max(per_point) <= 5  # h, u_0 and v_0 once each, then v_0, u_0 at s
 
 
 class TestMinSingularValue:
