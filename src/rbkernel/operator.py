@@ -284,12 +284,21 @@ def _grid_tables(spec: KernelSpec, grids) -> list:
     return per_grid
 
 
-def _node_squares(grid: QuadratureGrid) -> np.ndarray:
-    """t*t at the grid's nodes; ValueError if it underflows to 0 at any of them."""
-    squares = grid.nodes**2
-    if not squares.all():
-        raise ValueError(f"t*t underflows to 0 at the nodes of radius {grid.r!r}")
-    return squares
+def _square_divisors(t: np.ndarray, *numerators) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node divisors (left, right) such that ``x / left * ... / right`` is x ... / t^2.
+
+    Where t*t is a normal double and every numerator / (t*t) is finite, left
+    is 1 and right is t*t, so the plain quotient keeps its bits.  Elsewhere
+    both are t, dividing by t once on each side of the product, and t = 0
+    maps to inf, since those nodes carry no weight.
+    """
+    square = t * t
+    plain = square >= np.finfo(float).tiny
+    with np.errstate(all="ignore"):  # the quotients are only tested
+        for numerator in numerators:
+            plain &= np.isfinite(numerator / square)
+    split = np.where(t > 0.0, t, np.inf)
+    return np.where(plain, 1.0, split), np.where(plain, square, split)
 
 
 def nystrom_matrix(spec: KernelSpec, grid: QuadratureGrid) -> NystromOperator:
@@ -304,7 +313,7 @@ def nystrom_matrix(spec: KernelSpec, grid: QuadratureGrid) -> NystromOperator:
 
 def _nystrom_assembly(grid: QuadratureGrid, tables) -> NystromOperator:
     """The Nystrom matrix from the grid and its ``_family_tables`` at the nodes."""
-    node_squares = _node_squares(grid)
+    left, right = _square_divisors(grid.nodes, grid.weights)
     n = grid.size
     # rows are collocation s_i, columns integration t_j; nodes ascending, so
     # i >= j means t_j <= s_i and g = v(s_i) u(t_j).  The rest is the mirror
@@ -315,9 +324,9 @@ def _nystrom_assembly(grid: QuadratureGrid, tables) -> NystromOperator:
         term *= g
         lower += term
     a_matrix = np.where(np.tri(n, dtype=bool), lower, lower.T)
-    np.negative(a_matrix, out=a_matrix)
     with np.errstate(all="ignore"):  # the finiteness check below reports it
-        a_matrix *= grid.weights / node_squares
+        a_matrix /= -left  # the sign of A too: x / -1 is -x exactly
+        a_matrix *= grid.weights / right
     if not np.all(np.isfinite(a_matrix)):
         raise ValueError("Nystrom matrix contains non-finite entries")
     return NystromOperator(grid=grid, matrix=a_matrix)
@@ -367,33 +376,24 @@ def kink_exact_matrix(spec: KernelSpec, grid: QuadratureGrid) -> NystromOperator
 
     the discrete form of :func:`apply_operator`'s split at t = s.  The grid
     must have the same Gauss-Legendre rule on every panel, as
-    :func:`build_grid` gives.  A column that is not finite this way (1/t^2
-    overflows where t*t is subnormal) is formed dividing by t twice instead.
-    Caveat: at high orders (S = {0, 4, 8}, T = {2, 6, 10}) D A D^-1 is far
-    from symmetric (max |S - S^T| ~30 at 12 nodes a panel, ~5e3 at 16) and
+    :func:`build_grid` gives.  Where t*t is not a normal double, or u_m/t^2
+    or v_m/t^2 overflows, a column divides by t once on each side of the
+    product instead, so K forms down to the smallest radii.  Caveat: at
+    high orders (S = {0, 4, 8}, T = {2, 6, 10}) D A D^-1 is far from
+    symmetric (max |S - S^T| ~30 at 12 nodes a panel, ~5e3 at 16) and
     min |1 - lambda| moves with the nodes per panel.
     """
     lower = _cumulative_integration(grid)
     upper = grid.weights[None, :] - lower
-    t = grid.nodes
-    t2 = _node_squares(grid)
-    tables = _family_tables(spec, t)
+    tables = _family_tables(spec, grid.nodes)
+    left, right = _square_divisors(grid.nodes, *(f for _, u, v in tables for f in (u, v)))
     a_matrix = np.zeros_like(lower)
     with np.errstate(all="ignore"):  # the finiteness check below reports it
         for g, u, v in tables:
             a_matrix -= g * (
-                v[:, None] * lower * (u / t2)[None, :] + u[:, None] * upper * (v / t2)[None, :]
+                v[:, None] / left * lower * (u / right)
+                + u[:, None] / left * upper * (v / right)
             )
-        redo = ~np.isfinite(a_matrix).all(axis=0)
-        if redo.any():
-            tj = t[redo]
-            columns = np.zeros((t.size, tj.size))
-            for g, u, v in tables:
-                columns -= g * (
-                    v[:, None] / tj * lower[:, redo] * (u[redo] / tj)
-                    + u[:, None] / tj * upper[:, redo] * (v[redo] / tj)
-                )
-            a_matrix[:, redo] = columns
     if not np.all(np.isfinite(a_matrix)):
         raise ValueError("kink-exact matrix contains non-finite entries")
     return NystromOperator(grid=grid, matrix=a_matrix)
@@ -470,23 +470,24 @@ def dump_matrix(op: NystromOperator, path) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _panel_sums(order: int, h, lo, hi, left, counts) -> list:
+def _panel_sums(order: int, h, lo, hi, is_left, counts) -> list:
     """Per panel count in ``counts``, each row's Gauss sum of f_m h / t^2.
 
-    A row integrates over [lo, hi]; f_m is u_m on ``left`` rows, whose panels are graded toward the origin
-    (exponent 2), and v_m on the others, whose panels are uniform.  h and
-    each Riccati family are called once on the nodes of every count, and
-    each sum is the dot product of one count's weights and integrand.
+    A row integrates over [lo, hi]; f_m is u_m on ``is_left`` rows, whose
+    panels are graded toward the origin (exponent 2), and v_m on the others,
+    whose panels are uniform.  h and each Riccati family are called once on
+    the nodes of every count, and each sum is the dot product of one count's
+    weights and integrand.
     """
     levels = []
     for count in counts:
         ticks = np.arange(count + 1) / count
-        frac = np.where(left[:, None], ticks**2.0, ticks)
+        frac = np.where(is_left[:, None], ticks**2.0, ticks)
         bounds = lo[:, None] + (hi - lo)[:, None] * frac
         levels.append(_panel_nodes(bounds, _QUAD_NODES))
     nodes = np.concatenate([level_nodes.ravel() for level_nodes, _ in levels])
     on_left = np.concatenate([
-        np.repeat(left, level_nodes.shape[1]) for level_nodes, _ in levels
+        np.repeat(is_left, level_nodes.shape[1]) for level_nodes, _ in levels
     ])
     h_values = np.broadcast_to(h(nodes), nodes.shape)
     family = np.empty_like(nodes)
@@ -494,20 +495,14 @@ def _panel_sums(order: int, h, lo, hi, left, counts) -> list:
         family[on_left] = eval_regular(order, nodes[on_left]).value
     if not on_left.all():
         family[~on_left] = eval_irregular(order, nodes[~on_left]).value
-    square = nodes * nodes
-    tiny = square == 0.0  # t * t underflows below ~1e-162
-    square[tiny] = 1.0
-    integrand = family * h_values / square
-    if tiny.any():
-        # divide by t twice; t = 0 only on a subnormal [0, s], whose weights
-        # leave nothing of the value there
-        t = np.where(nodes[tiny] > 0.0, nodes[tiny], np.inf)
-        integrand[tiny] = family[tiny] / t * (h_values[tiny] / t)
     ends = np.cumsum([level_nodes.size for level_nodes, _ in levels])[:-1]
-    return [
-        np.array([np.dot(wr, fr) for wr, fr in zip(weights, block.reshape(weights.shape))])
-        for (_, weights), block in zip(levels, np.split(integrand, ends))
-    ]
+    with np.errstate(all="ignore"):  # a non-finite row never freezes
+        left, right = _square_divisors(nodes, family * h_values)
+        integrand = family / left * h_values / right
+        return [
+            np.array([np.dot(wr, fr) for wr, fr in zip(weights, block.reshape(weights.shape))])
+            for (_, weights), block in zip(levels, np.split(integrand, ends))
+        ]
 
 
 def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
@@ -540,7 +535,9 @@ def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
         for start in range(0, pass_rows.size, chunk_rows):
             rows = pass_rows[start:start + chunk_rows]
             for level in _panel_sums(order, h, lo[rows], hi[rows], is_left[rows], counts):
-                active[rows[np.abs(level - previous[rows]) <= tol]] = False
+                with np.errstate(invalid="ignore"):  # inf - inf is NaN, never <= tol
+                    settled = np.abs(level - previous[rows]) <= tol
+                active[rows[settled]] = False
                 values[rows] = previous[rows] = level
     if active.any():
         row = np.flatnonzero(active)[0]

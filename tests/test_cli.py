@@ -240,8 +240,9 @@ class TestVerify:
 
 
 class TestSmallRadiusUnderflow:
-    """Below about 1e-159, t*t underflows to 0 at the grid nodes: each command
-    says so once per failure, and numpy prints nothing."""
+    """Below about 1e-151, t*t is subnormal or 0 at the first grid nodes: K
+    still forms there, each command reports only what fails, and numpy
+    prints nothing."""
 
     @staticmethod
     def run(*argv):
@@ -249,11 +250,16 @@ class TestSmallRadiusUnderflow:
                               capture_output=True, text=True)
 
     def test_verify(self):
+        # t*t is 0 at the first nodes: the certificate forms at its
+        # small-radius limit, and only u_2's own underflow fails to evaluate
         proc = self.run("verify", "--force-r", "1e-300")
         assert proc.returncode == 1
         assert proc.stderr == ""
-        assert ("FAIL  spectral_certificate (t*t underflows to 0 at the nodes of "
+        assert "spectral_certificate" not in proc.stdout
+        assert "FAIL  sigma_min_at_R: 1.000004e+00" in proc.stdout
+        assert ("FAIL  null_vector_check (u_2 underflows to 0 at the nodes of "
                 "radius 1e-300): failed to evaluate") in proc.stdout
+        assert "FAIL  equation_check (u_2 underflows to 0 at every point)" in proc.stdout
 
     def test_verify_in_the_subnormal_band(self):
         # t*t is subnormal, not 0, at the first nodes: the certificate forms,
@@ -268,12 +274,27 @@ class TestSmallRadiusUnderflow:
         assert "FAIL  equation_check (u_2 underflows to 0 at every point)" in proc.stdout
 
     def test_sweep(self):
+        # the reference kernel gives every radius its small-radius value
         proc = self.run("sweep", "--r-min", "1e-300", "--r-max", "1e-299", "--steps", "3")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        header, *rows = proc.stdout.splitlines()
+        assert header == "r,sigma_min,refinement_delta"
+        assert [row.split(",")[0] for row in rows] == [
+            "1e-300", "5.4999999999999999e-300", "9.9999999999999999e-300"]
+        small = self.run("sweep", "--r-min", "1e-100", "--r-max", "2e-100", "--steps", "2")
+        sigma = float(small.stdout.splitlines()[1].split(",")[1])
+        assert [float(row.split(",")[1]) for row in rows] == pytest.approx([sigma] * 3, abs=1e-12)
+        # a kernel whose v_4 overflows at the first node says so once per radius
+        proc = self.run("sweep", "--r-min", "1e-300", "--r-max", "1e-299", "--steps", "3",
+                        "--s", "0,4,8", "--t", "2,6,10")
         assert proc.returncode == 0
         assert proc.stdout == "r,sigma_min,refinement_delta\n"
         assert proc.stderr.splitlines() == [
-            f"warning: point {r} failed: t*t underflows to 0 at the nodes of radius {r}"
-            for r in ("1e-300", "5.5e-300", "1e-299")
+            f"warning: point {r} failed: v_4({first}) overflows double precision"
+            for r, first in (("1e-300", "1.44057544947506e-304"),
+                             ("5.5e-300", "7.923164972112817e-304"),
+                             ("1e-299", "1.4405754494750548e-303"))
         ]
 
 

@@ -15,6 +15,7 @@ from rbkernel import (
     apply_operator,
     build_grid,
     certificate_sigma,
+    eval_irregular,
     eval_regular,
     kink_exact_matrix,
     min_singular_value,
@@ -182,17 +183,49 @@ class TestKinkExactMatrix:
 
 
 class TestNodeUnderflow:
-    """t*t underflows to 0 at the nodes below about 1e-159: K is defined there,
-    but neither matrix can be formed in double precision."""
+    """Below about 1e-151, t*t is subnormal or 0 at the first nodes.  K is
+    defined there, and every discretization divides by t once on each side
+    of the product at those nodes, so K forms down to the smallest radii."""
+
+    @staticmethod
+    def gap_to_small_radius(build, spec, r):
+        """max |A(r) - A(1e-100)| / max |A(1e-100)| on 8 x 16; below r ~ 1e-8
+        neither matrix depends on r beyond rounding.  numpy must not warn."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = build(spec, build_grid(r, 8, 16, grading=1.0)).matrix
+        small = build(spec, build_grid(1e-100, 8, 16, grading=1.0)).matrix
+        return np.max(np.abs(matrix - small)) / np.max(np.abs(small))
 
     @pytest.mark.parametrize("build", [kink_exact_matrix, nystrom_matrix])
     @pytest.mark.parametrize("r", [1e-300, 5.5e-300, 1e-170])
     def test_named_value_error(self, reference_spec, build, r):
-        grid = build_grid(r, 8, 16, grading=1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=rf"t\*t underflows to 0 at the nodes of radius {r!r}$"):
-                build(reference_spec, grid)
+        # where t*t is 0 at the first nodes, the reference kernel forms...
+        assert self.gap_to_small_radius(build, reference_spec, r) <= 1e-12
+        # ...and a kernel whose v_4 overflows at the nodes names that value
+        spec = solve_gamma(validate_sets([0, 4, 8], [2, 6, 10]))
+        first = float(build_grid(r, 8, 16, grading=1.0).nodes[0])
+        with pytest.raises(OverflowError, match=rf"^v_4\({first!r}\) overflows double precision$"):
+            build(spec, build_grid(r, 8, 16, grading=1.0))
+
+    @pytest.mark.parametrize("r", [2.5e-159, 1e-155])
+    def test_nystrom_subnormal_band_matches_small_radius(self, reference_spec, r):
+        # dividing by a subnormal t*t kept few digits: entries were off by up
+        # to 44 % of the largest at 2.5e-159, and sigma_min by 2.1e-7
+        assert self.gap_to_small_radius(nystrom_matrix, reference_spec, r) <= 1e-12
+        sigma = sweep(reference_spec, r, 2 * r, 2, 8, 16, 1.0).rows[0][1]
+        small = sweep(reference_spec, 1e-100, 2e-100, 2, 8, 16, 1.0).rows[0][1]
+        assert sigma == pytest.approx(small, abs=1e-12)
+
+    def test_overflowing_quotient_splits_too(self):
+        # S = {1} at 1e-140: t*t is normal at every node, but v_1/t^2 overflows
+        # at the first ones, so those columns divide by t twice
+        spec = solve_gamma(validate_sets([1], [3]))
+        grid = build_grid(1e-140, 8, 16, grading=1.0)
+        assert np.all(grid.nodes**2 >= np.finfo(float).tiny)
+        first = float(grid.nodes[0])
+        assert abs(eval_irregular(1, first).value) / first > np.finfo(float).max * first
+        assert self.gap_to_small_radius(kink_exact_matrix, spec, 1e-140) <= 1e-12
 
     @pytest.mark.parametrize("r", [2.5e-159, 1e-155, 1e-152, 1.1e-151])
     def test_kink_exact_subnormal_band_assembles_without_warnings(self, reference_spec, r):
@@ -214,16 +247,22 @@ class TestNodeUnderflow:
         assert certificate.asymmetry <= 1e-10
 
     def test_kink_exact_bits_kept_where_formed_before(self, reference_spec):
-        # 1/t^2 is finite at every node: the plain product, with no columns redone
+        # every column whose t*t is normal is the plain product, bit for bit;
+        # the others divide by t once on each side of it
         grid = build_grid(2e-151, 8, 16, grading=1.0)
-        assert np.any(grid.nodes**2 < np.finfo(float).tiny)
+        t = grid.nodes
+        normal = t * t >= np.finfo(float).tiny
+        assert normal.any() and not normal.all()
         lower = op_module._cumulative_integration(grid)
         upper = grid.weights[None, :] - lower
-        t2 = grid.nodes**2
-        ((g, u, v),) = op_module._family_tables(reference_spec, grid.nodes)
-        plain = 0.0 - g * (v[:, None] * lower * (u / t2)[None, :]
-                           + u[:, None] * upper * (v / t2)[None, :])
-        assert np.array_equal(kink_exact_matrix(reference_spec, grid).matrix, plain)
+        ((g, u, v),) = op_module._family_tables(reference_spec, t)
+        plain = 0.0 - g * (v[:, None] * lower * (u / t**2)[None, :]
+                           + u[:, None] * upper * (v / t**2)[None, :])
+        split = 0.0 - g * (v[:, None] / t * lower * (u / t)
+                           + u[:, None] / t * upper * (v / t))
+        matrix = kink_exact_matrix(reference_spec, grid).matrix
+        assert np.array_equal(matrix[:, normal], plain[:, normal])
+        assert np.array_equal(matrix[:, ~normal], split[:, ~normal])
 
     @pytest.mark.parametrize("r", [2e-151, 1.2e-151])
     def test_subnormal_squares_still_assemble(self, reference_spec, r):
@@ -235,11 +274,19 @@ class TestNodeUnderflow:
                 assert np.all(np.isfinite(build(reference_spec, grid).matrix))
 
     def test_sweep_records_the_message_per_radius(self, reference_spec):
+        radii = (1e-300, 5.5e-300, 1e-299)
+        # the reference kernel forms every radius, at its small-radius value
         report = sweep(reference_spec, 1e-300, 1e-299, 3)
+        assert report.failures == []
+        small = sweep(reference_spec, 1e-100, 2e-100, 2).rows[0][1]
+        assert [r for r, *_ in report.rows] == list(radii)
+        assert [sigma for _, sigma, _ in report.rows] == pytest.approx([small] * 3, abs=1e-12)
+        # v_4 overflows at each radius's first node, and each says so
+        spec = solve_gamma(validate_sets([0, 4, 8], [2, 6, 10]))
+        report = sweep(spec, 1e-300, 1e-299, 3)
         assert report.rows == []
         assert [message for _, message in report.failures] == [
-            f"t*t underflows to 0 at the nodes of radius {r!r}"
-            for r in (1e-300, 5.5e-300, 1e-299)
+            f"v_4({float(build_grid(r).nodes[0])!r}) overflows double precision" for r in radii
         ]
 
 
@@ -317,6 +364,25 @@ class TestApplyOperator:
                 reference_spec, 1.0, lambda t: rng.standard_normal(t.shape),
                 np.array([0.25, 0.5, 1.0]),
             )
+
+    @pytest.mark.parametrize("r", [1.0, 1e-155, 1e-300])
+    def test_nonvanishing_h_fails_to_converge_quietly(self, reference_spec, r):
+        # h(0) != 0 makes h t^-2 non-integrable; at small radii the Gauss sums
+        # overflow, and inf - inf in the freeze test must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="did not stabilize"):
+                apply_operator(reference_spec, r, lambda t: 0.7, r / 7)
+
+    @pytest.mark.parametrize("r", [1e-155, 1e-158, 1e-160])
+    def test_subnormal_squares_converge(self, reference_spec, r):
+        # t*t is subnormal or 0 at the nodes: K t is r times its value at
+        # r = 1e-100, where it converged all along
+        points = np.linspace(r / 7, r, 7)
+        value = apply_operator(reference_spec, r, lambda t: t, points)
+        assert np.all(np.isfinite(value))
+        small = apply_operator(reference_spec, 1e-100, lambda t: t, points / r * 1e-100)
+        assert value / r == pytest.approx(small / 1e-100, abs=1e-12)
 
     @pytest.mark.parametrize("r", [1.0, "R", 3.0])
     @pytest.mark.parametrize("tol", [None, 1e-12])  # None: the default tolerance
