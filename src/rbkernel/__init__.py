@@ -11,7 +11,6 @@ self-adjoint K nearest 1 reaches it with an eigenvector matching u_2.
 
 from .counterexample import (
     DEFAULT_BRACKET,
-    PValue,
     RootResult,
     VerificationReport,
     check_identity,
@@ -39,7 +38,6 @@ from .operator import (
     NystromOperator,
     QuadratureGrid,
     SelfAdjointCertificate,
-    SpectralResult,
     apply_operator,
     build_grid,
     certificate_sigma,
@@ -50,7 +48,7 @@ from .operator import (
     spectral_grid,
     sweep,
 )
-from .report import ScanReport, read_report
+from .report import ScanReport
 from .riccati import FunctionPair, eval_irregular, eval_regular, wronskian
 
 __version__ = "0.1.0"
@@ -72,7 +70,6 @@ __all__ = [
     "eval_kernel",
     "QuadratureGrid",
     "NystromOperator",
-    "SpectralResult",
     "SelfAdjointCertificate",
     "ConvergenceError",
     "build_grid",
@@ -85,8 +82,6 @@ __all__ = [
     "certificate_sigma",
     "sweep",
     "ScanReport",
-    "read_report",
-    "PValue",
     "RootResult",
     "VerificationReport",
     "DEFAULT_BRACKET",

@@ -177,9 +177,9 @@ def _cmd_p_scan(args) -> int:
         raise ValueError("need 0 < r-min < r-max")
     radii = np.linspace(args.r_min, args.r_max, args.steps)
     if args.route == "wronskian":  # one array pass, the bits of per-point calls
-        values = cx.p_wronskian(radii).value.tolist()
+        values = cx.p_wronskian(radii).tolist()
     else:
-        values = [route(r).value for r in radii.tolist()]
+        values = [route(r) for r in radii.tolist()]
     rows = list(zip(radii.tolist(), values))
     _emit_report(ScanReport(columns=("r", "p"), rows=rows), args)
     return 0
@@ -210,7 +210,7 @@ def _cmd_identity_check(args) -> int:
     if args.points < 1:
         raise ValueError("points must be >= 1")
     spec = cx.reference_spec()
-    p_r = cx.p_explicit(r).value
+    p_r = cx.p_explicit(r)
     points = np.linspace(r / args.points, r, args.points)
     rhs = eval_regular(2, points).value + p_r * eval_regular(0, points).value
     rows = []

@@ -50,7 +50,6 @@ from .operator import (
 from .riccati import eval_irregular, eval_regular
 
 __all__ = [
-    "PValue",
     "RootResult",
     "VerificationReport",
     "EXPLICIT_CROSSOVER",
@@ -94,15 +93,6 @@ GATES = {
 
 
 @dataclass(frozen=True)
-class PValue:
-    """One evaluation of p, tagged with the route that produced it."""
-
-    r: float
-    value: float
-    route: str
-
-
-@dataclass(frozen=True)
 class RootResult:
     """Converged root of p with its originating bracket."""
 
@@ -128,7 +118,6 @@ class VerificationReport:
     r_used: float
     gamma0: float
     steps: list[tuple] = field(default_factory=list)
-    root: RootResult | None = None
     spectral: SelfAdjointCertificate | None = field(default=None, repr=False)
 
     @property
@@ -182,7 +171,7 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), separators=(",", ":")) + "\n"
 
     def summary_text(self) -> str:
-        lines = [f"R ≈ {self.r_used:.6f}"]
+        lines = [f"R ≈ {self.r_used!r}"]
         certificate = self._certificate_dict()
         if certificate is not None:
             lines.append(
@@ -213,7 +202,7 @@ def _check_radius(r) -> float:
     return r
 
 
-def p_series(r) -> PValue:
+def p_series(r) -> float:
     """Taylor route: p(r) = sum_{k>=1} c_k r^(2k), valid for 0 < r <= 0.5.
 
     The coefficients follow from expanding the closed form:
@@ -240,30 +229,28 @@ def p_series(r) -> PValue:
         k += 1
         if abs(term) <= 1e-18 * abs(total) or k > 60:
             break
-    return PValue(r=r, value=total, route="series")
+    return total
 
 
-def p_explicit(r) -> PValue:
+def p_explicit(r) -> float:
     """Closed-form route: p(r) = 1 - (3 + 3 cos^2 r)/r^2 + 3 sin(2r)/r^3.
 
     Below ``EXPLICIT_CROSSOVER`` the closed form loses most of its digits to
-    cancellation, so evaluation is delegated to the series route (the
-    returned route tag says which branch actually ran).
+    cancellation, so evaluation is delegated to the series route.
     """
     r = _check_radius(r)
     if r < EXPLICIT_CROSSOVER:
         return p_series(r)
     c = math.cos(r)
-    value = 1.0 - (3.0 + 3.0 * c * c) / (r * r) + 3.0 * math.sin(2.0 * r) / r**3
-    return PValue(r=r, value=value, route="explicit")
+    return 1.0 - (3.0 + 3.0 * c * c) / (r * r) + 3.0 * math.sin(2.0 * r) / r**3
 
 
-def p_wronskian(r) -> PValue:
+def p_wronskian(r):
     """Cross-family route: p(r) = v_0 u'_2 - v'_0 u_2 from function pairs.
 
     ``r`` may also be a 1-D array of radii, evaluated in one array pass;
-    then ``r`` and ``value`` of the result are arrays, and each value has
-    the bits of the call on its radius alone.
+    then the result is an array, and each value has the bits of the call
+    on its radius alone.
     """
     if np.ndim(r) == 0:
         r = _check_radius(r)
@@ -274,7 +261,7 @@ def p_wronskian(r) -> PValue:
             _check_radius(r[bad][0])
     v0, dv0 = eval_irregular(0, r)
     u2, du2 = eval_regular(2, r)
-    return PValue(r=r, value=v0 * du2 - dv0 * u2, route="wronskian")
+    return v0 * du2 - dv0 * u2
 
 
 # Route name -> evaluator of p.  Entries look their function up when called,
@@ -310,8 +297,8 @@ def find_root(lo, hi, tol: float = 1e-12, route: str = "explicit") -> RootResult
     tol = float(tol)
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    f_lo = p(lo).value
-    f_hi = p(hi).value
+    f_lo = p(lo)
+    f_hi = p(hi)
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
         raise ValueError("p is not finite at the bracket endpoints")
     if f_lo != 0.0 and f_hi != 0.0 and (f_lo < 0.0) == (f_hi < 0.0):
@@ -322,7 +309,7 @@ def find_root(lo, hi, tol: float = 1e-12, route: str = "explicit") -> RootResult
     iterations = 0
     mid = 0.5 * (a + b)
     while f_a != 0.0 and f_b != 0.0 and a < mid < b:
-        f_mid = p(mid).value
+        f_mid = p(mid)
         if not math.isfinite(f_mid):
             raise ValueError(f"p({mid!r}) is not finite")
         iterations += 1
@@ -367,7 +354,7 @@ def _identity_residual(r: float, points: np.ndarray, k_u2) -> float:
     """:func:`check_identity` at a checked radius, with (K u_2)(points) from ``k_u2()``."""
     if np.any(points <= 0.0) or np.any(points > r):
         raise ValueError("identity check points must lie in (0, r]")
-    p_r = p_explicit(r).value
+    p_r = p_explicit(r)
     residual = np.abs(k_u2() - _u(2, points) - p_r * _u(0, points))
     return float(np.max(residual, initial=0.0))
 
@@ -462,7 +449,6 @@ def verify_counterexample(r_override=None) -> VerificationReport:
     gamma0 = spec.gamma[0]
     record("gamma0_matches_-6", abs(gamma0 + 6.0))
 
-    root = None
     try:
         root = find_root(*DEFAULT_BRACKET, tol=GATES["root_residual"])
         record("root_residual", root.residual)
@@ -527,5 +513,5 @@ def verify_counterexample(r_override=None) -> VerificationReport:
         record("collapse_ratio", None, f"off_root_check ({exc})")
 
     return VerificationReport(
-        r_used=r_used, gamma0=gamma0, steps=steps, root=root, spectral=spectral,
+        r_used=r_used, gamma0=gamma0, steps=steps, spectral=spectral,
     )

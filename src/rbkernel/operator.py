@@ -41,16 +41,14 @@ them on the kink-exact matrix of the ``DEFAULT_CERTIFICATE_*`` grid,
 8 uniform panels x 16 nodes, where min |1 - lambda| reaches rounding level
 at the singular radius.
 
-``min_singular_value`` returns the smallest singular value of I - A from a
-values-only SVD, which forms neither singular-vector matrix; the right
-singular vector is computed by a full SVD only when
-``SpectralResult.null_vector`` is first read.  ``sweep`` and the public
-``spectral_grid`` use it; ``DEFAULT_SPECTRAL_PANELS`` / ``_NODES`` /
-``_GRADING`` define the grid on which its 1e-6 collapse threshold was
-calibrated: 128 uniform panels x 12 nodes push the kink-limited
-discretization error of the Nystrom matrix near the singular radius to
-~5e-7.  Uniform panels beat origin-graded ones here because the kink error
-lives in mid-interval panels, not at the origin.
+``min_singular_value`` returns the smallest singular value of I - A, a
+float, from a values-only SVD, which forms neither singular-vector matrix.
+``sweep`` and the public ``spectral_grid`` use it; ``DEFAULT_SPECTRAL_*``
+define the grid on which its 1e-6 collapse threshold was calibrated: 128
+uniform panels x 12 nodes push the kink-limited discretization error of the
+Nystrom matrix near the singular radius to ~5e-7.  Uniform panels beat
+origin-graded ones here because the kink error lives in mid-interval panels,
+not at the origin.
 
 ``sweep`` takes the Riccati tables of a chunk of radii from one call per
 order and family on all their grids' nodes, and assembles and solves each
@@ -60,7 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -74,7 +72,6 @@ __all__ = [
     "NUMERIC_ERRORS",
     "QuadratureGrid",
     "NystromOperator",
-    "SpectralResult",
     "SelfAdjointCertificate",
     "DEFAULT_CERTIFICATE_PANELS",
     "DEFAULT_CERTIFICATE_NODES",
@@ -175,23 +172,6 @@ class NystromOperator:
 
     grid: QuadratureGrid
     matrix: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralResult:
-    """Smallest singular value of I - A, and its unit right singular vector.
-
-    ``null_vector`` costs a full SVD, so it is computed on first read; its
-    values and sign are exactly those of ``np.linalg.svd(I - A)``.
-    """
-
-    sigma_min: float
-    operator: NystromOperator = field(repr=False)
-
-    @cached_property
-    def null_vector(self) -> np.ndarray:
-        _, _, v_rows = np.linalg.svd(_identity_minus(self.operator))
-        return v_rows[-1].copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,20 +425,13 @@ def self_adjoint_certificate(op: NystromOperator) -> SelfAdjointCertificate:
     )
 
 
-def _identity_minus(op: NystromOperator) -> np.ndarray:
-    return np.eye(op.grid.size) - op.matrix
-
-
-def min_singular_value(op: NystromOperator) -> SpectralResult:
+def min_singular_value(op: NystromOperator) -> float:
     """Smallest singular value of I - A, from a values-only SVD.
 
     A near-zero value certifies a nontrivial discrete solution of h = K h.
-    The result's ``null_vector`` is the candidate solution sampled at the
-    grid nodes (unit Euclidean norm, sign as returned by the full SVD),
-    computed when first read.
     """
-    singular_values = np.linalg.svd(_identity_minus(op), compute_uv=False)
-    return SpectralResult(sigma_min=float(singular_values[-1]), operator=op)
+    singular_values = np.linalg.svd(np.eye(op.grid.size) - op.matrix, compute_uv=False)
+    return float(singular_values[-1])
 
 
 def dump_matrix(op: NystromOperator, path) -> None:
@@ -668,7 +641,7 @@ def sweep(
                     if grid_tables is None:
                         grid_tables = _family_tables(spec, grid.nodes)
                     op = _nystrom_assembly(grid, grid_tables)
-                    sigmas.append(min_singular_value(op).sigma_min)
+                    sigmas.append(min_singular_value(op))
                 delta = abs(sigmas[1] - sigmas[0]) if refine else None
                 rows.append((r, sigmas[0], delta))
             except NUMERIC_ERRORS as exc:  # per-point failures must not kill the scan

@@ -4,17 +4,15 @@ Every scan-style result in the package (p(r) scans, singular-value sweeps,
 identity checks) is a :class:`ScanReport`: named columns plus numeric rows.
 CSV output prints floats with 17 significant digits so files are
 byte-identical across runs and round-trip to the same doubles; JSON output
-uses the shortest round-trip representation.  ``read_report`` parses both
-formats back, which the test suite uses to guarantee the round trip.
+uses the shortest round-trip representation.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
-__all__ = ["ScanReport", "fmt_float", "read_report"]
+__all__ = ["ScanReport", "fmt_float"]
 
 
 def fmt_float(x: float) -> str:
@@ -54,50 +52,6 @@ class ScanReport:
         ]
         return json.dumps(objects, separators=(",", ":"), allow_nan=False) + "\n"
 
-    def write(self, path, fmt: str = "csv") -> None:
-        text = self.to_csv_text() if fmt == "csv" else self.to_json_text()
-        Path(path).write_text(text)
-
     def column(self, name: str) -> list:
         idx = self.columns.index(name)
         return [row[idx] for row in self.rows]
-
-
-def _parse_csv(text: str) -> ScanReport:
-    # every line after the header is a row: an empty one is a one-column
-    # row whose cell is None
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise ValueError("empty CSV report")
-    columns = tuple(lines[0].split(","))
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(columns):
-            raise ValueError(f"CSV row {line!r} does not match header {columns!r}")
-        rows.append(tuple(None if c == "" else float(c) for c in cells))
-    return ScanReport(columns=columns, rows=rows)
-
-
-def _parse_json(text: str) -> ScanReport:
-    objects = json.loads(text)
-    if not isinstance(objects, list) or not objects:
-        raise ValueError("JSON report must be a nonempty array of row objects")
-    columns = tuple(objects[0].keys())
-    rows = []
-    for obj in objects:
-        if tuple(obj.keys()) != columns:
-            raise ValueError("JSON report rows have inconsistent keys")
-        rows.append(
-            tuple(None if obj[c] is None else float(obj[c]) for c in columns)
-        )
-    return ScanReport(columns=columns, rows=rows)
-
-
-def read_report(path) -> ScanReport:
-    """Parse a report written by :meth:`ScanReport.write` (either format)."""
-    text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        return _parse_json(text)
-    return _parse_csv(text)

@@ -114,11 +114,6 @@ def _double_factorial(n: int) -> float:
     return out
 
 
-def _regular_series(m: int, r):
-    prefactor, total = _regular_series_parts(m, r)
-    return prefactor * total
-
-
 def _regular_series_parts(m: int, r):
     # u_m(r) = r^(m+1)/(2m+1)!! * S_m(r),
     # S_m(r) = sum_k (-r^2/2)^k / (k! (2m+3)...(2m+2k+1)),

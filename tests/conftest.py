@@ -1,5 +1,6 @@
-"""Shared test fixtures and high-precision oracles."""
+"""Shared test fixtures, high-precision oracles and report readers."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -31,6 +32,21 @@ def mp_p(r):
     """Oracle for the closed form of p at 40 digits."""
     r = mp.mpf(r)
     return 1 - (3 + 3 * mp.cos(r) ** 2) / r**2 + 3 * mp.sin(2 * r) / r**3
+
+
+def csv_table(text):
+    """Columns and rows of a CSV report; an empty cell reads as None."""
+    header, *lines = text.splitlines()
+    rows = [tuple(None if cell == "" else float(cell) for cell in line.split(","))
+            for line in lines]
+    return tuple(header.split(",")), rows
+
+
+def json_table(text):
+    """Columns and rows of a JSON report, an array of row objects."""
+    objects = json.loads(text)
+    columns = tuple(objects[0])
+    return columns, [tuple(obj[name] for name in columns) for obj in objects]
 
 
 @pytest.fixture(scope="session")

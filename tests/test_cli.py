@@ -11,7 +11,6 @@ from rbkernel import (
     build_grid,
     find_root,
     kink_exact_matrix,
-    read_report,
     reference_spec,
 )
 import rbkernel.cli as cli_module
@@ -19,6 +18,8 @@ from rbkernel.cli import build_parser, main
 from rbkernel.counterexample import P_ROUTES
 from rbkernel.operator import dump_matrix
 from rbkernel.report import fmt_float
+
+from conftest import csv_table, json_table
 
 
 def run_cli(capsys, *argv):
@@ -111,7 +112,7 @@ class TestPScan:
         monkeypatch.undo()
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert [(float(r), p) for r, p in rows] == [
-            (float(r), fmt_float(P_ROUTES["wronskian"](float(r)).value)) for r, _ in rows
+            (float(r), fmt_float(P_ROUTES["wronskian"](float(r)))) for r, _ in rows
         ]
 
     def test_route_choices_follow_the_route_table(self):
@@ -157,10 +158,10 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep", "--r-min", "0.5", "--r-max", "1.5",
                                "--steps", "3", "--output", str(path))
         assert code == 0
-        report = read_report(path)
-        assert report.columns == ("r", "sigma_min", "refinement_delta")
-        assert all(sigma > 0.1 for sigma in report.column("sigma_min"))
-        assert all(d is None for d in report.column("refinement_delta"))
+        columns, rows = csv_table(path.read_text())
+        assert columns == ("r", "sigma_min", "refinement_delta")
+        assert all(sigma > 0.1 for _, sigma, _ in rows)
+        assert all(delta is None for *_, delta in rows)
 
     def test_refine_records_delta(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--r-min", "1.0", "--r-max", "1.2",
@@ -255,6 +256,7 @@ class TestSmallRadiusUnderflow:
         proc = self.run("verify", "--force-r", "1e-300")
         assert proc.returncode == 1
         assert proc.stderr == ""
+        assert proc.stdout.startswith("R ≈ 1e-300\n")  # the radius used, as in the JSON
         assert "spectral_certificate" not in proc.stdout
         assert "FAIL  sigma_min_at_R: 1.000004e+00" in proc.stdout
         assert ("FAIL  null_vector_check (u_2 underflows to 0 at the nodes of "
@@ -337,13 +339,16 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
     def test_round_trip_all_tabular_commands(self, capsys, tmp_path):
-        for fmt in ("csv", "json"):
+        tables = {}
+        for fmt, read in (("csv", csv_table), ("json", json_table)):
             path = tmp_path / f"scan.{fmt}"
             run_cli(capsys, "p-scan", "--r-min", "1", "--r-max", "2", "--steps", "4",
                     "--format", fmt, "--output", str(path))
-            report = read_report(path)
-            assert report.columns == ("r", "p")
-            assert len(report.rows) == 4
+            tables[fmt] = read(path.read_text())
+        columns, rows = tables["csv"]
+        assert columns == ("r", "p")
+        assert len(rows) == 4
+        assert tables["json"] == tables["csv"]  # both read back to the same doubles
 
 
 def test_console_script_installed():

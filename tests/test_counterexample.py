@@ -40,21 +40,22 @@ SERIES_RATIONALS = {1: (-1, 5), 2: (2, 35), 3: (-1, 189), 4: (2, 7425)}
 
 class TestExplicitRoute:
     def test_at_pi(self):
-        value = p_explicit(math.pi).value
+        value = p_explicit(math.pi)
         assert value == pytest.approx(1.0 - 6.0 / math.pi**2, rel=1e-13)
 
     def test_reference_values(self):
-        assert p_explicit(1.0).value == pytest.approx(P_AT_1, rel=1e-13)
-        assert p_explicit(2.0).value == pytest.approx(P_AT_2, rel=1e-13)
-        assert p_explicit(2.5).value == pytest.approx(P_AT_2_5, rel=1e-12)
+        assert p_explicit(1.0) == pytest.approx(P_AT_1, rel=1e-13)
+        assert p_explicit(2.0) == pytest.approx(P_AT_2, rel=1e-13)
+        assert p_explicit(2.5) == pytest.approx(P_AT_2_5, rel=1e-12)
 
     def test_sign_change_bracket(self):
-        assert p_explicit(2.0).value < 0.0 < p_explicit(2.5).value
+        assert p_explicit(2.0) < 0.0 < p_explicit(2.5)
 
     def test_small_radius_delegates_to_series(self):
-        result = p_explicit(0.05)
-        assert result.route == "series"
-        assert p_explicit(0.25).route == "explicit"
+        assert p_explicit(0.05) == p_series(0.05)
+        r, c = 0.25, math.cos(0.25)  # the closed form runs from the crossover on
+        closed = 1.0 - (3.0 + 3.0 * c * c) / (r * r) + 3.0 * math.sin(2.0 * r) / r**3
+        assert p_explicit(r) == closed
         assert EXPLICIT_CROSSOVER == 0.2
 
     def test_rejects_bad_radius(self):
@@ -69,12 +70,12 @@ class TestExplicitRoute:
 class TestWronskianRoute:
     def test_at_pi_reduces_to_u2_derivative(self):
         # v_0(pi) = 1 and v'_0(pi) = 0, so p(pi) = u'_2(pi) = 1 - 6/pi^2
-        value = p_wronskian(math.pi).value
+        value = p_wronskian(math.pi)
         assert value == pytest.approx(1.0 - 6.0 / math.pi**2, rel=1e-12)
 
     @pytest.mark.parametrize("r", [1.0, 10.0])
     def test_matches_explicit(self, r):
-        assert abs(p_wronskian(r).value - p_explicit(r).value) <= 1e-10
+        assert abs(p_wronskian(r) - p_explicit(r)) <= 1e-10
 
     def test_array_gives_the_bits_of_per_point_calls(self):
         # every Riccati branch of u_2 (series, backward, forward), underflowed
@@ -85,9 +86,9 @@ class TestWronskianRoute:
             np.linspace(0.3, 5.0, 1001),
         ])
         batch = p_wronskian(radii)
-        assert batch.route == "wronskian" and np.array_equal(batch.r, radii)
-        alone = np.array([p_wronskian(float(r)).value for r in radii])
-        assert np.array_equal(batch.value.view(np.int64), alone.view(np.int64))
+        assert batch.shape == radii.shape
+        alone = np.array([p_wronskian(float(r)) for r in radii])
+        assert np.array_equal(batch.view(np.int64), alone.view(np.int64))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_array_rejects_a_bad_radius_like_a_scalar(self, bad):
@@ -101,13 +102,13 @@ class TestWronskianRoute:
 class TestSeriesRoute:
     def test_leading_term_dominates_near_zero(self):
         r = 1e-4
-        assert p_series(r).value / r**2 == pytest.approx(-0.2, rel=1e-7)
+        assert p_series(r) / r**2 == pytest.approx(-0.2, rel=1e-7)
 
     def test_value_at_tenth(self):
-        assert p_series(0.1).value == pytest.approx(P_AT_0_1, rel=1e-13)
+        assert p_series(0.1) == pytest.approx(P_AT_0_1, rel=1e-13)
 
     def test_overlap_with_explicit(self):
-        assert abs(p_series(0.4).value - p_explicit(0.4).value) <= 1e-9
+        assert abs(p_series(0.4) - p_explicit(0.4)) <= 1e-9
 
     def test_validity_radius_enforced(self):
         with pytest.raises(ValueError):
@@ -133,12 +134,12 @@ class TestRouteAgreement:
     def test_explicit_vs_wronskian_wide_range(self):
         for r in np.geomspace(0.2, 50.0, 80):
             r = float(r)
-            assert abs(p_explicit(r).value - p_wronskian(r).value) <= 1e-9, r
+            assert abs(p_explicit(r) - p_wronskian(r)) <= 1e-9, r
 
     def test_series_vs_explicit_overlap_window(self):
         for r in np.linspace(0.25, 0.5, 26):
             r = float(r)
-            assert abs(p_series(r).value - p_explicit(r).value) <= 1e-9, r
+            assert abs(p_series(r) - p_explicit(r)) <= 1e-9, r
 
 
 class TestAsymptotics:
@@ -146,13 +147,13 @@ class TestAsymptotics:
         # |p + r^2/5| <= 0.1 r^4: the r^4 coefficient is 2/35 ~ 0.057
         for r in np.linspace(0.01, 0.3, 30):
             r = float(r)
-            assert abs(p_explicit(r).value + r * r / 5.0) <= 0.1 * r**4, r
+            assert abs(p_explicit(r) + r * r / 5.0) <= 0.1 * r**4, r
 
     def test_large_radius_envelope(self):
         # |p - 1| <= (6 cos^2 + 3)/r^2 + 3/r^3 <= 7/r^2 for r >= 10
         for r in np.geomspace(10.0, 200.0, 25):
             r = float(r)
-            assert abs(p_explicit(r).value - 1.0) <= 7.0 / r**2, r
+            assert abs(p_explicit(r) - 1.0) <= 7.0 / r**2, r
 
 
 class TestFindRoot:
@@ -166,7 +167,7 @@ class TestFindRoot:
         assert result.bracket == (2.0, 2.5)
         # bisection ends on adjacent doubles: p changes sign between the root
         # and a neighbouring double, and here it has opposite signs on either side
-        below, above = (p_explicit(math.nextafter(result.root, x)).value
+        below, above = (p_explicit(math.nextafter(result.root, x))
                         for x in (0.0, 3.0))
         assert below < 0.0 < above
 

@@ -22,8 +22,6 @@ from rbkernel import (
     nystrom_matrix,
     self_adjoint_certificate,
     solve_gamma,
-    SpectralResult,
-    spectral_grid,
     sweep,
     validate_sets,
 )
@@ -311,7 +309,7 @@ class TestApplyOperator:
         from rbkernel import p_explicit
 
         for r in (0.5, 1.0, 2.0, root_r, 3.0):
-            p_r = p_explicit(r).value
+            p_r = p_explicit(r)
             worst = max(
                 abs(
                     apply_operator(reference_spec, r, u2, float(s))
@@ -602,45 +600,27 @@ class TestMinSingularValue:
     def test_zero_matrix_limit(self, reference_spec):
         grid = build_grid(1.0, panels_count=2, nodes_per_panel=4)
         op = NystromOperator(grid=grid, matrix=np.zeros((grid.size, grid.size)))
-        result = min_singular_value(op)
-        assert result.sigma_min == pytest.approx(1.0, abs=1e-14)
-        assert np.linalg.norm(result.null_vector) == pytest.approx(1.0, rel=1e-12)
+        assert min_singular_value(op) == pytest.approx(1.0, abs=1e-14)
 
     def test_small_radius_well_conditioned(self, reference_spec):
         grid = build_grid(0.5, panels_count=8, nodes_per_panel=12)
-        result = min_singular_value(nystrom_matrix(reference_spec, grid))
-        assert result.sigma_min >= 0.5
+        assert min_singular_value(nystrom_matrix(reference_spec, grid)) >= 0.5
 
     def test_certificate_invariant(self, reference_spec):
         grid = build_grid(2.0, panels_count=8, nodes_per_panel=12)
         op = nystrom_matrix(reference_spec, grid)
-        result = min_singular_value(op)
-        residual = np.linalg.norm(
-            (np.eye(grid.size) - op.matrix) @ result.null_vector
-        )
-        assert residual <= result.sigma_min * (1.0 + 1e-8) + 1e-15
+        sigma_min = min_singular_value(op)
+        identity_minus = np.eye(grid.size) - op.matrix
+        _, _, v_rows = np.linalg.svd(identity_minus)
+        residual = np.linalg.norm(identity_minus @ v_rows[-1])
+        assert residual <= sigma_min * (1.0 + 1e-8) + 1e-15
 
     @pytest.mark.parametrize("r", [0.5, 2.0, "R"])
     def test_values_only_svd_matches_full_svd(self, reference_spec, root_r, r):
         grid = build_grid(root_r if r == "R" else r, panels_count=8, nodes_per_panel=12)
         op = nystrom_matrix(reference_spec, grid)
-        result = min_singular_value(op)
-        _, singular_values, v_rows = np.linalg.svd(np.eye(grid.size) - op.matrix)
-        assert abs(result.sigma_min - singular_values[-1]) <= 1e-15
-        # the lazily computed vector is the full SVD's, sign included
-        assert np.array_equal(result.null_vector, v_rows[-1])
-
-    def test_collapse_at_root(self, reference_spec, root_r):
-        grid = spectral_grid(root_r)
-        result = min_singular_value(nystrom_matrix(reference_spec, grid))
-        assert result.sigma_min <= 1e-6
-        # the certificate vector is u_2 sampled at the nodes, up to sign
-        samples = np.array([u2(t) for t in grid.nodes])
-        samples /= np.linalg.norm(samples)
-        null_vec = result.null_vector
-        if float(null_vec @ samples) < 0.0:
-            null_vec = -null_vec
-        assert float(np.max(np.abs(null_vec - samples))) <= 1e-4
+        _, singular_values, _ = np.linalg.svd(np.eye(grid.size) - op.matrix)
+        assert abs(min_singular_value(op) - singular_values[-1]) <= 1e-15
 
 
 class TestSweep:
@@ -727,7 +707,7 @@ def per_radius_sweep(spec, r_min, r_max, steps, panels_count=8, nodes_per_panel=
             sigmas = [
                 min_singular_value(nystrom_matrix(
                     spec, build_grid(r, count, nodes_per_panel, grading=grading)
-                )).sigma_min
+                ))
                 for count in ((panels_count, 2 * panels_count) if refine else (panels_count,))
             ]
             rows.append((r, sigmas[0], abs(sigmas[1] - sigmas[0]) if refine else None))
@@ -803,8 +783,7 @@ class TestBatchedSweep:
         # 128 x 12 nodes and its doubled grid: 14 radii (64512 nodes) a chunk;
         # the matrices are stubbed out, only the tables are measured
         monkeypatch.setattr(op_module, "_nystrom_assembly", lambda grid, tables: None)
-        monkeypatch.setattr(op_module, "min_singular_value",
-                            lambda op: SpectralResult(sigma_min=0.0, operator=op))
+        monkeypatch.setattr(op_module, "min_singular_value", lambda op: 0.0)
         report = sweep(solve_gamma(validate_sets([0], [2])), 1.0, 1.1, 29,
                        panels_count=128, nodes_per_panel=12, refine=True)
         assert table_calls == [14 * 4608, 14 * 4608, 4608]
