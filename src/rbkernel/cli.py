@@ -19,8 +19,6 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-import numpy as np
-
 from . import counterexample as cx
 from .kernel import eval_kernel, solve_gamma, validate_sets
 from .operator import (
@@ -28,6 +26,7 @@ from .operator import (
     NUMERIC_ERRORS,
     apply_operator,
     dump_matrix,
+    radius_range,
     sweep,
 )
 from .report import ScanReport, fmt_float
@@ -171,11 +170,7 @@ def _cmd_kernel_eval(args) -> int:
 
 def _cmd_p_scan(args) -> int:
     route = cx.P_ROUTES["explicit" if args.route == "auto" else args.route]
-    if args.steps < 2:
-        raise ValueError("steps must be >= 2")
-    if not 0.0 < args.r_min < args.r_max:
-        raise ValueError("need 0 < r-min < r-max")
-    radii = np.linspace(args.r_min, args.r_max, args.steps)
+    radii = radius_range(args.r_min, args.r_max, args.steps)
     if args.route == "wronskian":  # one array pass, the bits of per-point calls
         values = cx.p_wronskian(radii).tolist()
     else:
@@ -211,14 +206,13 @@ def _cmd_identity_check(args) -> int:
         raise ValueError("points must be >= 1")
     spec = cx.reference_spec()
     p_r = cx.p_explicit(r)
-    points = np.linspace(r / args.points, r, args.points)
+    points = cx._default_points(r, args.points)
     rhs = eval_regular(2, points).value + p_r * eval_regular(0, points).value
     rows = []
     for s, rhs_s in zip(points.tolist(), rhs.tolist()):
         # one call per point: perfbench's traced identity test expects one
         # operator.apply entry per row
-        j = apply_operator(spec, r, lambda t: eval_regular(2, t).value, s,
-                           tol=args.tol)
+        j = apply_operator(spec, r, cx._u2, s, tol=args.tol)
         rows.append((s, j, rhs_s, abs(j - rhs_s)))
     _emit_report(
         ScanReport(columns=("s", "J", "identity_rhs", "residual"), rows=rows), args

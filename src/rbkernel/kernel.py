@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .riccati import eval_irregular, eval_regular
+from .riccati import check_radius, eval_irregular, eval_regular
 
 __all__ = [
     "SetValidationError",
@@ -188,11 +188,7 @@ def eval_kernel(spec: KernelSpec, s, t) -> float:
     common continuous limit is returned.
     """
     terms = spec.terms()
-    s = float(s)
-    t = float(t)
-    if not (math.isfinite(s) and math.isfinite(t)) or s <= 0.0 or t <= 0.0:
-        raise ValueError(f"kernel arguments must be positive and finite, got {s!r}, {t!r}")
-    lo, hi = (s, t) if s <= t else (t, s)
+    lo, hi = sorted((check_radius(s), check_radius(t)))
     total = 0.0
     for m, g in terms:
         total += g * eval_regular(m, lo).value * eval_irregular(m, hi).value

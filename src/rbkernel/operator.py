@@ -56,7 +56,6 @@ grid on its own.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -65,7 +64,7 @@ import numpy as np
 
 from .kernel import KernelSpec
 from .report import ScanReport, fmt_float
-from .riccati import eval_irregular, eval_regular
+from .riccati import check_radius, eval_irregular, eval_regular
 
 __all__ = [
     "ConvergenceError",
@@ -142,15 +141,16 @@ class QuadratureGrid:
 
     def __post_init__(self):
         if len(self.nodes) != len(self.weights):
-            raise ValueError("nodes and weights must have equal length")
+            raise ValueError(f"nodes and weights must have equal length at r = {self.r!r}")
         if np.any(self.weights <= 0.0):
-            raise ValueError("weights must be positive")
+            raise ValueError(f"weights must be positive at r = {self.r!r}")
         if np.any(self.nodes <= 0.0) or np.any(self.nodes >= self.r):
-            raise ValueError("nodes must lie strictly inside (0, r)")
+            raise ValueError(f"nodes must lie strictly inside (0, r) at r = {self.r!r}")
         if np.any(np.diff(self.nodes) <= 0.0):
-            raise ValueError("nodes must be strictly increasing")
-        if abs(float(np.sum(self.weights)) - self.r) > 1e-12 * self.r:
-            raise ValueError("weights must sum to r")
+            raise ValueError(f"nodes must be strictly increasing at r = {self.r!r}")
+        # summed relative to r, since the plain sum overflows near the largest double
+        if abs(float(np.sum(self.weights / self.r)) - 1.0) > 1e-12:
+            raise ValueError(f"weights must sum to r at r = {self.r!r}")
 
     @property
     def size(self) -> int:
@@ -201,7 +201,8 @@ def _gauss_rule(n: int):
 def _panel_nodes(bounds: np.ndarray, nodes_per_panel: int):
     """Gauss nodes and weights of the panels along the last axis of ``bounds``."""
     x, w = _gauss_rule(nodes_per_panel)
-    mid = 0.5 * (bounds[..., 1:] + bounds[..., :-1])
+    # halved before adding: b + a overflows near the largest double
+    mid = 0.5 * bounds[..., 1:] + 0.5 * bounds[..., :-1]
     half = 0.5 * (bounds[..., 1:] - bounds[..., :-1])
     shape = bounds.shape[:-1] + (-1,)
     nodes = (mid[..., None] + half[..., None] * x).reshape(shape)
@@ -220,9 +221,7 @@ def build_grid(
     Panels are graded toward the origin: boundary i sits at
     ``r * (i / panels)**grading`` (grading 1 gives uniform panels).
     """
-    r = float(r)
-    if not math.isfinite(r) or r <= 0.0:
-        raise ValueError(f"radius must be positive and finite, got {r!r}")
+    r = check_radius(r)
     if panels_count < 1:
         raise ValueError("panels_count must be >= 1")
     if nodes_per_panel < 2:
@@ -272,9 +271,9 @@ def _square_divisors(t: np.ndarray, *numerators) -> tuple[np.ndarray, np.ndarray
     both are t, dividing by t once on each side of the product, and t = 0
     maps to inf, since those nodes carry no weight.
     """
-    square = t * t
-    plain = square >= np.finfo(float).tiny
-    with np.errstate(all="ignore"):  # the quotients are only tested
+    with np.errstate(all="ignore"):  # quotients only tested; t*t is inf above ~1.3e154
+        square = t * t
+        plain = square >= np.finfo(float).tiny
         for numerator in numerators:
             plain &= np.isfinite(numerator / square)
     split = np.where(t > 0.0, t, np.inf)
@@ -456,8 +455,9 @@ def _panel_sums(order: int, h, lo, hi, is_left, counts) -> list:
     for count in counts:
         ticks = np.arange(count + 1) / count
         frac = np.where(is_left[:, None], ticks**2.0, ticks)
-        bounds = lo[:, None] + (hi - lo)[:, None] * frac
-        levels.append(_panel_nodes(bounds, _QUAD_NODES))
+        with np.errstate(over="ignore"):  # lo + (hi - lo) may round past the largest double
+            bounds = lo[:, None] + (hi - lo)[:, None] * frac
+        levels.append(_panel_nodes(np.where(np.isinf(bounds), hi[:, None], bounds), _QUAD_NODES))
     nodes = np.concatenate([level_nodes.ravel() for level_nodes, _ in levels])
     on_left = np.concatenate([
         np.repeat(is_left, level_nodes.shape[1]) for level_nodes, _ in levels
@@ -559,9 +559,7 @@ def apply_operator(
         If doubling exhausts its budget before reaching ``tol``.
     """
     terms = spec.terms()
-    r = float(r)
-    if not math.isfinite(r) or r <= 0.0:
-        raise ValueError(f"radius must be positive and finite, got {r!r}")
+    r = check_radius(r)
     tol = float(tol)
     if not tol >= 0.0:
         raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
@@ -584,6 +582,16 @@ def apply_operator(
     return float(-total[0]) if points.ndim == 0 else -total
 
 
+def radius_range(r_min, r_max, steps: int) -> np.ndarray:
+    """``steps`` evenly spaced radii from r_min to r_max, each end checked as a radius."""
+    r_min, r_max = check_radius(r_min), check_radius(r_max)
+    if not r_min < r_max:
+        raise ValueError(f"need r-min < r-max, got {r_min!r}, {r_max!r}")
+    if steps < 2:
+        raise ValueError("steps must be >= 2")
+    return np.linspace(r_min, r_max, steps)
+
+
 def sweep(
     spec: KernelSpec,
     r_min,
@@ -598,10 +606,10 @@ def sweep(
 
     With ``refine=True`` every radius is redone at doubled panel count and
     the absolute change is recorded in the ``refinement_delta`` column
-    (otherwise the column is empty).  Non-integer orders in S and a grid
-    that cannot be built raise ValueError before any point is computed;
-    numeric failures at a point are recorded in ``report.failures`` instead
-    of aborting the sweep.
+    (otherwise the column is empty).  A range :func:`radius_range` rejects,
+    non-integer orders in S and a grid that cannot be built raise ValueError
+    before any point is computed; numeric failures at a point are recorded
+    in ``report.failures`` instead of aborting the sweep.
 
     The radii go in chunks of at most ``_CHUNK_NODES`` grid nodes (at least
     one radius each), and the family tables of a chunk's grids come from
@@ -610,17 +618,11 @@ def sweep(
     raise a numeric error is redone one radius at a time, so every failing
     radius records the message it gets alone.
     """
-    r_min = float(r_min)
-    r_max = float(r_max)
-    if not 0.0 < r_min < r_max:
-        raise ValueError(f"need 0 < r_min < r_max, got {r_min!r}, {r_max!r}")
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
+    radii = radius_range(r_min, r_max, steps).tolist()
     spec.terms()  # non-integer orders fail here, not at every point
     panel_counts = (panels_count, 2 * panels_count) if refine else (panels_count,)
     radius_nodes = sum(panel_counts) * nodes_per_panel
     chunk_radii = max(1, _CHUNK_NODES // max(radius_nodes, 1))
-    radii = np.linspace(r_min, r_max, steps).tolist()
     rows = []
     failures = []
     for start in range(0, steps, chunk_radii):

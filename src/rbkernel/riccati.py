@@ -38,6 +38,10 @@ selected per element by mask; each element keeps its own series stopping
 point and its own backward-recurrence start, so its value is bit for bit the
 one a call on that element alone returns, whatever else is in the batch.  A
 float in gives a ``FunctionPair`` of Python floats out.
+
+The package's one radius rule lives here: a radius is a positive, finite
+double.  Every layer checks it with ``check_radius``; the evaluators hold each
+array element to it with the same message (``eval_regular`` admits 0 too).
 """
 
 from __future__ import annotations
@@ -93,14 +97,21 @@ def _check_order(m) -> int:
     return m
 
 
+def check_radius(r) -> float:
+    """The radius as a float, if it is positive and finite; ValueError otherwise."""
+    r = float(r)
+    if not 0.0 < r < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"radius must be positive and finite, got {r!r}")
+    return r
+
+
 def _check_radii(r, *, allow_zero: bool = False) -> np.ndarray:
+    """:func:`check_radius` for an array of radii, naming the first bad one."""
     r = np.asarray(r, dtype=float)
-    finite = np.isfinite(r)
-    if not finite.all():
-        raise ValueError(f"radius must be finite, got {float(r[~finite].flat[0])!r}")
-    bad = r <= 0.0 if not allow_zero else r < 0.0
-    if bad.any():
-        raise ValueError(f"radius must be positive, got {float(r[bad].flat[0])!r}")
+    ok = (r >= 0.0 if allow_zero else r > 0.0) & (r < math.inf)
+    if not ok.all():
+        sign = "nonnegative" if allow_zero else "positive"
+        raise ValueError(f"radius must be {sign} and finite, got {float(r[~ok].flat[0])!r}")
     return r
 
 

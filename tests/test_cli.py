@@ -92,6 +92,16 @@ class TestPScan:
         code, _, err = run_cli(capsys, "p-scan", "--r-min", "2", "--r-max", "1")
         assert code == 2 and "r-min" in err
 
+    @pytest.mark.parametrize("argv, bad", [
+        (["--r-min", "1", "--r-max", "inf"], "inf"),
+        (["--r-min", "nan", "--r-max", "2"], "nan"),
+    ])
+    def test_range_end_that_is_not_a_radius(self, capsys, argv, bad):
+        # checked before numpy's linspace sees it, which would warn and fill nan
+        code, out, err = run_cli(capsys, "p-scan", *argv, "--steps", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: radius must be positive and finite, got {bad}\n"
+
     def test_wronskian_route_is_one_array_pass(self, capsys, monkeypatch):
         import rbkernel.counterexample as cx_module
 
@@ -174,6 +184,7 @@ class TestSweep:
         (["--panels", "0"], "panels_count must be >= 1"),
         (["--nodes", "1", "--refine"], "nodes_per_panel must be >= 2"),
         (["--s", "0.5", "--t", "2"], "nonnegative integer orders in S"),
+        (["--r-max", "inf"], "radius must be positive and finite, got inf"),
     ])
     def test_usage_errors_exit_2(self, capsys, argv, message):
         # validated once before the loop, not recorded as a failure per radius
@@ -298,6 +309,21 @@ class TestSmallRadiusUnderflow:
                              ("5.5e-300", "7.923164972112817e-304"),
                              ("1e-299", "1.4405754494750548e-303"))
         ]
+
+
+class TestLargestRadii:
+    """Near the largest double the grid, both matrices and the quadrature
+    form without overflow: verify runs every step, fails, and numpy prints
+    nothing."""
+
+    @pytest.mark.parametrize("radius", ["1e308", "1.7976931348623157e308"])
+    def test_verify(self, radius):
+        proc = TestSmallRadiusUnderflow.run("verify", "--force-r", radius)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert proc.stdout.startswith(f"R ≈ {float(radius)!r}\n")
+        assert "failed to evaluate" not in proc.stdout
+        assert "overall: FAIL" in proc.stdout
 
 
 class TestParserReuse:
