@@ -40,7 +40,6 @@ from .operator import (
     SelfAdjointCertificate,
     apply_operator,
     build_grid,
-    certificate_sigma,
     kink_exact_matrix,
     min_singular_value,
     nystrom_matrix,
@@ -79,7 +78,6 @@ __all__ = [
     "apply_operator",
     "min_singular_value",
     "self_adjoint_certificate",
-    "certificate_sigma",
     "sweep",
     "ScanReport",
     "RootResult",

@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quadrature tolerance per integral")
     _add_io(p, "csv")
 
-    p = sub.add_parser("sweep", help="tabulate sigma_min(I - A) over radii")
+    p = sub.add_parser("sweep", help="tabulate min |1 - lambda| of the Nystrom matrix over radii")
     _add_sets(p)
     p.add_argument("--r-min", type=float, required=True)
     p.add_argument("--r-max", type=float, required=True)

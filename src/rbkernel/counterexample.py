@@ -43,8 +43,8 @@ from .operator import (
     SelfAdjointCertificate,
     apply_operator,
     build_grid,
-    certificate_sigma,
     kink_exact_matrix,
+    min_singular_value,
     self_adjoint_certificate,
 )
 from .riccati import check_radius, eval_irregular, eval_regular
@@ -413,7 +413,7 @@ def verify_counterexample(r_override=None) -> VerificationReport:
     :func:`check_identity`, and both the identity step's term at that radius
     and the equation step read it (with the error it raised, if any).  Every
     |1 - lambda| comes from eigenvalues alone (``np.linalg.eigvalsh``):
-    :func:`rbkernel.operator.certificate_sigma` for the four off-root values,
+    :func:`rbkernel.operator.min_singular_value` for the four off-root values,
     and :func:`rbkernel.operator.self_adjoint_certificate` at the radius
     used, whose one ``np.linalg.eigh`` gives only the null vector.
     """
@@ -485,7 +485,7 @@ def verify_counterexample(r_override=None) -> VerificationReport:
 
     try:
         off_root = {
-            (r, count): certificate_sigma(kink_exact_matrix(spec, grid(r, count)))
+            (r, count): min_singular_value(kink_exact_matrix(spec, grid(r, count)))
             for r in (1.0, 3.0)
             for count in (panels, 2 * panels)
         }

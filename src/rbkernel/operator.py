@@ -33,22 +33,22 @@ L^2((0, r], t^-2 dt), and ``D = sqrt(w)/t`` maps node values to vectors
 whose Euclidean norm is that norm, so min |1 - lambda| over the eigenvalues
 of the symmetric form ``D A D^-1`` measures how close h = K h is to having a
 nontrivial solution, on a scale that does not depend on the grid.
-``certificate_sigma`` takes it from the eigenvalues alone
-(``np.linalg.eigvalsh``, LAPACK's values-only symmetric eigensolver);
-``self_adjoint_certificate`` takes the same values, bit for bit, from the
-same call, and one ``np.linalg.eigh`` for the null vector.  ``verify`` uses
-them on the kink-exact matrix of the ``DEFAULT_CERTIFICATE_*`` grid,
-8 uniform panels x 16 nodes, where min |1 - lambda| reaches rounding level
-at the singular radius.
+``min_singular_value`` takes it from the eigenvalues alone
+(``np.linalg.eigvalsh``, LAPACK's values-only symmetric eigensolver): for a
+symmetric S it is the smallest singular value of I - S, i.e. of I - A in
+K's own norm.  ``self_adjoint_certificate`` takes the same value, bit for
+bit, from the same call, and one ``np.linalg.eigh`` for the null vector.
+``verify`` uses them on the kink-exact matrix of the
+``DEFAULT_CERTIFICATE_*`` grid, 8 uniform panels x 16 nodes, where
+min |1 - lambda| reaches rounding level at the singular radius.
 
-``min_singular_value`` returns the smallest singular value of I - A, a
-float, from a values-only SVD, which forms neither singular-vector matrix.
-``sweep`` and the public ``spectral_grid`` use it; ``DEFAULT_SPECTRAL_*``
-define the grid on which its 1e-6 collapse threshold was calibrated: 128
-uniform panels x 12 nodes push the kink-limited discretization error of the
-Nystrom matrix near the singular radius to ~5e-7.  Uniform panels beat
-origin-graded ones here because the kink error lives in mid-interval panels,
-not at the origin.
+``sweep`` and the public ``spectral_grid`` use ``min_singular_value`` on
+the Nystrom matrix, whose D-scaled form is symmetric by construction;
+``DEFAULT_SPECTRAL_*`` define the grid on which its 1e-6 collapse
+threshold was calibrated: 128 uniform panels x 12 nodes push the
+kink-limited discretization error of the Nystrom matrix near the singular
+radius to ~6e-7.  Uniform panels beat origin-graded ones here because the
+kink error lives in mid-interval panels, not at the origin.
 
 ``sweep`` takes the Riccati tables of a chunk of radii from one call per
 order and family on all their grids' nodes, and assembles and solves each
@@ -85,7 +85,6 @@ __all__ = [
     "apply_operator",
     "min_singular_value",
     "self_adjoint_certificate",
-    "certificate_sigma",
     "dump_matrix",
     "sweep",
 ]
@@ -210,6 +209,16 @@ def _panel_nodes(bounds: np.ndarray, nodes_per_panel: int):
     return nodes, weights
 
 
+def _check_grid_shape(panels_count: int, nodes_per_panel: int, grading: float) -> None:
+    """:func:`build_grid`'s checks that do not depend on r, so a sweep makes them once."""
+    if panels_count < 1:
+        raise ValueError("panels_count must be >= 1")
+    if nodes_per_panel < 2:
+        raise ValueError("nodes_per_panel must be >= 2")
+    if not grading >= 1.0:  # NaN too
+        raise ValueError("grading exponent must be >= 1")
+
+
 def build_grid(
     r,
     panels_count: int = 8,
@@ -222,12 +231,7 @@ def build_grid(
     ``r * (i / panels)**grading`` (grading 1 gives uniform panels).
     """
     r = check_radius(r)
-    if panels_count < 1:
-        raise ValueError("panels_count must be >= 1")
-    if nodes_per_panel < 2:
-        raise ValueError("nodes_per_panel must be >= 2")
-    if grading < 1.0:
-        raise ValueError("grading exponent must be >= 1")
+    _check_grid_shape(panels_count, nodes_per_panel, grading)
     bounds = r * (np.arange(panels_count + 1) / panels_count) ** grading
     nodes, weights = _panel_nodes(bounds, nodes_per_panel)
     return QuadratureGrid(
@@ -307,7 +311,7 @@ def _nystrom_assembly(grid: QuadratureGrid, tables) -> NystromOperator:
         a_matrix /= -left  # the sign of A too: x / -1 is -x exactly
         a_matrix *= grid.weights / right
     if not np.all(np.isfinite(a_matrix)):
-        raise ValueError("Nystrom matrix contains non-finite entries")
+        raise ValueError(f"Nystrom matrix contains non-finite entries at r = {grid.r!r}")
     return NystromOperator(grid=grid, matrix=a_matrix)
 
 
@@ -374,7 +378,7 @@ def kink_exact_matrix(spec: KernelSpec, grid: QuadratureGrid) -> NystromOperator
                 + u[:, None] / left * upper * (v / right)
             )
     if not np.all(np.isfinite(a_matrix)):
-        raise ValueError("kink-exact matrix contains non-finite entries")
+        raise ValueError(f"kink-exact matrix contains non-finite entries at r = {grid.r!r}")
     return NystromOperator(grid=grid, matrix=a_matrix)
 
 
@@ -390,15 +394,6 @@ def _distances_from_one(symmetric: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(1.0 - np.linalg.eigvalsh(symmetric)))
 
 
-def certificate_sigma(op: NystromOperator) -> float:
-    """min |1 - lambda| over the eigenvalues of D A D^-1, from eigenvalues alone.
-
-    The same value, bit for bit, as ``self_adjoint_certificate(op).sigma_min``,
-    without the eigenvectors or the asymmetry.
-    """
-    return float(_distances_from_one(_symmetric_form(op)[1])[0])
-
-
 def self_adjoint_certificate(op: NystromOperator) -> SelfAdjointCertificate:
     """|1 - lambda| for the eigenvalues of D A D^-1, and the null vector.
 
@@ -406,7 +401,7 @@ def self_adjoint_certificate(op: NystromOperator) -> SelfAdjointCertificate:
     D = sqrt(w)/t is symmetric up to discretization and rounding.
     ``sigma_min`` and ``next_sigma`` come from the eigenvalues of its
     symmetric part alone (``np.linalg.eigvalsh``, as in
-    :func:`certificate_sigma`); one ``np.linalg.eigh`` gives the null
+    :func:`min_singular_value`); one ``np.linalg.eigh`` gives the null
     vector, the eigenvector of its own eigenvalue nearest 1.  A near-zero
     ``sigma_min`` certifies a nontrivial discrete solution of h = K h.
     """
@@ -425,12 +420,16 @@ def self_adjoint_certificate(op: NystromOperator) -> SelfAdjointCertificate:
 
 
 def min_singular_value(op: NystromOperator) -> float:
-    """Smallest singular value of I - A, from a values-only SVD.
+    """min |1 - lambda| over the eigenvalues of D A D^-1, from eigenvalues alone.
 
-    A near-zero value certifies a nontrivial discrete solution of h = K h.
+    The eigenvalues are those of the symmetric part of S = D A D^-1
+    (``np.linalg.eigvalsh``), so the value is the smallest singular value of
+    I - (S + S^T)/2, and the same value, bit for bit, as
+    ``self_adjoint_certificate(op).sigma_min``, without the eigenvectors or
+    the asymmetry.  A near-zero value certifies a nontrivial discrete
+    solution of h = K h.
     """
-    singular_values = np.linalg.svd(np.eye(op.grid.size) - op.matrix, compute_uv=False)
-    return float(singular_values[-1])
+    return float(_distances_from_one(_symmetric_form(op)[1])[0])
 
 
 def dump_matrix(op: NystromOperator, path) -> None:
@@ -602,44 +601,52 @@ def sweep(
     grading: float = 2.0,
     refine: bool = False,
 ) -> ScanReport:
-    """Tabulate sigma_min(I - A) over a range of radii.
+    """Tabulate the Nystrom matrix's :func:`min_singular_value` over a range of radii.
 
     With ``refine=True`` every radius is redone at doubled panel count and
     the absolute change is recorded in the ``refinement_delta`` column
     (otherwise the column is empty).  A range :func:`radius_range` rejects,
-    non-integer orders in S and a grid that cannot be built raise ValueError
-    before any point is computed; numeric failures at a point are recorded
-    in ``report.failures`` instead of aborting the sweep.
+    non-integer orders in S and grid parameters :func:`build_grid` rejects
+    at every radius raise ValueError before any point is computed; numeric
+    failures at a point, its grid's included, are recorded in
+    ``report.failures`` instead of aborting the sweep.
 
     The radii go in chunks of at most ``_CHUNK_NODES`` grid nodes (at least
-    one radius each), and the family tables of a chunk's grids come from
-    one Riccati call per order and family on all their nodes, which gives
-    each node the bits of a call on its own grid.  A chunk whose tables
-    raise a numeric error is redone one radius at a time, so every failing
-    radius records the message it gets alone.
+    one radius each), and the family tables of a chunk's grids that built
+    come from one Riccati call per order and family on all their nodes,
+    which gives each node the bits of a call on its own grid.  A chunk whose
+    tables raise a numeric error is redone one radius at a time, so every
+    failing radius records the message it gets alone.
     """
     radii = radius_range(r_min, r_max, steps).tolist()
     spec.terms()  # non-integer orders fail here, not at every point
+    _check_grid_shape(panels_count, nodes_per_panel, grading)
     panel_counts = (panels_count, 2 * panels_count) if refine else (panels_count,)
-    radius_nodes = sum(panel_counts) * nodes_per_panel
-    chunk_radii = max(1, _CHUNK_NODES // max(radius_nodes, 1))
+    chunk_radii = max(1, _CHUNK_NODES // (sum(panel_counts) * nodes_per_panel))
     rows = []
     failures = []
     for start in range(0, steps, chunk_radii):
         chunk = radii[start:start + chunk_radii]
-        grids = [
-            build_grid(r, count, nodes_per_panel, grading=grading)
-            for r in chunk for count in panel_counts
-        ]
+        grids = []  # per radius, its grids or the numeric error building them raised
+        for r in chunk:
+            try:
+                grids.append([build_grid(r, count, nodes_per_panel, grading=grading)
+                              for count in panel_counts])
+            except NUMERIC_ERRORS as exc:
+                grids.append(exc)
+        built = [grid for own in grids if not isinstance(own, Exception) for grid in own]
         try:
-            tables = _grid_tables(spec, grids)
+            tables = iter(_grid_tables(spec, built) if built else [])
         except NUMERIC_ERRORS:  # each radius redoes its own, for its own message
-            tables = [None] * len(grids)
-        for i, r in enumerate(chunk):
-            own = slice(i * len(panel_counts), (i + 1) * len(panel_counts))
+            tables = iter([None] * len(built))
+        for r, own in zip(chunk, grids):
+            if isinstance(own, Exception):
+                failures.append((r, str(own)))
+                continue
+            own_tables = [next(tables) for _ in own]
             try:
                 sigmas = []
-                for grid, grid_tables in zip(grids[own], tables[own]):
+                for grid, grid_tables in zip(own, own_tables):
                     if grid_tables is None:
                         grid_tables = _family_tables(spec, grid.nodes)
                     op = _nystrom_assembly(grid, grid_tables)

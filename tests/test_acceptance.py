@@ -109,18 +109,20 @@ def test_criterion_07_nontrivial_solution_at_root(reference_spec, root_r):
 
 
 def test_criterion_08_spectral_corroboration(reference_spec, root_r):
+    # the Nystrom route, an independent discretization: sigma(R) and the
+    # null vector from one self-adjoint certificate of its 1536-node matrix
     grid = spectral_grid(root_r)
-    op = nystrom_matrix(reference_spec, grid)
-    sigma_min = min_singular_value(op)
+    certificate = self_adjoint_certificate(nystrom_matrix(reference_spec, grid))
+    sigma_min = certificate.sigma_min
 
     away = {}
     for r in (0.5, 1.0, 1.5):
         away[r] = min_singular_value(nystrom_matrix(reference_spec, spectral_grid(r)))
 
-    samples = np.array([eval_regular(2, t).value for t in grid.nodes])
+    # the null vector holds node values scaled by D = sqrt(w)/t
+    samples = np.array([eval_regular(2, t).value for t in grid.nodes]) * grid.l2_scaling
     samples /= np.linalg.norm(samples)
-    _, _, v_rows = np.linalg.svd(np.eye(grid.size) - op.matrix)
-    null_vec = v_rows[-1]
+    null_vec = certificate.null_vector
     if float(null_vec @ samples) < 0.0:
         null_vec = -null_vec
     deviation = float(np.max(np.abs(null_vec - samples)))

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from rbkernel import (
+    ConvergenceError,
     build_grid,
     find_root,
     kink_exact_matrix,
     reference_spec,
 )
 import rbkernel.cli as cli_module
+import rbkernel.counterexample as cx
 from rbkernel.cli import build_parser, main
 from rbkernel.counterexample import P_ROUTES
 from rbkernel.operator import dump_matrix
@@ -185,6 +187,7 @@ class TestSweep:
         (["--nodes", "1", "--refine"], "nodes_per_panel must be >= 2"),
         (["--s", "0.5", "--t", "2"], "nonnegative integer orders in S"),
         (["--r-max", "inf"], "radius must be positive and finite, got inf"),
+        (["--grading", "nan"], "grading exponent must be >= 1"),
     ])
     def test_usage_errors_exit_2(self, capsys, argv, message):
         # validated once before the loop, not recorded as a failure per radius
@@ -309,6 +312,32 @@ class TestSmallRadiusUnderflow:
                              ("5.5e-300", "7.923164972112817e-304"),
                              ("1e-299", "1.4405754494750548e-303"))
         ]
+
+    def test_sweep_with_an_unbuildable_grid(self):
+        # the grid of 1e-320 cannot be built: one warning, and the radii
+        # whose grids build still give their rows
+        proc = self.run("sweep", "--r-min", "1e-320", "--r-max", "1e-300", "--steps", "3")
+        assert proc.returncode == 0
+        header, *rows = proc.stdout.splitlines()
+        assert header == "r,sigma_min,refinement_delta"
+        assert [float(row.split(",")[0]) for row in rows] == [5e-301, 1e-300]
+        (warning,) = proc.stderr.splitlines()
+        assert warning.startswith("warning: point ")
+        assert warning.endswith(" failed: nodes must lie strictly inside (0, r) at r = 1e-320")
+
+    def test_verify_names_a_subnormal_radius(self, capsys, monkeypatch):
+        # the certificate grid builds at 1e-310, but v_0/t overflows at its
+        # first nodes: the spectral step names the radius.  The quadrature,
+        # which spends about 5 s failing to converge there, is stubbed out.
+        def no_quadrature(*args, **kwargs):
+            raise ConvergenceError("stubbed")
+
+        monkeypatch.setattr(cx, "apply_operator", no_quadrature)
+        code, out, err = run_cli(capsys, "verify", "--force-r", "1e-310")
+        assert code == 1
+        assert err == ""
+        assert ("FAIL  spectral_certificate (kink-exact matrix contains non-finite "
+                "entries at r = 1e-310): failed to evaluate") in out
 
 
 class TestLargestRadii:

@@ -14,7 +14,6 @@ from rbkernel import (
     QuadratureGrid,
     apply_operator,
     build_grid,
-    certificate_sigma,
     eval_irregular,
     eval_regular,
     kink_exact_matrix,
@@ -68,6 +67,8 @@ class TestBuildGrid:
             build_grid(1.0, nodes_per_panel=1)
         with pytest.raises(ValueError):
             build_grid(1.0, grading=0.5)
+        with pytest.raises(ValueError, match="grading"):
+            build_grid(1.0, grading=math.nan)
 
     def test_manual_grid_validation(self):
         with pytest.raises(ValueError, match="sum"):
@@ -113,6 +114,13 @@ class TestNystromMatrix:
         lhs = a * (t**2 / w)[None, :]
         assert np.allclose(lhs, lhs.T, rtol=1e-12, atol=1e-14)
 
+    def test_non_finite_entries_name_the_radius(self):
+        grid = build_grid(1.7, panels_count=2, nodes_per_panel=3)
+        tables = [(1.0, np.full(grid.size, np.inf), np.ones(grid.size))]
+        with pytest.raises(ValueError) as exc:
+            op_module._nystrom_assembly(grid, tables)
+        assert str(exc.value) == "Nystrom matrix contains non-finite entries at r = 1.7"
+
 
 class TestKinkExactMatrix:
     @pytest.mark.parametrize("panels, nodes, grading", [
@@ -147,7 +155,7 @@ class TestKinkExactMatrix:
         assert np.linalg.norm(certificate.null_vector) == pytest.approx(1.0, rel=1e-14)
         assert certificate.sigma_min <= certificate.next_sigma
         # sigma_min and next_sigma come from eigvalsh, the null vector from eigh
-        assert certificate.sigma_min == certificate_sigma(op)
+        assert certificate.sigma_min == min_singular_value(op)
         scaling = op.grid.l2_scaling
         form = scaling[:, None] * op.matrix / scaling[None, :]
         eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (form + form.T))
@@ -607,20 +615,24 @@ class TestMinSingularValue:
         assert min_singular_value(nystrom_matrix(reference_spec, grid)) >= 0.5
 
     def test_certificate_invariant(self, reference_spec):
+        # the null vector is a unit vector that I - S takes to at most sigma_min
         grid = build_grid(2.0, panels_count=8, nodes_per_panel=12)
         op = nystrom_matrix(reference_spec, grid)
         sigma_min = min_singular_value(op)
-        identity_minus = np.eye(grid.size) - op.matrix
-        _, _, v_rows = np.linalg.svd(identity_minus)
-        residual = np.linalg.norm(identity_minus @ v_rows[-1])
+        _, symmetric = op_module._symmetric_form(op)
+        null_vector = self_adjoint_certificate(op).null_vector
+        residual = np.linalg.norm(null_vector - symmetric @ null_vector)
         assert residual <= sigma_min * (1.0 + 1e-8) + 1e-15
 
     @pytest.mark.parametrize("r", [0.5, 2.0, "R"])
     def test_values_only_svd_matches_full_svd(self, reference_spec, root_r, r):
+        # for the symmetric S, min |1 - lambda| is the smallest singular value
+        # of I - S; the two LAPACK routes differ by at most 1.4e-15 here
         grid = build_grid(root_r if r == "R" else r, panels_count=8, nodes_per_panel=12)
         op = nystrom_matrix(reference_spec, grid)
-        _, singular_values, _ = np.linalg.svd(np.eye(grid.size) - op.matrix)
-        assert abs(min_singular_value(op) - singular_values[-1]) <= 1e-15
+        _, symmetric = op_module._symmetric_form(op)
+        _, singular_values, _ = np.linalg.svd(np.eye(grid.size) - symmetric)
+        assert abs(min_singular_value(op) - singular_values[-1]) <= 1e-14
 
 
 class TestSweep:
@@ -692,9 +704,15 @@ class TestSweep:
             sweep(reference_spec, 2.0, 1.0, 5)
         with pytest.raises(ValueError):
             sweep(reference_spec, 1.0, 2.0, 1)
-        # an unbuildable grid is an argument error, not a per-point failure
+        # grid parameters no radius accepts are an argument error, not a
+        # per-point failure
         with pytest.raises(ValueError, match="panels_count"):
             sweep(reference_spec, 1.0, 2.0, 3, panels_count=0)
+        with pytest.raises(ValueError, match="nodes_per_panel"):
+            sweep(reference_spec, 1.0, 2.0, 3, nodes_per_panel=1)
+        for grading in (0.5, math.nan):
+            with pytest.raises(ValueError, match="grading"):
+                sweep(reference_spec, 1.0, 2.0, 3, grading=grading)
 
 
 
@@ -761,6 +779,20 @@ class TestBatchedSweep:
         assert len(report.rows) == 4
         assert (report.rows, report.failures) == per_radius_sweep(
             spec, 1e-5, 1.0, 5, refine=refine
+        )
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_unbuildable_grid_is_a_per_point_failure(self, reference_spec, refine, table_calls):
+        # the grid of 1e-320 cannot be built; the two radii of its chunk
+        # whose grids build still share one table call
+        report = sweep(reference_spec, 1e-320, 1e-300, 3, refine=refine)
+        assert table_calls == [2 * (288 if refine else 96)]
+        assert report.failures == [
+            (1e-320, "nodes must lie strictly inside (0, r) at r = 1e-320")
+        ]
+        assert [r for r, *_ in report.rows] == [5e-301, 1e-300]
+        assert (report.rows, report.failures) == per_radius_sweep(
+            reference_spec, 1e-320, 1e-300, 3, refine=refine
         )
 
     @pytest.mark.parametrize("chunk_nodes", [1, 200, 300, 600])

@@ -17,6 +17,7 @@ from rbkernel import (
     eval_kernel,
     eval_regular,
     kink_exact_matrix,
+    min_singular_value,
     nystrom_matrix,
     p_explicit,
     p_series,
@@ -65,6 +66,13 @@ class TestExtremeRadii:
     @pytest.mark.parametrize("assemble", [nystrom_matrix, kink_exact_matrix])
     def test_matrices(self, r, shape, assemble):
         finite_or_numeric_error(lambda: assemble(reference_spec(), build_grid(r, *shape)).matrix)
+
+    @pytest.mark.parametrize("shape", [GRID_SHAPES[0], GRID_SHAPES[2]])
+    @pytest.mark.parametrize("assemble", [nystrom_matrix, kink_exact_matrix])
+    def test_min_singular_value(self, r, shape, assemble):
+        finite_or_numeric_error(
+            lambda: min_singular_value(assemble(reference_spec(), build_grid(r, *shape)))
+        )
 
     @pytest.mark.parametrize("m", [0, 1, 2, 4])
     def test_riccati_families(self, r, m):
