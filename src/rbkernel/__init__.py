@@ -38,6 +38,7 @@ from .operator import (
     NystromOperator,
     QuadratureGrid,
     SelfAdjointCertificate,
+    SeparableNystromOperator,
     apply_operator,
     build_grid,
     kink_exact_matrix,
@@ -69,6 +70,7 @@ __all__ = [
     "eval_kernel",
     "QuadratureGrid",
     "NystromOperator",
+    "SeparableNystromOperator",
     "SelfAdjointCertificate",
     "ConvergenceError",
     "build_grid",

@@ -65,7 +65,7 @@ def _emit_report(report: ScanReport, args) -> None:
     text = report.to_csv_text() if args.format == "csv" else report.to_json_text()
     _emit(text, args.output)
     for point, message in report.failures:
-        print(f"warning: point {point:g} failed: {message}", file=sys.stderr)
+        print(f"warning: point {point!r} failed: {message}", file=sys.stderr)
 
 
 def _add_io(parser, default_format: str) -> None:

@@ -21,12 +21,14 @@ Numerical Solution of Integral Equations of the Second Kind, 1997, ch. 4),
 so the matrix is as accurate as the polynomial interpolant of h on each
 panel and the kink costs nothing.
 
-``nystrom_matrix`` builds the dense collocation matrix
+``nystrom_matrix`` discretizes K by collocation,
 ``A[i, j] = -g(s_i, t_j) w_j / t_j**2`` on one shared grid.  The matrix
 cannot split at the kink per row, so its accuracy is limited by the panel
-resolution (observed O(N^-2) in the total node count).  Its lower triangle
-is one outer product v(s_i) u(t_j) per order, and the upper triangle is
-its mirror image.
+resolution (observed O(N^-2) in the total node count).  Since the kernel
+is degenerate, A is fixed by the family tables (gamma_m, u_m, v_m) at the
+nodes, and ``SeparableNystromOperator`` holds just those: its dense
+``matrix`` (lower triangle one outer product v(s_i) u(t_j) per order, the
+upper triangle its mirror image) is assembled only when read.
 
 Both matrices act on values at the grid nodes.  K is self-adjoint on
 L^2((0, r], t^-2 dt), and ``D = sqrt(w)/t`` maps node values to vectors
@@ -43,16 +45,21 @@ bit, from the same call, and one ``np.linalg.eigh`` for the null vector.
 min |1 - lambda| reaches rounding level at the singular radius.
 
 ``sweep`` and the public ``spectral_grid`` use ``min_singular_value`` on
-the Nystrom matrix, whose D-scaled form is symmetric by construction;
-``DEFAULT_SPECTRAL_*`` define the grid on which its 1e-6 collapse
-threshold was calibrated: 128 uniform panels x 12 nodes push the
-kink-limited discretization error of the Nystrom matrix near the singular
-radius to ~6e-7.  Uniform panels beat origin-graded ones here because the
-kink error lives in mid-interval panels, not at the origin.
+the Nystrom operator.  Its D-scaled form needs no dense A: on and below
+the diagonal, S[i, j] = -sum_m gamma_m (a v_m)(s_i) (a u_m)(t_j) with
+a = sqrt(w)/t, one (N x |S|)(|S| x N) product of the scaled tables with no
+division by t^2, and that triangle is all that ``eigvalsh`` and ``eigh``
+read (``UPLO='L'``).  So the form is exactly symmetric, and the
+certificate's ``asymmetry`` is 0.  ``DEFAULT_SPECTRAL_*`` define the grid
+on which its 1e-6 collapse threshold was calibrated: 128 uniform panels x
+12 nodes push the kink-limited discretization error of the Nystrom matrix
+near the singular radius to ~6e-7.  Uniform panels beat origin-graded
+ones here because the kink error lives in mid-interval panels, not at the
+origin.
 
 ``sweep`` takes the Riccati tables of a chunk of radii from one call per
-order and family on all their grids' nodes, and assembles and solves each
-grid on its own.
+order and family on all their grids' nodes, and solves each grid's form
+on its own.
 """
 from __future__ import annotations
 
@@ -71,6 +78,7 @@ __all__ = [
     "NUMERIC_ERRORS",
     "QuadratureGrid",
     "NystromOperator",
+    "SeparableNystromOperator",
     "SelfAdjointCertificate",
     "DEFAULT_CERTIFICATE_PANELS",
     "DEFAULT_CERTIFICATE_NODES",
@@ -165,12 +173,65 @@ class QuadratureGrid:
 class NystromOperator:
     """Dense matrix A on the grid's nodes: (K h)(t_i) ~ sum_j A[i, j] h(t_j).
 
-    Built by :func:`nystrom_matrix` (collocation) or
-    :func:`kink_exact_matrix` (product integration).
+    Built by :func:`kink_exact_matrix` (product integration).
     """
 
     grid: QuadratureGrid
     matrix: np.ndarray
+
+    def _scaled(self) -> np.ndarray:
+        """S = D A D^-1 with D = sqrt(w)/t."""
+        scaling = self.grid.l2_scaling
+        return scaling[:, None] * self.matrix / scaling[None, :]
+
+    def own_norm_form(self) -> np.ndarray:
+        """The symmetric part (S + S^T)/2 of S = D A D^-1."""
+        form = self._scaled()
+        return 0.5 * (form + form.T)
+
+    def asymmetry(self) -> float:
+        """max |S - S^T| of S = D A D^-1."""
+        form = self._scaled()
+        return float(np.max(np.abs(form - form.T)))
+
+
+@dataclass(frozen=True, eq=False)
+class SeparableNystromOperator:
+    """The Nystrom matrix A of :func:`nystrom_matrix`, held by its family tables.
+
+    ``tables`` holds one (gamma_m, u_m, v_m) per order in S, with u_m and
+    v_m at the grid's nodes; since g(s, t) = sum_m gamma_m u_m(min) v_m(max),
+    they fix A.  ``matrix`` assembles the dense A each time it is read.
+    """
+
+    grid: QuadratureGrid
+    tables: tuple
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return _nystrom_assembly(self.grid, self.tables)
+
+    def own_norm_form(self) -> np.ndarray:
+        """A matrix whose lower triangle, diagonal included, is S = D A D^-1.
+
+        For i >= j, S[i, j] = -sum_m gamma_m (a v_m)(s_i) (a u_m)(t_j) with
+        a = sqrt(w)/t: one product of the scaled tables.  Above the diagonal
+        it holds the same product, which is not S; ``eigvalsh`` and ``eigh``
+        read the lower triangle only.
+        """
+        scaling = self.grid.l2_scaling
+        with np.errstate(all="ignore"):  # the finiteness check below reports it
+            rows = np.stack([-g * scaling * v for g, _, v in self.tables], axis=1)
+            columns = np.stack([scaling * u for _, u, _ in self.tables])
+            form = rows @ columns
+        # the upper triangle may overflow where S does not; only S is checked
+        if not np.all(np.isfinite(form)) and not np.all(np.isfinite(np.tril(form))):
+            raise ValueError(f"Nystrom matrix contains non-finite entries at r = {self.grid.r!r}")
+        return form
+
+    def asymmetry(self) -> float:
+        """0: S is symmetric by construction."""
+        return 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,14 +242,15 @@ class SelfAdjointCertificate:
     |1 - lambda|; ``null_vector`` is the unit eigenvector of the smallest,
     i.e. the candidate solution's node values scaled by D = sqrt(w)/t (sign
     as returned by ``np.linalg.eigh``); ``asymmetry`` is max |S - S^T| of
-    S = D A D^-1 before it was symmetrized.
+    S = D A D^-1 before it was symmetrized (0 for a
+    :class:`SeparableNystromOperator`, whose S is symmetric by construction).
     """
 
     sigma_min: float
     next_sigma: float
     asymmetry: float
     null_vector: np.ndarray = field(repr=False)
-    operator: NystromOperator = field(repr=False)
+    operator: NystromOperator | SeparableNystromOperator = field(repr=False)
 
 
 @lru_cache(maxsize=32)
@@ -284,18 +346,18 @@ def _square_divisors(t: np.ndarray, *numerators) -> tuple[np.ndarray, np.ndarray
     return np.where(plain, 1.0, split), np.where(plain, square, split)
 
 
-def nystrom_matrix(spec: KernelSpec, grid: QuadratureGrid) -> NystromOperator:
-    """Assemble the dense Nystrom matrix on the grid's nodes.
+def nystrom_matrix(spec: KernelSpec, grid: QuadratureGrid) -> SeparableNystromOperator:
+    """The Nystrom operator on the grid's nodes, held by its family tables.
 
     Collocation points coincide with the quadrature nodes.  The degenerate
-    form of the kernel keeps assembly at O(N) function evaluations plus
-    O(N^2) arithmetic.
+    form of the kernel keeps it at O(N) function evaluations; its dense
+    matrix costs O(N^2) arithmetic more, and only when read.
     """
-    return _nystrom_assembly(grid, _family_tables(spec, grid.nodes))
+    return SeparableNystromOperator(grid, tuple(_family_tables(spec, grid.nodes)))
 
 
-def _nystrom_assembly(grid: QuadratureGrid, tables) -> NystromOperator:
-    """The Nystrom matrix from the grid and its ``_family_tables`` at the nodes."""
+def _nystrom_assembly(grid: QuadratureGrid, tables) -> np.ndarray:
+    """The dense Nystrom matrix from the grid and its ``_family_tables`` at the nodes."""
     left, right = _square_divisors(grid.nodes, grid.weights)
     n = grid.size
     # rows are collocation s_i, columns integration t_j; nodes ascending, so
@@ -312,7 +374,7 @@ def _nystrom_assembly(grid: QuadratureGrid, tables) -> NystromOperator:
         a_matrix *= grid.weights / right
     if not np.all(np.isfinite(a_matrix)):
         raise ValueError(f"Nystrom matrix contains non-finite entries at r = {grid.r!r}")
-    return NystromOperator(grid=grid, matrix=a_matrix)
+    return a_matrix
 
 
 @lru_cache(maxsize=32)
@@ -382,19 +444,14 @@ def kink_exact_matrix(spec: KernelSpec, grid: QuadratureGrid) -> NystromOperator
     return NystromOperator(grid=grid, matrix=a_matrix)
 
 
-def _symmetric_form(op: NystromOperator):
-    """S = D A D^-1 with D = sqrt(w)/t, and its symmetric part (S + S^T)/2."""
-    scaling = op.grid.l2_scaling
-    form = scaling[:, None] * op.matrix / scaling[None, :]
-    return form, 0.5 * (form + form.T)
-
-
 def _distances_from_one(symmetric: np.ndarray) -> np.ndarray:
-    """|1 - lambda| of a symmetric matrix, ascending, from its eigenvalues alone."""
-    return np.sort(np.abs(1.0 - np.linalg.eigvalsh(symmetric)))
+    """|1 - lambda|, ascending, of the symmetric matrix whose lower triangle is given."""
+    return np.sort(np.abs(1.0 - np.linalg.eigvalsh(symmetric, UPLO="L")))
 
 
-def self_adjoint_certificate(op: NystromOperator) -> SelfAdjointCertificate:
+def self_adjoint_certificate(
+    op: NystromOperator | SeparableNystromOperator,
+) -> SelfAdjointCertificate:
     """|1 - lambda| for the eigenvalues of D A D^-1, and the null vector.
 
     K is self-adjoint on L^2((0, r], t^-2 dt), so S = D A D^-1 with
@@ -405,21 +462,20 @@ def self_adjoint_certificate(op: NystromOperator) -> SelfAdjointCertificate:
     vector, the eigenvector of its own eigenvalue nearest 1.  A near-zero
     ``sigma_min`` certifies a nontrivial discrete solution of h = K h.
     """
-    form, symmetric = _symmetric_form(op)
-    asymmetry = float(np.max(np.abs(form - form.T)))
+    symmetric = op.own_norm_form()
     distance = _distances_from_one(symmetric)
-    eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
+    eigenvalues, eigenvectors = np.linalg.eigh(symmetric, UPLO="L")
     nearest = np.argmin(np.abs(1.0 - eigenvalues))
     return SelfAdjointCertificate(
         sigma_min=float(distance[0]),
         next_sigma=float(distance[1]),
-        asymmetry=asymmetry,
+        asymmetry=op.asymmetry(),
         null_vector=eigenvectors[:, nearest].copy(),
         operator=op,
     )
 
 
-def min_singular_value(op: NystromOperator) -> float:
+def min_singular_value(op: NystromOperator | SeparableNystromOperator) -> float:
     """min |1 - lambda| over the eigenvalues of D A D^-1, from eigenvalues alone.
 
     The eigenvalues are those of the symmetric part of S = D A D^-1
@@ -429,10 +485,10 @@ def min_singular_value(op: NystromOperator) -> float:
     the asymmetry.  A near-zero value certifies a nontrivial discrete
     solution of h = K h.
     """
-    return float(_distances_from_one(_symmetric_form(op)[1])[0])
+    return float(_distances_from_one(op.own_norm_form())[0])
 
 
-def dump_matrix(op: NystromOperator, path) -> None:
+def dump_matrix(op: NystromOperator | SeparableNystromOperator, path) -> None:
     """Write the dense matrix A as CSV (debugging aid; one row per line)."""
     lines = [
         ",".join(fmt_float(entry) for entry in row) for row in op.matrix
@@ -601,7 +657,7 @@ def sweep(
     grading: float = 2.0,
     refine: bool = False,
 ) -> ScanReport:
-    """Tabulate the Nystrom matrix's :func:`min_singular_value` over a range of radii.
+    """Tabulate the Nystrom operator's :func:`min_singular_value` over a range of radii.
 
     With ``refine=True`` every radius is redone at doubled panel count and
     the absolute change is recorded in the ``refinement_delta`` column
@@ -649,7 +705,7 @@ def sweep(
                 for grid, grid_tables in zip(own, own_tables):
                     if grid_tables is None:
                         grid_tables = _family_tables(spec, grid.nodes)
-                    op = _nystrom_assembly(grid, grid_tables)
+                    op = SeparableNystromOperator(grid, tuple(grid_tables))
                     sigmas.append(min_singular_value(op))
                 delta = abs(sigmas[1] - sigmas[0]) if refine else None
                 rows.append((r, sigmas[0], delta))

@@ -321,9 +321,10 @@ class TestSmallRadiusUnderflow:
         header, *rows = proc.stdout.splitlines()
         assert header == "r,sigma_min,refinement_delta"
         assert [float(row.split(",")[0]) for row in rows] == [5e-301, 1e-300]
-        (warning,) = proc.stderr.splitlines()
-        assert warning.startswith("warning: point ")
-        assert warning.endswith(" failed: nodes must lie strictly inside (0, r) at r = 1e-320")
+        # the point is printed as its message names it, not as %g's 9.99989e-321
+        assert proc.stderr.splitlines() == [
+            "warning: point 1e-320 failed: nodes must lie strictly inside (0, r) at r = 1e-320"
+        ]
 
     def test_verify_names_a_subnormal_radius(self, capsys, monkeypatch):
         # the certificate grid builds at 1e-310, but v_0/t overflows at its

@@ -12,6 +12,7 @@ from rbkernel import (
     ConvergenceError,
     NystromOperator,
     QuadratureGrid,
+    SeparableNystromOperator,
     apply_operator,
     build_grid,
     eval_irregular,
@@ -34,6 +35,8 @@ A00_SINGLE_NODE = -10.097651817694758
 # min |1 - lambda| of the kink-exact certificate at r = 3; the same to 12
 # digits on 8x16, 16x16 and 32x16 uniform grids
 KINK_EXACT_SIGMA_R3 = 0.749202529949
+
+THREE_TERMS = ([0, 4, 8], [2, 6, 10])
 
 
 def u2(t):
@@ -116,10 +119,41 @@ class TestNystromMatrix:
 
     def test_non_finite_entries_name_the_radius(self):
         grid = build_grid(1.7, panels_count=2, nodes_per_panel=3)
-        tables = [(1.0, np.full(grid.size, np.inf), np.ones(grid.size))]
-        with pytest.raises(ValueError) as exc:
-            op_module._nystrom_assembly(grid, tables)
-        assert str(exc.value) == "Nystrom matrix contains non-finite entries at r = 1.7"
+        tables = ((1.0, np.full(grid.size, np.inf), np.ones(grid.size)),)
+        op = SeparableNystromOperator(grid, tables)
+        for evaluate in (lambda: op.matrix, op.own_norm_form, lambda: min_singular_value(op)):
+            with pytest.raises(ValueError) as exc:
+                evaluate()
+            assert str(exc.value) == "Nystrom matrix contains non-finite entries at r = 1.7"
+
+    def test_upper_triangle_is_never_read(self):
+        # above the diagonal the product holds v(t_0) u(t_1) = 1e600, which
+        # overflows; S itself, its lower triangle, is finite
+        grid = QuadratureGrid(r=1.0, panel_bounds=(0.0, 1.0),
+                              nodes=np.array([0.25, 0.75]), weights=np.array([0.5, 0.5]))
+        u, v = np.array([1.0, 1e300]), np.array([1e300, 1.0])
+        op = SeparableNystromOperator(grid, ((-1.0, u, v),))
+        a = grid.l2_scaling
+        s_10 = (a[1] * v[1]) * (a[0] * u[0])
+        symmetric = np.array([[(a[0] * v[0]) * (a[0] * u[0]), s_10],
+                              [s_10, (a[1] * v[1]) * (a[1] * u[1])]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigma = min_singular_value(op)
+        assert sigma == np.min(np.abs(1.0 - np.linalg.eigvalsh(symmetric)))
+
+    @pytest.mark.parametrize("sets", [([0], [2]), THREE_TERMS])
+    @pytest.mark.parametrize("grading", [1.0, 2.0])
+    @pytest.mark.parametrize("panels", [8, 16])
+    def test_separable_form_agrees_with_the_dense_route(self, root_r, sets, grading, panels):
+        # the product of the scaled tables against D A D^-1 of the assembled
+        # matrix, symmetrized: the same sigma within 1e-13 (5.1e-15 measured)
+        spec = solve_gamma(validate_sets(*sets))
+        for r in np.geomspace(0.05, 6.0, 7).tolist() + [root_r]:
+            op = nystrom_matrix(spec, build_grid(r, panels, 12, grading=grading))
+            dense = NystromOperator(op.grid, op.matrix)
+            assert abs(min_singular_value(op) - min_singular_value(dense)) <= 1e-13, r
+            assert self_adjoint_certificate(op).asymmetry == 0.0
 
 
 class TestKinkExactMatrix:
@@ -604,6 +638,11 @@ class TestFirstPass:
         assert max(per_point) <= 5  # h, u_0 and v_0 once each, then v_0, u_0 at s
 
 
+def mirrored(lower):
+    """The symmetric matrix whose lower triangle is that of ``lower``."""
+    return np.tril(lower) + np.tril(lower, -1).T
+
+
 class TestMinSingularValue:
     def test_zero_matrix_limit(self, reference_spec):
         grid = build_grid(1.0, panels_count=2, nodes_per_panel=4)
@@ -619,7 +658,7 @@ class TestMinSingularValue:
         grid = build_grid(2.0, panels_count=8, nodes_per_panel=12)
         op = nystrom_matrix(reference_spec, grid)
         sigma_min = min_singular_value(op)
-        _, symmetric = op_module._symmetric_form(op)
+        symmetric = mirrored(op.own_norm_form())
         null_vector = self_adjoint_certificate(op).null_vector
         residual = np.linalg.norm(null_vector - symmetric @ null_vector)
         assert residual <= sigma_min * (1.0 + 1e-8) + 1e-15
@@ -630,7 +669,7 @@ class TestMinSingularValue:
         # of I - S; the two LAPACK routes differ by at most 1.4e-15 here
         grid = build_grid(root_r if r == "R" else r, panels_count=8, nodes_per_panel=12)
         op = nystrom_matrix(reference_spec, grid)
-        _, symmetric = op_module._symmetric_form(op)
+        symmetric = mirrored(op.own_norm_form())
         _, singular_values, _ = np.linalg.svd(np.eye(grid.size) - symmetric)
         assert abs(min_singular_value(op) - singular_values[-1]) <= 1e-14
 
@@ -669,14 +708,14 @@ class TestSweep:
         assert all(d is None for d in plain.column("refinement_delta"))
 
     def test_per_point_failures_recorded(self, reference_spec, monkeypatch):
-        real = op_module._nystrom_assembly
+        real = op_module.SeparableNystromOperator
 
         def flaky(grid, tables):
             if abs(grid.r - 1.0) < 1e-12:
                 raise ValueError("synthetic failure")
             return real(grid, tables)
 
-        monkeypatch.setattr(op_module, "_nystrom_assembly", flaky)
+        monkeypatch.setattr(op_module, "SeparableNystromOperator", flaky)
         report = op_module.sweep(reference_spec, 0.5, 1.5, 3)
         assert len(report.rows) == 2
         assert len(report.failures) == 1
@@ -732,9 +771,6 @@ def per_radius_sweep(spec, r_min, r_max, steps, panels_count=8, nodes_per_panel=
         except op_module.NUMERIC_ERRORS as exc:
             failures.append((r, str(exc)))
     return rows, failures
-
-
-THREE_TERMS = ([0, 4, 8], [2, 6, 10])
 
 
 class TestBatchedSweep:
@@ -814,7 +850,7 @@ class TestBatchedSweep:
     def test_chunks_hold_at_most_the_chunk_nodes(self, monkeypatch, table_calls):
         # 128 x 12 nodes and its doubled grid: 14 radii (64512 nodes) a chunk;
         # the matrices are stubbed out, only the tables are measured
-        monkeypatch.setattr(op_module, "_nystrom_assembly", lambda grid, tables: None)
+        monkeypatch.setattr(op_module, "SeparableNystromOperator", lambda grid, tables: None)
         monkeypatch.setattr(op_module, "min_singular_value", lambda op: 0.0)
         report = sweep(solve_gamma(validate_sets([0], [2])), 1.0, 1.1, 29,
                        panels_count=128, nodes_per_panel=12, refine=True)

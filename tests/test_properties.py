@@ -14,6 +14,7 @@ from rbkernel import (
     eval_kernel,
     eval_regular,
     kink_exact_matrix,
+    min_singular_value,
     nystrom_matrix,
     reference_spec,
     solve_gamma,
@@ -79,9 +80,10 @@ def _u2(t):
     m=orders,
 )
 def test_whole_radius_range_is_finite_or_a_named_error(exponent, kernel, m):
-    # r log-uniform in [1e-300, 1e3]: every discretization of K, and the
-    # Riccati pair, gives finite values or one of NUMERIC_ERRORS, and numpy
-    # never warns; the reference kernel forms all four operator results
+    # r log-uniform in [1e-300, 1e3]: every discretization of K, the
+    # Nystrom operator's sigma_min, and the Riccati pair give finite values
+    # or one of NUMERIC_ERRORS, and numpy never warns; the reference kernel
+    # forms all five operator results
     r = 10.0**exponent
     spec = KERNELS[kernel]
     grid = build_grid(r, 8, 16, grading=1.0)
@@ -89,6 +91,7 @@ def test_whole_radius_range_is_finite_or_a_named_error(exponent, kernel, m):
     results = (
         lambda: kink_exact_matrix(spec, grid).matrix,
         lambda: nystrom_matrix(spec, grid).matrix,
+        lambda: min_singular_value(nystrom_matrix(spec, grid)),
         lambda: apply_operator(spec, r, _u2, points),
         lambda: apply_operator(spec, r, lambda t: t, points),
         lambda: eval_regular(m, r),
@@ -100,6 +103,6 @@ def test_whole_radius_range_is_finite_or_a_named_error(exponent, kernel, m):
             try:
                 values = result()
             except NUMERIC_ERRORS:
-                assert kernel != 0 or i >= 4, (r, i)
+                assert kernel != 0 or i >= 5, (r, i)
                 continue
             assert np.all(np.isfinite(values)), (r, i)
