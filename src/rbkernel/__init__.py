@@ -14,7 +14,6 @@ from .counterexample import (
     RootResult,
     VerificationReport,
     check_identity,
-    check_ode,
     find_root,
     p_explicit,
     p_series,
@@ -90,7 +89,6 @@ __all__ = [
     "p_series",
     "find_root",
     "check_identity",
-    "check_ode",
     "reference_spec",
     "verify_counterexample",
 ]

@@ -30,7 +30,7 @@ from .operator import (
     sweep,
 )
 from .report import ScanReport, fmt_float
-from .riccati import eval_regular
+from .riccati import eval_regular  # noqa: F401  perfbench's tracer test reads cli.eval_regular
 
 __all__ = ["main", "build_parser"]
 
@@ -205,15 +205,12 @@ def _cmd_identity_check(args) -> int:
     if args.points < 1:
         raise ValueError("points must be >= 1")
     spec = cx.reference_spec()
-    p_r = cx.p_explicit(r)
     points = cx._default_points(r, args.points)
-    rhs = eval_regular(2, points).value + p_r * eval_regular(0, points).value
-    rows = []
-    for s, rhs_s in zip(points.tolist(), rhs.tolist()):
-        # one call per point: perfbench's traced identity test expects one
-        # operator.apply entry per row
-        j = apply_operator(spec, r, cx._u2, s, tol=args.tol)
-        rows.append((s, j, rhs_s, abs(j - rhs_s)))
+    # one call per point: perfbench's traced identity test expects one
+    # operator.apply entry per row
+    k_u2 = [apply_operator(spec, r, cx._u2, s, tol=args.tol) for s in points.tolist()]
+    rhs, residual = cx._identity_terms(r, points, k_u2)
+    rows = list(zip(points.tolist(), k_u2, rhs.tolist(), residual.tolist()))
     _emit_report(
         ScanReport(columns=("s", "J", "identity_rhs", "residual"), rows=rows), args
     )

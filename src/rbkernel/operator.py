@@ -26,9 +26,8 @@ panel and the kink costs nothing.
 cannot split at the kink per row, so its accuracy is limited by the panel
 resolution (observed O(N^-2) in the total node count).  Since the kernel
 is degenerate, A is fixed by the family tables (gamma_m, u_m, v_m) at the
-nodes, and ``SeparableNystromOperator`` holds just those: its dense
-``matrix`` (lower triangle one outer product v(s_i) u(t_j) per order, the
-upper triangle its mirror image) is assembled only when read.
+nodes, and ``SeparableNystromOperator`` holds just those; A itself is never
+formed, only its D-scaled form below.
 
 Both matrices act on values at the grid nodes.  K is self-adjoint on
 L^2((0, r], t^-2 dt), and ``D = sqrt(w)/t`` maps node values to vectors
@@ -201,15 +200,11 @@ class SeparableNystromOperator:
 
     ``tables`` holds one (gamma_m, u_m, v_m) per order in S, with u_m and
     v_m at the grid's nodes; since g(s, t) = sum_m gamma_m u_m(min) v_m(max),
-    they fix A.  ``matrix`` assembles the dense A each time it is read.
+    they fix A, which is read only through :meth:`own_norm_form`.
     """
 
     grid: QuadratureGrid
     tables: tuple
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return _nystrom_assembly(self.grid, self.tables)
 
     def own_norm_form(self) -> np.ndarray:
         """A matrix whose lower triangle, diagonal included, is S = D A D^-1.
@@ -350,31 +345,10 @@ def nystrom_matrix(spec: KernelSpec, grid: QuadratureGrid) -> SeparableNystromOp
     """The Nystrom operator on the grid's nodes, held by its family tables.
 
     Collocation points coincide with the quadrature nodes.  The degenerate
-    form of the kernel keeps it at O(N) function evaluations; its dense
-    matrix costs O(N^2) arithmetic more, and only when read.
+    form of the kernel keeps it at O(N) function evaluations; its D-scaled
+    form costs O(N^2) arithmetic more, each time it is formed.
     """
     return SeparableNystromOperator(grid, tuple(_family_tables(spec, grid.nodes)))
-
-
-def _nystrom_assembly(grid: QuadratureGrid, tables) -> np.ndarray:
-    """The dense Nystrom matrix from the grid and its ``_family_tables`` at the nodes."""
-    left, right = _square_divisors(grid.nodes, grid.weights)
-    n = grid.size
-    # rows are collocation s_i, columns integration t_j; nodes ascending, so
-    # i >= j means t_j <= s_i and g = v(s_i) u(t_j).  The rest is the mirror
-    # image, since u(s_i) v(t_j) is the same product as v(t_j) u(s_i).
-    lower = np.zeros((n, n))
-    for g, u, v in tables:
-        term = np.multiply.outer(v, u)
-        term *= g
-        lower += term
-    a_matrix = np.where(np.tri(n, dtype=bool), lower, lower.T)
-    with np.errstate(all="ignore"):  # the finiteness check below reports it
-        a_matrix /= -left  # the sign of A too: x / -1 is -x exactly
-        a_matrix *= grid.weights / right
-    if not np.all(np.isfinite(a_matrix)):
-        raise ValueError(f"Nystrom matrix contains non-finite entries at r = {grid.r!r}")
-    return a_matrix
 
 
 @lru_cache(maxsize=32)
@@ -488,8 +462,8 @@ def min_singular_value(op: NystromOperator | SeparableNystromOperator) -> float:
     return float(_distances_from_one(op.own_norm_form())[0])
 
 
-def dump_matrix(op: NystromOperator | SeparableNystromOperator, path) -> None:
-    """Write the dense matrix A as CSV (debugging aid; one row per line)."""
+def dump_matrix(op: NystromOperator, path) -> None:
+    """Write the kink-exact matrix A as CSV (debugging aid; one row per line)."""
     lines = [
         ",".join(fmt_float(entry) for entry in row) for row in op.matrix
     ]

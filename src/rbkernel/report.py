@@ -51,7 +51,3 @@ class ScanReport:
             for row in self.rows
         ]
         return json.dumps(objects, separators=(",", ":"), allow_nan=False) + "\n"
-
-    def column(self, name: str) -> list:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]

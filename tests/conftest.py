@@ -11,7 +11,10 @@ except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import mpmath as mp
+import numpy as np
 import pytest
+
+from rbkernel import NystromOperator
 
 mp.mp.dps = 40
 
@@ -32,6 +35,13 @@ def mp_p(r):
     """Oracle for the closed form of p at 40 digits."""
     r = mp.mpf(r)
     return 1 - (3 + 3 * mp.cos(r) ** 2) / r**2 + 3 * mp.sin(2 * r) / r**3
+
+
+def read_matrix(op):
+    """What production reads of an operator: the kink-exact A, or the lower
+    triangle of the Nystrom operator's D-scaled form S = D A D^-1 (it holds
+    no dense A)."""
+    return op.matrix if isinstance(op, NystromOperator) else np.tril(op.own_norm_form())
 
 
 def csv_table(text):

@@ -14,7 +14,6 @@ from rbkernel import (
     ConvergenceError,
     apply_operator,
     check_identity,
-    check_ode,
     eval_regular,
     find_root,
     p_explicit,
@@ -233,21 +232,6 @@ class TestCheckIdentity:
         # t * t underflows on [0, s] and u_2 with it; the identity still closes
         for r in (0.3, 1.0, 5.0):
             assert check_identity(r, s_points=[1e-160, 1e-200, 1e-300, 1e-320, 5e-324]) <= 1e-8
-
-
-class TestCheckOde:
-    def test_spot_values(self):
-        assert check_ode([1.0]) <= 1e-10
-        assert check_ode([0.01]) <= 1e-10  # series branch
-        assert check_ode([20.0]) <= 1e-9
-        points = np.geomspace(0.01, 80.0, 10)
-        worst = check_ode(points)  # one array pass
-        assert worst <= 1e-9
-        assert worst == max(check_ode([s]) for s in points)
-
-    def test_rejects_nonpositive_points(self):
-        with pytest.raises(ValueError):
-            check_ode([1.0, 0.0])
 
 
 class TestVerifyCounterexample:

@@ -26,6 +26,8 @@ from rbkernel import (
     validate_sets,
 )
 
+from conftest import read_matrix
+
 # (K u_2)(0.5) at r = 1 equals u_2(0.5) + p(1) u_0(0.5); 40-digit oracle value
 J_R1_S_HALF = -0.062715474113685405
 
@@ -41,6 +43,15 @@ THREE_TERMS = ([0, 4, 8], [2, 6, 10])
 
 def u2(t):
     return eval_regular(2, t).value
+
+
+def kernel_definition_matrix(spec, grid):
+    """A[i, j] = -g(s_i, t_j) w_j / t_j^2 with g = sum_m gamma_m u_m(min) v_m(max)."""
+    t = grid.nodes
+    low, high = np.minimum.outer(t, t), np.maximum.outer(t, t)
+    g = sum(gamma * eval_regular(m, low).value * eval_irregular(m, high).value
+            for m, gamma in spec.terms())
+    return -g * grid.weights / t**2
 
 
 class TestBuildGrid:
@@ -98,30 +109,23 @@ class TestNystromMatrix:
             nodes=np.array([0.5]),
             weights=np.array([1.0]),
         )
-        op = nystrom_matrix(reference_spec, grid)
-        assert op.matrix[0, 0] == pytest.approx(A00_SINGLE_NODE, rel=1e-13)
+        # D cancels on the diagonal: S[0, 0] = A[0, 0]
+        entry = nystrom_matrix(reference_spec, grid).own_norm_form()[0, 0]
+        assert entry == pytest.approx(A00_SINGLE_NODE, rel=1e-13)
         # same number from the defining formula
         direct = 6.0 * math.sin(0.5) * (-math.cos(0.5)) * 1.0 / 0.25
-        assert op.matrix[0, 0] == pytest.approx(direct, rel=1e-15)
+        assert entry == pytest.approx(direct, rel=1e-15)
 
     def test_entries_finite(self, reference_spec):
         grid = build_grid(2.5, panels_count=6, nodes_per_panel=10)
         op = nystrom_matrix(reference_spec, grid)
-        assert np.all(np.isfinite(op.matrix))
-
-    def test_weighted_symmetry(self, reference_spec):
-        grid = build_grid(1.7, panels_count=4, nodes_per_panel=6)
-        a = nystrom_matrix(reference_spec, grid).matrix
-        t = grid.nodes
-        w = grid.weights
-        lhs = a * (t**2 / w)[None, :]
-        assert np.allclose(lhs, lhs.T, rtol=1e-12, atol=1e-14)
+        assert np.all(np.isfinite(read_matrix(op)))
 
     def test_non_finite_entries_name_the_radius(self):
         grid = build_grid(1.7, panels_count=2, nodes_per_panel=3)
         tables = ((1.0, np.full(grid.size, np.inf), np.ones(grid.size)),)
         op = SeparableNystromOperator(grid, tables)
-        for evaluate in (lambda: op.matrix, op.own_norm_form, lambda: min_singular_value(op)):
+        for evaluate in (op.own_norm_form, lambda: min_singular_value(op)):
             with pytest.raises(ValueError) as exc:
                 evaluate()
             assert str(exc.value) == "Nystrom matrix contains non-finite entries at r = 1.7"
@@ -146,12 +150,18 @@ class TestNystromMatrix:
     @pytest.mark.parametrize("grading", [1.0, 2.0])
     @pytest.mark.parametrize("panels", [8, 16])
     def test_separable_form_agrees_with_the_dense_route(self, root_r, sets, grading, panels):
-        # the product of the scaled tables against D A D^-1 of the assembled
-        # matrix, symmetrized: the same sigma within 1e-13 (5.1e-15 measured)
+        # the product of the scaled tables against D A D^-1 of A assembled
+        # from the kernel's definition: the same lower triangle within 1e-14
+        # relative (5.8e-16 measured), the same sigma within 1e-13 (5.6e-15)
         spec = solve_gamma(validate_sets(*sets))
         for r in np.geomspace(0.05, 6.0, 7).tolist() + [root_r]:
-            op = nystrom_matrix(spec, build_grid(r, panels, 12, grading=grading))
-            dense = NystromOperator(op.grid, op.matrix)
+            grid = build_grid(r, panels, 12, grading=grading)
+            op = nystrom_matrix(spec, grid)
+            dense = NystromOperator(grid, kernel_definition_matrix(spec, grid))
+            scaling = grid.l2_scaling
+            reference = np.tril(scaling[:, None] * dense.matrix / scaling[None, :])
+            gap = np.max(np.abs(np.tril(op.own_norm_form()) - reference))
+            assert gap <= 1e-14 * np.max(np.abs(reference)), r
             assert abs(min_singular_value(op) - min_singular_value(dense)) <= 1e-13, r
             assert self_adjoint_certificate(op).asymmetry == 0.0
 
@@ -229,12 +239,13 @@ class TestNodeUnderflow:
 
     @staticmethod
     def gap_to_small_radius(build, spec, r):
-        """max |A(r) - A(1e-100)| / max |A(1e-100)| on 8 x 16; below r ~ 1e-8
-        neither matrix depends on r beyond rounding.  numpy must not warn."""
+        """max |A(r) - A(1e-100)| / max |A(1e-100)| on 8 x 16, of the matrix
+        :func:`read_matrix` reads; below r ~ 1e-8 neither depends on r beyond
+        rounding.  numpy must not warn."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            matrix = build(spec, build_grid(r, 8, 16, grading=1.0)).matrix
-        small = build(spec, build_grid(1e-100, 8, 16, grading=1.0)).matrix
+            matrix = read_matrix(build(spec, build_grid(r, 8, 16, grading=1.0)))
+        small = read_matrix(build(spec, build_grid(1e-100, 8, 16, grading=1.0)))
         return np.max(np.abs(matrix - small)) / np.max(np.abs(small))
 
     @pytest.mark.parametrize("build", [kink_exact_matrix, nystrom_matrix])
@@ -311,7 +322,7 @@ class TestNodeUnderflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for build in (kink_exact_matrix, nystrom_matrix):
-                assert np.all(np.isfinite(build(reference_spec, grid).matrix))
+                assert np.all(np.isfinite(read_matrix(build(reference_spec, grid))))
 
     def test_sweep_records_the_message_per_radius(self, reference_spec):
         radii = (1e-300, 5.5e-300, 1e-299)
@@ -366,9 +377,11 @@ class TestApplyOperator:
         gaps = []
         for panels in (8, 16):
             grid = build_grid(1.0, panels_count=panels, nodes_per_panel=12)
-            a = nystrom_matrix(reference_spec, grid).matrix
+            # A h = D^-1 S D h
+            form = mirrored(nystrom_matrix(reference_spec, grid).own_norm_form())
+            scaling = grid.l2_scaling
             samples = np.array([u2(t) for t in grid.nodes])
-            lhs = a @ samples
+            lhs = form @ (scaling * samples) / scaling
             gap = max(
                 abs(lhs[i] - apply_operator(reference_spec, 1.0, u2, float(s)))
                 for i, s in list(enumerate(grid.nodes))[:: len(grid.nodes) // 12]
@@ -618,8 +631,8 @@ class TestFirstPass:
                 return real(*args, **kwargs)
             return call
 
-        # h is cli's own lambda over cli.eval_regular
-        monkeypatch.setattr(cli, "eval_regular", counted(cli.eval_regular))
+        # h is counterexample's u_2, over its eval_regular
+        monkeypatch.setattr(cli.cx, "eval_regular", counted(cli.cx.eval_regular))
         for name in ("eval_regular", "eval_irregular"):
             monkeypatch.setattr(op_module, name, counted(getattr(op_module, name)))
         per_point = []
@@ -677,17 +690,16 @@ class TestMinSingularValue:
 class TestSweep:
     def test_no_collapse_away_from_root(self, reference_spec):
         report = sweep(reference_spec, 0.5, 1.5, 5)
-        assert all(sigma > 0.1 for sigma in report.column("sigma_min"))
+        assert all(sigma > 0.1 for _, sigma, _ in report.rows)
 
     def test_two_steps_sample_endpoints(self, reference_spec):
         report = sweep(reference_spec, 1.0, 2.0, 2)
-        assert report.column("r") == [1.0, 2.0]
+        assert [r for r, *_ in report.rows] == [1.0, 2.0]
         assert len(report.rows) == 2
 
     def test_minimum_localizes_the_root(self, reference_spec, root_r):
         report = sweep(reference_spec, 2.0, 3.0, 101)
-        rs = report.column("r")
-        sigmas = report.column("sigma_min")
+        rs, sigmas, _ = zip(*report.rows)
         r_at_min = rs[int(np.argmin(sigmas))]
         assert abs(r_at_min - root_r) <= 0.02
 
@@ -695,17 +707,15 @@ class TestSweep:
         report = sweep(
             reference_spec, 2.3, 2.6, 61, panels_count=16, nodes_per_panel=12
         )
-        rs = report.column("r")
-        sigmas = report.column("sigma_min")
+        rs, sigmas, _ = zip(*report.rows)
         r_at_min = rs[int(np.argmin(sigmas))]
         assert abs(r_at_min - root_r) <= 0.005
 
     def test_refinement_deltas_recorded(self, reference_spec):
         report = sweep(reference_spec, 0.8, 1.2, 3, refine=True)
-        deltas = report.column("refinement_delta")
-        assert all(d is not None and d >= 0.0 for d in deltas)
+        assert all(d is not None and d >= 0.0 for *_, d in report.rows)
         plain = sweep(reference_spec, 0.8, 1.2, 3)
-        assert all(d is None for d in plain.column("refinement_delta"))
+        assert all(d is None for *_, d in plain.rows)
 
     def test_per_point_failures_recorded(self, reference_spec, monkeypatch):
         real = op_module.SeparableNystromOperator

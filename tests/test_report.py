@@ -44,13 +44,6 @@ def test_row_width_validated():
         ScanReport(columns=("a", "b"), rows=[(1.0,)])
 
 
-def test_column_accessor():
-    report = ScanReport(columns=("x", "y"), rows=[(1.0, 2.0), (3.0, 4.0)])
-    assert report.column("y") == [2.0, 4.0]
-    with pytest.raises(ValueError):
-        report.column("z")
-
-
 def test_nan_rejected_in_json():
     report = ScanReport(columns=("x",), rows=[(math.nan,)])
     with pytest.raises(ValueError):
