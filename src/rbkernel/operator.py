@@ -122,6 +122,9 @@ _CHUNK_NODES = 2**16
 # Gauss-Legendre nodes per panel of the apply_operator quadrature.
 _QUAD_NODES = 16
 
+# Smallest normal double.
+_TINY = np.finfo(float).tiny
+
 
 class ConvergenceError(RuntimeError):
     """Raised when panel doubling fails to reach the requested tolerance."""
@@ -254,13 +257,13 @@ def _gauss_rule(n: int):
     return x, w
 
 
-def _panel_nodes(bounds: np.ndarray, nodes_per_panel: int):
-    """Gauss nodes and weights of the panels along the last axis of ``bounds``."""
+def _panel_nodes(lower: np.ndarray, upper: np.ndarray, nodes_per_panel: int):
+    """Gauss nodes and weights of the panels [lower, upper], along the last axis."""
     x, w = _gauss_rule(nodes_per_panel)
     # halved before adding: b + a overflows near the largest double
-    mid = 0.5 * bounds[..., 1:] + 0.5 * bounds[..., :-1]
-    half = 0.5 * (bounds[..., 1:] - bounds[..., :-1])
-    shape = bounds.shape[:-1] + (-1,)
+    mid = 0.5 * upper + 0.5 * lower
+    half = 0.5 * (upper - lower)
+    shape = lower.shape[:-1] + (-1,)
     nodes = (mid[..., None] + half[..., None] * x).reshape(shape)
     weights = (half[..., None] * w).reshape(shape)
     return nodes, weights
@@ -290,7 +293,7 @@ def build_grid(
     r = check_radius(r)
     _check_grid_shape(panels_count, nodes_per_panel, grading)
     bounds = r * (np.arange(panels_count + 1) / panels_count) ** grading
-    nodes, weights = _panel_nodes(bounds, nodes_per_panel)
+    nodes, weights = _panel_nodes(bounds[:-1], bounds[1:], nodes_per_panel)
     return QuadratureGrid(
         r=r, panel_bounds=tuple(float(b) for b in bounds), nodes=nodes, weights=weights
     )
@@ -334,7 +337,7 @@ def _square_divisors(t: np.ndarray, *numerators) -> tuple[np.ndarray, np.ndarray
     """
     with np.errstate(all="ignore"):  # quotients only tested; t*t is inf above ~1.3e154
         square = t * t
-        plain = square >= np.finfo(float).tiny
+        plain = square >= _TINY
         for numerator in numerators:
             plain &= np.isfinite(numerator / square)
     split = np.where(t > 0.0, t, np.inf)
@@ -471,40 +474,78 @@ def dump_matrix(op: NystromOperator, path) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
+@lru_cache(maxsize=32)
+def _level_edges(counts: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Edge fractions of the panels of every level in ``counts``, uniform and graded.
+
+    The lower edges j/c of every level c come first, level by level, then
+    the upper edges (j + 1)/c in the same order; graded edges are their
+    squares (exponent 2).
+    """
+    ticks = [np.arange(count + 1) / count for count in counts]
+    uniform = np.concatenate([t[:-1] for t in ticks] + [t[1:] for t in ticks])
+    return uniform, uniform**2.0
+
+
+def _level_bounds(lo, hi, is_left, counts):
+    """Lower and upper edges of the panels of every level in ``counts``, for each row.
+
+    Graded on ``is_left`` rows, uniform on the others; the levels' panels
+    follow one another along a row.
+    """
+    uniform, graded = _level_edges(tuple(counts))
+    with np.errstate(over="ignore"):  # lo + (hi - lo) may round past the largest double
+        bounds = lo[:, None] + (hi - lo)[:, None] * np.where(is_left[:, None], graded, uniform)
+    bounds = np.where(np.isinf(bounds), hi[:, None], bounds)
+    panels = bounds.shape[1] // 2
+    return bounds[:, :panels], bounds[:, panels:]
+
+
+def _smallest_weights(lo, hi, is_left, count: int) -> np.ndarray:
+    """Each row's smallest Gauss weight on ``count`` panels, as :func:`_panel_sums` forms it."""
+    lower, upper = _level_bounds(lo, hi, is_left, (count,))
+    # rounding is monotonic, so the smallest half-width gives the smallest weight
+    return np.min(0.5 * (upper - lower), axis=1) * _gauss_rule(_QUAD_NODES)[1].min()
+
+
+def _unconverged(lo: float, hi: float, tol: float, panels: int) -> ConvergenceError:
+    return ConvergenceError(
+        f"integral on [{lo:g}, {hi:g}] did not stabilize to {tol:.1e} within {panels} panels"
+    )
+
+
 def _panel_sums(order: int, h, lo, hi, is_left, counts) -> list:
     """Per panel count in ``counts``, each row's Gauss sum of f_m h / t^2.
 
     A row integrates over [lo, hi]; f_m is u_m on ``is_left`` rows, whose
     panels are graded toward the origin (exponent 2), and v_m on the others,
-    whose panels are uniform.  h and each Riccati family are called once on
-    the nodes of every count, and each sum is the dot product of one count's
-    weights and integrand.
+    whose panels are uniform.  The nodes of every count are built at once,
+    one row of all its levels' panels per row; h and each Riccati family are
+    called once on them, and each sum is the dot product of one row's
+    weights and integrand over one level's slice of that row.
     """
-    levels = []
-    for count in counts:
-        ticks = np.arange(count + 1) / count
-        frac = np.where(is_left[:, None], ticks**2.0, ticks)
-        with np.errstate(over="ignore"):  # lo + (hi - lo) may round past the largest double
-            bounds = lo[:, None] + (hi - lo)[:, None] * frac
-        levels.append(_panel_nodes(np.where(np.isinf(bounds), hi[:, None], bounds), _QUAD_NODES))
-    nodes = np.concatenate([level_nodes.ravel() for level_nodes, _ in levels])
-    on_left = np.concatenate([
-        np.repeat(is_left, level_nodes.shape[1]) for level_nodes, _ in levels
-    ])
-    h_values = np.broadcast_to(h(nodes), nodes.shape)
+    nodes, weights = _panel_nodes(*_level_bounds(lo, hi, is_left, counts), _QUAD_NODES)
+    h_values = np.asarray(h(nodes.ravel()))
+    if h_values.shape != (nodes.size,):  # a scalar h: the same value at every node
+        h_values = np.broadcast_to(h_values, (nodes.size,))
+    h_values = h_values.reshape(nodes.shape)
     family = np.empty_like(nodes)
-    if on_left.any():
-        family[on_left] = eval_regular(order, nodes[on_left]).value
-    if not on_left.all():
-        family[~on_left] = eval_irregular(order, nodes[~on_left]).value
-    ends = np.cumsum([level_nodes.size for level_nodes, _ in levels])[:-1]
+    if is_left.any():
+        family[is_left] = eval_regular(order, nodes[is_left]).value
+    if not is_left.all():
+        family[~is_left] = eval_irregular(order, nodes[~is_left]).value
+    sums = []
     with np.errstate(all="ignore"):  # a non-finite row never freezes
         left, right = _square_divisors(nodes, family * h_values)
         integrand = family / left * h_values / right
-        return [
-            np.array([np.dot(wr, fr) for wr, fr in zip(weights, block.reshape(weights.shape))])
-            for (_, weights), block in zip(levels, np.split(integrand, ends))
-        ]
+        start = 0
+        for count in counts:
+            level = slice(start, start + count * _QUAD_NODES)
+            sums.append(np.array([
+                np.dot(w, f) for w, f in zip(weights[:, level], integrand[:, level])
+            ]))
+            start = level.stop
+    return sums
 
 
 def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
@@ -518,7 +559,11 @@ def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
     first pass evaluates 2 and 4 panels together, and each later pass one
     level.  A pass's rows are evaluated in chunks of at most ``_CHUNK_NODES``
     nodes over all its levels (at least one row each), which bounds the
-    memory a call holds however many of its points fail to converge.
+    memory a call holds however many of its points fail to converge.  After
+    a pass, a row that has not settled and whose value is not finite fails
+    at once if the smallest Gauss weight of its next level would be
+    subnormal: it cannot settle at that level, and below the smallest
+    normal double further doublings only lose precision.
     """
     n = len(s)
     lo = np.concatenate([np.zeros(n), s])
@@ -529,24 +574,33 @@ def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
     active = lo < hi  # the right side of s = r is empty
     levels = [2 << k for k in range(_MAX_DOUBLINGS)]
     passes = [levels[:2]] + [[count] for count in levels[2:]] if levels else []
-    for counts in passes:
+    for counts, next_counts in zip(passes, passes[1:] + [None]):
         pass_rows = np.flatnonzero(active)
         if pass_rows.size == 0:
             break
         chunk_rows = max(1, _CHUNK_NODES // (sum(counts) * _QUAD_NODES))
         for start in range(0, pass_rows.size, chunk_rows):
             rows = pass_rows[start:start + chunk_rows]
-            for level in _panel_sums(order, h, lo[rows], hi[rows], is_left[rows], counts):
-                with np.errstate(invalid="ignore"):  # inf - inf is NaN, never <= tol
+            sums = _panel_sums(order, h, lo[rows], hi[rows], is_left[rows], counts)
+            with np.errstate(invalid="ignore"):  # inf - inf is NaN, never <= tol
+                for level in sums:
                     settled = np.abs(level - previous[rows]) <= tol
-                active[rows[settled]] = False
-                values[rows] = previous[rows] = level
+                    active[rows[settled]] = False
+                    values[rows] = previous[rows] = level
+            if next_counts is None:
+                continue
+            # a non-finite value cannot settle at the next level, and where
+            # that level's weights underflow, deeper ones cannot mend it
+            stuck = rows[active[rows] & ~np.isfinite(previous[rows])]
+            if stuck.size:
+                underflow = _smallest_weights(
+                    lo[stuck], hi[stuck], is_left[stuck], next_counts[0]) < _TINY
+                if underflow.any():
+                    row = stuck[np.argmax(underflow)]
+                    raise _unconverged(lo[row], hi[row], tol, counts[-1])
     if active.any():
         row = np.flatnonzero(active)[0]
-        raise ConvergenceError(
-            f"integral on [{lo[row]:g}, {hi[row]:g}] did not stabilize to {tol:.1e} "
-            f"within {2**_MAX_DOUBLINGS} panels"
-        )
+        raise _unconverged(lo[row], hi[row], tol, 2**_MAX_DOUBLINGS)
     return values[:n], values[n:]
 
 
@@ -585,7 +639,9 @@ def apply_operator(
         If r is not positive and finite, ``tol`` is negative or NaN, or a
         point lies outside (0, r].
     ConvergenceError
-        If doubling exhausts its budget before reaching ``tol``.
+        If doubling exhausts its budget before reaching ``tol``, or at once
+        when a sum that has not settled is not finite and the next level's
+        weights would underflow; the message names the panels reached.
     """
     terms = spec.terms()
     r = check_radius(r)

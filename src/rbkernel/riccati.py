@@ -16,12 +16,14 @@ Evaluation strategy, chosen for double precision:
 
 * ``u_m`` for ``r < SERIES_CROSSOVER`` by Taylor series (the closed forms
   subtract nearly equal terms near zero; u_2 alone loses ~45/r^5 in relative
-  error); deep in the oscillatory regime (order well below the argument) by
-  forward recurrence from the exact u_0, u_1 seeds, which is neutral there
-  and keeps errors at a few ulps of the oscillation amplitude; otherwise by
+  error), summed in one loop with the series of u_{m-1}; deep in the
+  oscillatory regime (order well below the argument) by forward recurrence
+  from the exact u_0, u_1 seeds, which is neutral there and keeps errors at
+  a few ulps of the oscillation amplitude; otherwise by
   backward Miller-style recurrence normalized against the closed forms of
-  u_0 / u_1, which keeps a three-row window, so n radii take O(n) memory
-  at any order;
+  u_0 / u_1, which keeps a three-row window and divides out the ratios
+  (2k + 1)/r of many orders in one call, in blocks of at most 2^10 values,
+  so n radii take O(n) memory at any order;
 
 * ``v_m`` always by forward recurrence, which is stable because v_m is the
   dominant solution as the order grows;
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import math
 import operator as _op
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -75,6 +78,14 @@ _MILLER_PAD = 45
 
 # Magnitude at which the backward recurrence rescales to avoid overflow.
 _RESCALE_LIMIT = 1e250
+
+# Most values (8 KiB) in one block of rows that the series and the backward
+# recurrence step through together: one numpy call covers a block's rows, and
+# a block of n radii holds at least one row, so memory stays O(n).  Blocks
+# pay off where numpy's per-call cost dominates, for batches of up to a few
+# hundred radii; larger blocks raise the peak memory of a sweep's batches of
+# thousands of radii (by 0.3 MB at 2^14 values) and gain nothing there.
+_BLOCK_VALUES = 2**10
 
 
 class FunctionPair(NamedTuple):
@@ -125,27 +136,45 @@ def _double_factorial(n: int) -> float:
     return out
 
 
-def _regular_series_parts(m: int, r):
+@lru_cache(maxsize=64)
+def _series_denominators(orders: tuple) -> np.ndarray:
+    """k (2m + 2k + 1) for k = 1 .. 201, exact in a double: one column of
+    the orders m per k, to broadcast over the radii."""
+    ks = np.arange(1, 202)[:, None]
+    return (ks * (2 * np.array(orders) + 2 * ks + 1)).astype(float)[..., None]
+
+
+def _regular_series_parts(orders, r):
     # u_m(r) = r^(m+1)/(2m+1)!! * S_m(r),
     # S_m(r) = sum_k (-r^2/2)^k / (k! (2m+3)...(2m+2k+1)),
     # an alternating series with factorially shrinking terms; safe for any r
-    # but only needed (and used) near zero.  Each element stops summing on
-    # its own once its terms no longer contribute.  Returns the prefactor
-    # and S_m separately: S_m is near 1 even where u_m underflows.
-    r = np.asarray(r, dtype=float)
+    # but only needed (and used) near zero.  One row per order in ``orders``
+    # over the 1-D radii; the rows of a block of at most _BLOCK_VALUES values
+    # (one row at least) are summed in one loop.  Each element of each row
+    # stops summing on its own once its terms no longer contribute, so its
+    # bits depend on neither the other rows nor the other radii.  Returns the
+    # prefactors and the sums S_m separately: S_m is near 1 even where u_m
+    # underflows.
+    r = np.atleast_1d(np.asarray(r, dtype=float))
     # float_power calls C pow like Python's float ** int; numpy's ** takes a
     # different route for integer exponents and can differ in the last bit
-    prefactor = np.float_power(r, m + 1) / _double_factorial(2 * m + 1)
+    prefactor = np.stack([
+        np.float_power(r, m + 1) / _double_factorial(2 * m + 1) for m in orders
+    ])
     half_r2 = -0.5 * r * r
-    total = np.ones_like(r)
-    term = np.ones_like(r)
-    active = np.ones_like(r, dtype=bool)
-    for k in range(1, 202):
-        if not active.any():
-            break
-        np.multiply(term, half_r2 / (k * (2 * m + 2 * k + 1)), out=term, where=active)
-        np.add(total, term, out=total, where=active)
-        active &= np.abs(term) > 1e-18 * np.abs(total)
+    total = np.ones_like(prefactor)
+    block_rows = max(1, _BLOCK_VALUES // r.size)
+    for first in range(0, len(orders), block_rows):
+        rows = slice(first, first + block_rows)
+        block = total[rows]  # a view: summed in place
+        term = np.ones_like(block)
+        active = np.ones_like(block, dtype=bool)
+        for denominator in _series_denominators(tuple(orders[rows])):
+            if not active.any():
+                break
+            np.multiply(term, half_r2 / denominator, out=term, where=active)
+            np.add(block, term, out=block, where=active)
+            active &= np.abs(term) > 1e-18 * np.abs(block)
     return prefactor, total
 
 
@@ -163,6 +192,20 @@ def _regular_forward(m: int, r: np.ndarray):
     return cur, prev
 
 
+def _ratio_rows(r: np.ndarray, kmax: int):
+    """Fresh rows (2k + 1)/r over the radii, for k = kmax, kmax - 1, ..., 1.
+
+    A block of orders at a time, in one numpy call of at most
+    ``_BLOCK_VALUES`` values (one order at least); 2k + 1 is exact in a
+    double and IEEE division is element-wise, so each ratio has the bits of
+    its own division.
+    """
+    block_orders = max(1, _BLOCK_VALUES // r.size)
+    numerators = np.arange(2 * kmax + 1, 2, -2, dtype=float)
+    for first in range(0, kmax, block_orders):
+        yield from numerators[first:first + block_orders, None] / r
+
+
 def _regular_backward(m: int, r):
     """(u_m, u_{m-1}) by backward Miller recurrence, for m >= 2.
 
@@ -171,8 +214,11 @@ def _regular_backward(m: int, r):
     ``top = max(m, ceil r) + _MILLER_PAD`` with zeros above it, and are
     scaled to u_k by whichever of u_0, u_1 is larger in magnitude, so that
     zeros of sin(r) cannot poison the scale.  Only the rows f_{k+1}, f_k,
-    f_{k-1} of the current step and the rows m and m - 1 are held, so a
-    batch of n radii takes O(n) memory whatever the order.
+    f_{k-1} of the current step, the rows m and m - 1, and a block or two of
+    the ratios (2k + 1)/r from :func:`_ratio_rows` are held, and each step
+    turns its ratio into f_{k-1} in place by one multiply and one subtract.
+    So a batch of n radii takes O(n) memory whatever the order, and a small
+    one few numpy calls.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     top = np.maximum(m, np.ceil(r)).astype(int) + _MILLER_PAD
@@ -182,12 +228,11 @@ def _regular_backward(m: int, r):
     # whose bound keeps the 1e-300 seed well under the limit never rescales.
     growth = np.sum(np.log10((2 * np.arange(1, kmax + 1) + 1) / r.min() + 1.0))
     may_rescale = growth - 300.0 > math.log10(_RESCALE_LIMIT) - 1.0
-    above, cur, new = np.zeros_like(r), np.zeros_like(r), np.empty_like(r)
+    above, cur = np.zeros_like(r), np.zeros_like(r)
     saved = {}  # f_m and f_{m-1}, once the recurrence has reached them
-    for k in range(kmax, 0, -1):
+    for k, new in zip(range(kmax, 0, -1), _ratio_rows(r, kmax)):
         if k in starts:
             cur[top == k] = 1e-300
-        np.divide(2 * k + 1, r, out=new)
         new *= cur
         new -= above  # f_{k-1} = ((2k + 1)/r) f_k - f_{k+1}
         if may_rescale:
@@ -197,7 +242,7 @@ def _regular_backward(m: int, r):
                     row[big] *= 1e-250
         if k - 1 in (m, m - 1):
             saved[k - 1] = new.copy()
-        above, cur, new = cur, new, above
+        above, cur = cur, new
     f0, f1 = cur, above
     u0 = np.sin(r)
     u1 = u0 / r - np.cos(r)
@@ -216,11 +261,9 @@ def _regular(m: int, r: np.ndarray):
     rest = r >= SERIES_CROSSOVER
     if series.any():
         x = r[series]
-        prefactor, total = _regular_series_parts(m, x)
-        prefactor_below, total_below = _regular_series_parts(m - 1, x)
-        value[series] = prefactor * total
-        below[series] = prefactor_below * total_below
-        sum_ratio[series] = total / total_below
+        prefactor, total = _regular_series_parts((m, m - 1), x)
+        value[series], below[series] = prefactor * total
+        sum_ratio[series] = total[0] / total[1]
     if m == 1:
         x = r[rest]
         below[rest] = np.sin(x)

@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 from rbkernel import (
-    ConvergenceError,
     build_grid,
     find_root,
     kink_exact_matrix,
     reference_spec,
 )
 import rbkernel.cli as cli_module
-import rbkernel.counterexample as cx
 from rbkernel.cli import build_parser, main
 from rbkernel.counterexample import P_ROUTES
 from rbkernel.operator import dump_matrix
@@ -326,19 +324,17 @@ class TestSmallRadiusUnderflow:
             "warning: point 1e-320 failed: nodes must lie strictly inside (0, r) at r = 1e-320"
         ]
 
-    def test_verify_names_a_subnormal_radius(self, capsys, monkeypatch):
+    def test_verify_names_a_subnormal_radius(self, capsys):
         # the certificate grid builds at 1e-310, but v_0/t overflows at its
-        # first nodes: the spectral step names the radius.  The quadrature,
-        # which spends about 5 s failing to converge there, is stubbed out.
-        def no_quadrature(*args, **kwargs):
-            raise ConvergenceError("stubbed")
-
-        monkeypatch.setattr(cx, "apply_operator", no_quadrature)
+        # first nodes: the spectral step names the radius, and the quadrature
+        # gives up after its first pass, where 8 panels' weights underflow
         code, out, err = run_cli(capsys, "verify", "--force-r", "1e-310")
         assert code == 1
         assert err == ""
         assert ("FAIL  spectral_certificate (kink-exact matrix contains non-finite "
                 "entries at r = 1e-310): failed to evaluate") in out
+        assert ("FAIL  identity_check (integral on [5e-312, 1e-310] did not stabilize "
+                "to 1.0e-10 within 4 panels): failed to evaluate") in out
 
 
 class TestLargestRadii:

@@ -620,6 +620,29 @@ class TestFirstPass:
             [(2, 4)] + [(2**k,) for k in range(3, 15)]
         )
 
+    @pytest.mark.parametrize("r", [1e-310, 2.3e-308, 1e-307])
+    def test_underflowing_weights_fail_fast(self, reference_spec, panel_passes, r):
+        # v_0/t overflows at the nodes of [s, r], so those sums are not
+        # finite, and the weights of 8 panels are subnormal: no doubling can
+        # mend that, and the call says so after its first pass, not after 13
+        with pytest.raises(ConvergenceError, match="did not stabilize .* within 4 panels$"):
+            apply_operator(reference_spec, r, u2, np.linspace(r / 20, r, 20))
+        assert len(panel_passes) <= 2
+
+    @pytest.mark.parametrize("h", [lambda t: t, WIGGLE], ids=["t", "wiggle"])
+    def test_subnormal_weights_alone_do_not_stop_a_row(self, reference_spec, monkeypatch,
+                                                       panel_passes, h):
+        # at r = 1e-305 and tol = 0 the rows settle after up to 64 panels,
+        # with subnormal weights from 8 panels on; their sums stay finite, so
+        # they keep doubling, and end with the level-by-level loop's bits
+        points = np.array([1e-305 / 7, 1e-305 / 2, 1e-305])
+        fast = apply_operator(reference_spec, 1e-305, h, points, tol=0.0)
+        assert max(counts[-1] for _, counts in panel_passes) == 64
+        assert op_module._smallest_weights(
+            np.zeros(1), points[-1:], np.ones(1, dtype=bool), 8)[0] < np.finfo(float).tiny
+        monkeypatch.setattr(op_module, "_kink_split_integrals", levelwise_split_integrals)
+        assert np.array_equal(fast, apply_operator(reference_spec, 1e-305, h, points, tol=0.0))
+
     def test_identity_check_op_calls(self, monkeypatch, capsys):
         import rbkernel.cli as cli
 
@@ -648,7 +671,9 @@ class TestFirstPass:
         assert cli.main(["identity-check", "--r", "2.3", "--tol", "1e-10"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 21
         assert len(per_point) == 20  # one call per point
-        assert max(per_point) <= 5  # h, u_0 and v_0 once each, then v_0, u_0 at s
+        # each point settles at 4 panels: h (u_2), u_0 and v_0 once each on
+        # the nodes of both levels, then v_0 and u_0 at s; s = r has no [s, r]
+        assert per_point == [5] * 19 + [4]
 
 
 def mirrored(lower):

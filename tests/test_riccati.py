@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn, spherical_yn
 
-from rbkernel import eval_irregular, eval_regular, wronskian
+from rbkernel import eval_irregular, eval_regular, riccati, wronskian
 from rbkernel.riccati import (
     SERIES_CROSSOVER,
     _regular_backward,
@@ -133,8 +133,8 @@ class TestBranchAgreement:
                 1: math.sin(r) / r - math.cos(r),
             }
             for m in (0, 1, 2):
-                prefactor, total = _regular_series_parts(m, r)
-                series = prefactor * total
+                prefactor, total = _regular_series_parts((m,), r)
+                series = float(prefactor[0, 0] * total[0, 0])
                 if m in closed:
                     other = closed[m]
                 else:
@@ -228,15 +228,36 @@ class TestArrayEvaluation:
 
     @pytest.mark.parametrize("m", [0, 1, 2, 7, 50, 200])
     def test_batch_gives_the_bits_of_single_calls(self, m):
-        value, derivative = eval_regular(m, self.RADII)
-        for i, r in enumerate(self.RADII):
-            alone = eval_regular(m, float(r))
-            assert (alone.value, alone.derivative) == (value[i], derivative[i]), (m, r)
+        # the radii alone, and padded to n = block / 2 and block radii and one
+        # more each: the series sums orders m and m - 1 in one loop while 2 n
+        # values fit a block, and the backward recurrence divides out the
+        # ratios of as many orders as fit one (one at least)
+        block = riccati._BLOCK_VALUES
+        singles = [eval_regular(m, float(r)) for r in self.RADII]
+        for size in (self.RADII.size, block // 2, block // 2 + 1, block, block + 1):
+            filler = np.resize([0.3, 1.0, 3.0], size - self.RADII.size)  # series, backward
+            value, derivative = eval_regular(m, np.concatenate([self.RADII, filler]))
+            for i, alone in enumerate(singles):
+                assert (alone.value, alone.derivative) == (value[i], derivative[i]), (m, size, i)
         positive = self.RADII[1:]
         value, derivative = eval_irregular(min(m, 50), positive)
         for i, r in enumerate(positive):
             alone = eval_irregular(min(m, 50), float(r))
             assert (alone.value, alone.derivative) == (value[i], derivative[i]), (m, r)
+
+    @pytest.mark.parametrize("m", [1, 2, 30])
+    def test_series_rows_summed_together_keep_their_bits(self, m):
+        # the terms fall below 1e-18 of the sum after 2 terms at r = 1e-6 and
+        # after about 9 at 0.49, so the batch's elements stop at different k
+        radii = np.geomspace(1e-6, 0.49, 40)
+        prefactor, total = _regular_series_parts((m, m - 1), radii)
+        for row, order in enumerate((m, m - 1)):
+            own_prefactor, own_total = _regular_series_parts((order,), radii)
+            assert np.array_equal(prefactor[row], own_prefactor[0]), order
+            assert np.array_equal(total[row], own_total[0]), order
+            for i, r in enumerate(radii):
+                _, alone = _regular_series_parts((order,), r)
+                assert alone[0, 0] == total[row, i], (order, r)
 
     def test_rescale_path_is_exercised(self):
         # the recurrence from the 1e-300 seed at order m + _MILLER_PAD grows
