@@ -34,7 +34,6 @@ from .kernel import (
 )
 from .operator import (
     ConvergenceError,
-    NystromOperator,
     QuadratureGrid,
     SelfAdjointCertificate,
     SeparableNystromOperator,
@@ -68,7 +67,6 @@ __all__ = [
     "equation_residual",
     "eval_kernel",
     "QuadratureGrid",
-    "NystromOperator",
     "SeparableNystromOperator",
     "SelfAdjointCertificate",
     "ConvergenceError",

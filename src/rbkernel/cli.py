@@ -145,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", default=None, metavar="PATH",
                    help="also write the full JSON report to PATH")
     p.add_argument("--dump-matrix", default=None, metavar="PATH",
-                   help="debug: dump the certificate's kink-exact matrix as CSV")
+                   help="debug: dump the symmetric form S = D A D^-1 of the "
+                   "certificate's kink-exact matrix, whose eigenvalues it reads, as CSV")
 
     return parser
 

@@ -109,8 +109,8 @@ class VerificationReport:
     ok False.  ``passed`` (every step ok) and the residuals are read from
     the steps.  ``spectral`` keeps the self-adjoint certificate at the
     radius used, with its kink-exact operator (None if that step failed);
-    the JSON gives its grid, ``next_sigma`` and ``asymmetry`` under
-    ``certificate``.
+    the JSON gives its grid, ``next_sigma`` and ``asymmetry`` (over the
+    diagonal panel blocks of D A D^-1) under ``certificate``.
     """
 
     r_used: float
@@ -398,8 +398,9 @@ def verify_counterexample(r_override=None) -> VerificationReport:
 
     (K u_2) at the radius used is computed once, on the 20 points of
     :func:`check_identity`, and both the identity step's term at that radius
-    and the equation step read it (with the error it raised, if any).  Every
-    |1 - lambda| comes from eigenvalues alone (``np.linalg.eigvalsh``):
+    and the equation step read it (with the error it raised, if any).  The
+    kink-exact matrix never squares t, so it forms wherever its grid does.
+    Every |1 - lambda| comes from eigenvalues alone (``np.linalg.eigvalsh``):
     :func:`rbkernel.operator.min_singular_value` for the four off-root values,
     and :func:`rbkernel.operator.self_adjoint_certificate` at the radius
     used, whose one ``np.linalg.eigh`` gives only the null vector.

@@ -13,52 +13,50 @@ converge fast; panel counts double until the result is stable to the
 requested tolerance.  It takes one point or an array of points and
 evaluates h and the kernel families on the nodes of all of them at once.
 
-``kink_exact_matrix`` discretizes the same split on one grid.  Since
-g = u(min) v(max), (K h)(s_i) combines two cumulative integrals that end
-exactly at the node s_i; each is taken by panel-wise Legendre product
-integration (Greengard, SIAM J. Numer. Anal. 28, 1991; Atkinson, The
-Numerical Solution of Integral Equations of the Second Kind, 1997, ch. 4),
-so the matrix is as accurate as the polynomial interpolant of h on each
-panel and the kink costs nothing.
+Both matrices of K act on values at the grid nodes and are one class,
+``SeparableNystromOperator``, held by the family tables (gamma_m, u_m, v_m)
+at the nodes.  K is self-adjoint on L^2((0, r], t^-2 dt), and
+D = sqrt(w)/t maps node values to vectors normed in it, so min |1 - lambda|
+over the eigenvalues of the symmetric form of S = D A D^-1 measures, on a
+grid-independent scale, how close h = K h is to a nontrivial solution.
+With the generators P = -gamma a v and Q = a u (a column per order,
+a = sqrt(w)/t), S[i, j] = (P Q^T)[i, j] below the diagonal wherever row and
+column lie in different panels.  A itself is never formed and t is never
+squared, so both matrices form down to radii whose first nodes are
+subnormal; only ``apply_operator`` divides by t^2 (``_square_divisors``).
 
-``nystrom_matrix`` discretizes K by collocation,
-``A[i, j] = -g(s_i, t_j) w_j / t_j**2`` on one shared grid.  The matrix
-cannot split at the kink per row, so its accuracy is limited by the panel
-resolution (observed O(N^-2) in the total node count).  Since the kernel
-is degenerate, A is fixed by the family tables (gamma_m, u_m, v_m) at the
-nodes, and ``SeparableNystromOperator`` holds just those; A itself is never
-formed, only its D-scaled form below.
+``nystrom_matrix`` collocates, ``A[i, j] = -g(s_i, t_j) w_j / t_j**2`` on
+one shared grid: S is the lower triangle of P Q^T everywhere, exactly
+symmetric (``asymmetry`` 0).  It cannot split at the kink per row, so its
+accuracy is limited by the panel resolution (observed O(N^-2) in the total
+node count).
 
-Both matrices act on values at the grid nodes.  K is self-adjoint on
-L^2((0, r], t^-2 dt), and ``D = sqrt(w)/t`` maps node values to vectors
-whose Euclidean norm is that norm, so min |1 - lambda| over the eigenvalues
-of the symmetric form ``D A D^-1`` measures how close h = K h is to having a
-nontrivial solution, on a scale that does not depend on the grid.
-``min_singular_value`` takes it from the eigenvalues alone
-(``np.linalg.eigvalsh``, LAPACK's values-only symmetric eigensolver): for a
-symmetric S it is the smallest singular value of I - S, i.e. of I - A in
-K's own norm.  ``self_adjoint_certificate`` takes the same value, bit for
-bit, from the same call, and one ``np.linalg.eigh`` for the null vector.
+``kink_exact_matrix`` discretizes ``apply_operator``'s split: (K h)(s_i)
+combines two cumulative integrals ending exactly at s_i, each taken by
+panel-wise Legendre product integration (Greengard, SIAM J. Numer. Anal.
+28, 1991; Atkinson, The Numerical Solution of Integral Equations of the
+Second Kind, 1997, ch. 4), so the kink costs nothing.  Earlier panels enter
+at their full Gauss weights, so S differs from the Nystrom product only on
+the diagonal panel blocks, where it is ``rule * P Q^T + (1 - rule) * Q P^T``
+with rule[i, j] = integral_{-1}^{x_i} l_j / w_j, one n x n matrix for every
+panel and radius.  Those blocks are symmetrized; ``asymmetry`` says by how
+much they were not symmetric.
+
+``min_singular_value`` takes min |1 - lambda| from ``np.linalg.eigvalsh``
+(values only, lower triangle): the smallest singular value of I - S, i.e.
+of I - A in K's own norm.  ``self_adjoint_certificate`` takes the same
+value, bit for bit, and one ``np.linalg.eigh`` for the null vector.
 ``verify`` uses them on the kink-exact matrix of the
 ``DEFAULT_CERTIFICATE_*`` grid, 8 uniform panels x 16 nodes, where
 min |1 - lambda| reaches rounding level at the singular radius.
 
-``sweep`` and the public ``spectral_grid`` use ``min_singular_value`` on
-the Nystrom operator.  Its D-scaled form needs no dense A: on and below
-the diagonal, S[i, j] = -sum_m gamma_m (a v_m)(s_i) (a u_m)(t_j) with
-a = sqrt(w)/t, one (N x |S|)(|S| x N) product of the scaled tables with no
-division by t^2, and that triangle is all that ``eigvalsh`` and ``eigh``
-read (``UPLO='L'``).  So the form is exactly symmetric, and the
-certificate's ``asymmetry`` is 0.  ``DEFAULT_SPECTRAL_*`` define the grid
-on which its 1e-6 collapse threshold was calibrated: 128 uniform panels x
-12 nodes push the kink-limited discretization error of the Nystrom matrix
-near the singular radius to ~6e-7.  Uniform panels beat origin-graded
-ones here because the kink error lives in mid-interval panels, not at the
-origin.
-
-``sweep`` takes the Riccati tables of a chunk of radii from one call per
-order and family on all their grids' nodes, and solves each grid's form
-on its own.
+``sweep`` and ``spectral_grid`` use ``min_singular_value`` on the Nystrom
+operator.  ``DEFAULT_SPECTRAL_*`` define the grid on which its 1e-6
+collapse threshold was calibrated: 128 uniform panels x 12 nodes push its
+kink-limited error near the singular radius to ~6e-7 (uniform panels beat
+graded ones, since that error lives in mid-interval panels).  ``sweep``
+takes the Riccati tables of a chunk of radii from one call per order and
+family on all their grids' nodes, and solves each grid's form on its own.
 """
 from __future__ import annotations
 
@@ -76,7 +74,6 @@ __all__ = [
     "ConvergenceError",
     "NUMERIC_ERRORS",
     "QuadratureGrid",
-    "NystromOperator",
     "SeparableNystromOperator",
     "SelfAdjointCertificate",
     "DEFAULT_CERTIFICATE_PANELS",
@@ -172,89 +169,92 @@ class QuadratureGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class NystromOperator:
-    """Dense matrix A on the grid's nodes: (K h)(t_i) ~ sum_j A[i, j] h(t_j).
-
-    Built by :func:`kink_exact_matrix` (product integration).
-    """
-
-    grid: QuadratureGrid
-    matrix: np.ndarray
-
-    def _scaled(self) -> np.ndarray:
-        """S = D A D^-1 with D = sqrt(w)/t."""
-        scaling = self.grid.l2_scaling
-        return scaling[:, None] * self.matrix / scaling[None, :]
-
-    def own_norm_form(self) -> np.ndarray:
-        """The symmetric part (S + S^T)/2 of S = D A D^-1."""
-        form = self._scaled()
-        return 0.5 * (form + form.T)
-
-    def asymmetry(self) -> float:
-        """max |S - S^T| of S = D A D^-1."""
-        form = self._scaled()
-        return float(np.max(np.abs(form - form.T)))
-
-
-@dataclass(frozen=True, eq=False)
 class SeparableNystromOperator:
-    """The Nystrom matrix A of :func:`nystrom_matrix`, held by its family tables.
+    """A matrix A of K on the grid's nodes, held by its family tables.
 
-    ``tables`` holds one (gamma_m, u_m, v_m) per order in S, with u_m and
-    v_m at the grid's nodes; since g(s, t) = sum_m gamma_m u_m(min) v_m(max),
-    they fix A, which is read only through :meth:`own_norm_form`.
+    ``tables`` holds one (gamma_m, u_m, v_m) per order in S, at the nodes;
+    since g(s, t) = sum_m gamma_m u_m(min) v_m(max), they fix A, which is
+    read only through :meth:`own_norm_form`.  ``panel_rule`` is None for
+    :func:`nystrom_matrix`, or the n x n rule every panel of
+    :func:`kink_exact_matrix` shares.
     """
 
     grid: QuadratureGrid
     tables: tuple
+    panel_rule: np.ndarray | None = None
+
+    def _generators(self) -> tuple[np.ndarray, np.ndarray]:
+        """P = -gamma a v (N x |S|) and Q^T = (a u)^T (|S| x N), a = sqrt(w)/t."""
+        scaling = self.grid.l2_scaling
+        rows = np.stack([-g * scaling * v for g, _, v in self.tables], axis=1)
+        columns = np.stack([scaling * u for _, u, _ in self.tables])
+        return rows, columns
+
+    def _panel_blocks(self, product: np.ndarray) -> np.ndarray:
+        """S on the diagonal panel blocks M of P Q^T: rule * M + (1 - rule) * M^T."""
+        blocks = product[_diagonal_blocks(len(product), len(self.panel_rule))]
+        return self.panel_rule * blocks + (1.0 - self.panel_rule) * blocks.transpose(0, 2, 1)
 
     def own_norm_form(self) -> np.ndarray:
         """A matrix whose lower triangle, diagonal included, is S = D A D^-1.
 
-        For i >= j, S[i, j] = -sum_m gamma_m (a v_m)(s_i) (a u_m)(t_j) with
-        a = sqrt(w)/t: one product of the scaled tables.  Above the diagonal
-        it holds the same product, which is not S; ``eigvalsh`` and ``eigh``
-        read the lower triangle only.
+        It is the product P Q^T of the scaled tables, with a panel rule's
+        diagonal panel blocks replaced by S there, symmetrized.  Above the
+        diagonal it is not S; ``eigvalsh`` and ``eigh`` read the lower
+        triangle only.
         """
-        scaling = self.grid.l2_scaling
         with np.errstate(all="ignore"):  # the finiteness check below reports it
-            rows = np.stack([-g * scaling * v for g, _, v in self.tables], axis=1)
-            columns = np.stack([scaling * u for _, u, _ in self.tables])
+            rows, columns = self._generators()
             form = rows @ columns
+            if self.panel_rule is not None:
+                blocks = self._panel_blocks(form)
+                form[_diagonal_blocks(len(form), len(self.panel_rule))] = (
+                    0.5 * (blocks + blocks.transpose(0, 2, 1)))
         # the upper triangle may overflow where S does not; only S is checked
         if not np.all(np.isfinite(form)) and not np.all(np.isfinite(np.tril(form))):
-            raise ValueError(f"Nystrom matrix contains non-finite entries at r = {self.grid.r!r}")
+            kind = "Nystrom" if self.panel_rule is None else "kink-exact"
+            raise ValueError(f"{kind} matrix contains non-finite entries at r = {self.grid.r!r}")
         return form
 
     def asymmetry(self) -> float:
-        """0: S is symmetric by construction."""
-        return 0.0
+        """max |S - S^T| over the diagonal panel blocks, 0 without a panel rule."""
+        if self.panel_rule is None:
+            return 0.0
+        with np.errstate(all="ignore"):
+            rows, columns = self._generators()
+            blocks = self._panel_blocks(rows @ columns)
+        return float(np.max(np.abs(blocks - blocks.transpose(0, 2, 1))))
 
 
 @dataclass(frozen=True, eq=False)
 class SelfAdjointCertificate:
-    """Eigenvalues lambda of the symmetric form D A D^-1, measured from 1.
+    """Eigenvalues lambda of the symmetric form of D A D^-1, measured from 1.
 
     ``sigma_min`` and ``next_sigma`` are the smallest and second-smallest
     |1 - lambda|; ``null_vector`` is the unit eigenvector of the smallest,
     i.e. the candidate solution's node values scaled by D = sqrt(w)/t (sign
-    as returned by ``np.linalg.eigh``); ``asymmetry`` is max |S - S^T| of
-    S = D A D^-1 before it was symmetrized (0 for a
-    :class:`SeparableNystromOperator`, whose S is symmetric by construction).
+    as returned by ``np.linalg.eigh``); ``asymmetry`` is max |S - S^T| over
+    the diagonal panel blocks of S = D A D^-1 before they were symmetrized,
+    the only entries not symmetric by construction (0 for the Nystrom matrix).
     """
 
     sigma_min: float
     next_sigma: float
     asymmetry: float
     null_vector: np.ndarray = field(repr=False)
-    operator: NystromOperator | SeparableNystromOperator = field(repr=False)
+    operator: SeparableNystromOperator = field(repr=False)
 
 
 @lru_cache(maxsize=32)
 def _gauss_rule(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     return x, w
+
+
+def _diagonal_blocks(size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the diagonal n x n blocks of a size x size matrix, (size/n, n, n)."""
+    rows = np.arange(size).reshape(-1, n)
+    return rows[:, :, None], rows[:, None, :]
 
 
 def _panel_nodes(lower: np.ndarray, upper: np.ndarray, nodes_per_panel: int):
@@ -327,19 +327,17 @@ def _grid_tables(spec: KernelSpec, grids) -> list:
     return per_grid
 
 
-def _square_divisors(t: np.ndarray, *numerators) -> tuple[np.ndarray, np.ndarray]:
+def _square_divisors(t: np.ndarray, numerator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-node divisors (left, right) such that ``x / left * ... / right`` is x ... / t^2.
 
-    Where t*t is a normal double and every numerator / (t*t) is finite, left
-    is 1 and right is t*t, so the plain quotient keeps its bits.  Elsewhere
-    both are t, dividing by t once on each side of the product, and t = 0
-    maps to inf, since those nodes carry no weight.
+    Where t*t is a normal double and numerator / (t*t) is finite, left is 1
+    and right is t*t, so the plain quotient keeps its bits.  Elsewhere both
+    are t, and t = 0 maps to inf, since those nodes carry no weight.  Only
+    ``apply_operator`` divides by t^2; both matrices use a = sqrt(w)/t.
     """
-    with np.errstate(all="ignore"):  # quotients only tested; t*t is inf above ~1.3e154
+    with np.errstate(all="ignore"):  # quotient only tested; t*t is inf above ~1.3e154
         square = t * t
-        plain = square >= _TINY
-        for numerator in numerators:
-            plain &= np.isfinite(numerator / square)
+        plain = (square >= _TINY) & np.isfinite(numerator / square)
     split = np.where(t > 0.0, t, np.inf)
     return np.where(plain, 1.0, split), np.where(plain, square, split)
 
@@ -356,69 +354,41 @@ def nystrom_matrix(spec: KernelSpec, grid: QuadratureGrid) -> SeparableNystromOp
 
 @lru_cache(maxsize=32)
 def _legendre_cumulative(n: int) -> np.ndarray:
-    """Q[i, j] = integral_{-1}^{x_i} l_j on the n-point Gauss rule x.
+    """rule[i, j] = integral_{-1}^{x_i} l_j / w_j on the n-point Gauss rule (x, w).
 
-    l_j is the Lagrange polynomial of node j; its Legendre coefficients
-    (2k + 1)/2 w_j P_k(x_j) follow from the rule's exactness to degree 2n - 1.
+    l_j is the Lagrange polynomial of node j, with Legendre coefficients
+    (2k + 1)/2 w_j P_k(x_j) by the rule's exactness to degree 2n - 1.
+    Dividing the integrals by w_j last rounds as a dense L = c w_j rule on
+    panels of half-width c does (forming l_j / w_j first moves the form of
+    S = {0, 4, 8} by 3e-13 of its largest entry).  Read-only: it is cached.
     """
     x, w = _gauss_rule(n)
     legendre = np.polynomial.legendre
-    vander = legendre.legvander(x, n - 1)
-    coefficients = ((np.arange(n) + 0.5)[:, None] * vander.T) * w[None, :]
-    return legendre.legvander(x, n) @ legendre.legint(coefficients, lbnd=-1, axis=0)
+    coefficients = (np.arange(n) + 0.5)[:, None] * legendre.legvander(x, n - 1).T * w
+    rule = legendre.legvander(x, n) @ legendre.legint(coefficients, lbnd=-1, axis=0) / w
+    rule.flags.writeable = False
+    return rule
 
 
-def _cumulative_integration(grid: QuadratureGrid) -> np.ndarray:
-    """L with sum_j L[i, j] f(t_j) ~ integral_0^{t_i} f, panel by panel.
-
-    Earlier panels contribute their full Gauss weights, the node's own panel
-    the integral of the polynomial interpolant up to t_i; L is exact for
-    polynomials of degree below the nodes per panel on each panel.
-    """
-    panels = len(grid.panel_bounds) - 1
-    nodes_per_panel, rest = divmod(grid.size, panels)
-    if rest:
-        raise ValueError("the grid must have the same number of nodes in every panel")
-    panel = np.repeat(np.arange(panels), nodes_per_panel)
-    matrix = np.where(panel[:, None] > panel[None, :], grid.weights[None, :], 0.0)
-    in_panel = _legendre_cumulative(nodes_per_panel)
-    for k, half in enumerate(0.5 * np.diff(grid.panel_bounds)):
-        block = slice(k * nodes_per_panel, (k + 1) * nodes_per_panel)
-        matrix[block, block] = half * in_panel
-    return matrix
-
-
-def kink_exact_matrix(spec: KernelSpec, grid: QuadratureGrid) -> NystromOperator:
-    """Assemble the product-integration matrix of K on the grid's nodes.
+def kink_exact_matrix(spec: KernelSpec, grid: QuadratureGrid) -> SeparableNystromOperator:
+    """The product-integration matrix of K on the grid's nodes, held by its family tables.
 
     With L the cumulative integration matrix (integral_0^{t_i}) and
-    U = W - L its complement (integral_{t_i}^r),
-
-        A = -sum_m gamma_m [diag(v_m) L diag(u_m/t^2) + diag(u_m) U diag(v_m/t^2)],
-
-    the discrete form of :func:`apply_operator`'s split at t = s.  The grid
-    must have the same Gauss-Legendre rule on every panel, as
-    :func:`build_grid` gives.  Where t*t is not a normal double, or u_m/t^2
-    or v_m/t^2 overflows, a column divides by t once on each side of the
-    product instead, so K forms down to the smallest radii.  Caveat: at
-    high orders (S = {0, 4, 8}, T = {2, 6, 10}) D A D^-1 is far from
+    U = W - L its complement,
+    A = -sum_m gamma_m [diag(v_m) L diag(u_m/t^2) + diag(u_m) U diag(v_m/t^2)]
+    is the discrete form of :func:`apply_operator`'s split at t = s; it is
+    held as the Nystrom tables plus the panel rule (see the module
+    docstring).  The grid must have the same Gauss-Legendre rule on every
+    panel, as :func:`build_grid` gives.  Caveat: at high orders
+    (S = {0, 4, 8}, T = {2, 6, 10}) the diagonal blocks are far from
     symmetric (max |S - S^T| ~30 at 12 nodes a panel, ~5e3 at 16) and
     min |1 - lambda| moves with the nodes per panel.
     """
-    lower = _cumulative_integration(grid)
-    upper = grid.weights[None, :] - lower
-    tables = _family_tables(spec, grid.nodes)
-    left, right = _square_divisors(grid.nodes, *(f for _, u, v in tables for f in (u, v)))
-    a_matrix = np.zeros_like(lower)
-    with np.errstate(all="ignore"):  # the finiteness check below reports it
-        for g, u, v in tables:
-            a_matrix -= g * (
-                v[:, None] / left * lower * (u / right)
-                + u[:, None] / left * upper * (v / right)
-            )
-    if not np.all(np.isfinite(a_matrix)):
-        raise ValueError(f"kink-exact matrix contains non-finite entries at r = {grid.r!r}")
-    return NystromOperator(grid=grid, matrix=a_matrix)
+    nodes_per_panel, rest = divmod(grid.size, len(grid.panel_bounds) - 1)
+    if rest:
+        raise ValueError("the grid must have the same number of nodes in every panel")
+    return SeparableNystromOperator(
+        grid, tuple(_family_tables(spec, grid.nodes)), _legendre_cumulative(nodes_per_panel))
 
 
 def _distances_from_one(symmetric: np.ndarray) -> np.ndarray:
@@ -426,18 +396,17 @@ def _distances_from_one(symmetric: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(1.0 - np.linalg.eigvalsh(symmetric, UPLO="L")))
 
 
-def self_adjoint_certificate(
-    op: NystromOperator | SeparableNystromOperator,
-) -> SelfAdjointCertificate:
+def self_adjoint_certificate(op: SeparableNystromOperator) -> SelfAdjointCertificate:
     """|1 - lambda| for the eigenvalues of D A D^-1, and the null vector.
 
     K is self-adjoint on L^2((0, r], t^-2 dt), so S = D A D^-1 with
     D = sqrt(w)/t is symmetric up to discretization and rounding.
     ``sigma_min`` and ``next_sigma`` come from the eigenvalues of its
-    symmetric part alone (``np.linalg.eigvalsh``, as in
-    :func:`min_singular_value`); one ``np.linalg.eigh`` gives the null
-    vector, the eigenvector of its own eigenvalue nearest 1.  A near-zero
-    ``sigma_min`` certifies a nontrivial discrete solution of h = K h.
+    symmetric form (:meth:`SeparableNystromOperator.own_norm_form`) alone
+    (``np.linalg.eigvalsh``, as in :func:`min_singular_value`); one
+    ``np.linalg.eigh`` gives the null vector, the eigenvector of its own
+    eigenvalue nearest 1.  A near-zero ``sigma_min`` certifies a
+    nontrivial discrete solution of h = K h.
     """
     symmetric = op.own_norm_form()
     distance = _distances_from_one(symmetric)
@@ -452,12 +421,12 @@ def self_adjoint_certificate(
     )
 
 
-def min_singular_value(op: NystromOperator | SeparableNystromOperator) -> float:
+def min_singular_value(op: SeparableNystromOperator) -> float:
     """min |1 - lambda| over the eigenvalues of D A D^-1, from eigenvalues alone.
 
-    The eigenvalues are those of the symmetric part of S = D A D^-1
+    The eigenvalues are those of the symmetric form of S = D A D^-1
     (``np.linalg.eigvalsh``), so the value is the smallest singular value of
-    I - (S + S^T)/2, and the same value, bit for bit, as
+    I minus that form, and the same value, bit for bit, as
     ``self_adjoint_certificate(op).sigma_min``, without the eigenvectors or
     the asymmetry.  A near-zero value certifies a nontrivial discrete
     solution of h = K h.
@@ -465,11 +434,14 @@ def min_singular_value(op: NystromOperator | SeparableNystromOperator) -> float:
     return float(_distances_from_one(op.own_norm_form())[0])
 
 
-def dump_matrix(op: NystromOperator, path) -> None:
-    """Write the kink-exact matrix A as CSV (debugging aid; one row per line)."""
-    lines = [
-        ",".join(fmt_float(entry) for entry in row) for row in op.matrix
-    ]
+def dump_matrix(op: SeparableNystromOperator, path) -> None:
+    """Write S = D A D^-1 as the eigensolvers read it, the lower triangle mirrored, as CSV.
+
+    A debugging aid; one row per line.
+    """
+    form = op.own_norm_form()
+    symmetric = np.where(np.tri(len(form), dtype=bool), form, form.T)
+    lines = [",".join(fmt_float(entry) for entry in row) for row in symmetric]
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
 

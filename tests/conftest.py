@@ -1,4 +1,4 @@
-"""Shared test fixtures, high-precision oracles and report readers."""
+"""Shared test fixtures, high-precision and dense oracles, and report readers."""
 
 import json
 import sys
@@ -14,7 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from rbkernel import NystromOperator
+from rbkernel import eval_irregular, eval_regular
 
 mp.mp.dps = 40
 
@@ -38,10 +38,62 @@ def mp_p(r):
 
 
 def read_matrix(op):
-    """What production reads of an operator: the kink-exact A, or the lower
-    triangle of the Nystrom operator's D-scaled form S = D A D^-1 (it holds
-    no dense A)."""
-    return op.matrix if isinstance(op, NystromOperator) else np.tril(op.own_norm_form())
+    """What production reads of an operator: the lower triangle of its
+    symmetric form of S = D A D^-1 (it holds no dense A)."""
+    return np.tril(op.own_norm_form())
+
+
+def kernel_definition_matrix(spec, grid):
+    """The Nystrom A[i, j] = -g(s_i, t_j) w_j / t_j^2, with
+    g = sum_m gamma_m u_m(min) v_m(max), assembled densely."""
+    t = grid.nodes
+    low, high = np.minimum.outer(t, t), np.maximum.outer(t, t)
+    g = sum(gamma * eval_regular(m, low).value * eval_irregular(m, high).value
+            for m, gamma in spec.terms())
+    return -g * grid.weights / t**2
+
+
+def kink_exact_definition_matrix(spec, grid):
+    """The kink-exact A assembled densely by product integration,
+
+        A = -sum_m gamma_m [diag(v_m) L diag(u_m/t^2) + diag(u_m) U diag(v_m/t^2)],
+
+    with L the cumulative integration matrix (integral_0^{t_i}: earlier
+    panels at their full Gauss weights, the node's own panel the integral
+    of the Lagrange interpolant up to t_i) and U = W - L.  The grid needs
+    the same Gauss-Legendre rule on every panel, and t*t normal at its nodes.
+    """
+    panels = len(grid.panel_bounds) - 1
+    n = grid.size // panels
+    legendre = np.polynomial.legendre
+    x, w = legendre.leggauss(n)
+    # Legendre coefficients (2k + 1)/2 w_j P_k(x_j) of the Lagrange polynomials
+    coefficients = ((np.arange(n) + 0.5)[:, None] * legendre.legvander(x, n - 1).T) * w
+    in_panel = legendre.legvander(x, n) @ legendre.legint(coefficients, lbnd=-1, axis=0)
+    panel = np.repeat(np.arange(panels), n)
+    lower = np.where(panel[:, None] > panel[None, :], grid.weights[None, :], 0.0)
+    for k, half in enumerate(0.5 * np.diff(grid.panel_bounds)):
+        block = slice(k * n, (k + 1) * n)
+        lower[block, block] = half * in_panel
+    upper = grid.weights[None, :] - lower
+    t = grid.nodes
+    matrix = np.zeros_like(lower)
+    for m, gamma in spec.terms():
+        u, v = eval_regular(m, t).value, eval_irregular(m, t).value
+        matrix -= gamma * (v[:, None] * lower * (u / t**2) + u[:, None] * upper * (v / t**2))
+    return matrix
+
+
+def definition_form(grid, matrix):
+    """The symmetric part of S = D A D^-1 of a dense A, D = sqrt(w)/t."""
+    scaling = grid.l2_scaling
+    form = scaling[:, None] * matrix / scaling[None, :]
+    return 0.5 * (form + form.T)
+
+
+def definition_sigma(grid, matrix):
+    """min |1 - lambda| over the eigenvalues of :func:`definition_form`."""
+    return float(np.min(np.abs(1.0 - np.linalg.eigvalsh(definition_form(grid, matrix)))))
 
 
 def csv_table(text):

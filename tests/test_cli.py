@@ -325,14 +325,17 @@ class TestSmallRadiusUnderflow:
         ]
 
     def test_verify_names_a_subnormal_radius(self, capsys):
-        # the certificate grid builds at 1e-310, but v_0/t overflows at its
-        # first nodes: the spectral step names the radius, and the quadrature
-        # gives up after its first pass, where 8 panels' weights underflow
+        # the certificate grid builds at 1e-310 and its form does too: the
+        # spectral step evaluates and fails at its small-radius value, the
+        # null-vector step names u_2's underflow, and the quadrature gives
+        # up after its first pass, where 8 panels' weights underflow
         code, out, err = run_cli(capsys, "verify", "--force-r", "1e-310")
         assert code == 1
         assert err == ""
-        assert ("FAIL  spectral_certificate (kink-exact matrix contains non-finite "
-                "entries at r = 1e-310): failed to evaluate") in out
+        assert "spectral_certificate" not in out
+        assert "FAIL  sigma_min_at_R: 1.000004e+00" in out
+        assert ("FAIL  null_vector_check (u_2 underflows to 0 at the nodes of "
+                "radius 1e-310): failed to evaluate") in out
         assert ("FAIL  identity_check (integral on [5e-312, 1e-310] did not stabilize "
                 "to 1.0e-10 within 4 panels): failed to evaluate") in out
 

@@ -10,7 +10,6 @@ import pytest
 import rbkernel.operator as op_module
 from rbkernel import (
     ConvergenceError,
-    NystromOperator,
     QuadratureGrid,
     SeparableNystromOperator,
     apply_operator,
@@ -26,7 +25,13 @@ from rbkernel import (
     validate_sets,
 )
 
-from conftest import read_matrix
+from conftest import (
+    definition_form,
+    definition_sigma,
+    kernel_definition_matrix,
+    kink_exact_definition_matrix,
+    read_matrix,
+)
 
 # (K u_2)(0.5) at r = 1 equals u_2(0.5) + p(1) u_0(0.5); 40-digit oracle value
 J_R1_S_HALF = -0.062715474113685405
@@ -43,15 +48,6 @@ THREE_TERMS = ([0, 4, 8], [2, 6, 10])
 
 def u2(t):
     return eval_regular(2, t).value
-
-
-def kernel_definition_matrix(spec, grid):
-    """A[i, j] = -g(s_i, t_j) w_j / t_j^2 with g = sum_m gamma_m u_m(min) v_m(max)."""
-    t = grid.nodes
-    low, high = np.minimum.outer(t, t), np.maximum.outer(t, t)
-    g = sum(gamma * eval_regular(m, low).value * eval_irregular(m, high).value
-            for m, gamma in spec.terms())
-    return -g * grid.weights / t**2
 
 
 class TestBuildGrid:
@@ -157,12 +153,12 @@ class TestNystromMatrix:
         for r in np.geomspace(0.05, 6.0, 7).tolist() + [root_r]:
             grid = build_grid(r, panels, 12, grading=grading)
             op = nystrom_matrix(spec, grid)
-            dense = NystromOperator(grid, kernel_definition_matrix(spec, grid))
+            dense = kernel_definition_matrix(spec, grid)
             scaling = grid.l2_scaling
-            reference = np.tril(scaling[:, None] * dense.matrix / scaling[None, :])
+            reference = np.tril(scaling[:, None] * dense / scaling[None, :])
             gap = np.max(np.abs(np.tril(op.own_norm_form()) - reference))
             assert gap <= 1e-14 * np.max(np.abs(reference)), r
-            assert abs(min_singular_value(op) - min_singular_value(dense)) <= 1e-13, r
+            assert abs(min_singular_value(op) - definition_sigma(grid, dense)) <= 1e-13, r
             assert self_adjoint_certificate(op).asymmetry == 0.0
 
 
@@ -171,13 +167,59 @@ class TestKinkExactMatrix:
         (1, 16, 1.0), (8, 16, 1.0), (5, 7, 2.0), (6, 12, 3.0),
     ])
     def test_cumulative_integration_exact_for_monomials(self, panels, nodes, grading):
+        # the panel rule: sum_j rule[i, j] w_j x_j^k = integral_{-1}^{x_i} x^k
+        # for k < n on the Gauss rule (x, w)...
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        rule = op_module._legendre_cumulative(nodes)
+        for k in range(nodes):
+            exact = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+            assert np.max(np.abs(rule @ (w * x**k) - exact)) <= 1e-13, k
+        # ...and on every panel of a graded grid, after the full weights of
+        # the panels before it, it integrates from 0 to each node
         grid = build_grid(2.0, panels_count=panels, nodes_per_panel=nodes,
                           grading=grading)
-        lower = op_module._cumulative_integration(grid)
+        panel = np.repeat(np.arange(panels), nodes)
+        share = np.where(panel[:, None] == panel[None, :], np.tile(rule, (panels, panels)),
+                         (panel[:, None] > panel[None, :]).astype(float))
+        lower = share * grid.weights
         for k in range(nodes):
             exact = grid.nodes ** (k + 1) / (k + 1)
             error = np.max(np.abs(lower @ grid.nodes**k - exact)) / np.max(exact)
             assert error <= 1e-13, k
+
+    @pytest.mark.parametrize("sets", [([0], [2]), THREE_TERMS])
+    @pytest.mark.parametrize("grading", [1.0, 2.0])
+    def test_shares_the_nystrom_product_off_the_diagonal_panel_blocks(
+            self, root_r, sets, grading):
+        # both forms are the product P Q^T wherever row and column lie in
+        # different panels, bit for bit; only the diagonal blocks differ
+        spec = solve_gamma(validate_sets(*sets))
+        grid = build_grid(root_r, 8, 12, grading=grading)
+        kink = kink_exact_matrix(spec, grid).own_norm_form()
+        nystrom = nystrom_matrix(spec, grid).own_norm_form()
+        panel = np.repeat(np.arange(8), 12)
+        apart = panel[:, None] != panel[None, :]
+        assert np.array_equal(kink[apart], nystrom[apart])
+        assert not np.array_equal(kink[~apart], nystrom[~apart])
+
+    @pytest.mark.parametrize("sets", [([0], [2]), ([1], [3]), THREE_TERMS, ([0, 1], [2, 3])])
+    @pytest.mark.parametrize("panels, nodes, grading", [
+        (8, 16, 1.0), (8, 12, 2.0), (4, 12, 1.0), (16, 16, 1.0),
+    ])
+    def test_agrees_with_the_dense_assembly(self, root_r, sets, panels, nodes, grading):
+        # the separable form against D A D^-1 of the dense product-integration
+        # A, symmetrized: within 1e-13 of its largest entry (2.7e-14 measured),
+        # and the reference kernel's sigma within 1e-14 (2.9e-15)
+        spec = solve_gamma(validate_sets(*sets))
+        for r in np.geomspace(0.05, 6.0, 7).tolist() + [root_r]:
+            grid = build_grid(r, panels, nodes, grading=grading)
+            op = kink_exact_matrix(spec, grid)
+            dense = kink_exact_definition_matrix(spec, grid)
+            reference = np.tril(definition_form(grid, dense))
+            gap = np.max(np.abs(read_matrix(op) - reference))
+            assert gap <= 1e-13 * np.max(np.abs(reference)), r
+            if sets == ([0], [2]):
+                assert abs(min_singular_value(op) - definition_sigma(grid, dense)) <= 1e-14, r
 
     def test_unequal_panels_rejected(self, reference_spec):
         grid = QuadratureGrid(
@@ -198,16 +240,17 @@ class TestKinkExactMatrix:
         assert certificate.asymmetry <= 1e-10
         assert np.linalg.norm(certificate.null_vector) == pytest.approx(1.0, rel=1e-14)
         assert certificate.sigma_min <= certificate.next_sigma
-        # sigma_min and next_sigma come from eigvalsh, the null vector from eigh
+        # sigma_min and next_sigma come from eigvalsh, the null vector from
+        # eigh of the same form
         assert certificate.sigma_min == min_singular_value(op)
-        scaling = op.grid.l2_scaling
-        form = scaling[:, None] * op.matrix / scaling[None, :]
-        eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (form + form.T))
-        distance = np.abs(1.0 - eigenvalues)
-        nearest = np.argmin(distance)
-        assert abs(certificate.sigma_min - distance[nearest]) <= 1e-14
-        assert abs(certificate.next_sigma - np.sort(distance)[1]) <= 1e-14
+        eigenvalues, eigenvectors = np.linalg.eigh(op.own_norm_form(), UPLO="L")
+        nearest = np.argmin(np.abs(1.0 - eigenvalues))
         assert np.array_equal(certificate.null_vector, eigenvectors[:, nearest])
+        # the same values from the symmetric part of the dense D A D^-1
+        form = definition_form(grid, kink_exact_definition_matrix(reference_spec, grid))
+        distance = np.sort(np.abs(1.0 - np.linalg.eigvalsh(form)))
+        assert abs(certificate.sigma_min - distance[0]) <= 1e-14
+        assert abs(certificate.next_sigma - distance[1]) <= 1e-14
 
     def test_independent_routes_agree_off_root(self, reference_spec):
         kink = self_adjoint_certificate(
@@ -234,8 +277,9 @@ class TestKinkExactMatrix:
 
 class TestNodeUnderflow:
     """Below about 1e-151, t*t is subnormal or 0 at the first nodes.  K is
-    defined there, and every discretization divides by t once on each side
-    of the product at those nodes, so K forms down to the smallest radii."""
+    defined there; both matrices are formed from a = sqrt(w)/t and never
+    square t, and apply_operator divides by t once on each side of the
+    product at those nodes, so K forms down to the smallest radii."""
 
     @staticmethod
     def gap_to_small_radius(build, spec, r):
@@ -270,7 +314,7 @@ class TestNodeUnderflow:
 
     def test_overflowing_quotient_splits_too(self):
         # S = {1} at 1e-140: t*t is normal at every node, but v_1/t^2 overflows
-        # at the first ones, so those columns divide by t twice
+        # at the first ones, which the form, dividing by t only in a, never forms
         spec = solve_gamma(validate_sets([1], [3]))
         grid = build_grid(1e-140, 8, 16, grading=1.0)
         assert np.all(grid.nodes**2 >= np.finfo(float).tiny)
@@ -281,14 +325,14 @@ class TestNodeUnderflow:
     @pytest.mark.parametrize("r", [2.5e-159, 1e-155, 1e-152, 1.1e-151])
     def test_kink_exact_subnormal_band_assembles_without_warnings(self, reference_spec, r):
         # t*t is subnormal, not 0, at the first nodes, and 1/t^2 overflows
-        # there: those columns divide by t twice
+        # there, which the form never divides by
         grid = build_grid(r, 8, 16, grading=1.0)
         assert np.all(grid.nodes**2 > 0.0)
         assert grid.nodes[0] ** 2 < 1.0 / np.finfo(float).max
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             op = kink_exact_matrix(reference_spec, grid)
-        assert np.all(np.isfinite(op.matrix))
+            assert np.all(np.isfinite(read_matrix(op)))
         # below r ~ 1e-4 the certificate sits at its small-radius limit
         certificate = self_adjoint_certificate(op)
         small = self_adjoint_certificate(
@@ -296,24 +340,6 @@ class TestNodeUnderflow:
         )
         assert certificate.sigma_min == pytest.approx(small.sigma_min, abs=1e-12)
         assert certificate.asymmetry <= 1e-10
-
-    def test_kink_exact_bits_kept_where_formed_before(self, reference_spec):
-        # every column whose t*t is normal is the plain product, bit for bit;
-        # the others divide by t once on each side of it
-        grid = build_grid(2e-151, 8, 16, grading=1.0)
-        t = grid.nodes
-        normal = t * t >= np.finfo(float).tiny
-        assert normal.any() and not normal.all()
-        lower = op_module._cumulative_integration(grid)
-        upper = grid.weights[None, :] - lower
-        ((g, u, v),) = op_module._family_tables(reference_spec, t)
-        plain = 0.0 - g * (v[:, None] * lower * (u / t**2)[None, :]
-                           + u[:, None] * upper * (v / t**2)[None, :])
-        split = 0.0 - g * (v[:, None] / t * lower * (u / t)
-                           + u[:, None] / t * upper * (v / t))
-        matrix = kink_exact_matrix(reference_spec, grid).matrix
-        assert np.array_equal(matrix[:, normal], plain[:, normal])
-        assert np.array_equal(matrix[:, ~normal], split[:, ~normal])
 
     @pytest.mark.parametrize("r", [2e-151, 1.2e-151])
     def test_subnormal_squares_still_assemble(self, reference_spec, r):
@@ -684,7 +710,8 @@ def mirrored(lower):
 class TestMinSingularValue:
     def test_zero_matrix_limit(self, reference_spec):
         grid = build_grid(1.0, panels_count=2, nodes_per_panel=4)
-        op = NystromOperator(grid=grid, matrix=np.zeros((grid.size, grid.size)))
+        zeros = np.zeros(grid.size)
+        op = SeparableNystromOperator(grid, ((0.0, zeros, zeros),))
         assert min_singular_value(op) == pytest.approx(1.0, abs=1e-14)
 
     def test_small_radius_well_conditioned(self, reference_spec):
