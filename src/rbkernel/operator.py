@@ -23,7 +23,7 @@ With the generators P = -gamma a v and Q = a u (a column per order,
 a = sqrt(w)/t), S[i, j] = (P Q^T)[i, j] below the diagonal wherever row and
 column lie in different panels.  A itself is never formed and t is never
 squared, so both matrices form down to radii whose first nodes are
-subnormal; only ``apply_operator`` divides by t^2 (``_square_divisors``).
+subnormal; only ``apply_operator`` divides by t^2 (``_over_square``).
 
 ``nystrom_matrix`` collocates, ``A[i, j] = -g(s_i, t_j) w_j / t_j**2`` on
 one shared grid: S is the lower triangle of P Q^T everywhere, exactly
@@ -327,19 +327,23 @@ def _grid_tables(spec: KernelSpec, grids) -> list:
     return per_grid
 
 
-def _square_divisors(t: np.ndarray, numerator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node divisors (left, right) such that ``x / left * ... / right`` is x ... / t^2.
+def _over_square(t: np.ndarray, family: np.ndarray, h_values: np.ndarray) -> np.ndarray:
+    """family * h / t^2 at the nodes t, by the package's one rule for dividing by t^2.
 
-    Where t*t is a normal double and numerator / (t*t) is finite, left is 1
-    and right is t*t, so the plain quotient keeps its bits.  Elsewhere both
-    are t, and t = 0 maps to inf, since those nodes carry no weight.  Only
-    ``apply_operator`` divides by t^2; both matrices use a = sqrt(w)/t.
+    Where t*t is a normal double and the quotient is finite, it is the plain
+    quotient (family * h) / (t*t).  Elsewhere it is family / t * h / t, and
+    t = 0 maps to inf, since those nodes carry no weight.  Only
+    ``apply_operator`` divides by t^2; both matrices use a = sqrt(w)/t.  The
+    caller ignores floating-point errors: the quotient is only tested, and
+    t*t is inf above ~1.3e154.
     """
-    with np.errstate(all="ignore"):  # quotient only tested; t*t is inf above ~1.3e154
-        square = t * t
-        plain = (square >= _TINY) & np.isfinite(numerator / square)
+    square = t * t
+    integrand = family * h_values / square
+    plain = (square >= _TINY) & np.isfinite(integrand)
+    if plain.all():
+        return integrand
     split = np.where(t > 0.0, t, np.inf)
-    return np.where(plain, 1.0, split), np.where(plain, square, split)
+    return np.where(plain, integrand, family / split * h_values / split)
 
 
 def nystrom_matrix(spec: KernelSpec, grid: QuadratureGrid) -> SeparableNystromOperator:
@@ -486,30 +490,42 @@ def _unconverged(lo: float, hi: float, tol: float, panels: int) -> ConvergenceEr
     )
 
 
-def _panel_sums(order: int, h, lo, hi, is_left, counts) -> list:
-    """Per panel count in ``counts``, each row's Gauss sum of f_m h / t^2.
+def _family_values(evaluate, order: int, nodes: np.ndarray, points: np.ndarray):
+    """``evaluate(order, x).value`` at the rows of nodes and at the points, from one call.
+
+    No call if both are empty.
+    """
+    if not (nodes.size or points.size):
+        return nodes, points
+    values = evaluate(order, np.concatenate([nodes.ravel(), points])).value
+    return values[:nodes.size].reshape(nodes.shape), values[nodes.size:]
+
+
+def _panel_sums(order: int, h, lo, hi, is_left, counts, points):
+    """Each row's Gauss sum of f_m h / t^2 per panel count, and u_m, v_m at ``points``.
 
     A row integrates over [lo, hi]; f_m is u_m on ``is_left`` rows, whose
     panels are graded toward the origin (exponent 2), and v_m on the others,
-    whose panels are uniform.  The nodes of every count are built at once,
-    one row of all its levels' panels per row; h and each Riccati family are
-    called once on them, and each sum is the dot product of one row's
-    weights and integrand over one level's slice of that row.
+    whose panels are uniform; the ``is_left`` rows come first.  The nodes of
+    every count are built at once, one row of all its levels' panels per
+    row; h is called once on them, and each Riccati family once on its rows'
+    nodes and the 1-D ``points`` (which may be empty), so the values at the
+    points come from the same calls.  Each sum is the dot product of one
+    row's weights and integrand over one level's slice of that row.  Returns
+    the list of sums, u_m at the points and v_m at the points.
     """
     nodes, weights = _panel_nodes(*_level_bounds(lo, hi, is_left, counts), _QUAD_NODES)
     h_values = np.asarray(h(nodes.ravel()))
     if h_values.shape != (nodes.size,):  # a scalar h: the same value at every node
         h_values = np.broadcast_to(h_values, (nodes.size,))
     h_values = h_values.reshape(nodes.shape)
+    split = np.count_nonzero(is_left)
     family = np.empty_like(nodes)
-    if is_left.any():
-        family[is_left] = eval_regular(order, nodes[is_left]).value
-    if not is_left.all():
-        family[~is_left] = eval_irregular(order, nodes[~is_left]).value
+    family[:split], regular = _family_values(eval_regular, order, nodes[:split], points)
+    family[split:], irregular = _family_values(eval_irregular, order, nodes[split:], points)
     sums = []
     with np.errstate(all="ignore"):  # a non-finite row never freezes
-        left, right = _square_divisors(nodes, family * h_values)
-        integrand = family / left * h_values / right
+        integrand = _over_square(nodes, family, h_values)
         start = 0
         for count in counts:
             level = slice(start, start + count * _QUAD_NODES)
@@ -517,11 +533,11 @@ def _panel_sums(order: int, h, lo, hi, is_left, counts) -> list:
                 np.dot(w, f) for w, f in zip(weights[:, level], integrand[:, level])
             ]))
             start = level.stop
-    return sums
+    return sums, regular, irregular
 
 
 def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
-    """I_m^< and I_m^> of :func:`apply_operator` at every point of ``s``.
+    """I_m^< and I_m^> of :func:`apply_operator` at the points ``s``, and u_m, v_m there.
 
     One row per side of each point: [0, s] graded toward the origin
     (exponent 2), [s, r] uniform.  All rows start at 2 panels and double
@@ -531,7 +547,8 @@ def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
     first pass evaluates 2 and 4 panels together, and each later pass one
     level.  A pass's rows are evaluated in chunks of at most ``_CHUNK_NODES``
     nodes over all its levels (at least one row each), which bounds the
-    memory a call holds however many of its points fail to converge.  After
+    memory a call holds however many of its points fail to converge; the
+    first chunk's Riccati calls also take u_m and v_m at every point.  After
     a pass, a row that has not settled and whose value is not finite fails
     at once if the smallest Gauss weight of its next level would be
     subnormal: it cannot settle at that level, and below the smallest
@@ -544,26 +561,34 @@ def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
     values = np.zeros(2 * n)
     previous = np.full(2 * n, np.nan)
     active = lo < hi  # the right side of s = r is empty
+    # the first chunk's Riccati calls also take u_m and v_m at the points
+    at_points, regular_s, irregular_s = s, s[:0], s[:0]
     levels = [2 << k for k in range(_MAX_DOUBLINGS)]
     passes = [levels[:2]] + [[count] for count in levels[2:]] if levels else []
     for counts, next_counts in zip(passes, passes[1:] + [None]):
-        pass_rows = np.flatnonzero(active)
+        pass_rows = active.nonzero()[0]
         if pass_rows.size == 0:
             break
         chunk_rows = max(1, _CHUNK_NODES // (sum(counts) * _QUAD_NODES))
         for start in range(0, pass_rows.size, chunk_rows):
             rows = pass_rows[start:start + chunk_rows]
-            sums = _panel_sums(order, h, lo[rows], hi[rows], is_left[rows], counts)
+            sums, regular, irregular = _panel_sums(
+                order, h, lo[rows], hi[rows], is_left[rows], counts, at_points)
+            if at_points.size:
+                regular_s, irregular_s, at_points = regular, irregular, s[:0]
+            # only a pass's last level can settle: the first pass's first
+            # level has no value before it
+            last = sums[-1]
+            before = sums[-2] if len(sums) > 1 else previous[rows]
             with np.errstate(invalid="ignore"):  # inf - inf is NaN, never <= tol
-                for level in sums:
-                    settled = np.abs(level - previous[rows]) <= tol
-                    active[rows[settled]] = False
-                    values[rows] = previous[rows] = level
+                settled = np.abs(last - before) <= tol
+            active[rows[settled]] = False
+            values[rows] = previous[rows] = last
             if next_counts is None:
                 continue
             # a non-finite value cannot settle at the next level, and where
             # that level's weights underflow, deeper ones cannot mend it
-            stuck = rows[active[rows] & ~np.isfinite(previous[rows])]
+            stuck = rows[~settled & ~np.isfinite(last)]
             if stuck.size:
                 underflow = _smallest_weights(
                     lo[stuck], hi[stuck], is_left[stuck], next_counts[0]) < _TINY
@@ -573,7 +598,7 @@ def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
     if active.any():
         row = np.flatnonzero(active)[0]
         raise _unconverged(lo[row], hi[row], tol, 2**_MAX_DOUBLINGS)
-    return values[:n], values[n:]
+    return values[:n], values[n:], regular_s, irregular_s
 
 
 def apply_operator(
@@ -632,10 +657,8 @@ def apply_operator(
     flat = np.atleast_1d(points)
     total = np.zeros(flat.size)
     for m, g in terms:
-        left, right = _kink_split_integrals(m, h, flat, r, tol)
-        total += g * (
-            eval_irregular(m, flat).value * left + eval_regular(m, flat).value * right
-        )
+        left, right, u_s, v_s = _kink_split_integrals(m, h, flat, r, tol)
+        total += g * (v_s * left + u_s * right)
     return float(-total[0]) if points.ndim == 0 else -total
 
 

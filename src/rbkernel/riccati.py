@@ -22,8 +22,9 @@ Evaluation strategy, chosen for double precision:
   a few ulps of the oscillation amplitude; otherwise by
   backward Miller-style recurrence normalized against the closed forms of
   u_0 / u_1, which keeps a three-row window and divides out the ratios
-  (2k + 1)/r of many orders in one call, in blocks of at most 2^10 values,
-  so n radii take O(n) memory at any order;
+  (2k + 1)/r of all its orders in one call where they fit 2^13 values, and
+  an order at a time into three reused rows elsewhere, so n radii take O(n)
+  memory at any order;
 
 * ``v_m`` always by forward recurrence, which is stable because v_m is the
   dominant solution as the order grows;
@@ -36,10 +37,12 @@ Evaluation strategy, chosen for double precision:
 
 Both evaluators take a single radius or a numpy array of radii for one fixed
 order.  An array is evaluated element by element with the branch above
-selected per element by mask; each element keeps its own series stopping
-point and its own backward-recurrence start, so its value is bit for bit the
-one a call on that element alone returns, whatever else is in the batch.  A
-float in gives a ``FunctionPair`` of Python floats out.
+selected per element by mask; each element keeps its own backward-recurrence
+start, and the series, summed without masks until no element's term exceeds
+1e-18 of its sum, adds to an element past its own stop only terms below half
+an ulp of its sum.  So each value is bit for bit the one a call on that
+element alone returns, whatever else is in the batch.  A float in gives a
+``FunctionPair`` of Python floats out.
 
 The package's one radius rule lives here: a radius is a positive, finite
 double.  Every layer checks it with ``check_radius``; the evaluators hold each
@@ -79,13 +82,15 @@ _MILLER_PAD = 45
 # Magnitude at which the backward recurrence rescales to avoid overflow.
 _RESCALE_LIMIT = 1e250
 
-# Most values (8 KiB) in one block of rows that the series and the backward
-# recurrence step through together: one numpy call covers a block's rows, and
-# a block of n radii holds at least one row, so memory stays O(n).  Blocks
-# pay off where numpy's per-call cost dominates, for batches of up to a few
-# hundred radii; larger blocks raise the peak memory of a sweep's batches of
-# thousands of radii (by 0.3 MB at 2^14 values) and gain nothing there.
-_BLOCK_VALUES = 2**10
+# Most values (64 KiB) in one block of rows that the series sums in one loop
+# (a block holds one row at least), and in the ratios (2k + 1)/r that the
+# backward recurrence divides out in one numpy call (a larger batch divides
+# them an order at a time).  Blocks pay off where numpy's per-call cost
+# dominates: this one holds every ratio of an identity-check point's u_2
+# batch (about 50 orders over fewer than 170 radii), while numpy's one-
+# dimensional calls are faster per value on a sweep's batches of thousands
+# of radii, and a block there would only raise their peak memory.
+_BLOCK_VALUES = 2**13
 
 
 class FunctionPair(NamedTuple):
@@ -144,37 +149,55 @@ def _series_denominators(orders: tuple) -> np.ndarray:
     return (ks * (2 * np.array(orders) + 2 * ks + 1)).astype(float)[..., None]
 
 
+def _series_terms(x: float, m: int) -> int:
+    """How many terms :func:`_regular_series_parts` adds to S_m at the radius x alone."""
+    term = total = 1.0
+    half_r2 = -0.5 * x * x
+    for k in range(1, 202):
+        term *= half_r2 / (k * (2 * m + 2 * k + 1))
+        total += term
+        if not abs(term) > 1e-18 * abs(total):
+            break
+    return k
+
+
 def _regular_series_parts(orders, r):
     # u_m(r) = r^(m+1)/(2m+1)!! * S_m(r),
     # S_m(r) = sum_k (-r^2/2)^k / (k! (2m+3)...(2m+2k+1)),
     # an alternating series with factorially shrinking terms; safe for any r
     # but only needed (and used) near zero.  One row per order in ``orders``
     # over the 1-D radii; the rows of a block of at most _BLOCK_VALUES values
-    # (one row at least) are summed in one loop.  Each element of each row
-    # stops summing on its own once its terms no longer contribute, so its
-    # bits depend on neither the other rows nor the other radii.  Returns the
-    # prefactors and the sums S_m separately: S_m is near 1 even where u_m
-    # underflows.
+    # (one row at least) are summed in one loop, without masks, until no
+    # element's term exceeds 1e-18 of its sum.  An element summed alone stops
+    # at its first such term, and the terms after it change none of its
+    # bits: below r = 2 each term is under 2/3 of the one before, so every
+    # later term is below 1e-18 of the sum too, which is under half an ulp of
+    # it (2^-54 of it at least), and adding it rounds back to the sum.  So
+    # each element's bits depend on neither the other rows nor the other
+    # radii.  No element stops before the largest radius at the block's
+    # lowest order (its terms are the largest next to its sum), so the test
+    # starts there.  Returns the prefactors and the sums S_m separately: S_m
+    # is near 1 even where u_m underflows.
     r = np.atleast_1d(np.asarray(r, dtype=float))
     # float_power calls C pow like Python's float ** int; numpy's ** takes a
     # different route for integer exponents and can differ in the last bit
-    prefactor = np.stack([
+    prefactor = np.array([
         np.float_power(r, m + 1) / _double_factorial(2 * m + 1) for m in orders
     ])
     half_r2 = -0.5 * r * r
-    total = np.ones_like(prefactor)
+    largest = float(r.max())
+    total = np.ones(prefactor.shape)
     block_rows = max(1, _BLOCK_VALUES // r.size)
     for first in range(0, len(orders), block_rows):
         rows = slice(first, first + block_rows)
         block = total[rows]  # a view: summed in place
-        term = np.ones_like(block)
-        active = np.ones_like(block, dtype=bool)
-        for denominator in _series_denominators(tuple(orders[rows])):
-            if not active.any():
+        term = np.ones(block.shape)
+        first_test = _series_terms(largest, min(orders[rows]))
+        for k, denominator in enumerate(_series_denominators(tuple(orders[rows])), 1):
+            term *= half_r2 / denominator
+            block += term
+            if k >= first_test and not (np.abs(term) > 1e-18 * np.abs(block)).any():
                 break
-            np.multiply(term, half_r2 / denominator, out=term, where=active)
-            np.add(block, term, out=block, where=active)
-            active &= np.abs(term) > 1e-18 * np.abs(block)
     return prefactor, total
 
 
@@ -193,17 +216,22 @@ def _regular_forward(m: int, r: np.ndarray):
 
 
 def _ratio_rows(r: np.ndarray, kmax: int):
-    """Fresh rows (2k + 1)/r over the radii, for k = kmax, kmax - 1, ..., 1.
+    """The rows (2k + 1)/r over the radii, for k = kmax, kmax - 1, ..., 1.
 
-    A block of orders at a time, in one numpy call of at most
-    ``_BLOCK_VALUES`` values (one order at least); 2k + 1 is exact in a
-    double and IEEE division is element-wise, so each ratio has the bits of
-    its own division.
+    A small batch, whose ratios fit ``_BLOCK_VALUES`` values, divides out
+    all its orders in one numpy call and hands out the rows of the result.
+    A larger one divides each order's row in its own one-dimensional call
+    (which numpy runs faster per value than a broadcast block) into one of
+    three reused rows: a step holds the rows of at most the two steps
+    before it, so the third is free.  2k + 1 is exact in a double and IEEE
+    division is element-wise, so each ratio has the bits of its own
+    division either way.
     """
-    block_orders = max(1, _BLOCK_VALUES // r.size)
     numerators = np.arange(2 * kmax + 1, 2, -2, dtype=float)
-    for first in range(0, kmax, block_orders):
-        yield from numerators[first:first + block_orders, None] / r
+    if kmax * r.size <= _BLOCK_VALUES:
+        return np.divide(numerators[:, None], r)
+    rows = [np.empty_like(r) for _ in range(3)]
+    return (np.divide(numerator, r, out=rows[i % 3]) for i, numerator in enumerate(numerators))
 
 
 def _regular_backward(m: int, r):
@@ -214,19 +242,21 @@ def _regular_backward(m: int, r):
     ``top = max(m, ceil r) + _MILLER_PAD`` with zeros above it, and are
     scaled to u_k by whichever of u_0, u_1 is larger in magnitude, so that
     zeros of sin(r) cannot poison the scale.  Only the rows f_{k+1}, f_k,
-    f_{k-1} of the current step, the rows m and m - 1, and a block or two of
-    the ratios (2k + 1)/r from :func:`_ratio_rows` are held, and each step
-    turns its ratio into f_{k-1} in place by one multiply and one subtract.
-    So a batch of n radii takes O(n) memory whatever the order, and a small
-    one few numpy calls.
+    f_{k-1} of the current step, copies of the rows m and m - 1, and the
+    ratios (2k + 1)/r from :func:`_ratio_rows` (every order's for a small
+    batch, three rows for a larger one) are held, and each step turns its
+    ratio row into f_{k-1} in place by one multiply and one subtract.  So a
+    batch of n radii takes O(n) memory whatever the order, and a small one
+    few numpy calls.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     top = np.maximum(m, np.ceil(r)).astype(int) + _MILLER_PAD
     kmax = int(top.max())
     starts = set(top.tolist())
-    # Each step down multiplies max|f| by at most (2k + 1)/r + 1, so a batch
-    # whose bound keeps the 1e-300 seed well under the limit never rescales.
-    growth = np.sum(np.log10((2 * np.arange(1, kmax + 1) + 1) / r.min() + 1.0))
+    # Each step down multiplies max|f| by at most (2 kmax + 1)/r + 1, so a
+    # batch whose bound keeps the 1e-300 seed well under the limit never
+    # rescales (a looser bound only adds checks that find nothing).
+    growth = kmax * math.log10((2 * kmax + 1) / float(r.min()) + 1.0)
     may_rescale = growth - 300.0 > math.log10(_RESCALE_LIMIT) - 1.0
     above, cur = np.zeros_like(r), np.zeros_like(r)
     saved = {}  # f_m and f_{m-1}, once the recurrence has reached them
@@ -240,7 +270,7 @@ def _regular_backward(m: int, r):
             if big.any():
                 for row in (new, cur, *saved.values()):
                     row[big] *= 1e-250
-        if k - 1 in (m, m - 1):
+        if m <= k <= m + 1:
             saved[k - 1] = new.copy()
         above, cur = cur, new
     f0, f1 = cur, above
@@ -254,43 +284,40 @@ def _regular(m: int, r: np.ndarray):
     """(u_m, u'_m) over a 1-D array of radii >= 0, branch chosen per element."""
     if m == 0:
         return np.sin(r), np.cos(r)  # exact at the origin too
-    value = np.zeros_like(r)  # the origin limit for m >= 1: (0, 0)
-    below = np.zeros_like(r)  # u_{m-1}
-    sum_ratio = np.zeros_like(r)  # S_m / S_{m-1} on the series branch
+    value = np.zeros(r.shape)  # the origin limit for m >= 1: (0, 0)
+    below = np.zeros(r.shape)  # u_{m-1}
     series = (r > 0.0) & (r < SERIES_CROSSOVER)
-    rest = r >= SERIES_CROSSOVER
     if series.any():
-        x = r[series]
-        prefactor, total = _regular_series_parts((m, m - 1), x)
+        prefactor, total = _regular_series_parts((m, m - 1), r[series])
         value[series], below[series] = prefactor * total
-        sum_ratio[series] = total[0] / total[1]
+    rest = r >= SERIES_CROSSOVER
     if m == 1:
         x = r[rest]
-        below[rest] = np.sin(x)
-        value[rest] = below[rest] / x - np.cos(x)
+        below[rest] = u0 = np.sin(x)
+        value[rest] = u0 / x - np.cos(x)
     else:
         forward = rest & (m <= r - 2.0 * np.sqrt(r))
-        backward = rest & ~forward
-        if forward.any():
-            value[forward], below[forward] = _regular_forward(m, r[forward])
-        if backward.any():
-            value[backward], below[backward] = _regular_backward(m, r[backward])
-    derivative = np.zeros_like(r)
+        for branch, part in ((_regular_forward, forward), (_regular_backward, rest & ~forward)):
+            if part.any():
+                value[part], below[part] = branch(m, r[part])
+    # the ladder, f'_m = f_{m-1} - (m/r) f_m, at every radius but the origin
+    derivative = below - (m / r) * value
+    derivative[r == 0.0] = 0.0
     # a subnormal or zero u_m at r > 0 is a series value that lost digits to
     # underflow (r^(m+1)/(2m+1)!! < 2.2e-308), so the ladder would lose
     # (m/r) u_m, a term of the same order, or overflow in m/r.  With
     # (m/r) u_m = u_{m-1} m/(2m+1) S_m/S_{m-1} the ladder needs neither.
     underflow = (np.abs(value) < _TINY) & series
-    derivative[underflow] = below[underflow] * (
-        1.0 - (m / (2 * m + 1)) * sum_ratio[underflow]
-    )
-    ladder = (r > 0.0) & ~underflow
-    derivative[ladder] = below[ladder] - (m / r[ladder]) * value[ladder]
+    if underflow.any():
+        sum_ratio = (total[0] / total[1])[underflow[series]]
+        derivative[underflow] = below[underflow] * (1.0 - (m / (2 * m + 1)) * sum_ratio)
     return value, derivative
 
 
 def _irregular(m: int, r: np.ndarray):
     """(v_m, v'_m) by forward recurrence from v_{-1} = sin, v_0 = -cos."""
+    if m == 0:
+        return -np.cos(r), np.sin(r)  # v'_0 = v_{-1}
     prev = np.sin(r)
     cur = -np.cos(r)
     for k in range(m):

@@ -517,7 +517,10 @@ class TestApplyOperator:
 
 
 def levelwise_split_integrals(order, h, s, r, tol):
-    """``_kink_split_integrals`` with one ``_panel_sums`` pass per doubling level."""
+    """``_kink_split_integrals`` with one ``_panel_sums`` pass per doubling level.
+
+    u_m and v_m at the points come from calls of their own.
+    """
     n = len(s)
     lo = np.concatenate([np.zeros(n), s])
     hi = np.concatenate([s, np.full(n, r)])
@@ -533,8 +536,8 @@ def levelwise_split_integrals(order, h, s, r, tol):
         chunk_rows = max(1, op_module._CHUNK_NODES // (count * op_module._QUAD_NODES))
         for start in range(0, level_rows.size, chunk_rows):
             rows = level_rows[start:start + chunk_rows]
-            (level,) = op_module._panel_sums(order, h, lo[rows], hi[rows], is_left[rows],
-                                             (count,))
+            (level,), _, _ = op_module._panel_sums(order, h, lo[rows], hi[rows],
+                                                   is_left[rows], (count,), s[:0])
             active[rows[np.abs(level - previous[rows]) <= tol]] = False
             values[rows] = previous[rows] = level
         count *= 2
@@ -544,7 +547,8 @@ def levelwise_split_integrals(order, h, s, r, tol):
             f"integral on [{lo[row]:g}, {hi[row]:g}] did not stabilize to {tol:.1e} "
             f"within {count // 2} panels"
         )
-    return values[:n], values[n:]
+    return (values[:n], values[n:],
+            eval_regular(order, s).value, eval_irregular(order, s).value)
 
 
 def apply_outcome(spec, r, h, points, **quad):
@@ -568,9 +572,9 @@ class TestFirstPass:
         passes = []
         real = op_module._panel_sums
 
-        def recorded(order, h, lo, hi, left, counts):
+        def recorded(order, h, lo, hi, left, counts, points):
             passes.append((len(lo), tuple(counts)))
-            return real(order, h, lo, hi, left, counts)
+            return real(order, h, lo, hi, left, counts, points)
 
         monkeypatch.setattr(op_module, "_panel_sums", recorded)
         return passes
@@ -580,8 +584,10 @@ class TestFirstPass:
         lo = np.array([0.0, 0.0, 0.3, 1.0])
         hi = np.array([0.3, 1.0, 1.0, 1.0])  # the last row is empty
         left = np.array([True, True, False, False])
-        together = op_module._panel_sums(0, h, lo, hi, left, (2, 4))
-        apart = [op_module._panel_sums(0, h, lo, hi, left, (count,))[0] for count in (2, 4)]
+        none = np.empty(0)
+        together, _, _ = op_module._panel_sums(0, h, lo, hi, left, (2, 4), none)
+        apart = [op_module._panel_sums(0, h, lo, hi, left, (count,), none)[0][0]
+                 for count in (2, 4)]
         assert len(together) == 2
         for joint, single in zip(together, apart):
             assert np.array_equal(joint, single)
@@ -697,9 +703,10 @@ class TestFirstPass:
         assert cli.main(["identity-check", "--r", "2.3", "--tol", "1e-10"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 21
         assert len(per_point) == 20  # one call per point
-        # each point settles at 4 panels: h (u_2), u_0 and v_0 once each on
-        # the nodes of both levels, then v_0 and u_0 at s; s = r has no [s, r]
-        assert per_point == [5] * 19 + [4]
+        # each point settles at 4 panels: h (u_2), then u_0 and v_0 once each
+        # on the nodes of both levels and at s; at s = r, which has no
+        # [s, r], v_0 is called at s alone
+        assert per_point == [3] * 20
 
 
 def mirrored(lower):

@@ -220,6 +220,38 @@ class TestAgainstScipy:
             assert np.all(np.abs(derivative - ref_d) <= 5e-12 * np.abs(ref_d)), m
 
 
+# Radii of the series, from the smallest subnormal through the [0.3, 0.7]
+# window where it overlaps the closed forms and the backward recurrence.
+SERIES_RADII = np.concatenate([
+    [5e-324, 1e-320, 1e-310, 2.2e-308, 1e-300, 1e-200, 1e-154, 1e-100],
+    np.geomspace(1e-20, 0.3, 60),
+    np.linspace(0.3, 0.7, 41),
+    [0.4999999999999999, 0.5],
+])
+
+
+def masked_series_parts(orders, r):
+    """:func:`_regular_series_parts` as summed with masks: each element stops on its own.
+
+    The reference the mask-free loop must match bit for bit: an element
+    adds its terms until the first that is no more than 1e-18 of its sum.
+    """
+    prefactor = np.array([
+        np.float_power(r, m + 1) / riccati._double_factorial(2 * m + 1) for m in orders
+    ])
+    half_r2 = -0.5 * r * r
+    total = np.ones_like(prefactor)
+    term = np.ones_like(prefactor)
+    active = np.ones_like(prefactor, dtype=bool)
+    for denominator in riccati._series_denominators(tuple(orders)):
+        if not active.any():
+            break
+        np.multiply(term, half_r2 / denominator, out=term, where=active)
+        np.add(total, term, out=total, where=active)
+        active &= np.abs(term) > 1e-18 * np.abs(total)
+    return prefactor, total
+
+
 class TestArrayEvaluation:
     # per order: the origin, the series (r < 0.5), m = 1's closed form, the
     # forward branch (m <= r - 2 sqrt r) and the backward recurrence; m = 200
@@ -228,22 +260,60 @@ class TestArrayEvaluation:
 
     @pytest.mark.parametrize("m", [0, 1, 2, 7, 50, 200])
     def test_batch_gives_the_bits_of_single_calls(self, m):
-        # the radii alone, and padded to n = block / 2 and block radii and one
-        # more each: the series sums orders m and m - 1 in one loop while 2 n
-        # values fit a block, and the backward recurrence divides out the
-        # ratios of as many orders as fit one (one at least)
+        # the radii alone; padded to n = block / 2 and block radii and one
+        # more each; padded with series radii to one below, at and one above
+        # the n whose rows m and m - 1 fill a block (summed in one loop up to
+        # it); and padded with backward radii to one below, at and one above
+        # the n whose ratios (2k + 1)/r fill a block (divided out in one call
+        # up to it, a row at a time beyond)
         block = riccati._BLOCK_VALUES
+        batches = [np.resize([0.3, 1.0, 3.0], size - self.RADII.size)  # series, backward
+                   for size in (self.RADII.size, block // 2, block // 2 + 1, block, block + 1)]
+        series = self.RADII[(self.RADII > 0.0) & (self.RADII < SERIES_CROSSOVER)]
+        for count in (block // 2 - 1, block // 2, block // 2 + 1):
+            batches.append(np.full(count - series.size, 0.3))
+        backward = self.RADII[(self.RADII >= SERIES_CROSSOVER)
+                              & (m > self.RADII - 2.0 * np.sqrt(self.RADII))]
+        if m >= 2:
+            kmax = max(m, math.ceil(backward.max())) + riccati._MILLER_PAD
+            edge = block // kmax
+            for count in (edge - 1, edge, edge + 1):
+                batches.append(np.full(count - backward.size, 1.0))
+                blocked = isinstance(riccati._ratio_rows(np.ones(count), kmax), np.ndarray)
+                assert blocked == (count <= edge), (m, count)
         singles = [eval_regular(m, float(r)) for r in self.RADII]
-        for size in (self.RADII.size, block // 2, block // 2 + 1, block, block + 1):
-            filler = np.resize([0.3, 1.0, 3.0], size - self.RADII.size)  # series, backward
+        for filler in batches:
             value, derivative = eval_regular(m, np.concatenate([self.RADII, filler]))
             for i, alone in enumerate(singles):
-                assert (alone.value, alone.derivative) == (value[i], derivative[i]), (m, size, i)
+                assert (alone.value, alone.derivative) == (value[i], derivative[i]), (
+                    m, filler.size, i)
         positive = self.RADII[1:]
         value, derivative = eval_irregular(min(m, 50), positive)
         for i, r in enumerate(positive):
             alone = eval_irregular(min(m, 50), float(r))
             assert (alone.value, alone.derivative) == (value[i], derivative[i]), (m, r)
+
+    @pytest.mark.parametrize("kmax", [64, 65])  # 64 divides the block
+    def test_ratio_rows_divide_in_one_call_while_they_fit_a_block(self, kmax):
+        edge = riccati._BLOCK_VALUES // kmax
+        for count in (edge - 1, edge, edge + 1):
+            r = np.linspace(0.5, 3.0, count)
+            rows = riccati._ratio_rows(r, kmax)
+            assert isinstance(rows, np.ndarray) == (count <= edge), count
+            expected = np.arange(2 * kmax + 1, 2, -2, dtype=float)[:, None] / r
+            # the rows of a larger batch reuse three arrays: copy each as it comes
+            assert np.array_equal([row.copy() for row in rows], expected), count
+
+    def test_series_without_masks_keeps_the_masked_bits(self):
+        # every element stops where the masked loop stopped it, or later by
+        # terms below half an ulp of its sum: the same bits for orders 0 to
+        # 200, summed as eval_regular sums them (m with m - 1), from
+        # subnormal radii through the [0.3, 0.7] overlap window
+        for orders in [(0,)] + [(m, m - 1) for m in range(1, 201)]:
+            prefactor, total = _regular_series_parts(orders, SERIES_RADII)
+            expected_prefactor, expected_total = masked_series_parts(orders, SERIES_RADII)
+            assert np.array_equal(prefactor, expected_prefactor), orders
+            assert np.array_equal(total, expected_total), orders
 
     @pytest.mark.parametrize("m", [1, 2, 30])
     def test_series_rows_summed_together_keep_their_bits(self, m):
