@@ -38,8 +38,8 @@ from .operator import (
     DEFAULT_CERTIFICATE_GRADING,
     DEFAULT_CERTIFICATE_NODES,
     DEFAULT_CERTIFICATE_PANELS,
-    NUMERIC_ERRORS,
     SelfAdjointCertificate,
+    _outcome,
     apply_operator,
     build_grid,
     kink_exact_matrix,
@@ -102,15 +102,12 @@ class RootResult:
 
 @dataclass
 class VerificationReport:
-    """Outcome of the full verification chain.
+    """The certificate's report.
 
-    ``steps`` holds one (name, value, threshold, ok) entry per sub-step;
-    a sub-step that raised a numeric error is recorded with value None and
-    ok False.  ``passed`` (every step ok) and the residuals are read from
-    the steps.  ``spectral`` keeps the self-adjoint certificate at the
-    radius used, with its kink-exact operator (None if that step failed);
-    the JSON gives its grid, ``next_sigma`` and ``asymmetry`` (over the
-    diagonal panel blocks of D A D^-1) under ``certificate``.
+    ``steps`` holds one (name, value, threshold, ok) entry per :data:`GATES`
+    key, in its order (see :func:`verify_counterexample` for the names of
+    failed steps); ``passed`` is every step ok.  ``spectral`` is the
+    self-adjoint certificate at ``r_used``, None if it failed to evaluate.
     """
 
     r_used: float
@@ -373,45 +370,40 @@ def _null_vector_deviation(certificate: SelfAdjointCertificate) -> float:
     return float(np.max(np.abs(vector - target)))
 
 
+def _unwrap(outcome):
+    """The value of an :func:`rbkernel.operator._outcome`, or its error raised again."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _step(gate: str, label: str, compute) -> tuple:
+    """(gate, value, threshold, ok) for ``compute()``, or
+    (``label (message)``, None, threshold, False) if it raised a numeric error."""
+    threshold = GATES[gate]
+    value = _outcome(compute)
+    if isinstance(value, Exception):
+        return (f"{label} ({value})", None, threshold, False)
+    return (gate, value, threshold, value <= threshold)
+
+
 def verify_counterexample(r_override=None) -> VerificationReport:
-    """Run the full verification chain and report pass/fail per step.
+    """Run the certificate: one step per :data:`GATES` entry, in its order.
 
-    Steps: solve gamma_0 (must be -6), find the root R of p in the default
-    bracket, check the integration-by-parts identity at radii 1, R and 3,
-    and check the homogeneous equation residual of u_2 at R, relative to
-    min(1, max |u_2|) on its points.  Then the self-adjoint certificate of
-    the kink-exact matrix (see
-    :func:`rbkernel.operator.self_adjoint_certificate`) is taken at R on
-    8 uniform panels x 16 Gauss nodes (``DEFAULT_CERTIFICATE_*`` of
-    :mod:`rbkernel.operator`), with four gated steps: min |1 - lambda| at R
-    (``sigma_min_at_R``); the deviation of its null vector from u_2
-    (``null_vector_deviation``); its ratio to the smaller value at r = 1
-    and r = 3 (``collapse_ratio``), which fails on a grid that collapses
-    everywhere; and the largest change of those off-root values when the
-    panels are doubled (``off_root_grid_delta``).  No SVD is computed.
-    A step passes when its value is at most its threshold in :data:`GATES`.
-    ``r_override`` substitutes a different radius for R in the identity,
-    equation and certificate steps (useful to watch the verification fail
-    away from the root); one whose grid cannot be built raises ValueError
-    before any step runs.  A numeric error inside a step is recorded as a
-    failed step, and any other exception propagates.
-
-    (K u_2) at the radius used is computed once, on the 20 points of
-    :func:`check_identity`, and both the identity step's term at that radius
-    and the equation step read it (with the error it raised, if any).  The
-    kink-exact matrix never squares t, so it forms wherever its grid does.
-    Every |1 - lambda| comes from eigenvalues alone (``np.linalg.eigvalsh``):
-    :func:`rbkernel.operator.min_singular_value` for the four off-root values,
-    and :func:`rbkernel.operator.self_adjoint_certificate` at the radius
-    used, whose one ``np.linalg.eigh`` gives only the null vector.
+    The steps check gamma_0, the root R of p, the identity at r = 1, R and 3,
+    the equation residual of u_2 at R, and the self-adjoint certificate of
+    the kink-exact matrix on the ``DEFAULT_CERTIFICATE_*`` grid: its min
+    |1 - lambda| at R, its null vector against u_2, the ratio to the off-root
+    values at r = 1 and 3, and their change when the panels are doubled.
+    A step passes when its value is at most its threshold.  A step whose
+    input, or its own evaluation, raised a numeric error fails as
+    ``label (message)`` with value None; the labels, in the same order, are
+    ``gamma0_check``, ``root_search``, ``identity_check``, ``equation_check``,
+    ``spectral_certificate``, ``null_vector_check``, ``off_root_check`` and
+    ``off_root_grid_check``.  Any other exception propagates.  ``r_override`` replaces R in the
+    identity, equation and certificate steps; one whose grid cannot be built
+    raises ValueError before any step runs.
     """
-    steps = []
-
-    def record(gate, value, name=None):
-        threshold = GATES[gate]
-        steps.append((name or gate, value, threshold,
-                      value is not None and value <= threshold))
-
     panels = DEFAULT_CERTIFICATE_PANELS
 
     def grid(r, count=panels):
@@ -420,71 +412,39 @@ def verify_counterexample(r_override=None) -> VerificationReport:
 
     spec = reference_spec()
     gamma0 = spec.gamma[0]
-    record("gamma0_matches_-6", abs(gamma0 + 6.0))
-
-    try:
-        root = find_root(*DEFAULT_BRACKET, tol=GATES["root_residual"])
-        record("root_residual", root.residual)
-        r_star = root.root
-    except ValueError as exc:
-        record("root_residual", None, f"root_search ({exc})")
-        r_star = 0.5 * (DEFAULT_BRACKET[0] + DEFAULT_BRACKET[1])
+    root = _outcome(lambda: find_root(*DEFAULT_BRACKET, tol=GATES["root_residual"]))
+    r_star = root.root if isinstance(root, RootResult) else 0.5 * sum(DEFAULT_BRACKET)
     r_used = float(r_override) if r_override is not None else r_star
     grid_at_r = grid(r_used)
+    points = {r: _default_points(r) for r in (1.0, r_used, 3.0)}
+    k_u2 = {r: _outcome(partial(apply_operator, spec, r, _u2, at)) for r, at in points.items()}
+    certificate = _outcome(lambda: self_adjoint_certificate(kink_exact_matrix(spec, grid_at_r)))
+    # per off-root radius, min |1 - lambda| on the certificate's panels and on twice as many
+    off_root = _outcome(lambda: [
+        [min_singular_value(kink_exact_matrix(spec, grid(r, count)))
+         for count in (panels, 2 * panels)]
+        for r in (1.0, 3.0)
+    ])
 
-    # K u_2 at r_used's default points, or the numeric error computing it
-    # raised: the identity step's r_used term and the equation step share it.
-    points = _default_points(r_used)
-    try:
-        k_u2 = apply_operator(spec, r_used, _u2, points)
-    except NUMERIC_ERRORS as exc:
-        k_u2 = exc
+    def collapse_ratio():  # an off-root failure is named before the certificate's
+        smaller = min(coarse for coarse, _ in _unwrap(off_root))
+        return _unwrap(certificate).sigma_min / smaller
 
-    def k_u2_at_r_used():
-        if isinstance(k_u2, Exception):
-            raise k_u2
-        return k_u2
-
-    try:
-        record("identity_residual", max(
-            check_identity(1.0),
-            _identity_residual(r_used, points, k_u2_at_r_used()),
-            check_identity(3.0),
-        ))
-    except NUMERIC_ERRORS as exc:
-        record("identity_residual", None, f"identity_check ({exc})")
-
-    try:
-        record("equation_residual", _equation_residual(_u(2, points), k_u2_at_r_used()))
-    except NUMERIC_ERRORS as exc:
-        record("equation_residual", None, f"equation_check ({exc})")
-
-    spectral = None
-    try:
-        spectral = self_adjoint_certificate(kink_exact_matrix(spec, grid_at_r))
-        record("sigma_min_at_R", spectral.sigma_min)
-    except NUMERIC_ERRORS as exc:
-        record("sigma_min_at_R", None, f"spectral_certificate ({exc})")
-    if spectral is not None:
-        try:
-            record("null_vector_deviation", _null_vector_deviation(spectral))
-        except NUMERIC_ERRORS as exc:
-            record("null_vector_deviation", None, f"null_vector_check ({exc})")
-
-    try:
-        off_root = {
-            (r, count): min_singular_value(kink_exact_matrix(spec, grid(r, count)))
-            for r in (1.0, 3.0)
-            for count in (panels, 2 * panels)
-        }
-        record("collapse_ratio",
-               None if spectral is None
-               else spectral.sigma_min / min(off_root[1.0, panels], off_root[3.0, panels]))
-        record("off_root_grid_delta",
-               max(abs(off_root[r, panels] - off_root[r, 2 * panels]) for r in (1.0, 3.0)))
-    except NUMERIC_ERRORS as exc:
-        record("collapse_ratio", None, f"off_root_check ({exc})")
-
+    steps = [
+        _step("gamma0_matches_-6", "gamma0_check", lambda: abs(gamma0 + 6.0)),
+        _step("root_residual", "root_search", lambda: _unwrap(root).residual),
+        _step("identity_residual", "identity_check", lambda: max(
+            _identity_residual(r, at, _unwrap(k_u2[r])) for r, at in points.items())),
+        _step("equation_residual", "equation_check", lambda: _equation_residual(
+            _u(2, points[r_used]), _unwrap(k_u2[r_used]))),
+        _step("sigma_min_at_R", "spectral_certificate", lambda: _unwrap(certificate).sigma_min),
+        _step("null_vector_deviation", "null_vector_check",
+              lambda: _null_vector_deviation(_unwrap(certificate))),
+        _step("collapse_ratio", "off_root_check", collapse_ratio),
+        _step("off_root_grid_delta", "off_root_grid_check", lambda: max(
+            abs(coarse - fine) for coarse, fine in _unwrap(off_root))),
+    ]
     return VerificationReport(
-        r_used=r_used, gamma0=gamma0, steps=steps, spectral=spectral,
+        r_used=r_used, gamma0=gamma0, steps=steps,
+        spectral=None if isinstance(certificate, Exception) else certificate,
     )

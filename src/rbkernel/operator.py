@@ -132,6 +132,14 @@ class ConvergenceError(RuntimeError):
 NUMERIC_ERRORS = (ValueError, OverflowError, ArithmeticError, ConvergenceError)
 
 
+def _outcome(compute: Callable[[], object]):
+    """``compute()``, or the :data:`NUMERIC_ERRORS` exception it raised."""
+    try:
+        return compute()
+    except NUMERIC_ERRORS as exc:
+        return exc
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Composite Gauss-Legendre grid on (0, r].
@@ -708,18 +716,14 @@ def sweep(
     failures = []
     for start in range(0, steps, chunk_radii):
         chunk = radii[start:start + chunk_radii]
-        grids = []  # per radius, its grids or the numeric error building them raised
-        for r in chunk:
-            try:
-                grids.append([build_grid(r, count, nodes_per_panel, grading=grading)
-                              for count in panel_counts])
-            except NUMERIC_ERRORS as exc:
-                grids.append(exc)
+        # per radius, its grids or the numeric error building them raised
+        grids = [_outcome(lambda: [build_grid(r, count, nodes_per_panel, grading=grading)
+                                   for count in panel_counts])
+                 for r in chunk]
         built = [grid for own in grids if not isinstance(own, Exception) for grid in own]
-        try:
-            tables = iter(_grid_tables(spec, built) if built else [])
-        except NUMERIC_ERRORS:  # each radius redoes its own, for its own message
-            tables = iter([None] * len(built))
+        tables = _outcome(lambda: _grid_tables(spec, built) if built else [])
+        # if the chunk's tables fail, each radius redoes its own, for its own message
+        tables = iter([None] * len(built) if isinstance(tables, Exception) else tables)
         for r, own in zip(chunk, grids):
             if isinstance(own, Exception):
                 failures.append((r, str(own)))

@@ -22,7 +22,7 @@ from rbkernel import (
     verify_counterexample,
 )
 import rbkernel.counterexample as cx_module
-from rbkernel.counterexample import EXPLICIT_CROSSOVER, P_ROUTES, SERIES_RADIUS
+from rbkernel.counterexample import EXPLICIT_CROSSOVER, GATES, P_ROUTES, SERIES_RADIUS
 
 from conftest import mp_p
 
@@ -332,8 +332,55 @@ class TestVerifyCounterexample:
         assert report.to_json_dict()["certificate"] is None
         assert "certificate:" not in report.summary_text()
         names = [name for name, *_ in report.steps]
-        assert names[-2:] == ["spectral_certificate (synthetic failure)",
-                              "off_root_check (synthetic failure)"]
+        assert names == [
+            "gamma0_matches_-6",
+            "root_residual",
+            "identity_residual",
+            "equation_residual",
+            "spectral_certificate (synthetic failure)",
+            "null_vector_check (synthetic failure)",
+            "off_root_check (synthetic failure)",
+            "off_root_grid_check (synthetic failure)",
+        ]
+
+    @pytest.mark.parametrize("target, radius, failed", [
+        ("find_root", None, {"root_residual": "root_search"}),
+        ("apply_operator", 1.0, {"identity_residual": "identity_check"}),
+        ("apply_operator", "R", {"identity_residual": "identity_check",
+                                 "equation_residual": "equation_check"}),
+        ("apply_operator", 3.0, {"identity_residual": "identity_check"}),
+        ("kink_exact_matrix", None, {"sigma_min_at_R": "spectral_certificate",
+                                     "null_vector_deviation": "null_vector_check",
+                                     "collapse_ratio": "off_root_check",
+                                     "off_root_grid_delta": "off_root_grid_check"}),
+        ("min_singular_value", None, {"collapse_ratio": "off_root_check",
+                                      "off_root_grid_delta": "off_root_grid_check"}),
+    ], ids=["find_root", "apply_at_1", "apply_at_R", "apply_at_3",
+            "kink_exact_matrix", "min_singular_value"])
+    def test_failed_input_fails_exactly_the_steps_reading_it(
+        self, monkeypatch, root_r, target, radius, failed
+    ):
+        original = getattr(cx_module, target)
+        at = root_r if radius == "R" else radius
+
+        def failing(*args, **kwargs):
+            if at is None or args[1] == at:  # apply_operator(spec, r, ...)
+                raise ValueError("synthetic failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cx_module, target, failing)
+        report = verify_counterexample()
+        assert not report.passed
+        # every gate keeps its step, its place and its threshold
+        assert len(report.steps) == len(GATES)
+        assert [threshold for _, _, threshold, _ in report.steps] == list(GATES.values())
+        assert [name for name, *_ in report.steps] == [
+            f"{failed[gate]} (synthetic failure)" if gate in failed else gate for gate in GATES
+        ]
+        assert [value is None for _, value, _, _ in report.steps] == [
+            gate in failed for gate in GATES
+        ]
+        assert not any(ok for name, _, _, ok in report.steps if name not in GATES)
 
     def test_only_numeric_errors_become_failed_steps(self, monkeypatch):
         def broken(*args, **kwargs):
