@@ -104,16 +104,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", type=float, required=True)
     p.add_argument("--r-max", type=float, required=True)
     p.add_argument("--steps", type=int, default=101)
-    p.add_argument("--route", choices=("auto", *cx.P_ROUTES),
-                   default="auto", help="evaluation route (auto = explicit with "
-                   "its small-radius series guard)")
+    p.add_argument("--route", choices=tuple(cx.P_ROUTES), default="explicit",
+                   help="evaluation route (explicit has a small-radius series guard)")
     _add_io(p, "csv")
 
     p = sub.add_parser("find-root", help="locate a root of p in a bracket")
     p.add_argument("--lo", type=float, default=cx.DEFAULT_BRACKET[0])
     p.add_argument("--hi", type=float, default=cx.DEFAULT_BRACKET[1])
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--route", choices=("explicit", "wronskian"), default="explicit")
+    p.add_argument("--route", choices=tuple(cx.P_ROUTES), default="explicit")
     _add_io(p, "json")
 
     p = sub.add_parser("identity-check",
@@ -170,12 +169,11 @@ def _cmd_kernel_eval(args) -> int:
 
 
 def _cmd_p_scan(args) -> int:
-    route = cx.P_ROUTES["explicit" if args.route == "auto" else args.route]
     radii = radius_range(args.r_min, args.r_max, args.steps)
     if args.route == "wronskian":  # one array pass, the bits of per-point calls
         values = cx.p_wronskian(radii).tolist()
     else:
-        values = [route(r) for r in radii.tolist()]
+        values = [cx.P_ROUTES[args.route](r) for r in radii.tolist()]
     rows = list(zip(radii.tolist(), values))
     _emit_report(ScanReport(columns=("r", "p"), rows=rows), args)
     return 0

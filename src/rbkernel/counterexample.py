@@ -108,6 +108,8 @@ class VerificationReport:
     key, in its order (see :func:`verify_counterexample` for the names of
     failed steps); ``passed`` is every step ok.  ``spectral`` is the
     self-adjoint certificate at ``r_used``, None if it failed to evaluate.
+    :meth:`to_json_dict`'s top-level ``identity_residual``, ``equation_residual``
+    and ``sigma_min_at_R`` are those steps' values, None where the step failed.
     """
 
     r_used: float
@@ -118,21 +120,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(ok for *_, ok in self.steps)
-
-    def _step_value(self, name: str) -> float | None:
-        return next((value for step, value, *_ in self.steps if step == name), None)
-
-    @property
-    def identity_residual(self) -> float | None:
-        return self._step_value("identity_residual")
-
-    @property
-    def equation_residual(self) -> float | None:
-        return self._step_value("equation_residual")
-
-    @property
-    def sigma_min_at_r(self) -> float | None:
-        return None if self.spectral is None else self.spectral.sigma_min
 
     def _certificate_dict(self) -> dict | None:
         if self.spectral is None:
@@ -148,12 +135,12 @@ class VerificationReport:
         }
 
     def to_json_dict(self) -> dict:
+        values = {name: value for name, value, *_ in self.steps}  # a failed step is renamed
         return {
             "R": self.r_used,
             "gamma0": self.gamma0,
-            "identity_residual": self.identity_residual,
-            "equation_residual": self.equation_residual,
-            "sigma_min_at_R": self.sigma_min_at_r,
+            **{gate: values.get(gate)
+               for gate in ("identity_residual", "equation_residual", "sigma_min_at_R")},
             "certificate": self._certificate_dict(),
             "pass": self.passed,
             "steps": [

@@ -184,7 +184,9 @@ class SeparableNystromOperator:
     since g(s, t) = sum_m gamma_m u_m(min) v_m(max), they fix A, which is
     read only through :meth:`own_norm_form`.  ``panel_rule`` is None for
     :func:`nystrom_matrix`, or the n x n rule every panel of
-    :func:`kink_exact_matrix` shares.
+    :func:`kink_exact_matrix` shares.  The form is built in one pass, which
+    also measures how far its diagonal panel blocks were from symmetric;
+    :func:`self_adjoint_certificate` reports that as its ``asymmetry``.
     """
 
     grid: QuadratureGrid
@@ -198,10 +200,27 @@ class SeparableNystromOperator:
         columns = np.stack([scaling * u for _, u, _ in self.tables])
         return rows, columns
 
-    def _panel_blocks(self, product: np.ndarray) -> np.ndarray:
-        """S on the diagonal panel blocks M of P Q^T: rule * M + (1 - rule) * M^T."""
-        blocks = product[_diagonal_blocks(len(product), len(self.panel_rule))]
-        return self.panel_rule * blocks + (1.0 - self.panel_rule) * blocks.transpose(0, 2, 1)
+    def _form(self) -> tuple[np.ndarray, float]:
+        """:meth:`own_norm_form`, and max |B - B^T| over its diagonal panel blocks B
+        before they were symmetrized (0.0 without a panel rule)."""
+        asymmetry = 0.0
+        with np.errstate(all="ignore"):  # the finiteness check below reports it
+            rows, columns = self._generators()
+            form = rows @ columns
+            rule = self.panel_rule
+            if rule is not None:
+                # B = rule * M + (1 - rule) * M^T on each diagonal block M of P Q^T
+                index = _diagonal_blocks(len(form), len(rule))
+                products = form[index]
+                blocks = rule * products + (1.0 - rule) * products.transpose(0, 2, 1)
+                transposed = blocks.transpose(0, 2, 1)
+                asymmetry = float(np.max(np.abs(blocks - transposed)))
+                form[index] = 0.5 * (blocks + transposed)
+        # the upper triangle may overflow where S does not; only S is checked
+        if not np.all(np.isfinite(form)) and not np.all(np.isfinite(np.tril(form))):
+            kind = "Nystrom" if self.panel_rule is None else "kink-exact"
+            raise ValueError(f"{kind} matrix contains non-finite entries at r = {self.grid.r!r}")
+        return form, asymmetry
 
     def own_norm_form(self) -> np.ndarray:
         """A matrix whose lower triangle, diagonal included, is S = D A D^-1.
@@ -211,27 +230,7 @@ class SeparableNystromOperator:
         diagonal it is not S; ``eigvalsh`` and ``eigh`` read the lower
         triangle only.
         """
-        with np.errstate(all="ignore"):  # the finiteness check below reports it
-            rows, columns = self._generators()
-            form = rows @ columns
-            if self.panel_rule is not None:
-                blocks = self._panel_blocks(form)
-                form[_diagonal_blocks(len(form), len(self.panel_rule))] = (
-                    0.5 * (blocks + blocks.transpose(0, 2, 1)))
-        # the upper triangle may overflow where S does not; only S is checked
-        if not np.all(np.isfinite(form)) and not np.all(np.isfinite(np.tril(form))):
-            kind = "Nystrom" if self.panel_rule is None else "kink-exact"
-            raise ValueError(f"{kind} matrix contains non-finite entries at r = {self.grid.r!r}")
-        return form
-
-    def asymmetry(self) -> float:
-        """max |S - S^T| over the diagonal panel blocks, 0 without a panel rule."""
-        if self.panel_rule is None:
-            return 0.0
-        with np.errstate(all="ignore"):
-            rows, columns = self._generators()
-            blocks = self._panel_blocks(rows @ columns)
-        return float(np.max(np.abs(blocks - blocks.transpose(0, 2, 1))))
+        return self._form()[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,14 +419,14 @@ def self_adjoint_certificate(op: SeparableNystromOperator) -> SelfAdjointCertifi
     eigenvalue nearest 1.  A near-zero ``sigma_min`` certifies a
     nontrivial discrete solution of h = K h.
     """
-    symmetric = op.own_norm_form()
+    symmetric, asymmetry = op._form()
     distance = _distances_from_one(symmetric)
     eigenvalues, eigenvectors = np.linalg.eigh(symmetric, UPLO="L")
     nearest = np.argmin(np.abs(1.0 - eigenvalues))
     return SelfAdjointCertificate(
         sigma_min=float(distance[0]),
         next_sigma=float(distance[1]),
-        asymmetry=op.asymmetry(),
+        asymmetry=asymmetry,
         null_vector=eigenvectors[:, nearest].copy(),
         operator=op,
     )
@@ -439,9 +438,8 @@ def min_singular_value(op: SeparableNystromOperator) -> float:
     The eigenvalues are those of the symmetric form of S = D A D^-1
     (``np.linalg.eigvalsh``), so the value is the smallest singular value of
     I minus that form, and the same value, bit for bit, as
-    ``self_adjoint_certificate(op).sigma_min``, without the eigenvectors or
-    the asymmetry.  A near-zero value certifies a nontrivial discrete
-    solution of h = K h.
+    ``self_adjoint_certificate(op).sigma_min``, without the eigenvectors.
+    A near-zero value certifies a nontrivial discrete solution of h = K h.
     """
     return float(_distances_from_one(op.own_norm_form())[0])
 
@@ -566,9 +564,8 @@ def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
     lo = np.concatenate([np.zeros(n), s])
     hi = np.concatenate([s, np.full(n, r)])
     is_left = np.arange(2 * n) < n
-    values = np.zeros(2 * n)
-    previous = np.full(2 * n, np.nan)
     active = lo < hi  # the right side of s = r is empty
+    values = np.where(active, np.nan, 0.0)  # each row's last sum
     # the first chunk's Riccati calls also take u_m and v_m at the points
     at_points, regular_s, irregular_s = s, s[:0], s[:0]
     levels = [2 << k for k in range(_MAX_DOUBLINGS)]
@@ -587,11 +584,11 @@ def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
             # only a pass's last level can settle: the first pass's first
             # level has no value before it
             last = sums[-1]
-            before = sums[-2] if len(sums) > 1 else previous[rows]
+            before = sums[-2] if len(sums) > 1 else values[rows]
             with np.errstate(invalid="ignore"):  # inf - inf is NaN, never <= tol
                 settled = np.abs(last - before) <= tol
             active[rows[settled]] = False
-            values[rows] = previous[rows] = last
+            values[rows] = last
             if next_counts is None:
                 continue
             # a non-finite value cannot settle at the next level, and where
@@ -704,8 +701,10 @@ def sweep(
     one radius each), and the family tables of a chunk's grids that built
     come from one Riccati call per order and family on all their nodes,
     which gives each node the bits of a call on its own grid.  A chunk whose
-    tables raise a numeric error is redone one radius at a time, so every
-    failing radius records the message it gets alone.
+    tables raise a numeric error is redone one radius at a time through
+    :func:`nystrom_matrix`, so every failing radius records the message it
+    gets alone.  A radius's grids, then its solves, each go through one
+    ``_outcome``: its row, or its one failure.
     """
     radii = radius_range(r_min, r_max, steps).tolist()
     spec.terms()  # non-integer orders fail here, not at every point
@@ -729,17 +728,14 @@ def sweep(
                 failures.append((r, str(own)))
                 continue
             own_tables = [next(tables) for _ in own]
-            try:
-                sigmas = []
-                for grid, grid_tables in zip(own, own_tables):
-                    if grid_tables is None:
-                        grid_tables = _family_tables(spec, grid.nodes)
-                    op = SeparableNystromOperator(grid, tuple(grid_tables))
-                    sigmas.append(min_singular_value(op))
-                delta = abs(sigmas[1] - sigmas[0]) if refine else None
-                rows.append((r, sigmas[0], delta))
-            except NUMERIC_ERRORS as exc:  # per-point failures must not kill the scan
-                failures.append((r, str(exc)))
+            sigmas = _outcome(lambda: [
+                min_singular_value(nystrom_matrix(spec, grid) if grid_tables is None
+                                   else SeparableNystromOperator(grid, tuple(grid_tables)))
+                for grid, grid_tables in zip(own, own_tables)])
+            if isinstance(sigmas, Exception):  # per-point failures must not kill the scan
+                failures.append((r, str(sigmas)))
+            else:
+                rows.append((r, sigmas[0], abs(sigmas[1] - sigmas[0]) if refine else None))
     return ScanReport(
         columns=("r", "sigma_min", "refinement_delta"),
         rows=rows,

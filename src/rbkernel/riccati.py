@@ -325,11 +325,13 @@ def _irregular(m: int, r: np.ndarray):
     return cur, prev - (m / r) * cur
 
 
-def _pair(value, derivative, r: np.ndarray, message: str) -> FunctionPair:
+def _pair(value, derivative, r: np.ndarray, name: str, failure: str) -> FunctionPair:
     """Check finiteness and shape the result like the radii that came in."""
     finite = np.isfinite(value) & np.isfinite(derivative)
     if not finite.all():
-        raise OverflowError(message.format(float(r.flat[np.argmin(finite)])))
+        first = np.argmin(finite)  # the first radius where either half is not finite
+        prime = "'" if np.isfinite(value[first]) else ""  # there, only the derivative
+        raise OverflowError(f"{name}{prime}({float(r.flat[first])!r}) {failure}")
     if r.ndim == 0:
         return FunctionPair(float(value[0]), float(derivative[0]))
     return FunctionPair(value.reshape(r.shape), derivative.reshape(r.shape))
@@ -357,7 +359,7 @@ def eval_regular(m, r) -> FunctionPair:
     r = _check_radii(r, allow_zero=True)
     with np.errstate(all="ignore"):
         value, derivative = _regular(m, r.ravel())
-    return _pair(value, derivative, r, f"u_{m}({{}}) is not finite in double precision")
+    return _pair(value, derivative, r, f"u_{m}", "is not finite in double precision")
 
 
 def eval_irregular(m, r) -> FunctionPair:
@@ -372,7 +374,7 @@ def eval_irregular(m, r) -> FunctionPair:
     r = _check_radii(r)
     with np.errstate(all="ignore"):
         value, derivative = _irregular(m, r.ravel())
-    return _pair(value, derivative, r, f"v_{m}({{}}) overflows double precision")
+    return _pair(value, derivative, r, f"v_{m}", "overflows double precision")
 
 
 def wronskian(m, r):

@@ -127,8 +127,9 @@ class TestPScan:
 
     def test_route_choices_follow_the_route_table(self):
         commands = next(a for a in build_parser()._actions if a.dest == "command")
-        route = next(a for a in commands.choices["p-scan"]._actions if a.dest == "route")
-        assert route.choices == ("auto", *P_ROUTES)
+        for command in ("p-scan", "find-root"):
+            route = next(a for a in commands.choices[command]._actions if a.dest == "route")
+            assert route.choices == tuple(P_ROUTES)
 
 
 class TestFindRoot:

@@ -234,16 +234,49 @@ class TestCheckIdentity:
             assert check_identity(r, s_points=[1e-160, 1e-200, 1e-300, 1e-320, 5e-324]) <= 1e-8
 
 
+# an input of verify made to raise: (the function, the radius it fails at,
+# None for every call and "R" for the root, {gate: label} of the steps it fails)
+INJECTED_FAILURES = {
+    "find_root": ("find_root", None, {"root_residual": "root_search"}),
+    "apply_at_1": ("apply_operator", 1.0, {"identity_residual": "identity_check"}),
+    "apply_at_R": ("apply_operator", "R", {"identity_residual": "identity_check",
+                                           "equation_residual": "equation_check"}),
+    "apply_at_3": ("apply_operator", 3.0, {"identity_residual": "identity_check"}),
+    "kink_exact_matrix": ("kink_exact_matrix", None, {
+        "sigma_min_at_R": "spectral_certificate",
+        "null_vector_deviation": "null_vector_check",
+        "collapse_ratio": "off_root_check",
+        "off_root_grid_delta": "off_root_grid_check"}),
+    "min_singular_value": ("min_singular_value", None, {
+        "collapse_ratio": "off_root_check",
+        "off_root_grid_delta": "off_root_grid_check"}),
+}
+
+
+def inject_failure(monkeypatch, name, root_r):
+    """Make the input of ``INJECTED_FAILURES[name]`` raise a numeric error."""
+    target, radius, _ = INJECTED_FAILURES[name]
+    at = root_r if radius == "R" else radius
+    original = getattr(cx_module, target)
+
+    def failing(*args, **kwargs):
+        if at is None or args[1] == at:  # apply_operator(spec, r, ...)
+            raise ValueError("synthetic failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cx_module, target, failing)
+
+
 class TestVerifyCounterexample:
     def test_default_run_passes(self):
         report = verify_counterexample()
         assert report.passed
         assert round(report.r_used, 2) == 2.44
         assert report.gamma0 == pytest.approx(-6.0, abs=1e-14)
-        assert report.identity_residual <= 1e-8
-        assert report.equation_residual <= 1e-8
-        assert report.sigma_min_at_r <= 1e-6
         data = report.to_json_dict()
+        assert data["identity_residual"] <= 1e-8
+        assert data["equation_residual"] <= 1e-8
+        assert data["sigma_min_at_R"] <= 1e-6
         assert data["pass"] is True
         assert set(data) >= {"R", "gamma0", "identity_residual",
                              "equation_residual", "sigma_min_at_R", "steps"}
@@ -254,9 +287,10 @@ class TestVerifyCounterexample:
         # residual is |p(1)| max_s u_0(s) = |p(1)| sin(1) for s in (0, 1],
         # relative to max_s u_2(s) = u_2(1) = 2 sin(1) - 3 cos(1)
         expected = abs(P_AT_1) * math.sin(1.0) / (2.0 * math.sin(1.0) - 3.0 * math.cos(1.0))
-        assert report.equation_residual == pytest.approx(expected, rel=1e-2)
+        data = report.to_json_dict()
+        assert data["equation_residual"] == pytest.approx(expected, rel=1e-2)
         # the identity itself still holds away from the root
-        assert report.identity_residual <= 1e-8
+        assert data["identity_residual"] <= 1e-8
 
     def test_equation_residual_is_relative_to_u2(self, root_r):
         # |u_2 - K u_2| = |p(r)| u_0 ~ r^3/5 at a small radius, below the 1e-8
@@ -288,7 +322,7 @@ class TestVerifyCounterexample:
         report = verify_counterexample(r_override=r)
         assert not report.passed
         steps = {name: (value, ok) for name, value, _, ok in report.steps}
-        assert report.sigma_min_at_r >= 0.1
+        assert report.to_json_dict()["sigma_min_at_R"] >= 0.1
         assert not steps["sigma_min_at_R"][1]
         assert not steps["collapse_ratio"][1]
         assert steps["collapse_ratio"][0] >= 1.0  # r = 3 is one of the off-root radii
@@ -343,32 +377,10 @@ class TestVerifyCounterexample:
             "off_root_grid_check (synthetic failure)",
         ]
 
-    @pytest.mark.parametrize("target, radius, failed", [
-        ("find_root", None, {"root_residual": "root_search"}),
-        ("apply_operator", 1.0, {"identity_residual": "identity_check"}),
-        ("apply_operator", "R", {"identity_residual": "identity_check",
-                                 "equation_residual": "equation_check"}),
-        ("apply_operator", 3.0, {"identity_residual": "identity_check"}),
-        ("kink_exact_matrix", None, {"sigma_min_at_R": "spectral_certificate",
-                                     "null_vector_deviation": "null_vector_check",
-                                     "collapse_ratio": "off_root_check",
-                                     "off_root_grid_delta": "off_root_grid_check"}),
-        ("min_singular_value", None, {"collapse_ratio": "off_root_check",
-                                      "off_root_grid_delta": "off_root_grid_check"}),
-    ], ids=["find_root", "apply_at_1", "apply_at_R", "apply_at_3",
-            "kink_exact_matrix", "min_singular_value"])
-    def test_failed_input_fails_exactly_the_steps_reading_it(
-        self, monkeypatch, root_r, target, radius, failed
-    ):
-        original = getattr(cx_module, target)
-        at = root_r if radius == "R" else radius
-
-        def failing(*args, **kwargs):
-            if at is None or args[1] == at:  # apply_operator(spec, r, ...)
-                raise ValueError("synthetic failure")
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cx_module, target, failing)
+    @pytest.mark.parametrize("injected", INJECTED_FAILURES)
+    def test_failed_input_fails_exactly_the_steps_reading_it(self, monkeypatch, root_r, injected):
+        inject_failure(monkeypatch, injected, root_r)
+        failed = INJECTED_FAILURES[injected][2]
         report = verify_counterexample()
         assert not report.passed
         # every gate keeps its step, its place and its threshold
@@ -381,6 +393,22 @@ class TestVerifyCounterexample:
             gate in failed for gate in GATES
         ]
         assert not any(ok for name, _, _, ok in report.steps if name not in GATES)
+
+    @pytest.mark.parametrize("force_r, injected", [
+        *[(r, None) for r in (None, 1.0, 3.0, 1e-300)],
+        *[(None, name) for name in INJECTED_FAILURES],
+    ], ids=["R", "force_1", "force_3", "force_1e-300", *INJECTED_FAILURES])
+    def test_top_level_values_are_the_step_values(self, monkeypatch, root_r, force_r, injected):
+        if injected is not None:
+            inject_failure(monkeypatch, injected, root_r)
+        data = verify_counterexample(force_r).to_json_dict()
+        # a failed step is renamed ``label (message)``, so its gate's name is missing
+        values = {step["name"]: step["value"] for step in data["steps"]}
+        for gate in ("identity_residual", "equation_residual", "sigma_min_at_R"):
+            if gate in values:
+                assert isinstance(data[gate], float) and data[gate] == values[gate]
+            else:
+                assert data[gate] is None
 
     def test_only_numeric_errors_become_failed_steps(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -426,11 +454,12 @@ class TestVerifyCounterexample:
     def test_shared_quadrature_keeps_the_residuals(self, reference_spec):
         report = verify_counterexample()
         r = report.r_used
-        assert report.identity_residual == max(check_identity(x) for x in (1.0, r, 3.0))
+        data = report.to_json_dict()
+        assert data["identity_residual"] == max(check_identity(x) for x in (1.0, r, 3.0))
         points = np.linspace(r / 20, r, 20)
         u2 = lambda t: eval_regular(2, t).value  # noqa: E731
         # relative to max |u_2| on the points, which is below 1 at R
-        assert report.equation_residual == float(np.max(np.abs(
+        assert data["equation_residual"] == float(np.max(np.abs(
             u2(points) - apply_operator(reference_spec, r, u2, points)
         ))) / float(np.max(np.abs(u2(points))))
 
@@ -451,7 +480,8 @@ class TestVerifyCounterexample:
             (f"identity_check ({message})", None, 1e-8, False),
             (f"equation_check ({message})", None, 1e-8, False),
         ]
-        assert report.identity_residual is None and report.equation_residual is None
+        data = report.to_json_dict()
+        assert data["identity_residual"] is None and data["equation_residual"] is None
         assert all(ok for _, _, _, ok in report.steps[4:])
 
     def test_forced_radius_three_is_its_own_off_root_value(self):

@@ -264,6 +264,32 @@ class TestKinkExactMatrix:
         ).sigma_min
         assert abs(kink - nystrom) <= 1e-3
 
+    @pytest.mark.parametrize("sets", [([0], [2]), THREE_TERMS])
+    def test_certificate_forms_the_product_once(self, monkeypatch, root_r, sets):
+        op = kink_exact_matrix(solve_gamma(validate_sets(*sets)),
+                               build_grid(root_r, 8, 16, grading=1.0))
+        calls = []
+        original = SeparableNystromOperator._generators
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(SeparableNystromOperator, "_generators", counted)
+        certificate = self_adjoint_certificate(op)
+        assert calls == [op]
+        # max |B - B^T| over the diagonal panel blocks B = rule * M + (1 - rule) * M^T
+        # of the product M = P Q^T, before they are symmetrized
+        scaling = op.grid.l2_scaling
+        product = (np.stack([-g * scaling * v for g, _, v in op.tables], axis=1)
+                   @ np.stack([scaling * u for _, u, _ in op.tables]))
+        rule = op.panel_rule
+        diagonal = [product[i:i + 16, i:i + 16] for i in range(0, 128, 16)]
+        asymmetry = max(float(np.max(np.abs(b - b.T)))
+                        for b in (rule * m + (1.0 - rule) * m.T for m in diagonal))
+        assert certificate.asymmetry == asymmetry
+        assert (asymmetry <= 1e-10) if sets == ([0], [2]) else (asymmetry > 1.0)
+
     def test_collapse_at_root(self, reference_spec, root_r):
         grid = build_grid(root_r, 8, 16, grading=1.0)
         certificate = self_adjoint_certificate(kink_exact_matrix(reference_spec, grid))
@@ -872,14 +898,14 @@ class TestBatchedSweep:
 
     @pytest.mark.parametrize("refine", [False, True])
     def test_failing_chunk_falls_back_per_radius(self, refine, table_calls):
-        # v_30 overflows at the first node of r = 1e-5: the batch raises, and
+        # v'_30 overflows at the first node of r = 1e-5: the batch raises, and
         # each radius redoes its own tables
         spec = solve_gamma(validate_sets([0, 30], [2, 40]))
         report = sweep(spec, 1e-5, 1.0, 5, refine=refine)
         # the batch, then each radius; r = 1e-5 stops at its first grid's tables
         assert len(table_calls) == (1 + 1 + 4 * 2 if refine else 1 + 5)
         assert report.failures == [
-            (1e-05, "v_30(1.4405754494750553e-09) overflows double precision")
+            (1e-05, "v_30'(1.4405754494750553e-09) overflows double precision")
         ]
         assert len(report.rows) == 4
         assert (report.rows, report.failures) == per_radius_sweep(

@@ -177,6 +177,16 @@ def test_subnormal_radius_is_finite(r):
     assert 0.0 < eval_regular(1, r).derivative <= r
 
 
+@pytest.mark.parametrize("r, name", [(1e-34, "v_8'"), (1e-38, "v_8")])
+def test_overflow_names_the_half_that_overflows(r, name):
+    # v_8 ~ -2.03e278 is finite at 1e-34 while v'_8 ~ 8 v_8 / r is not;
+    # at 1e-38 the value overflows too
+    with pytest.raises(OverflowError, match=rf"^{name}\({r!r}\) overflows double precision$"):
+        eval_irregular(8, r)
+    with pytest.raises(OverflowError, match=rf"^{name}\({r!r}\) overflows double precision$"):
+        eval_irregular(8, np.array([1.0, r, 1e-40]))
+
+
 class TestAgainstScipy:
     def test_regular_random_domain(self):
         rng = np.random.default_rng(20240817)
