@@ -46,7 +46,7 @@ from .operator import (
     min_singular_value,
     self_adjoint_certificate,
 )
-from .riccati import check_radius, eval_irregular, eval_regular
+from .riccati import _regular_values, check_radius, eval_irregular, eval_regular
 
 __all__ = [
     "RootResult",
@@ -295,7 +295,13 @@ def find_root(lo, hi, tol: float = 1e-12, route: str = "explicit") -> RootResult
 
 
 def _u(m: int, t):
-    return eval_regular(m, t).value
+    """u_m at a radius or an array of radii t: ``eval_regular(m, t).value``.
+
+    The same bits, checks and OverflowError, from the values path, which
+    forms no derivative: the integrand u_2 of every quadrature here and the
+    identity, equation and null-vector targets need none.
+    """
+    return _regular_values(m, t)
 
 
 def _default_points(r: float, count: int = 20) -> np.ndarray:

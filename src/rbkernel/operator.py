@@ -589,7 +589,7 @@ def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
                 settled = np.abs(last - before) <= tol
             active[rows[settled]] = False
             values[rows] = last
-            if next_counts is None:
+            if next_counts is None or settled.all():
                 continue
             # a non-finite value cannot settle at the next level, and where
             # that level's weights underflow, deeper ones cannot mend it

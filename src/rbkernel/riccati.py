@@ -35,6 +35,11 @@ Evaluation strategy, chosen for double precision:
   u'_m = u_{m-1} (1 - m/(2m + 1) S_m/S_{m-1}), because the plain ladder
   would lose its (m/r) u_m term or overflow in m/r.
 
+Where only the values of u_m are wanted (the integrand u_2 of the package's
+quadratures), ``_regular_values`` takes them from the same branches, bit for
+bit, with ``eval_regular``'s checks and message, but without u_{m-1}, the
+ladder or its fix-ups.
+
 Both evaluators take a single radius or a numpy array of radii for one fixed
 order.  An array is evaluated element by element with the branch above
 selected per element by mask; each element keeps its own backward-recurrence
@@ -234,20 +239,20 @@ def _ratio_rows(r: np.ndarray, kmax: int):
     return (np.divide(numerator, r, out=rows[i % 3]) for i, numerator in enumerate(numerators))
 
 
-def _regular_backward(m: int, r):
-    """(u_m, u_{m-1}) by backward Miller recurrence, for m >= 2.
+def _regular_backward(m: int, r, orders: int = 2):
+    """[u_m, u_{m-1}] by backward Miller recurrence, for m >= 2; [u_m] for ``orders=1``.
 
     The unnormalized f_k run down from f_top = 1e-300 (an arbitrary tiny
     seed; the scale drops out), each radius from its own
     ``top = max(m, ceil r) + _MILLER_PAD`` with zeros above it, and are
     scaled to u_k by whichever of u_0, u_1 is larger in magnitude, so that
     zeros of sin(r) cannot poison the scale.  Only the rows f_{k+1}, f_k,
-    f_{k-1} of the current step, copies of the rows m and m - 1, and the
-    ratios (2k + 1)/r from :func:`_ratio_rows` (every order's for a small
-    batch, three rows for a larger one) are held, and each step turns its
-    ratio row into f_{k-1} in place by one multiply and one subtract.  So a
-    batch of n radii takes O(n) memory whatever the order, and a small one
-    few numpy calls.
+    f_{k-1} of the current step, copies of the rows m and (for two
+    ``orders``) m - 1, and the ratios (2k + 1)/r from :func:`_ratio_rows`
+    (every order's for a small batch, three rows for a larger one) are
+    held, and each step turns its ratio row into f_{k-1} in place by one
+    multiply and one subtract.  So a batch of n radii takes O(n) memory
+    whatever the order, and a small one few numpy calls.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     top = np.maximum(m, np.ceil(r)).astype(int) + _MILLER_PAD
@@ -258,8 +263,9 @@ def _regular_backward(m: int, r):
     # rescales (a looser bound only adds checks that find nothing).
     growth = kmax * math.log10((2 * kmax + 1) / float(r.min()) + 1.0)
     may_rescale = growth - 300.0 > math.log10(_RESCALE_LIMIT) - 1.0
-    above, cur = np.zeros_like(r), np.zeros_like(r)
-    saved = {}  # f_m and f_{m-1}, once the recurrence has reached them
+    above, cur = np.zeros(r.shape), np.zeros(r.shape)
+    keep = range(m + 2 - orders, m + 2)  # the steps whose f_{k-1} is returned
+    saved = {}  # f_m (and f_{m-1}), once the recurrence has reached them
     for k, new in zip(range(kmax, 0, -1), _ratio_rows(r, kmax)):
         if k in starts:
             cur[top == k] = 1e-300
@@ -270,39 +276,63 @@ def _regular_backward(m: int, r):
             if big.any():
                 for row in (new, cur, *saved.values()):
                     row[big] *= 1e-250
-        if m <= k <= m + 1:
+        if k in keep:
             saved[k - 1] = new.copy()
         above, cur = cur, new
     f0, f1 = cur, above
     u0 = np.sin(r)
     u1 = u0 / r - np.cos(r)
     lam = np.where(np.abs(u0) >= np.abs(u1), u0 / f0, u1 / f1)
-    return lam * saved[m], lam * saved[m - 1]
+    return [lam * saved[k] for k in range(m, m - orders, -1)]
 
 
-def _regular(m: int, r: np.ndarray):
-    """(u_m, u'_m) over a 1-D array of radii >= 0, branch chosen per element."""
-    if m == 0:
-        return np.sin(r), np.cos(r)  # exact at the origin too
-    value = np.zeros(r.shape)  # the origin limit for m >= 1: (0, 0)
-    below = np.zeros(r.shape)  # u_{m-1}
+def _fill(rows, mask: np.ndarray, parts) -> None:
+    """Set ``rows[i][mask] = parts[i]`` for every row; extra parts are dropped."""
+    for row, part in zip(rows, parts):
+        row[mask] = part
+
+
+def _regular(m: int, r: np.ndarray, ladder: bool = True):
+    """(u_m, u'_m) over a 1-D array of radii >= 0, branch chosen per element.
+
+    Without the ``ladder``, u_m alone: the same branches give it the same
+    bits, but u_{m-1}, the derivative and its fix-ups are never formed.
+    """
+    if m == 0:  # exact at the origin too
+        return (np.sin(r), np.cos(r)) if ladder else np.sin(r)
+    orders = 2 if ladder else 1
+    # u_m and, for the ladder, u_{m-1}; the origin limit for m >= 1 is 0
+    rows = [np.zeros(r.size) for _ in range(orders)]
     series = (r > 0.0) & (r < SERIES_CROSSOVER)
     if series.any():
-        prefactor, total = _regular_series_parts((m, m - 1), r[series])
-        value[series], below[series] = prefactor * total
+        prefactor, total = _regular_series_parts((m, m - 1)[:orders], r[series])
+        _fill(rows, series, prefactor * total)
     rest = r >= SERIES_CROSSOVER
     if m == 1:
         x = r[rest]
-        below[rest] = u0 = np.sin(x)
-        value[rest] = u0 / x - np.cos(x)
+        u0 = np.sin(x)
+        _fill(rows, rest, (u0 / x - np.cos(x), u0))
     else:
-        forward = rest & (m <= r - 2.0 * np.sqrt(r))
-        for branch, part in ((_regular_forward, forward), (_regular_backward, rest & ~forward)):
-            if part.any():
-                value[part], below[part] = branch(m, r[part])
+        # r - 2 sqrt r rises for r >= 1 and is negative below 4, so no radius
+        # takes the forward branch (m >= 2) unless the largest comes within
+        # the margin of it; the margin of 1 on m keeps a rounding tie from
+        # skipping a radius that qualifies
+        largest = r.max(initial=0.0)
+        backward = rest
+        if largest - 2.0 * math.sqrt(largest) >= m - 1:
+            forward = rest & (m <= r - 2.0 * np.sqrt(r))
+            backward = rest & ~forward
+            if forward.any():
+                _fill(rows, forward, _regular_forward(m, r[forward]))
+        if backward.any():
+            _fill(rows, backward, _regular_backward(m, r[backward], orders))
+    if not ladder:
+        return rows[0]
+    value, below = rows
     # the ladder, f'_m = f_{m-1} - (m/r) f_m, at every radius but the origin
     derivative = below - (m / r) * value
-    derivative[r == 0.0] = 0.0
+    if not r.all():  # some radius is 0, where the ladder reads 0 * inf
+        derivative[r == 0.0] = 0.0
     # a subnormal or zero u_m at r > 0 is a series value that lost digits to
     # underflow (r^(m+1)/(2m+1)!! < 2.2e-308), so the ladder would lose
     # (m/r) u_m, a term of the same order, or overflow in m/r.  With
@@ -325,6 +355,11 @@ def _irregular(m: int, r: np.ndarray):
     return cur, prev - (m / r) * cur
 
 
+def _shaped(x: np.ndarray, r: np.ndarray):
+    """A Python float for a scalar radius, the radii's shape otherwise."""
+    return float(x[0]) if r.ndim == 0 else x.reshape(r.shape)
+
+
 def _pair(value, derivative, r: np.ndarray, name: str, failure: str) -> FunctionPair:
     """Check finiteness and shape the result like the radii that came in."""
     finite = np.isfinite(value) & np.isfinite(derivative)
@@ -332,9 +367,10 @@ def _pair(value, derivative, r: np.ndarray, name: str, failure: str) -> Function
         first = np.argmin(finite)  # the first radius where either half is not finite
         prime = "'" if np.isfinite(value[first]) else ""  # there, only the derivative
         raise OverflowError(f"{name}{prime}({float(r.flat[first])!r}) {failure}")
-    if r.ndim == 0:
-        return FunctionPair(float(value[0]), float(derivative[0]))
-    return FunctionPair(value.reshape(r.shape), derivative.reshape(r.shape))
+    return FunctionPair(_shaped(value, r), _shaped(derivative, r))
+
+
+_REGULAR_FAILURE = "is not finite in double precision"
 
 
 def eval_regular(m, r) -> FunctionPair:
@@ -359,7 +395,24 @@ def eval_regular(m, r) -> FunctionPair:
     r = _check_radii(r, allow_zero=True)
     with np.errstate(all="ignore"):
         value, derivative = _regular(m, r.ravel())
-    return _pair(value, derivative, r, f"u_{m}", "is not finite in double precision")
+    return _pair(value, derivative, r, f"u_{m}", _REGULAR_FAILURE)
+
+
+def _regular_values(m, r):
+    """``eval_regular(m, r).value``, bit for bit, without the derivative.
+
+    The same checks of m and r and the same branches, but neither u_{m-1}
+    nor the ladder is formed; raises ``eval_regular``'s OverflowError at
+    the first radius where u_m is not finite.
+    """
+    m = _check_order(m)
+    r = _check_radii(r, allow_zero=True)
+    with np.errstate(all="ignore"):
+        value = _regular(m, r.ravel(), ladder=False)
+    finite = np.isfinite(value)
+    if not finite.all():
+        raise OverflowError(f"u_{m}({float(r.flat[np.argmin(finite)])!r}) {_REGULAR_FAILURE}")
+    return _shaped(value, r)
 
 
 def eval_irregular(m, r) -> FunctionPair:

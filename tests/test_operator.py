@@ -712,8 +712,8 @@ class TestFirstPass:
                 return real(*args, **kwargs)
             return call
 
-        # h is counterexample's u_2, over its eval_regular
-        monkeypatch.setattr(cli.cx, "eval_regular", counted(cli.cx.eval_regular))
+        # h is counterexample's u_2, over the values path beside eval_regular
+        monkeypatch.setattr(cli.cx, "_regular_values", counted(cli.cx._regular_values))
         for name in ("eval_regular", "eval_irregular"):
             monkeypatch.setattr(op_module, name, counted(getattr(op_module, name)))
         per_point = []

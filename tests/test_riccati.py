@@ -1,6 +1,7 @@
 """Tests for the Riccati-Bessel function evaluator."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -11,6 +12,7 @@ from rbkernel import eval_irregular, eval_regular, riccati, wronskian
 from rbkernel.riccati import (
     SERIES_CROSSOVER,
     _regular_backward,
+    _regular_forward,
     _regular_series_parts,
 )
 
@@ -240,6 +242,11 @@ SERIES_RADII = np.concatenate([
 ])
 
 
+def bits(x):
+    """The doubles of x as int64, so equal bits compare equal (NaN and -0.0 included)."""
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
 def masked_series_parts(orders, r):
     """:func:`_regular_series_parts` as summed with masks: each element stops on its own.
 
@@ -317,9 +324,10 @@ class TestArrayEvaluation:
     def test_series_without_masks_keeps_the_masked_bits(self):
         # every element stops where the masked loop stopped it, or later by
         # terms below half an ulp of its sum: the same bits for orders 0 to
-        # 200, summed as eval_regular sums them (m with m - 1), from
-        # subnormal radii through the [0.3, 0.7] overlap window
-        for orders in [(0,)] + [(m, m - 1) for m in range(1, 201)]:
+        # 200, summed as eval_regular sums them (m with m - 1) and as the
+        # values path sums them (m alone), from subnormal radii through the
+        # [0.3, 0.7] overlap window
+        for orders in [(0,)] + [(m, m - 1) for m in range(1, 201)] + [(2,), (50,)]:
             prefactor, total = _regular_series_parts(orders, SERIES_RADII)
             expected_prefactor, expected_total = masked_series_parts(orders, SERIES_RADII)
             assert np.array_equal(prefactor, expected_prefactor), orders
@@ -372,6 +380,91 @@ class TestArrayEvaluation:
     def test_irregular_array_rejects_the_origin(self):
         with pytest.raises(ValueError):
             eval_irregular(0, np.array([1.0, 0.0]))
+
+    # RADII with subnormal radii (where m/r overflows), the last radius
+    # before m = 2's forward branch and the first in it (r - 2 sqrt r >= 2
+    # from (1 + sqrt 3)^2 = 7.464101615137754), and 1e3, a Miller start of
+    # over a thousand orders
+    VALUE_RADII = np.concatenate([
+        RADII,
+        [5e-324, 1e-310, 2.2e-308, 1e-200, 1e-154, 7.4641016151377535, 7.464101615137754, 1e3],
+    ])
+
+    def test_values_path_has_the_bits_of_eval_regular_at_every_order(self):
+        for m in range(201):
+            expected = eval_regular(m, self.VALUE_RADII).value
+            got = riccati._regular_values(m, self.VALUE_RADII)
+            assert np.array_equal(bits(got), bits(expected)), m
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 50, 200])
+    def test_values_path_scalars(self, m):
+        for r in self.VALUE_RADII:
+            value = riccati._regular_values(m, float(r))
+            assert type(value) is float
+            assert bits(value) == bits(eval_regular(m, float(r)).value), (m, r)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 50, 200])
+    def test_values_path_batches(self, m):
+        # from one radius to 20000, past the sizes where the series rows and
+        # the Miller ratios stop fitting one block, drawn over every branch
+        rng = np.random.default_rng(m)
+        pool = np.concatenate([self.VALUE_RADII, SERIES_RADII, np.geomspace(0.5, 1e3, 200)])
+        block = riccati._BLOCK_VALUES
+        for size in (1, 2, 3, 57, block // 2, block + 1, 20000):
+            radii = rng.choice(pool, size)
+            expected = eval_regular(m, radii).value
+            got = riccati._regular_values(m, radii)
+            assert got.shape == radii.shape and np.array_equal(bits(got), bits(expected)), size
+        radii = rng.choice(pool, (3, 40))
+        assert np.array_equal(bits(riccati._regular_values(m, radii)),
+                              bits(eval_regular(m, radii).value))
+
+    def test_forward_branch_starts_where_the_rule_says(self):
+        # the one test on the largest radius must not skip a radius whose
+        # r - 2 sqrt r reaches m: at the edge (1 + sqrt(m + 1))^2 and the
+        # doubles either side, alone and after smaller radii, each value is
+        # the one its own branch gives (at most of these radii the two
+        # branches differ in the last bits)
+        for m in range(2, 201):
+            edge = (1.0 + math.sqrt(m + 1.0)) ** 2
+            near = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf)])
+            forward = m <= near - 2.0 * np.sqrt(near)
+            expected = np.where(forward, _regular_forward(m, near)[0],
+                                _regular_backward(m, near)[0])
+            for radii in (near, np.concatenate([[0.3, 1.0, 3.0], near])):
+                for evaluate in (lambda m, r: eval_regular(m, r).value, riccati._regular_values):
+                    assert np.array_equal(bits(evaluate(m, radii)[-3:]), bits(expected)), m
+            for r, value in zip(near, expected):
+                assert bits(riccati._regular_values(m, float(r))) == bits(value), (m, r)
+
+    @pytest.mark.parametrize("m, r", [
+        (-1, 1.0), (2.5, 1.0), ("2", 1.0), (2, math.nan), (2, math.inf), (2, -1.0),
+        (0, np.array([0.5, math.nan])), (3, np.array([1.0, -2.0, math.inf])),
+        (200, np.array([[0.0, 1e3], [-1e-300, 2.0]])),
+    ])
+    def test_values_path_raises_where_eval_regular_raises(self, m, r):
+        with pytest.raises(Exception) as expected:
+            eval_regular(m, r)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            riccati._regular_values(m, r)
+
+    def test_values_path_names_a_value_that_is_not_finite(self, monkeypatch):
+        # no radius eval_regular accepts gives a u_m that is not finite (none
+        # on the grids above), so a branch is made to return inf at r = 3:
+        # both paths name that radius, and only the value, in one message
+        real = riccati._regular_backward
+
+        def poisoned(m, r, orders=2):
+            rows = real(m, r, orders)
+            rows[0][r == 3.0] = math.inf
+            return rows
+
+        monkeypatch.setattr(riccati, "_regular_backward", poisoned)
+        radii = np.array([0.3, 1.0, 3.0, 20.0, 3.0])
+        for evaluate in (eval_regular, riccati._regular_values):
+            with pytest.raises(OverflowError,
+                               match=r"^u_5\(3\.0\) is not finite in double precision$"):
+                evaluate(5, radii)
 
 
 class TestAgainstMpmath:
