@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .riccati import check_radius, eval_irregular, eval_regular
+from .riccati import _irregular_values, _regular_values, check_radius
 
 __all__ = [
     "SetValidationError",
@@ -191,5 +191,5 @@ def eval_kernel(spec: KernelSpec, s, t) -> float:
     lo, hi = sorted((check_radius(s), check_radius(t)))
     total = 0.0
     for m, g in terms:
-        total += g * eval_regular(m, lo).value * eval_irregular(m, hi).value
+        total += g * _regular_values(m, lo) * _irregular_values(m, hi)
     return total

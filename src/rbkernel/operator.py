@@ -68,7 +68,7 @@ import numpy as np
 
 from .kernel import KernelSpec
 from .report import ScanReport, fmt_float
-from .riccati import check_radius, eval_irregular, eval_regular
+from .riccati import _irregular_values, _regular_values, check_radius, eval_irregular, eval_regular
 
 __all__ = [
     "ConvergenceError",
@@ -317,10 +317,9 @@ def spectral_grid(r) -> QuadratureGrid:
 
 
 def _family_tables(spec: KernelSpec, points: np.ndarray):
-    """u_m and v_m sampled at the given points, per order in S."""
+    """u_m and v_m sampled at the given points, per order in S (values only)."""
     return [
-        (g, eval_regular(m, points).value, eval_irregular(m, points).value)
-        for m, g in spec.terms()
+        (g, _regular_values(m, points), _irregular_values(m, points)) for m, g in spec.terms()
     ]
 
 

@@ -16,10 +16,9 @@ Evaluation strategy, chosen for double precision:
 
 * ``u_m`` for ``r < SERIES_CROSSOVER`` by Taylor series (the closed forms
   subtract nearly equal terms near zero; u_2 alone loses ~45/r^5 in relative
-  error), summed in one loop with the series of u_{m-1}; deep in the
-  oscillatory regime (order well below the argument) by forward recurrence
-  from the exact u_0, u_1 seeds, which is neutral there and keeps errors at
-  a few ulps of the oscillation amplitude; otherwise by
+  error); deep in the oscillatory regime (order well below the argument) by
+  forward recurrence from the exact u_0, u_1 seeds, which is neutral there
+  and keeps errors at a few ulps of the oscillation amplitude; otherwise by
   backward Miller-style recurrence normalized against the closed forms of
   u_0 / u_1, which keeps a three-row window and divides out the ratios
   (2k + 1)/r of all its orders in one call where they fit 2^13 values, and
@@ -29,18 +28,19 @@ Evaluation strategy, chosen for double precision:
 * ``v_m`` always by forward recurrence, which is stable because v_m is the
   dominant solution as the order grows;
 
-* derivatives via the ladder identity, never finite differences; where the
-  series value of u_m underflows (subnormal or 0, r below ~1e-154 for
-  m = 1), via the same identity written with the two series sums,
-  u'_m = u_{m-1} (1 - m/(2m + 1) S_m/S_{m-1}), because the plain ladder
-  would lose its (m/r) u_m term or overflow in m/r.
+* each family's core (``_regular``, ``_irregular``) gives the values of one
+  order and nothing else; a derivative is the ladder over two value calls,
+  never finite differences.  Where the series value of u_m underflows
+  (subnormal or 0, r below ~1e-154 for m = 1), the ladder would lose its
+  (m/r) u_m term or overflow in m/r, so it is written with the two series
+  sums, u'_m = u_{m-1} (1 - m/(2m + 1) S_m/S_{m-1}).
 
-Where only the values of u_m are wanted (the integrand u_2 of the package's
-quadratures), ``_regular_values`` takes them from the same branches, bit for
-bit, with ``eval_regular``'s checks and message, but without u_{m-1}, the
-ladder or its fix-ups.
+Where only values are wanted (family tables, kernel values, the integrand
+u_2), ``_regular_values`` and ``_irregular_values`` return the pairs' values
+bit for bit, with their checks and message, and fail only where a value
+itself is not finite.
 
-Both evaluators take a single radius or a numpy array of radii for one fixed
+The entries take a single radius or a numpy array of radii for one fixed
 order.  An array is evaluated element by element with the branch above
 selected per element by mask; each element keeps its own backward-recurrence
 start, and the series, summed without masks until no element's term exceeds
@@ -87,15 +87,17 @@ _MILLER_PAD = 45
 # Magnitude at which the backward recurrence rescales to avoid overflow.
 _RESCALE_LIMIT = 1e250
 
-# Most values (64 KiB) in one block of rows that the series sums in one loop
-# (a block holds one row at least), and in the ratios (2k + 1)/r that the
-# backward recurrence divides out in one numpy call (a larger batch divides
-# them an order at a time).  Blocks pay off where numpy's per-call cost
-# dominates: this one holds every ratio of an identity-check point's u_2
-# batch (about 50 orders over fewer than 170 radii), while numpy's one-
-# dimensional calls are faster per value on a sweep's batches of thousands
-# of radii, and a block there would only raise their peak memory.
+# Most ratios (2k + 1)/r (64 KiB of them) that the backward recurrence
+# divides out in one numpy call; a larger batch divides them an order at a
+# time.  The block pays off where numpy's per-call cost dominates: it holds
+# every ratio of an identity-check point's u_2 batch (about 50 orders over
+# fewer than 170 radii), while numpy's one-dimensional calls are faster per
+# value on a sweep's batches of thousands of radii, and a block there would
+# only raise their peak memory.
 _BLOCK_VALUES = 2**13
+
+# The message of each family's OverflowError, after "u_m(r) " or "v_m(r) ".
+_FAILURE = {"u": "is not finite in double precision", "v": "overflows double precision"}
 
 
 class FunctionPair(NamedTuple):
@@ -127,10 +129,15 @@ def check_radius(r) -> float:
 
 
 def _check_radii(r, *, allow_zero: bool = False) -> np.ndarray:
-    """:func:`check_radius` for an array of radii, naming the first bad one."""
+    """:func:`check_radius` for an array of radii, naming the first bad one.
+
+    One min and one max decide (both propagate NaN; an empty array passes);
+    the element-wise search runs only on a failure.
+    """
     r = np.asarray(r, dtype=float)
-    ok = (r >= 0.0 if allow_zero else r > 0.0) & (r < math.inf)
-    if not ok.all():
+    low, high = r.min(initial=math.inf), r.max(initial=-math.inf)
+    if not ((low >= 0.0 if allow_zero else low > 0.0) and high < math.inf):
+        ok = (r >= 0.0 if allow_zero else r > 0.0) & (r < math.inf)
         sign = "nonnegative" if allow_zero else "positive"
         raise ValueError(f"radius must be {sign} and finite, got {float(r[~ok].flat[0])!r}")
     return r
@@ -147,11 +154,10 @@ def _double_factorial(n: int) -> float:
 
 
 @lru_cache(maxsize=64)
-def _series_denominators(orders: tuple) -> np.ndarray:
-    """k (2m + 2k + 1) for k = 1 .. 201, exact in a double: one column of
-    the orders m per k, to broadcast over the radii."""
-    ks = np.arange(1, 202)[:, None]
-    return (ks * (2 * np.array(orders) + 2 * ks + 1)).astype(float)[..., None]
+def _series_denominators(m: int) -> np.ndarray:
+    """k (2m + 2k + 1) for k = 1 .. 201, exact in a double."""
+    ks = np.arange(1, 202)
+    return (ks * (2 * m + 2 * ks + 1)).astype(float)
 
 
 def _series_terms(x: float, m: int) -> int:
@@ -166,48 +172,36 @@ def _series_terms(x: float, m: int) -> int:
     return k
 
 
-def _regular_series_parts(orders, r):
+def _regular_series_parts(m: int, r):
     # u_m(r) = r^(m+1)/(2m+1)!! * S_m(r),
     # S_m(r) = sum_k (-r^2/2)^k / (k! (2m+3)...(2m+2k+1)),
     # an alternating series with factorially shrinking terms; safe for any r
-    # but only needed (and used) near zero.  One row per order in ``orders``
-    # over the 1-D radii; the rows of a block of at most _BLOCK_VALUES values
-    # (one row at least) are summed in one loop, without masks, until no
-    # element's term exceeds 1e-18 of its sum.  An element summed alone stops
-    # at its first such term, and the terms after it change none of its
-    # bits: below r = 2 each term is under 2/3 of the one before, so every
-    # later term is below 1e-18 of the sum too, which is under half an ulp of
-    # it (2^-54 of it at least), and adding it rounds back to the sum.  So
-    # each element's bits depend on neither the other rows nor the other
-    # radii.  No element stops before the largest radius at the block's
-    # lowest order (its terms are the largest next to its sum), so the test
-    # starts there.  Returns the prefactors and the sums S_m separately: S_m
-    # is near 1 even where u_m underflows.
+    # but only needed (and used) near zero.  Summed over the 1-D radii in one
+    # loop, without masks, until no element's term exceeds 1e-18 of its sum
+    # (tested from the largest radius's own stop on: no element stops
+    # sooner).  An element alone stops at its first such term, and the later
+    # terms change none of its bits: below r = 2 each term is under 2/3 of
+    # the one before, so each later one is below 1e-18 of the sum too, under
+    # half an ulp of it, and rounds away.  So no element's bits depend on the
+    # other radii.  Returns the prefactor and S_m separately: S_m is near 1
+    # even where u_m underflows.
     r = np.atleast_1d(np.asarray(r, dtype=float))
     # float_power calls C pow like Python's float ** int; numpy's ** takes a
     # different route for integer exponents and can differ in the last bit
-    prefactor = np.array([
-        np.float_power(r, m + 1) / _double_factorial(2 * m + 1) for m in orders
-    ])
+    prefactor = np.float_power(r, m + 1) / _double_factorial(2 * m + 1)
     half_r2 = -0.5 * r * r
-    largest = float(r.max())
-    total = np.ones(prefactor.shape)
-    block_rows = max(1, _BLOCK_VALUES // r.size)
-    for first in range(0, len(orders), block_rows):
-        rows = slice(first, first + block_rows)
-        block = total[rows]  # a view: summed in place
-        term = np.ones(block.shape)
-        first_test = _series_terms(largest, min(orders[rows]))
-        for k, denominator in enumerate(_series_denominators(tuple(orders[rows])), 1):
-            term *= half_r2 / denominator
-            block += term
-            if k >= first_test and not (np.abs(term) > 1e-18 * np.abs(block)).any():
-                break
+    total, term = np.ones(r.shape), np.ones(r.shape)
+    first_test = _series_terms(float(r.max()), m)
+    for k, denominator in enumerate(_series_denominators(m), 1):
+        term *= half_r2 / denominator
+        total += term
+        if k >= first_test and not (np.abs(term) > 1e-18 * np.abs(total)).any():
+            break
     return prefactor, total
 
 
-def _regular_forward(m: int, r: np.ndarray):
-    """(u_m, u_{m-1}) by forward recurrence from the exact u_0, u_1 seeds.
+def _regular_forward(m: int, r: np.ndarray) -> np.ndarray:
+    """u_m by forward recurrence from the exact u_0, u_1 seeds.
 
     Only safe while the order stays below the argument, where u_m has not
     started to decay and the recurrence is neutral in both directions; the
@@ -217,7 +211,7 @@ def _regular_forward(m: int, r: np.ndarray):
     cur = prev / r - np.cos(r)
     for k in range(1, m):
         prev, cur = cur, (2 * k + 1) / r * cur - prev
-    return cur, prev
+    return cur
 
 
 def _ratio_rows(r: np.ndarray, kmax: int):
@@ -239,20 +233,20 @@ def _ratio_rows(r: np.ndarray, kmax: int):
     return (np.divide(numerator, r, out=rows[i % 3]) for i, numerator in enumerate(numerators))
 
 
-def _regular_backward(m: int, r, orders: int = 2):
-    """[u_m, u_{m-1}] by backward Miller recurrence, for m >= 2; [u_m] for ``orders=1``.
+def _regular_backward(m: int, r) -> np.ndarray:
+    """u_m by backward Miller recurrence, for m >= 2.
 
     The unnormalized f_k run down from f_top = 1e-300 (an arbitrary tiny
     seed; the scale drops out), each radius from its own
     ``top = max(m, ceil r) + _MILLER_PAD`` with zeros above it, and are
     scaled to u_k by whichever of u_0, u_1 is larger in magnitude, so that
     zeros of sin(r) cannot poison the scale.  Only the rows f_{k+1}, f_k,
-    f_{k-1} of the current step, copies of the rows m and (for two
-    ``orders``) m - 1, and the ratios (2k + 1)/r from :func:`_ratio_rows`
-    (every order's for a small batch, three rows for a larger one) are
-    held, and each step turns its ratio row into f_{k-1} in place by one
-    multiply and one subtract.  So a batch of n radii takes O(n) memory
-    whatever the order, and a small one few numpy calls.
+    f_{k-1} of the current step, a copy of the row m, and the ratios
+    (2k + 1)/r from :func:`_ratio_rows` (every order's for a small batch,
+    three rows for a larger one) are held, and each step turns its ratio
+    row into f_{k-1} in place by one multiply and one subtract.  So a batch
+    of n radii takes O(n) memory whatever the order, and a small one few
+    numpy calls.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     top = np.maximum(m, np.ceil(r)).astype(int) + _MILLER_PAD
@@ -264,8 +258,7 @@ def _regular_backward(m: int, r, orders: int = 2):
     growth = kmax * math.log10((2 * kmax + 1) / float(r.min()) + 1.0)
     may_rescale = growth - 300.0 > math.log10(_RESCALE_LIMIT) - 1.0
     above, cur = np.zeros(r.shape), np.zeros(r.shape)
-    keep = range(m + 2 - orders, m + 2)  # the steps whose f_{k-1} is returned
-    saved = {}  # f_m (and f_{m-1}), once the recurrence has reached them
+    saved = []  # f_m, once the recurrence has reached it
     for k, new in zip(range(kmax, 0, -1), _ratio_rows(r, kmax)):
         if k in starts:
             cur[top == k] = 1e-300
@@ -274,61 +267,53 @@ def _regular_backward(m: int, r, orders: int = 2):
         if may_rescale:
             big = np.abs(new) > _RESCALE_LIMIT
             if big.any():
-                for row in (new, cur, *saved.values()):
+                for row in (new, cur, *saved):
                     row[big] *= 1e-250
-        if k in keep:
-            saved[k - 1] = new.copy()
+        if k == m + 1:
+            saved.append(new.copy())
         above, cur = cur, new
     f0, f1 = cur, above
     u0 = np.sin(r)
     u1 = u0 / r - np.cos(r)
     lam = np.where(np.abs(u0) >= np.abs(u1), u0 / f0, u1 / f1)
-    return [lam * saved[k] for k in range(m, m - orders, -1)]
+    return lam * saved[0]
 
 
-def _fill(rows, mask: np.ndarray, parts) -> None:
-    """Set ``rows[i][mask] = parts[i]`` for every row; extra parts are dropped."""
-    for row, part in zip(rows, parts):
-        row[mask] = part
-
-
-def _regular(m: int, r: np.ndarray, ladder: bool = True):
-    """(u_m, u'_m) over a 1-D array of radii >= 0, branch chosen per element.
-
-    Without the ``ladder``, u_m alone: the same branches give it the same
-    bits, but u_{m-1}, the derivative and its fix-ups are never formed.
-    """
+def _regular(m: int, r: np.ndarray) -> np.ndarray:
+    """u_m over a 1-D array of radii >= 0, branch chosen per element."""
     if m == 0:  # exact at the origin too
-        return (np.sin(r), np.cos(r)) if ladder else np.sin(r)
-    orders = 2 if ladder else 1
-    # u_m and, for the ladder, u_{m-1}; the origin limit for m >= 1 is 0
-    rows = [np.zeros(r.size) for _ in range(orders)]
+        return np.sin(r)
+    value = np.zeros(r.size)  # the origin limit for m >= 1
     series = (r > 0.0) & (r < SERIES_CROSSOVER)
     if series.any():
-        prefactor, total = _regular_series_parts((m, m - 1)[:orders], r[series])
-        _fill(rows, series, prefactor * total)
+        prefactor, total = _regular_series_parts(m, r[series])
+        value[series] = prefactor * total
     rest = r >= SERIES_CROSSOVER
     if m == 1:
         x = r[rest]
-        u0 = np.sin(x)
-        _fill(rows, rest, (u0 / x - np.cos(x), u0))
-    else:
-        # r - 2 sqrt r rises for r >= 1 and is negative below 4, so no radius
-        # takes the forward branch (m >= 2) unless the largest comes within
-        # the margin of it; the margin of 1 on m keeps a rounding tie from
-        # skipping a radius that qualifies
-        largest = r.max(initial=0.0)
-        backward = rest
-        if largest - 2.0 * math.sqrt(largest) >= m - 1:
-            forward = rest & (m <= r - 2.0 * np.sqrt(r))
-            backward = rest & ~forward
-            if forward.any():
-                _fill(rows, forward, _regular_forward(m, r[forward]))
-        if backward.any():
-            _fill(rows, backward, _regular_backward(m, r[backward], orders))
-    if not ladder:
-        return rows[0]
-    value, below = rows
+        value[rest] = np.sin(x) / x - np.cos(x)
+        return value
+    # r - 2 sqrt r rises for r >= 1 and is negative below 4, so no radius
+    # takes the forward branch (m >= 2) unless the largest comes within the
+    # margin of it; the margin of 1 on m keeps a rounding tie from skipping
+    # a radius that qualifies
+    largest = r.max(initial=0.0)
+    backward = rest
+    if largest - 2.0 * math.sqrt(largest) >= m - 1:
+        forward = rest & (m <= r - 2.0 * np.sqrt(r))
+        backward = rest & ~forward
+        if forward.any():
+            value[forward] = _regular_forward(m, r[forward])
+    if backward.any():
+        value[backward] = _regular_backward(m, r[backward])
+    return value
+
+
+def _regular_derivative(m: int, r: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """u'_m from u_m = ``value``: the ladder over u_{m-1} from its own values call."""
+    if m == 0:  # exact at the origin too
+        return np.cos(r)
+    below = _regular(m - 1, r)
     # the ladder, f'_m = f_{m-1} - (m/r) f_m, at every radius but the origin
     derivative = below - (m / r) * value
     if not r.all():  # some radius is 0, where the ladder reads 0 * inf
@@ -337,22 +322,27 @@ def _regular(m: int, r: np.ndarray, ladder: bool = True):
     # underflow (r^(m+1)/(2m+1)!! < 2.2e-308), so the ladder would lose
     # (m/r) u_m, a term of the same order, or overflow in m/r.  With
     # (m/r) u_m = u_{m-1} m/(2m+1) S_m/S_{m-1} the ladder needs neither.
-    underflow = (np.abs(value) < _TINY) & series
+    underflow = (np.abs(value) < _TINY) & (r > 0.0) & (r < SERIES_CROSSOVER)
     if underflow.any():
-        sum_ratio = (total[0] / total[1])[underflow[series]]
+        x = r[underflow]
+        sum_ratio = _regular_series_parts(m, x)[1] / _regular_series_parts(m - 1, x)[1]
         derivative[underflow] = below[underflow] * (1.0 - (m / (2 * m + 1)) * sum_ratio)
-    return value, derivative
+    return derivative
 
 
-def _irregular(m: int, r: np.ndarray):
-    """(v_m, v'_m) by forward recurrence from v_{-1} = sin, v_0 = -cos."""
-    if m == 0:
-        return -np.cos(r), np.sin(r)  # v'_0 = v_{-1}
-    prev = np.sin(r)
-    cur = -np.cos(r)
+def _irregular(m: int, r: np.ndarray) -> np.ndarray:
+    """v_m by forward recurrence from v_{-1} = sin, v_0 = -cos."""
+    prev, cur = np.sin(r), -np.cos(r)
     for k in range(m):
         prev, cur = cur, (2 * k + 1) / r * cur - prev
-    return cur, prev - (m / r) * cur
+    return cur
+
+
+def _irregular_derivative(m: int, r: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """v'_m from v_m = ``value``: the ladder over v_{m-1} from its own values call."""
+    if m == 0:
+        return np.sin(r)  # v'_0 = v_{-1}
+    return _irregular(m - 1, r) - (m / r) * value
 
 
 def _shaped(x: np.ndarray, r: np.ndarray):
@@ -360,17 +350,25 @@ def _shaped(x: np.ndarray, r: np.ndarray):
     return float(x[0]) if r.ndim == 0 else x.reshape(r.shape)
 
 
-def _pair(value, derivative, r: np.ndarray, name: str, failure: str) -> FunctionPair:
-    """Check finiteness and shape the result like the radii that came in."""
-    finite = np.isfinite(value) & np.isfinite(derivative)
+def _evaluate(family: str, m, r, derivative=None):
+    """Checks, core and OverflowError of the four entries; ``family`` is "u" or "v".
+
+    The values of order m, shaped like the radii, or with a ``derivative``
+    rule their ``FunctionPair``.  The error names the first radius where
+    either is not finite, with a prime if only the derivative is.
+    """
+    m = _check_order(m)
+    r = _check_radii(r, allow_zero=family == "u")
+    x = r.ravel()
+    with np.errstate(all="ignore"):
+        value = (_regular if family == "u" else _irregular)(m, x)
+        slope = None if derivative is None else derivative(m, x, value)
+    finite = np.isfinite(value) if slope is None else np.isfinite(value) & np.isfinite(slope)
     if not finite.all():
-        first = np.argmin(finite)  # the first radius where either half is not finite
-        prime = "'" if np.isfinite(value[first]) else ""  # there, only the derivative
-        raise OverflowError(f"{name}{prime}({float(r.flat[first])!r}) {failure}")
-    return FunctionPair(_shaped(value, r), _shaped(derivative, r))
-
-
-_REGULAR_FAILURE = "is not finite in double precision"
+        first = np.argmin(finite)
+        prime = "'" if np.isfinite(value[first]) else ""
+        raise OverflowError(f"{family}_{m}{prime}({float(r.flat[first])!r}) {_FAILURE[family]}")
+    return _shaped(value, r) if slope is None else FunctionPair(_shaped(value, r), _shaped(slope, r))
 
 
 def eval_regular(m, r) -> FunctionPair:
@@ -391,28 +389,13 @@ def eval_regular(m, r) -> FunctionPair:
         r <= 100: Python floats for a scalar ``r``, arrays of its shape
         otherwise.
     """
-    m = _check_order(m)
-    r = _check_radii(r, allow_zero=True)
-    with np.errstate(all="ignore"):
-        value, derivative = _regular(m, r.ravel())
-    return _pair(value, derivative, r, f"u_{m}", _REGULAR_FAILURE)
+    return _evaluate("u", m, r, _regular_derivative)
 
 
 def _regular_values(m, r):
-    """``eval_regular(m, r).value``, bit for bit, without the derivative.
-
-    The same checks of m and r and the same branches, but neither u_{m-1}
-    nor the ladder is formed; raises ``eval_regular``'s OverflowError at
-    the first radius where u_m is not finite.
-    """
-    m = _check_order(m)
-    r = _check_radii(r, allow_zero=True)
-    with np.errstate(all="ignore"):
-        value = _regular(m, r.ravel(), ladder=False)
-    finite = np.isfinite(value)
-    if not finite.all():
-        raise OverflowError(f"u_{m}({float(r.flat[np.argmin(finite)])!r}) {_REGULAR_FAILURE}")
-    return _shaped(value, r)
+    """``eval_regular(m, r).value``, bit for bit, with its checks and
+    OverflowError, but without u_{m-1} or the derivative."""
+    return _evaluate("u", m, r)
 
 
 def eval_irregular(m, r) -> FunctionPair:
@@ -423,11 +406,13 @@ def eval_irregular(m, r) -> FunctionPair:
     r > 0 strictly (v_m blows up like r^-m at the origin).  Takes a radius
     or an array of radii, like :func:`eval_regular`.
     """
-    m = _check_order(m)
-    r = _check_radii(r)
-    with np.errstate(all="ignore"):
-        value, derivative = _irregular(m, r.ravel())
-    return _pair(value, derivative, r, f"v_{m}", "overflows double precision")
+    return _evaluate("v", m, r, _irregular_derivative)
+
+
+def _irregular_values(m, r):
+    """``eval_irregular(m, r).value``, bit for bit, with its checks; raises its
+    OverflowError only where v_m itself overflows, not where v'_m alone does."""
+    return _evaluate("v", m, r)
 
 
 def wronskian(m, r):

@@ -898,19 +898,30 @@ class TestBatchedSweep:
 
     @pytest.mark.parametrize("refine", [False, True])
     def test_failing_chunk_falls_back_per_radius(self, refine, table_calls):
-        # v'_30 overflows at the first node of r = 1e-5: the batch raises, and
+        # v_30 overflows at the first node of r = 5e-6: the batch raises, and
         # each radius redoes its own tables
         spec = solve_gamma(validate_sets([0, 30], [2, 40]))
-        report = sweep(spec, 1e-5, 1.0, 5, refine=refine)
-        # the batch, then each radius; r = 1e-5 stops at its first grid's tables
+        report = sweep(spec, 5e-6, 1.0, 5, refine=refine)
+        # the batch, then each radius; r = 5e-6 stops at its first grid's tables
         assert len(table_calls) == (1 + 1 + 4 * 2 if refine else 1 + 5)
         assert report.failures == [
-            (1e-05, "v_30'(1.4405754494750553e-09) overflows double precision")
+            (5e-06, "v_30(7.202877247375276e-10) overflows double precision")
         ]
         assert len(report.rows) == 4
         assert (report.rows, report.failures) == per_radius_sweep(
-            spec, 1e-5, 1.0, 5, refine=refine
+            spec, 5e-6, 1.0, 5, refine=refine
         )
+
+    def test_radius_whose_derivatives_overflow_forms_its_matrix(self):
+        # for S = {0, 4, 8}, v'_8 overflows at the first node of r = 1e-30,
+        # v_8 itself only below r ~ 1.25e-34: the tables read values, so both
+        # radii form their matrices (at the small-radius limit of sigma)
+        spec = solve_gamma(validate_sets(*THREE_TERMS))
+        report = sweep(spec, 1e-30, 1e-29, 2)
+        assert report.failures == []
+        assert [(r, sigma) for r, sigma, _ in report.rows] == [
+            (1e-30, 1.000918915511637), (1e-29, 1.000918915511637)
+        ]
 
     @pytest.mark.parametrize("refine", [False, True])
     def test_unbuildable_grid_is_a_per_point_failure(self, reference_spec, refine, table_calls):
@@ -932,13 +943,13 @@ class TestBatchedSweep:
         # (a radius never splits), 2 at 600; the failing first chunk falls back
         monkeypatch.setattr(op_module, "_CHUNK_NODES", chunk_nodes)
         spec = solve_gamma(validate_sets([0, 30], [2, 40]))
-        report = sweep(spec, 1e-5, 2.0, 7, refine=True)
+        report = sweep(spec, 5e-6, 2.0, 7, refine=True)
         per_chunk = max(1, chunk_nodes // 288)
         batches = [n for n in table_calls if n > 192]
         assert len(batches) == -(-7 // per_chunk)
         assert max(batches) == per_chunk * 288
         assert (report.rows, report.failures) == per_radius_sweep(
-            spec, 1e-5, 2.0, 7, refine=True
+            spec, 5e-6, 2.0, 7, refine=True
         )
         assert len(report.failures) == 1
 

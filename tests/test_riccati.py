@@ -135,12 +135,12 @@ class TestBranchAgreement:
                 1: math.sin(r) / r - math.cos(r),
             }
             for m in (0, 1, 2):
-                prefactor, total = _regular_series_parts((m,), r)
-                series = float(prefactor[0, 0] * total[0, 0])
+                prefactor, total = _regular_series_parts(m, r)
+                series = float(prefactor[0] * total[0])
                 if m in closed:
                     other = closed[m]
                 else:
-                    other = float(_regular_backward(m, r)[0][0])
+                    other = float(_regular_backward(m, r)[0])
                 assert abs(series - other) <= 1e-12 * abs(other), (m, r)
 
     def test_crossover_constant(self):
@@ -247,20 +247,18 @@ def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
-def masked_series_parts(orders, r):
+def masked_series_parts(m, r):
     """:func:`_regular_series_parts` as summed with masks: each element stops on its own.
 
     The reference the mask-free loop must match bit for bit: an element
     adds its terms until the first that is no more than 1e-18 of its sum.
     """
-    prefactor = np.array([
-        np.float_power(r, m + 1) / riccati._double_factorial(2 * m + 1) for m in orders
-    ])
+    prefactor = np.float_power(r, m + 1) / riccati._double_factorial(2 * m + 1)
     half_r2 = -0.5 * r * r
     total = np.ones_like(prefactor)
     term = np.ones_like(prefactor)
     active = np.ones_like(prefactor, dtype=bool)
-    for denominator in riccati._series_denominators(tuple(orders)):
+    for denominator in riccati._series_denominators(m):
         if not active.any():
             break
         np.multiply(term, half_r2 / denominator, out=term, where=active)
@@ -278,17 +276,12 @@ class TestArrayEvaluation:
     @pytest.mark.parametrize("m", [0, 1, 2, 7, 50, 200])
     def test_batch_gives_the_bits_of_single_calls(self, m):
         # the radii alone; padded to n = block / 2 and block radii and one
-        # more each; padded with series radii to one below, at and one above
-        # the n whose rows m and m - 1 fill a block (summed in one loop up to
-        # it); and padded with backward radii to one below, at and one above
-        # the n whose ratios (2k + 1)/r fill a block (divided out in one call
-        # up to it, a row at a time beyond)
+        # more each; and padded with backward radii to one below, at and one
+        # above the n whose ratios (2k + 1)/r fill a block (divided out in
+        # one call up to it, a row at a time beyond)
         block = riccati._BLOCK_VALUES
         batches = [np.resize([0.3, 1.0, 3.0], size - self.RADII.size)  # series, backward
                    for size in (self.RADII.size, block // 2, block // 2 + 1, block, block + 1)]
-        series = self.RADII[(self.RADII > 0.0) & (self.RADII < SERIES_CROSSOVER)]
-        for count in (block // 2 - 1, block // 2, block // 2 + 1):
-            batches.append(np.full(count - series.size, 0.3))
         backward = self.RADII[(self.RADII >= SERIES_CROSSOVER)
                               & (m > self.RADII - 2.0 * np.sqrt(self.RADII))]
         if m >= 2:
@@ -324,28 +317,23 @@ class TestArrayEvaluation:
     def test_series_without_masks_keeps_the_masked_bits(self):
         # every element stops where the masked loop stopped it, or later by
         # terms below half an ulp of its sum: the same bits for orders 0 to
-        # 200, summed as eval_regular sums them (m with m - 1) and as the
-        # values path sums them (m alone), from subnormal radii through the
-        # [0.3, 0.7] overlap window
-        for orders in [(0,)] + [(m, m - 1) for m in range(1, 201)] + [(2,), (50,)]:
-            prefactor, total = _regular_series_parts(orders, SERIES_RADII)
-            expected_prefactor, expected_total = masked_series_parts(orders, SERIES_RADII)
-            assert np.array_equal(prefactor, expected_prefactor), orders
-            assert np.array_equal(total, expected_total), orders
+        # 200, from subnormal radii through the [0.3, 0.7] overlap window
+        for m in range(201):
+            prefactor, total = _regular_series_parts(m, SERIES_RADII)
+            expected_prefactor, expected_total = masked_series_parts(m, SERIES_RADII)
+            assert np.array_equal(prefactor, expected_prefactor), m
+            assert np.array_equal(total, expected_total), m
 
     @pytest.mark.parametrize("m", [1, 2, 30])
     def test_series_rows_summed_together_keep_their_bits(self, m):
         # the terms fall below 1e-18 of the sum after 2 terms at r = 1e-6 and
         # after about 9 at 0.49, so the batch's elements stop at different k
         radii = np.geomspace(1e-6, 0.49, 40)
-        prefactor, total = _regular_series_parts((m, m - 1), radii)
-        for row, order in enumerate((m, m - 1)):
-            own_prefactor, own_total = _regular_series_parts((order,), radii)
-            assert np.array_equal(prefactor[row], own_prefactor[0]), order
-            assert np.array_equal(total[row], own_total[0]), order
+        for order in (m, m - 1):
+            _, total = _regular_series_parts(order, radii)
             for i, r in enumerate(radii):
-                _, alone = _regular_series_parts((order,), r)
-                assert alone[0, 0] == total[row, i], (order, r)
+                _, alone = _regular_series_parts(order, r)
+                assert alone[0] == total[i], (order, r)
 
     def test_rescale_path_is_exercised(self):
         # the recurrence from the 1e-300 seed at order m + _MILLER_PAD grows
@@ -353,8 +341,8 @@ class TestArrayEvaluation:
         # u_m and u_{m-1}, both normal doubles, come out right only because
         # it rescales; without the rescale they are inf or nan
         for m, r in ((30, 1e-7), (20, 1e-10)):
-            value, below = _regular_backward(m, r)
-            for got, order in ((value[0], m), (below[0], m - 1)):
+            for order in (m, m - 1):
+                got = _regular_backward(order, r)[0]
                 expected = mp_regular(order, r)
                 assert abs(got - expected) <= 1e-12 * abs(expected), (m, r, order)
         assert np.isfinite(eval_regular(200, 0.6).value)  # rescaled, underflows to 0
@@ -368,6 +356,9 @@ class TestArrayEvaluation:
         radii = np.linspace(0.1, 5.0, 6).reshape(2, 3)
         assert eval_regular(4, radii).value.shape == (2, 3)
         assert eval_irregular(4, radii).derivative.shape == (2, 3)
+        # no radius: the one min/max check of the radii passes it
+        assert eval_regular(4, np.empty((0, 2))).value.shape == (0, 2)
+        assert riccati._irregular_values(4, np.empty((0, 2))).shape == (0, 2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_array_with_a_bad_radius_raises(self, bad):
@@ -405,8 +396,8 @@ class TestArrayEvaluation:
 
     @pytest.mark.parametrize("m", [0, 1, 2, 7, 50, 200])
     def test_values_path_batches(self, m):
-        # from one radius to 20000, past the sizes where the series rows and
-        # the Miller ratios stop fitting one block, drawn over every branch
+        # from one radius to 20000, past the sizes where the Miller ratios
+        # stop fitting one block, drawn over every branch
         rng = np.random.default_rng(m)
         pool = np.concatenate([self.VALUE_RADII, SERIES_RADII, np.geomspace(0.5, 1e3, 200)])
         block = riccati._BLOCK_VALUES
@@ -429,8 +420,7 @@ class TestArrayEvaluation:
             edge = (1.0 + math.sqrt(m + 1.0)) ** 2
             near = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf)])
             forward = m <= near - 2.0 * np.sqrt(near)
-            expected = np.where(forward, _regular_forward(m, near)[0],
-                                _regular_backward(m, near)[0])
+            expected = np.where(forward, _regular_forward(m, near), _regular_backward(m, near))
             for radii in (near, np.concatenate([[0.3, 1.0, 3.0], near])):
                 for evaluate in (lambda m, r: eval_regular(m, r).value, riccati._regular_values):
                     assert np.array_equal(bits(evaluate(m, radii)[-3:]), bits(expected)), m
@@ -454,10 +444,10 @@ class TestArrayEvaluation:
         # both paths name that radius, and only the value, in one message
         real = riccati._regular_backward
 
-        def poisoned(m, r, orders=2):
-            rows = real(m, r, orders)
-            rows[0][r == 3.0] = math.inf
-            return rows
+        def poisoned(m, r):
+            value = real(m, r)
+            value[r == 3.0] = math.inf
+            return value
 
         monkeypatch.setattr(riccati, "_regular_backward", poisoned)
         radii = np.array([0.3, 1.0, 3.0, 20.0, 3.0])
@@ -465,6 +455,50 @@ class TestArrayEvaluation:
             with pytest.raises(OverflowError,
                                match=r"^u_5\(3\.0\) is not finite in double precision$"):
                 evaluate(5, radii)
+
+    # positive radii, from 1e3 down to the smallest subnormal
+    IRREGULAR_RADII = np.unique(np.concatenate([
+        VALUE_RADII[VALUE_RADII > 0.0], SERIES_RADII, [1e-100, 1e-34, 1e-30, 1e-10],
+    ]))[::-1]
+
+    def test_irregular_values_path_has_the_bits_of_eval_irregular_at_every_order(self):
+        # compared where the pair is finite: the pair names its first, so
+        # largest, failing radius, and the comparison keeps the radii above
+        for m in range(201):
+            radii = self.IRREGULAR_RADII
+            while True:
+                try:
+                    expected = eval_irregular(m, radii).value
+                    break
+                except OverflowError as error:
+                    failed = float(re.search(r"\((.*)\)", str(error)).group(1))
+                    radii = radii[radii > failed]
+            assert radii.size, m
+            assert np.array_equal(bits(riccati._irregular_values(m, radii)), bits(expected)), m
+            for r in radii[::20]:
+                value = riccati._irregular_values(m, float(r))
+                assert type(value) is float
+                assert bits(value) == bits(eval_irregular(m, float(r)).value), (m, r)
+
+    def test_irregular_values_path_fails_only_where_the_value_overflows(self):
+        # v_8(1e-34) = -15!! / r^8 = -2.027025e278 is finite where the pair
+        # names v'_8 (test_overflow_names_the_half_that_overflows); at 1e-38
+        # the value overflows too, and the values path gives the pair's
+        # message, alone and after 1e-34 in an array
+        assert riccati._irregular_values(8, 1e-34) == pytest.approx(-2.027025e278, rel=1e-14)
+        for r in (1e-38, np.array([1.0, 1e-34, 1e-38])):
+            with pytest.raises(OverflowError, match=r"^v_8\(1e-38\) overflows double precision$"):
+                riccati._irregular_values(8, r)
+
+    @pytest.mark.parametrize("m, r", [
+        (-1, 1.0), (2.5, 1.0), (2, 0.0), (2, math.nan), (2, -1.0),
+        (0, np.array([0.5, 0.0])), (3, np.array([1.0, -2.0, math.inf])),
+    ])
+    def test_irregular_values_path_raises_where_eval_irregular_raises(self, m, r):
+        with pytest.raises(Exception) as expected:
+            eval_irregular(m, r)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            riccati._irregular_values(m, r)
 
 
 class TestAgainstMpmath:
@@ -481,3 +515,20 @@ class TestAgainstMpmath:
         ref = float(mp_irregular(m, r))
         value = eval_irregular(m, r).value
         assert abs(value - ref) <= 1e-12 * abs(ref)
+
+    def test_regular_derivative_accuracy(self):
+        # u'_m is the ladder u_{m-1} - (m/r) u_m over two value calls; its
+        # error, relative to the size of the ladder's two terms, over orders
+        # 1 to 50 on radii from the series through the Miller and forward
+        # branches, stays at a few ulps (9.8e-16 at (46, 4.76) here, 5.6e-16
+        # when u_{m-1} came from u_m's own recurrence)
+        worst = 0.0
+        for r in np.geomspace(0.01, 12.0, 24):
+            r = float(r)
+            exact = [mp_regular(m, r) for m in range(51)]
+            derivatives = [eval_regular(m, r).derivative for m in range(1, 51)]
+            for m, derivative in enumerate(derivatives, 1):
+                ref = exact[m - 1] - m / mp.mpf(r) * exact[m]
+                scale = abs(exact[m - 1]) + m / mp.mpf(r) * abs(exact[m])
+                worst = max(worst, float(abs(derivative - ref) / scale))
+        assert worst <= 2e-15
