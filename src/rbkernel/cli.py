@@ -4,8 +4,11 @@ Every capability of the library is exposed as a subcommand with
 machine-readable output so the whole verification is reproducible from a
 shell.  Tabular subcommands (p-scan, sweep, identity-check) default to CSV
 with a fixed header; scalar subcommands (gamma, kernel-eval, find-root)
-default to compact JSON.  Identical invocations produce byte-identical
-output.
+default to compact JSON.  Each command builds one ``ScanReport``, plus a
+JSON object for the scalar ones, and ``_emit`` writes it through
+:mod:`rbkernel.report`, the package's one writer: CSV from the table, JSON
+from the object if there is one, else from the table's rows.  Identical
+invocations produce byte-identical output.
 
 Exit codes: 0 success (or verification pass), 1 verification failure,
 2 usage or domain error.
@@ -14,7 +17,6 @@ Exit codes: 0 success (or verification pass), 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -29,7 +31,7 @@ from .operator import (
     radius_range,
     sweep,
 )
-from .report import ScanReport, fmt_float
+from .report import ScanReport, json_text
 from .riccati import eval_regular  # noqa: F401  perfbench's tracer test reads cli.eval_regular
 
 __all__ = ["main", "build_parser"]
@@ -42,28 +44,17 @@ def _parse_set(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"malformed set {text!r}; expected comma-separated numerals")
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
+def _emit(args, report: ScanReport, payload=None) -> None:
+    """Write the report as CSV, or as JSON: ``payload`` if given, else the
+    report's rows; then warn of each of the report's failures."""
+    if args.format == "csv":
+        text = report.to_csv_text()
+    else:
+        text = report.to_json_text() if payload is None else json_text(payload)
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text)
-
-
-def _emit_scalars(pairs: list[tuple[str, object]], args) -> None:
-    """Write name/value pairs as one JSON object or a one-row CSV."""
-    if args.format == "json":
-        _emit(json.dumps(dict(pairs), separators=(",", ":")) + "\n", args.output)
-    else:
-        names = ",".join(name for name, _ in pairs)
-        cells = ",".join(
-            fmt_float(v) if isinstance(v, float) else str(v) for _, v in pairs
-        )
-        _emit(names + "\n" + cells + "\n", args.output)
-
-
-def _emit_report(report: ScanReport, args) -> None:
-    text = report.to_csv_text() if args.format == "csv" else report.to_json_text()
-    _emit(text, args.output)
+        Path(args.output).write_text(text)
     for point, message in report.failures:
         print(f"warning: point {point!r} failed: {message}", file=sys.stderr)
 
@@ -151,20 +142,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gamma(args) -> int:
-    spec = solve_gamma(validate_sets(args.s, args.t))
-    if args.format == "json":
-        _emit(json.dumps({"gamma": list(spec.gamma)}, separators=(",", ":")) + "\n",
-              args.output)
-    else:
-        lines = ["gamma"] + [fmt_float(g) for g in spec.gamma]
-        _emit("\n".join(lines) + "\n", args.output)
+    gamma = solve_gamma(validate_sets(args.s, args.t)).gamma
+    _emit(args, ScanReport(("gamma",), [(g,) for g in gamma]), {"gamma": list(gamma)})
     return 0
 
 
 def _cmd_kernel_eval(args) -> int:
     spec = solve_gamma(validate_sets(args.s, args.t))
-    value = eval_kernel(spec, args.eval_s, args.eval_t)
-    _emit_scalars([("s", args.eval_s), ("t", args.eval_t), ("value", value)], args)
+    columns = ("s", "t", "value")
+    row = (args.eval_s, args.eval_t, eval_kernel(spec, args.eval_s, args.eval_t))
+    _emit(args, ScanReport(columns, [row]), dict(zip(columns, row)))
     return 0
 
 
@@ -174,28 +161,17 @@ def _cmd_p_scan(args) -> int:
         values = cx.p_wronskian(radii).tolist()
     else:
         values = [cx.P_ROUTES[args.route](r) for r in radii.tolist()]
-    rows = list(zip(radii.tolist(), values))
-    _emit_report(ScanReport(columns=("r", "p"), rows=rows), args)
+    _emit(args, ScanReport(("r", "p"), list(zip(radii.tolist(), values))))
     return 0
 
 
 def _cmd_find_root(args) -> int:
     result = cx.find_root(args.lo, args.hi, tol=args.tol, route=args.route)
-    if args.format == "json":
-        payload = {
-            "R": result.root,
-            "bracket": list(result.bracket),
-            "residual": result.residual,
-            "iterations": result.iterations,
-        }
-        _emit(json.dumps(payload, separators=(",", ":")) + "\n", args.output)
-    else:
-        _emit_scalars(
-            [("R", result.root), ("residual", result.residual),
-             ("iterations", result.iterations),
-             ("bracket_lo", result.bracket[0]), ("bracket_hi", result.bracket[1])],
-            args,
-        )
+    lo, hi = result.bracket
+    table = ScanReport(("R", "residual", "iterations", "bracket_lo", "bracket_hi"),
+                       [(result.root, result.residual, result.iterations, lo, hi)])
+    _emit(args, table, {"R": result.root, "bracket": [lo, hi],
+                        "residual": result.residual, "iterations": result.iterations})
     return 0
 
 
@@ -210,9 +186,7 @@ def _cmd_identity_check(args) -> int:
     k_u2 = [apply_operator(spec, r, cx._u2, s, tol=args.tol) for s in points.tolist()]
     rhs, residual = cx._identity_terms(r, points, k_u2)
     rows = list(zip(points.tolist(), k_u2, rhs.tolist(), residual.tolist()))
-    _emit_report(
-        ScanReport(columns=("s", "J", "identity_rhs", "residual"), rows=rows), args
-    )
+    _emit(args, ScanReport(("s", "J", "identity_rhs", "residual"), rows))
     return 0
 
 
@@ -223,7 +197,7 @@ def _cmd_sweep(args) -> int:
         panels_count=args.panels, nodes_per_panel=args.nodes,
         grading=args.grading, refine=args.refine,
     )
-    _emit_report(report, args)
+    _emit(args, report)
     return 0
 
 

@@ -26,7 +26,6 @@ away at r = 1 and r = 3.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -46,6 +45,7 @@ from .operator import (
     min_singular_value,
     self_adjoint_certificate,
 )
+from .report import json_text
 from .riccati import _regular_values, check_radius, eval_irregular, eval_regular
 
 __all__ = [
@@ -150,7 +150,7 @@ class VerificationReport:
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":")) + "\n"
+        return json_text(self.to_json_dict())
 
     def summary_text(self) -> str:
         lines = [f"R ≈ {self.r_used!r}"]
@@ -294,22 +294,18 @@ def find_root(lo, hi, tol: float = 1e-12, route: str = "explicit") -> RootResult
     return RootResult(root=root, bracket=(lo, hi), residual=residual, iterations=iterations)
 
 
-def _u(m: int, t):
-    """u_m at a radius or an array of radii t: ``eval_regular(m, t).value``.
-
-    The same bits, checks and OverflowError, from the values path, which
-    forms no derivative: the integrand u_2 of every quadrature here and the
-    identity, equation and null-vector targets need none.
-    """
-    return _regular_values(m, t)
-
-
 def _default_points(r: float, count: int = 20) -> np.ndarray:
     return np.linspace(r / count, r, count)
 
 
-# u_2 as the one-argument h that apply_operator integrates
-_u2 = partial(_u, 2)
+def _u2(t):
+    """u_2 at a radius or an array of radii t, the h that apply_operator integrates.
+
+    ``eval_regular(2, t).value``'s bits, checks and OverflowError, from the
+    values path, which forms no derivative: the quadratures and the identity,
+    equation and null-vector targets need none.
+    """
+    return _regular_values(2, t)
 
 
 def check_identity(r, s_points=None) -> float:
@@ -327,7 +323,7 @@ def check_identity(r, s_points=None) -> float:
 
 def _identity_terms(r: float, points: np.ndarray, k_u2):
     """u_2 + p(r) u_0 at the points, and its distance from ``k_u2``, (K u_2) there."""
-    rhs = _u(2, points) + p_explicit(r) * _u(0, points)
+    rhs = _u2(points) + p_explicit(r) * _regular_values(0, points)
     return rhs, np.abs(k_u2 - rhs)
 
 
@@ -352,7 +348,7 @@ def _equation_residual(u2_points: np.ndarray, k_u2: np.ndarray) -> float:
 def _null_vector_deviation(certificate: SelfAdjointCertificate) -> float:
     """Max deviation of the certificate's null vector from u_2, both D-scaled."""
     grid = certificate.operator.grid
-    target = _u(2, grid.nodes) * grid.l2_scaling
+    target = _u2(grid.nodes) * grid.l2_scaling
     norm = np.linalg.norm(target)
     if norm == 0.0:
         raise ValueError(f"u_2 underflows to 0 at the nodes of radius {grid.r!r}")
@@ -429,7 +425,7 @@ def verify_counterexample(r_override=None) -> VerificationReport:
         _step("identity_residual", "identity_check", lambda: max(
             _identity_residual(r, at, _unwrap(k_u2[r])) for r, at in points.items())),
         _step("equation_residual", "equation_check", lambda: _equation_residual(
-            _u(2, points[r_used]), _unwrap(k_u2[r_used]))),
+            _u2(points[r_used]), _unwrap(k_u2[r_used]))),
         _step("sigma_min_at_R", "spectral_certificate", lambda: _unwrap(certificate).sigma_min),
         _step("null_vector_deviation", "null_vector_check",
               lambda: _null_vector_deviation(_unwrap(certificate))),

@@ -67,7 +67,7 @@ from typing import Callable
 import numpy as np
 
 from .kernel import KernelSpec
-from .report import ScanReport, fmt_float
+from .report import ScanReport, csv_text
 from .riccati import _irregular_values, _regular_values, check_radius, eval_irregular, eval_regular
 
 __all__ = [
@@ -187,6 +187,8 @@ class SeparableNystromOperator:
     :func:`kink_exact_matrix` shares.  The form is built in one pass, which
     also measures how far its diagonal panel blocks were from symmetric;
     :func:`self_adjoint_certificate` reports that as its ``asymmetry``.
+    A grid whose tables are finite forms even where -gamma a v alone would
+    overflow (see :meth:`_generators`).
     """
 
     grid: QuadratureGrid
@@ -194,10 +196,21 @@ class SeparableNystromOperator:
     panel_rule: np.ndarray | None = None
 
     def _generators(self) -> tuple[np.ndarray, np.ndarray]:
-        """P = -gamma a v (N x |S|) and Q^T = (a u)^T (|S| x N), a = sqrt(w)/t."""
+        """P = -gamma a v (N x |S|) and Q^T = (a u)^T (|S| x N), a = sqrt(w)/t,
+        each order's column of P divided and row of Q^T multiplied by one power of two.
+
+        The power balances the exponents of max |v_m| and max |u_m|, so P stays
+        finite where -gamma a v alone would overflow.  Scaling by a power of two
+        commutes with rounding: wherever no entry, scaled or not, is subnormal
+        or overflows, every entry of P Q^T keeps the bits of the unscaled product.
+        """
         scaling = self.grid.l2_scaling
-        rows = np.stack([-g * scaling * v for g, _, v in self.tables], axis=1)
-        columns = np.stack([scaling * u for _, u, _ in self.tables])
+        gamma = np.array([g for g, _, _ in self.tables])
+        tables = np.array([(u, v) for _, u, v in self.tables])  # |S| x 2 x N
+        exponent = np.frexp(np.max(np.abs(tables), axis=2))[1]
+        shift = ((exponent[:, 1] - exponent[:, 0]) // 2)[:, None]
+        rows = -gamma * scaling[:, None] * np.ldexp(tables[:, 1], -shift).T
+        columns = scaling * np.ldexp(tables[:, 0], shift)
         return rows, columns
 
     def _form(self) -> tuple[np.ndarray, float]:
@@ -450,9 +463,8 @@ def dump_matrix(op: SeparableNystromOperator, path) -> None:
     """
     form = op.own_norm_form()
     symmetric = np.where(np.tri(len(form), dtype=bool), form, form.T)
-    lines = [",".join(fmt_float(entry) for entry in row) for row in symmetric]
     with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(csv_text(symmetric.tolist()))
 
 
 @lru_cache(maxsize=32)

@@ -148,6 +148,25 @@ class TestFindRoot:
         assert "sign change" in err
 
 
+class TestScalarBytes:
+    """The exact stdout of the scalar commands: one JSON object, or a one-table CSV."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["gamma"], '{"gamma":[-6.0]}\n'),
+        (["gamma", "--format", "csv"], "gamma\n-6\n"),
+        (["kernel-eval", "--eval-s", "2.0", "--eval-t", "1.0"],
+         '{"s":2.0,"t":1.0,"value":-2.1010529302440877}\n'),
+        (["kernel-eval", "--eval-s", "2.0", "--eval-t", "1.0", "--format", "csv"],
+         "s,t,value\n2,1,-2.1010529302440877\n"),
+        (["find-root"],
+         '{"R":2.4431401944938766,"bracket":[2.0,2.5],"residual":0.0,"iterations":48}\n'),
+        (["find-root", "--format", "csv"],
+         "R,residual,iterations,bracket_lo,bracket_hi\n2.4431401944938766,0,48,2,2.5\n"),
+    ])
+    def test_stdout(self, capsys, argv, expected):
+        assert run_cli(capsys, *argv) == (0, expected, "")
+
+
 class TestIdentityCheck:
     def test_columns_and_residuals(self, capsys):
         code, out, _ = run_cli(capsys, "identity-check", "--r", "1.0",

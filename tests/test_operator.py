@@ -142,6 +142,21 @@ class TestNystromMatrix:
             sigma = min_singular_value(op)
         assert sigma == np.min(np.abs(1.0 - np.linalg.eigvalsh(symmetric)))
 
+    @pytest.mark.parametrize("sets", [([0], [2]), THREE_TERMS, ([0, 30], [2, 40])])
+    def test_scaled_generators_keep_the_bits_of_the_plain_product(self, sets):
+        # each order's pair is scaled by a power of two before the product;
+        # where the unscaled P = -gamma a v and Q = a u are finite and normal,
+        # the lower triangle is that of P Q^T, bit for bit
+        spec = solve_gamma(validate_sets(*sets))
+        for r in (0.05, 0.5, 2.0, 6.0):
+            grid = build_grid(r, 8, 12)
+            op = nystrom_matrix(spec, grid)
+            a = grid.l2_scaling
+            with np.errstate(over="ignore"):  # above the diagonal, at S = {0, 30}
+                plain = (np.stack([-g * a * v for g, _, v in op.tables], axis=1)
+                         @ np.stack([a * u for _, u, _ in op.tables]))
+            assert np.array_equal(np.tril(op.own_norm_form()), np.tril(plain)), r
+
     @pytest.mark.parametrize("sets", [([0], [2]), THREE_TERMS])
     @pytest.mark.parametrize("grading", [1.0, 2.0])
     @pytest.mark.parametrize("panels", [8, 16])
@@ -922,6 +937,18 @@ class TestBatchedSweep:
         assert [(r, sigma) for r, sigma, _ in report.rows] == [
             (1e-30, 1.000918915511637), (1e-29, 1.000918915511637)
         ]
+
+    def test_radius_whose_generator_overflows_forms_its_matrix(self):
+        # the tables of r = 1e-5 are finite (max |v_30| = 5.1e305), but
+        # gamma_30 a v_30 alone overflows; the radius forms its matrix, at a
+        # sigma next to that of r = 0.2500075
+        spec = solve_gamma(validate_sets([0, 30], [2, 40]))
+        report = sweep(spec, 1e-5, 1.0, 5)
+        assert report.failures == []
+        assert (report.rows, report.failures) == per_radius_sweep(spec, 1e-5, 1.0, 5)
+        (r_min, sigma, _), (r_next, sigma_next, _) = report.rows[:2]
+        assert (r_min, r_next) == (1e-5, 0.2500075)
+        assert abs(sigma - sigma_next) <= 1e-8
 
     @pytest.mark.parametrize("refine", [False, True])
     def test_unbuildable_grid_is_a_per_point_failure(self, reference_spec, refine, table_calls):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbkernel import ScanReport
-from rbkernel.report import fmt_float
+from rbkernel.report import csv_text, fmt_float, json_text
 
 from conftest import csv_table, json_table
 
@@ -48,6 +48,17 @@ def test_nan_rejected_in_json():
     report = ScanReport(columns=("x",), rows=[(math.nan,)])
     with pytest.raises(ValueError):
         report.to_json_text()
+
+
+def test_json_text_is_one_compact_line_that_rejects_non_finite_values():
+    assert json_text({"value": 1.0, "list": [2.5, None]}) == '{"value":1.0,"list":[2.5,null]}\n'
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            json_text({"value": value})
+
+
+def test_csv_text_without_columns_has_no_header():
+    assert csv_text([(1.0, None), (2.5, -6)]) == "1,\n2.5,-6\n"
 
 
 # Finite doubles of every magnitude, negative zero, values that need all 17
