@@ -14,11 +14,12 @@ requested tolerance.  It takes one point or an array of points and
 evaluates h and the kernel families on the nodes of all of them at once.
 
 Both matrices of K act on values at the grid nodes and are one class,
-``SeparableNystromOperator``, held by the family tables (gamma_m, u_m, v_m)
-at the nodes.  K is self-adjoint on L^2((0, r], t^-2 dt), and
-D = sqrt(w)/t maps node values to vectors normed in it, so min |1 - lambda|
-over the eigenvalues of the symmetric form of S = D A D^-1 measures, on a
-grid-independent scale, how close h = K h is to a nontrivial solution.
+``SeparableNystromOperator``, held by gamma and the family tables, one
+|S| x 2 x N array of u_m and v_m at the nodes.  K is self-adjoint on
+L^2((0, r], t^-2 dt), and D = sqrt(w)/t maps node values to vectors normed
+in it, so min |1 - lambda| over the eigenvalues of the symmetric form of
+S = D A D^-1 measures, on a grid-independent scale, how close h = K h is
+to a nontrivial solution.
 With the generators P = -gamma a v and Q = a u (a column per order,
 a = sqrt(w)/t), S[i, j] = (P Q^T)[i, j] below the diagonal wherever row and
 column lie in different panels.  A itself is never formed and t is never
@@ -108,12 +109,12 @@ DEFAULT_QUAD_TOL = 1e-10
 
 _MAX_DOUBLINGS = 14
 
-# Most quadrature nodes apply_operator holds at once: a pass's rows are
-# processed in chunks of at most this many nodes over all the pass's levels
-# (one row may exceed it), so a call that fails to converge stays within a
-# few rows' worth of memory.
-# sweep tabulates the Riccati functions on chunks of radii of at most this
-# many grid nodes (one radius may exceed it), so a long sweep stays bounded.
+# Most nodes held at once by apply_operator's quadrature and by sweep's
+# family tables: a quadrature pass takes its rows in chunks of at most this
+# many nodes over all the pass's levels (one row may exceed it), and sweep
+# takes its radii in chunks of at most this many grid nodes (one radius may
+# exceed it), so a call that fails to converge, or a long sweep, stays
+# bounded in memory.
 _CHUNK_NODES = 2**16
 
 # Gauss-Legendre nodes per panel of the apply_operator quadrature.
@@ -178,11 +179,13 @@ class QuadratureGrid:
 
 @dataclass(frozen=True, eq=False)
 class SeparableNystromOperator:
-    """A matrix A of K on the grid's nodes, held by its family tables.
+    """A matrix A of K on the grid's nodes, held by gamma and its family tables.
 
-    ``tables`` holds one (gamma_m, u_m, v_m) per order in S, at the nodes;
-    since g(s, t) = sum_m gamma_m u_m(min) v_m(max), they fix A, which is
-    read only through :meth:`own_norm_form`.  ``panel_rule`` is None for
+    ``gamma`` holds the |S| coefficients gamma_m, and ``tables`` is one
+    |S| x 2 x N array, ``tables[:, 0]`` u_m and ``tables[:, 1]`` v_m at the
+    nodes, a row per order in S: the shape the product reads.  Since
+    g(s, t) = sum_m gamma_m u_m(min) v_m(max), they fix A, which is read
+    only through :meth:`own_norm_form`.  ``panel_rule`` is None for
     :func:`nystrom_matrix`, or the n x n rule every panel of
     :func:`kink_exact_matrix` shares.  The form is built in one pass, which
     also measures how far its diagonal panel blocks were from symmetric;
@@ -192,7 +195,8 @@ class SeparableNystromOperator:
     """
 
     grid: QuadratureGrid
-    tables: tuple
+    gamma: np.ndarray
+    tables: np.ndarray
     panel_rule: np.ndarray | None = None
 
     def _generators(self) -> tuple[np.ndarray, np.ndarray]:
@@ -205,12 +209,10 @@ class SeparableNystromOperator:
         or overflows, every entry of P Q^T keeps the bits of the unscaled product.
         """
         scaling = self.grid.l2_scaling
-        gamma = np.array([g for g, _, _ in self.tables])
-        tables = np.array([(u, v) for _, u, v in self.tables])  # |S| x 2 x N
-        exponent = np.frexp(np.max(np.abs(tables), axis=2))[1]
+        exponent = np.frexp(np.max(np.abs(self.tables), axis=2))[1]
         shift = ((exponent[:, 1] - exponent[:, 0]) // 2)[:, None]
-        rows = -gamma * scaling[:, None] * np.ldexp(tables[:, 1], -shift).T
-        columns = scaling * np.ldexp(tables[:, 0], shift)
+        rows = -self.gamma * scaling[:, None] * np.ldexp(self.tables[:, 1], -shift).T
+        columns = scaling * np.ldexp(self.tables[:, 0], shift)
         return rows, columns
 
     def _form(self) -> tuple[np.ndarray, float]:
@@ -329,21 +331,10 @@ def spectral_grid(r) -> QuadratureGrid:
     )
 
 
-def _family_tables(spec: KernelSpec, points: np.ndarray):
-    """u_m and v_m sampled at the given points, per order in S (values only)."""
-    return [
-        (g, _regular_values(m, points), _irregular_values(m, points)) for m, g in spec.terms()
-    ]
-
-
-def _grid_tables(spec: KernelSpec, grids) -> list:
-    """``_family_tables`` of each grid, from one call on all their nodes."""
-    ends = np.cumsum([grid.size for grid in grids])[:-1]
-    per_grid = [[] for _ in grids]
-    for g, u, v in _family_tables(spec, np.concatenate([grid.nodes for grid in grids])):
-        for tables, u_part, v_part in zip(per_grid, np.split(u, ends), np.split(v, ends)):
-            tables.append((g, u_part, v_part))
-    return per_grid
+def _family_tables(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
+    """u_m ([:, 0]) and v_m ([:, 1]) at the points, |S| x 2 x len(points) (values only)."""
+    return np.array([(_regular_values(m, points), _irregular_values(m, points))
+                     for m, _ in spec.terms()])
 
 
 def _over_square(t: np.ndarray, family: np.ndarray, h_values: np.ndarray) -> np.ndarray:
@@ -366,13 +357,13 @@ def _over_square(t: np.ndarray, family: np.ndarray, h_values: np.ndarray) -> np.
 
 
 def nystrom_matrix(spec: KernelSpec, grid: QuadratureGrid) -> SeparableNystromOperator:
-    """The Nystrom operator on the grid's nodes, held by its family tables.
+    """The Nystrom operator on the grid's nodes, held by gamma and its |S| x 2 x N tables.
 
     Collocation points coincide with the quadrature nodes.  The degenerate
     form of the kernel keeps it at O(N) function evaluations; its D-scaled
     form costs O(N^2) arithmetic more, each time it is formed.
     """
-    return SeparableNystromOperator(grid, tuple(_family_tables(spec, grid.nodes)))
+    return SeparableNystromOperator(grid, np.array(spec.gamma), _family_tables(spec, grid.nodes))
 
 
 @lru_cache(maxsize=32)
@@ -394,7 +385,7 @@ def _legendre_cumulative(n: int) -> np.ndarray:
 
 
 def kink_exact_matrix(spec: KernelSpec, grid: QuadratureGrid) -> SeparableNystromOperator:
-    """The product-integration matrix of K on the grid's nodes, held by its family tables.
+    """The product-integration matrix of K on the grid's nodes, held by gamma and its tables.
 
     With L the cumulative integration matrix (integral_0^{t_i}) and
     U = W - L its complement,
@@ -410,8 +401,8 @@ def kink_exact_matrix(spec: KernelSpec, grid: QuadratureGrid) -> SeparableNystro
     nodes_per_panel, rest = divmod(grid.size, len(grid.panel_bounds) - 1)
     if rest:
         raise ValueError("the grid must have the same number of nodes in every panel")
-    return SeparableNystromOperator(
-        grid, tuple(_family_tables(spec, grid.nodes)), _legendre_cumulative(nodes_per_panel))
+    return SeparableNystromOperator(grid, np.array(spec.gamma), _family_tables(spec, grid.nodes),
+                                    _legendre_cumulative(nodes_per_panel))
 
 
 def _distances_from_one(symmetric: np.ndarray) -> np.ndarray:
@@ -719,6 +710,7 @@ def sweep(
     """
     radii = radius_range(r_min, r_max, steps).tolist()
     spec.terms()  # non-integer orders fail here, not at every point
+    gamma = np.array(spec.gamma)
     _check_grid_shape(panels_count, nodes_per_panel, grading)
     panel_counts = (panels_count, 2 * panels_count) if refine else (panels_count,)
     chunk_radii = max(1, _CHUNK_NODES // (sum(panel_counts) * nodes_per_panel))
@@ -731,7 +723,10 @@ def sweep(
                                    for count in panel_counts])
                  for r in chunk]
         built = [grid for own in grids if not isinstance(own, Exception) for grid in own]
-        tables = _outcome(lambda: _grid_tables(spec, built) if built else [])
+        # each built grid's tables are a view of the chunk's one |S| x 2 x N array
+        ends = np.cumsum([grid.size for grid in built])[:-1]
+        tables = _outcome(lambda: np.split(_family_tables(
+            spec, np.concatenate([grid.nodes for grid in built])), ends, axis=2) if built else [])
         # if the chunk's tables fail, each radius redoes its own, for its own message
         tables = iter([None] * len(built) if isinstance(tables, Exception) else tables)
         for r, own in zip(chunk, grids):
@@ -741,7 +736,7 @@ def sweep(
             own_tables = [next(tables) for _ in own]
             sigmas = _outcome(lambda: [
                 min_singular_value(nystrom_matrix(spec, grid) if grid_tables is None
-                                   else SeparableNystromOperator(grid, tuple(grid_tables)))
+                                   else SeparableNystromOperator(grid, gamma, grid_tables))
                 for grid, grid_tables in zip(own, own_tables)])
             if isinstance(sigmas, Exception):  # per-point failures must not kill the scan
                 failures.append((r, str(sigmas)))

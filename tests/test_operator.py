@@ -119,8 +119,8 @@ class TestNystromMatrix:
 
     def test_non_finite_entries_name_the_radius(self):
         grid = build_grid(1.7, panels_count=2, nodes_per_panel=3)
-        tables = ((1.0, np.full(grid.size, np.inf), np.ones(grid.size)),)
-        op = SeparableNystromOperator(grid, tables)
+        tables = np.array([(np.full(grid.size, np.inf), np.ones(grid.size))])
+        op = SeparableNystromOperator(grid, np.array([1.0]), tables)
         for evaluate in (op.own_norm_form, lambda: min_singular_value(op)):
             with pytest.raises(ValueError) as exc:
                 evaluate()
@@ -132,7 +132,7 @@ class TestNystromMatrix:
         grid = QuadratureGrid(r=1.0, panel_bounds=(0.0, 1.0),
                               nodes=np.array([0.25, 0.75]), weights=np.array([0.5, 0.5]))
         u, v = np.array([1.0, 1e300]), np.array([1e300, 1.0])
-        op = SeparableNystromOperator(grid, ((-1.0, u, v),))
+        op = SeparableNystromOperator(grid, np.array([-1.0]), np.array([(u, v)]))
         a = grid.l2_scaling
         s_10 = (a[1] * v[1]) * (a[0] * u[0])
         symmetric = np.array([[(a[0] * v[0]) * (a[0] * u[0]), s_10],
@@ -141,6 +141,20 @@ class TestNystromMatrix:
             warnings.simplefilter("error")
             sigma = min_singular_value(op)
         assert sigma == np.min(np.abs(1.0 - np.linalg.eigvalsh(symmetric)))
+
+    @pytest.mark.parametrize("make", [nystrom_matrix, kink_exact_matrix])
+    @pytest.mark.parametrize("sets", [([0], [2]), THREE_TERMS])
+    def test_fields_hold_gamma_and_one_stack_of_the_tables(self, make, sets):
+        # tables[:, 0] is u_m and tables[:, 1] is v_m at the nodes, one row per order
+        spec = solve_gamma(validate_sets(*sets))
+        grid = build_grid(2.0, 4, 6, grading=1.0)
+        op = make(spec, grid)
+        assert op.tables.shape == (len(spec.gamma), 2, grid.size)
+        expected = [(eval_regular(m, grid.nodes).value, eval_irregular(m, grid.nodes).value)
+                    for m, _ in spec.terms()]
+        assert np.array_equal(op.tables, np.array(expected))
+        assert op.gamma.shape == (len(spec.gamma),)
+        assert np.array_equal(op.gamma, spec.gamma)
 
     @pytest.mark.parametrize("sets", [([0], [2]), THREE_TERMS, ([0, 30], [2, 40])])
     def test_scaled_generators_keep_the_bits_of_the_plain_product(self, sets):
@@ -153,8 +167,7 @@ class TestNystromMatrix:
             op = nystrom_matrix(spec, grid)
             a = grid.l2_scaling
             with np.errstate(over="ignore"):  # above the diagonal, at S = {0, 30}
-                plain = (np.stack([-g * a * v for g, _, v in op.tables], axis=1)
-                         @ np.stack([a * u for _, u, _ in op.tables]))
+                plain = (-op.gamma * a[:, None] * op.tables[:, 1].T) @ (a * op.tables[:, 0])
             assert np.array_equal(np.tril(op.own_norm_form()), np.tril(plain)), r
 
     @pytest.mark.parametrize("sets", [([0], [2]), THREE_TERMS])
@@ -296,8 +309,8 @@ class TestKinkExactMatrix:
         # max |B - B^T| over the diagonal panel blocks B = rule * M + (1 - rule) * M^T
         # of the product M = P Q^T, before they are symmetrized
         scaling = op.grid.l2_scaling
-        product = (np.stack([-g * scaling * v for g, _, v in op.tables], axis=1)
-                   @ np.stack([scaling * u for _, u, _ in op.tables]))
+        product = ((-op.gamma * scaling[:, None] * op.tables[:, 1].T)
+                   @ (scaling * op.tables[:, 0]))
         rule = op.panel_rule
         diagonal = [product[i:i + 16, i:i + 16] for i in range(0, 128, 16)]
         asymmetry = max(float(np.max(np.abs(b - b.T)))
@@ -759,7 +772,7 @@ class TestMinSingularValue:
     def test_zero_matrix_limit(self, reference_spec):
         grid = build_grid(1.0, panels_count=2, nodes_per_panel=4)
         zeros = np.zeros(grid.size)
-        op = SeparableNystromOperator(grid, ((0.0, zeros, zeros),))
+        op = SeparableNystromOperator(grid, np.array([0.0]), np.array([(zeros, zeros)]))
         assert min_singular_value(op) == pytest.approx(1.0, abs=1e-14)
 
     def test_small_radius_well_conditioned(self, reference_spec):
@@ -820,10 +833,10 @@ class TestSweep:
     def test_per_point_failures_recorded(self, reference_spec, monkeypatch):
         real = op_module.SeparableNystromOperator
 
-        def flaky(grid, tables):
+        def flaky(grid, gamma, tables):
             if abs(grid.r - 1.0) < 1e-12:
                 raise ValueError("synthetic failure")
-            return real(grid, tables)
+            return real(grid, gamma, tables)
 
         monkeypatch.setattr(op_module, "SeparableNystromOperator", flaky)
         report = op_module.sweep(reference_spec, 0.5, 1.5, 3)
@@ -983,7 +996,8 @@ class TestBatchedSweep:
     def test_chunks_hold_at_most_the_chunk_nodes(self, monkeypatch, table_calls):
         # 128 x 12 nodes and its doubled grid: 14 radii (64512 nodes) a chunk;
         # the matrices are stubbed out, only the tables are measured
-        monkeypatch.setattr(op_module, "SeparableNystromOperator", lambda grid, tables: None)
+        monkeypatch.setattr(op_module, "SeparableNystromOperator",
+                            lambda grid, gamma, tables: None)
         monkeypatch.setattr(op_module, "min_singular_value", lambda op: 0.0)
         report = sweep(solve_gamma(validate_sets([0], [2])), 1.0, 1.1, 29,
                        panels_count=128, nodes_per_panel=12, refine=True)
