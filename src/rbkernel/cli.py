@@ -82,16 +82,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gamma", help="solve the coefficient equation for gamma")
+    p.set_defaults(run=_cmd_gamma)
     _add_sets(p)
     _add_io(p, "json")
 
     p = sub.add_parser("kernel-eval", help="evaluate the kernel g(s, t)")
+    p.set_defaults(run=_cmd_kernel_eval)
     _add_sets(p)
     p.add_argument("--eval-s", type=float, required=True, metavar="S")
     p.add_argument("--eval-t", type=float, required=True, metavar="T")
     _add_io(p, "json")
 
     p = sub.add_parser("p-scan", help="tabulate p(r) over a radius range")
+    p.set_defaults(run=_cmd_p_scan)
     p.add_argument("--r-min", type=float, required=True)
     p.add_argument("--r-max", type=float, required=True)
     p.add_argument("--steps", type=int, default=101)
@@ -100,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p, "csv")
 
     p = sub.add_parser("find-root", help="locate a root of p in a bracket")
+    p.set_defaults(run=_cmd_find_root)
     p.add_argument("--lo", type=float, default=cx.DEFAULT_BRACKET[0])
     p.add_argument("--hi", type=float, default=cx.DEFAULT_BRACKET[1])
     p.add_argument("--tol", type=float, default=1e-12)
@@ -108,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identity-check",
                        help="tabulate the integration-by-parts identity residual")
+    p.set_defaults(run=_cmd_identity_check)
     p.add_argument("--r", type=float, default=None,
                    help="radius (default: the root R of p)")
     p.add_argument("--points", type=int, default=20)
@@ -116,6 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p, "csv")
 
     p = sub.add_parser("sweep", help="tabulate min |1 - lambda| of the Nystrom matrix over radii")
+    p.set_defaults(run=_cmd_sweep)
     _add_sets(p)
     p.add_argument("--r-min", type=float, required=True)
     p.add_argument("--r-max", type=float, required=True)
@@ -129,6 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify",
                        help="run the full nontrivial-solution verification")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--force-r", type=float, default=None,
                    help="use this radius instead of the root R (for exploring "
                    "how the verification fails away from the root)")
@@ -176,9 +183,9 @@ def _cmd_find_root(args) -> int:
 
 
 def _cmd_identity_check(args) -> int:
-    r = args.r if args.r is not None else cx.find_root(*cx.DEFAULT_BRACKET).root
     if args.points < 1:
         raise ValueError("points must be >= 1")
+    r = args.r if args.r is not None else cx.find_root(*cx.DEFAULT_BRACKET).root
     spec = cx.reference_spec()
     points = cx._default_points(r, args.points)
     # one call per point: perfbench's traced identity test expects one
@@ -213,17 +220,6 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-_COMMANDS = {
-    "gamma": _cmd_gamma,
-    "kernel-eval": _cmd_kernel_eval,
-    "p-scan": _cmd_p_scan,
-    "find-root": _cmd_find_root,
-    "identity-check": _cmd_identity_check,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
-}
-
-
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """The parser ``main`` reuses; parsing leaves it unchanged."""
@@ -233,7 +229,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

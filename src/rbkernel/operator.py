@@ -224,13 +224,16 @@ class SeparableNystromOperator:
             form = rows @ columns
             rule = self.panel_rule
             if rule is not None:
-                # B = rule * M + (1 - rule) * M^T on each diagonal block M of P Q^T
-                index = _diagonal_blocks(len(form), len(rule))
-                products = form[index]
+                # B = rule * M + (1 - rule) * M^T on each diagonal block M of P Q^T,
+                # read and written through form's (panel, row, panel, column) view
+                panels = np.arange(len(form) // len(rule))
+                view = form.reshape(len(panels), len(rule), len(panels), len(rule))
+                index = panels, slice(None), panels
+                products = view[index]
                 blocks = rule * products + (1.0 - rule) * products.transpose(0, 2, 1)
                 transposed = blocks.transpose(0, 2, 1)
                 asymmetry = float(np.max(np.abs(blocks - transposed)))
-                form[index] = 0.5 * (blocks + transposed)
+                view[index] = 0.5 * (blocks + transposed)
         # the upper triangle may overflow where S does not; only S is checked
         if not np.all(np.isfinite(form)) and not np.all(np.isfinite(np.tril(form))):
             kind = "Nystrom" if self.panel_rule is None else "kink-exact"
@@ -269,14 +272,7 @@ class SelfAdjointCertificate:
 
 @lru_cache(maxsize=32)
 def _gauss_rule(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-def _diagonal_blocks(size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the diagonal n x n blocks of a size x size matrix, (size/n, n, n)."""
-    rows = np.arange(size).reshape(-1, n)
-    return rows[:, :, None], rows[:, None, :]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _panel_nodes(lower: np.ndarray, upper: np.ndarray, nodes_per_panel: int):

@@ -145,12 +145,7 @@ def _check_radii(r, *, allow_zero: bool = False) -> np.ndarray:
 
 def _double_factorial(n: int) -> float:
     """(n)!! over odd n; returns inf on overflow (caller underflows to 0)."""
-    out = 1.0
-    for k in range(3, n + 1, 2):
-        out *= k
-        if not math.isfinite(out):
-            return math.inf
-    return out
+    return math.prod(range(3, n + 1, 2), start=1.0)
 
 
 @lru_cache(maxsize=64)
@@ -258,7 +253,7 @@ def _regular_backward(m: int, r) -> np.ndarray:
     growth = kmax * math.log10((2 * kmax + 1) / float(r.min()) + 1.0)
     may_rescale = growth - 300.0 > math.log10(_RESCALE_LIMIT) - 1.0
     above, cur = np.zeros(r.shape), np.zeros(r.shape)
-    saved = []  # f_m, once the recurrence has reached it
+    saved = np.zeros(r.shape)  # f_m, once the recurrence has reached it
     for k, new in zip(range(kmax, 0, -1), _ratio_rows(r, kmax)):
         if k in starts:
             cur[top == k] = 1e-300
@@ -267,16 +262,16 @@ def _regular_backward(m: int, r) -> np.ndarray:
         if may_rescale:
             big = np.abs(new) > _RESCALE_LIMIT
             if big.any():
-                for row in (new, cur, *saved):
+                for row in (new, cur, saved):
                     row[big] *= 1e-250
         if k == m + 1:
-            saved.append(new.copy())
+            saved[:] = new
         above, cur = cur, new
     f0, f1 = cur, above
     u0 = np.sin(r)
     u1 = u0 / r - np.cos(r)
     lam = np.where(np.abs(u0) >= np.abs(u1), u0 / f0, u1 / f1)
-    return lam * saved[0]
+    return lam * saved
 
 
 def _regular(m: int, r: np.ndarray) -> np.ndarray:

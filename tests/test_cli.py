@@ -182,6 +182,17 @@ class TestIdentityCheck:
             assert residual <= 1e-8
 
 
+    def test_points_checked_before_the_root_search(self, capsys, monkeypatch):
+        def no_root(*args, **kwargs):
+            raise AssertionError("find_root ran before the usage check")
+
+        monkeypatch.setattr(cli_module.cx, "find_root", no_root)
+        code, out, err = run_cli(capsys, "identity-check", "--points", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: points must be >= 1\n"
+
+
 class TestSweep:
     def test_csv_schema(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -510,6 +510,24 @@ class TestAgainstMpmath:
         value = eval_regular(m, r).value
         assert abs(value - ref) <= 1e-12 * abs(ref)
 
+    def test_miller_rescale_at_order_200(self, monkeypatch):
+        # u_200(0.6) is about 1.3e-481: the backward recurrence from 1e-300
+        # passes 1e250 on the way down, so only the rescale reaches the
+        # underflowed 0 instead of an overflow; a batch with r = 150 rescales
+        # the small radius alone and keeps every element's own bits
+        assert eval_regular(200, 0.6) == riccati.FunctionPair(0.0, 0.0)
+        radii = np.array([0.6, 150.0])
+        batch = eval_regular(200, radii)
+        for i, r in enumerate(radii.tolist()):
+            alone = eval_regular(200, r)
+            assert batch.value[i:i + 1].tobytes() == np.float64(alone.value).tobytes()
+            assert batch.derivative[i:i + 1].tobytes() == np.float64(alone.derivative).tobytes()
+        ref = float(mp_regular(200, 150.0))
+        assert abs(batch.value[1] - ref) <= 1e-13 * abs(ref)
+        monkeypatch.setattr(riccati, "_RESCALE_LIMIT", math.inf)
+        with pytest.raises(OverflowError, match=re.escape("u_200(0.6) is not finite")):
+            eval_regular(200, 0.6)
+
     @pytest.mark.parametrize("m,r", [(0, 2.0), (10, 0.1), (50, 3.0), (20, 80.0)])
     def test_irregular_spot_checks(self, m, r):
         ref = float(mp_irregular(m, r))
