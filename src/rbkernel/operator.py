@@ -61,6 +61,7 @@ family on all their grids' nodes, and solves each grid's form on its own.
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -346,7 +347,7 @@ def _over_square(t: np.ndarray, family: np.ndarray, h_values: np.ndarray) -> np.
     square = t * t
     integrand = family * h_values / square
     plain = (square >= _TINY) & np.isfinite(integrand)
-    if plain.all():
+    if np.count_nonzero(plain) == plain.size:
         return integrand
     split = np.where(t > 0.0, t, np.inf)
     return np.where(plain, integrand, family / split * h_values / split)
@@ -474,9 +475,14 @@ def _level_bounds(lo, hi, is_left, counts):
     follow one another along a row.
     """
     uniform, graded = _level_edges(tuple(counts))
-    with np.errstate(over="ignore"):  # lo + (hi - lo) may round past the largest double
+    # lo + (hi - lo) f, with 0 <= lo and 0 <= f <= 1, rounds to at most the
+    # double above hi: only a hi of 2^1023 or more can round past the
+    # largest double, to inf, which is read as hi
+    overflow = hi.max(initial=0.0) >= 2.0**1023
+    with np.errstate(over="ignore") if overflow else nullcontext():
         bounds = lo[:, None] + (hi - lo)[:, None] * np.where(is_left[:, None], graded, uniform)
-    bounds = np.where(np.isinf(bounds), hi[:, None], bounds)
+    if overflow:
+        bounds = np.where(np.isinf(bounds), hi[:, None], bounds)
     panels = bounds.shape[1] // 2
     return bounds[:, :panels], bounds[:, panels:]
 
@@ -495,14 +501,14 @@ def _unconverged(lo: float, hi: float, tol: float, panels: int) -> ConvergenceEr
 
 
 def _family_values(evaluate, order: int, nodes: np.ndarray, points: np.ndarray):
-    """``evaluate(order, x).value`` at the rows of nodes and at the points, from one call.
+    """``evaluate(order, x).value`` at the 1-D nodes and at the points, from one call.
 
     No call if both are empty.
     """
     if not (nodes.size or points.size):
         return nodes, points
-    values = evaluate(order, np.concatenate([nodes.ravel(), points])).value
-    return values[:nodes.size].reshape(nodes.shape), values[nodes.size:]
+    values = evaluate(order, np.concatenate([nodes, points]) if points.size else nodes).value
+    return values[:nodes.size], values[nodes.size:]
 
 
 def _panel_sums(order: int, h, lo, hi, is_left, counts, points):
@@ -515,29 +521,41 @@ def _panel_sums(order: int, h, lo, hi, is_left, counts, points):
     row; h is called once on them, and each Riccati family once on its rows'
     nodes and the 1-D ``points`` (which may be empty), so the values at the
     points come from the same calls.  Each sum is the dot product of one
-    row's weights and integrand over one level's slice of that row.  Returns
-    the list of sums, u_m at the points and v_m at the points.
+    row's weights and integrand over one level's slice of that row, all the
+    rows' of a level from one stacked (1 x k) @ (k x 1) ``matmul``, which
+    takes each row's product by the routine ``np.dot`` uses for two vectors.
+    Returns the list of sums, u_m at the points and v_m at the points.
     """
     nodes, weights = _panel_nodes(*_level_bounds(lo, hi, is_left, counts), _QUAD_NODES)
-    h_values = np.asarray(h(nodes.ravel()))
-    if h_values.shape != (nodes.size,):  # a scalar h: the same value at every node
-        h_values = np.broadcast_to(h_values, (nodes.size,))
-    h_values = h_values.reshape(nodes.shape)
-    split = np.count_nonzero(is_left)
-    family = np.empty_like(nodes)
-    family[:split], regular = _family_values(eval_regular, order, nodes[:split], points)
-    family[split:], irregular = _family_values(eval_irregular, order, nodes[split:], points)
+    flat = nodes.ravel()
+    h_values = np.asarray(h(flat))
+    if h_values.shape != flat.shape:  # a scalar h: the same value at every node
+        h_values = np.broadcast_to(h_values, flat.shape)
+    split = np.count_nonzero(is_left) * nodes.shape[1]
+    left, regular = _family_values(eval_regular, order, flat[:split], points)
+    right, irregular = _family_values(eval_irregular, order, flat[split:], points)
     sums = []
     with np.errstate(all="ignore"):  # a non-finite row never freezes
-        integrand = _over_square(nodes, family, h_values)
+        integrand = _over_square(flat, np.concatenate([left, right]), h_values)
+        integrand = integrand.reshape(nodes.shape)
         start = 0
         for count in counts:
             level = slice(start, start + count * _QUAD_NODES)
-            sums.append(np.array([
-                np.dot(w, f) for w, f in zip(weights[:, level], integrand[:, level])
-            ]))
+            sums.append(np.matmul(weights[:, None, level], integrand[:, level, None])[:, 0, 0])
             start = level.stop
     return sums, regular, irregular
+
+
+@lru_cache(maxsize=4)
+def _pass_plan(doublings: int) -> tuple:
+    """The passes of a quadrature of ``doublings`` levels, 2, 4, ... panels.
+
+    The first pass takes the first two levels, each later one the next;
+    each comes with the first count of the pass after it (None for the last).
+    """
+    levels = [2 << k for k in range(doublings)]
+    passes = [tuple(levels[:2])] + [(count,) for count in levels[2:]] if levels else []
+    return tuple(zip(passes, [counts[0] for counts in passes[1:]] + [None]))
 
 
 def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
@@ -559,47 +577,49 @@ def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
     normal double further doublings only lose precision.
     """
     n = len(s)
-    lo = np.concatenate([np.zeros(n), s])
-    hi = np.concatenate([s, np.full(n, r)])
-    is_left = np.arange(2 * n) < n
+    lo, hi = np.zeros(2 * n), np.empty(2 * n)
+    lo[n:] = hi[:n] = s
+    hi[n:] = r
+    is_left = np.zeros(2 * n, dtype=bool)
+    is_left[:n] = True
     active = lo < hi  # the right side of s = r is empty
     values = np.where(active, np.nan, 0.0)  # each row's last sum
     # the first chunk's Riccati calls also take u_m and v_m at the points
     at_points, regular_s, irregular_s = s, s[:0], s[:0]
-    levels = [2 << k for k in range(_MAX_DOUBLINGS)]
-    passes = [levels[:2]] + [[count] for count in levels[2:]] if levels else []
-    for counts, next_counts in zip(passes, passes[1:] + [None]):
+    for counts, next_count in _pass_plan(_MAX_DOUBLINGS):
         pass_rows = active.nonzero()[0]
         if pass_rows.size == 0:
             break
         chunk_rows = max(1, _CHUNK_NODES // (sum(counts) * _QUAD_NODES))
         for start in range(0, pass_rows.size, chunk_rows):
             rows = pass_rows[start:start + chunk_rows]
+            # a chunk of every row reads the row arrays whole, not gathered
+            take = slice(None) if rows.size == active.size else rows
             sums, regular, irregular = _panel_sums(
-                order, h, lo[rows], hi[rows], is_left[rows], counts, at_points)
+                order, h, lo[take], hi[take], is_left[take], counts, at_points)
             if at_points.size:
                 regular_s, irregular_s, at_points = regular, irregular, s[:0]
             # only a pass's last level can settle: the first pass's first
             # level has no value before it
             last = sums[-1]
-            before = sums[-2] if len(sums) > 1 else values[rows]
+            before = sums[-2] if len(sums) > 1 else values[take]
             with np.errstate(invalid="ignore"):  # inf - inf is NaN, never <= tol
                 settled = np.abs(last - before) <= tol
-            active[rows[settled]] = False
-            values[rows] = last
-            if next_counts is None or settled.all():
+            active[take] = ~settled
+            values[take] = last
+            if next_count is None or np.count_nonzero(settled) == settled.size:
                 continue
             # a non-finite value cannot settle at the next level, and where
             # that level's weights underflow, deeper ones cannot mend it
             stuck = rows[~settled & ~np.isfinite(last)]
             if stuck.size:
                 underflow = _smallest_weights(
-                    lo[stuck], hi[stuck], is_left[stuck], next_counts[0]) < _TINY
+                    lo[stuck], hi[stuck], is_left[stuck], next_count) < _TINY
                 if underflow.any():
                     row = stuck[np.argmax(underflow)]
                     raise _unconverged(lo[row], hi[row], tol, counts[-1])
-    if active.any():
-        row = np.flatnonzero(active)[0]
+    if np.count_nonzero(active):
+        row = active.nonzero()[0][0]
         raise _unconverged(lo[row], hi[row], tol, 2**_MAX_DOUBLINGS)
     return values[:n], values[n:], regular_s, irregular_s
 
@@ -651,13 +671,13 @@ def apply_operator(
     points = np.asarray(s, dtype=float)
     if points.ndim > 1:
         raise ValueError("evaluation points must be a float or a 1-D array")
-    inside = (points > 0.0) & (points <= r)
-    if not inside.all():
+    flat = np.atleast_1d(points)
+    inside = (flat > 0.0) & (flat <= r)
+    if np.count_nonzero(inside) < flat.size:
         raise ValueError(
-            f"evaluation point must lie in (0, r], got {float(points[~inside][0])!r}"
+            f"evaluation point must lie in (0, r], got {float(flat[~inside][0])!r}"
         )
 
-    flat = np.atleast_1d(points)
     total = np.zeros(flat.size)
     for m, g in terms:
         left, right, u_s, v_s = _kink_split_integrals(m, h, flat, r, tol)

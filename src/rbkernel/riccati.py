@@ -47,7 +47,8 @@ start, and the series, summed without masks until no element's term exceeds
 1e-18 of its sum, adds to an element past its own stop only terms below half
 an ulp of its sum.  So each value is bit for bit the one a call on that
 element alone returns, whatever else is in the batch.  A float in gives a
-``FunctionPair`` of Python floats out.
+``FunctionPair`` of Python floats out.  Order 0 is sin or cos of a finite
+radius, so its values need no finiteness test.
 
 The package's one radius rule lives here: a radius is a positive, finite
 double.  Every layer checks it with ``check_radius``; the evaluators hold each
@@ -87,13 +88,14 @@ _MILLER_PAD = 45
 # Magnitude at which the backward recurrence rescales to avoid overflow.
 _RESCALE_LIMIT = 1e250
 
-# Most ratios (2k + 1)/r (64 KiB of them) that the backward recurrence
-# divides out in one numpy call; a larger batch divides them an order at a
-# time.  The block pays off where numpy's per-call cost dominates: it holds
-# every ratio of an identity-check point's u_2 batch (about 50 orders over
-# fewer than 170 radii), while numpy's one-dimensional calls are faster per
-# value on a sweep's batches of thousands of radii, and a block there would
-# only raise their peak memory.
+# Most values (64 KiB of them) of a block: the ratios (2k + 1)/r that the
+# backward recurrence divides out in one numpy call, or the series terms
+# that are multiplied and summed in one call each; a larger batch takes them
+# an order or a term at a time.  The block pays off where numpy's per-call
+# cost dominates: it holds every ratio of an identity-check point's u_2
+# batch (about 50 orders over fewer than 170 radii), while numpy's
+# one-dimensional calls are faster per value on a sweep's batches of
+# thousands of radii, and a block there would only raise their peak memory.
 _BLOCK_VALUES = 2**13
 
 # The message of each family's OverflowError, after "u_m(r) " or "v_m(r) ".
@@ -155,6 +157,7 @@ def _series_denominators(m: int) -> np.ndarray:
     return (ks * (2 * m + 2 * ks + 1)).astype(float)
 
 
+@lru_cache(maxsize=64)
 def _series_terms(x: float, m: int) -> int:
     """How many terms :func:`_regular_series_parts` adds to S_m at the radius x alone."""
     term = total = 1.0
@@ -171,27 +174,39 @@ def _regular_series_parts(m: int, r):
     # u_m(r) = r^(m+1)/(2m+1)!! * S_m(r),
     # S_m(r) = sum_k (-r^2/2)^k / (k! (2m+3)...(2m+2k+1)),
     # an alternating series with factorially shrinking terms; safe for any r
-    # but only needed (and used) near zero.  Summed over the 1-D radii in one
-    # loop, without masks, until no element's term exceeds 1e-18 of its sum
-    # (tested from the largest radius's own stop on: no element stops
-    # sooner).  An element alone stops at its first such term, and the later
-    # terms change none of its bits: below r = 2 each term is under 2/3 of
-    # the one before, so each later one is below 1e-18 of the sum too, under
-    # half an ulp of it, and rounds away.  So no element's bits depend on the
-    # other radii.  Returns the prefactor and S_m separately: S_m is near 1
-    # even where u_m underflows.
+    # but only needed (and used) near zero.  Summed over the 1-D radii
+    # without masks until no element's term exceeds 1e-18 of its sum.  An
+    # element alone stops at its first such term, and the later terms change
+    # none of its bits: below r = 2 each term is under 2/3 of the one
+    # before, so each later one is below 1e-18 of the sum too, under half an
+    # ulp of it, and rounds away.  So no element's bits depend on the other
+    # radii, and the first terms go in untested, as many as the crossover
+    # radius adds alone (the radii the series serves lie below it): where
+    # they fit ``_BLOCK_VALUES`` values, from one ``multiply.accumulate`` of
+    # the ratios -r^2/2 / (k (2m + 2k + 1)) and one ``add.accumulate`` of
+    # the terms, which work in order and so give a loop's bits; otherwise a
+    # term a step.  Each later term is added after the test.  Returns the
+    # prefactor and S_m separately: S_m is near 1 even where u_m underflows.
     r = np.atleast_1d(np.asarray(r, dtype=float))
     # float_power calls C pow like Python's float ** int; numpy's ** takes a
     # different route for integer exponents and can differ in the last bit
     prefactor = np.float_power(r, m + 1) / _double_factorial(2 * m + 1)
     half_r2 = -0.5 * r * r
-    total, term = np.ones(r.shape), np.ones(r.shape)
-    first_test = _series_terms(float(r.max()), m)
-    for k, denominator in enumerate(_series_denominators(m), 1):
-        term *= half_r2 / denominator
+    denominators = _series_denominators(m)
+    untested = _series_terms(SERIES_CROSSOVER, m)
+    if (untested + 1) * r.size <= _BLOCK_VALUES:
+        terms = np.empty((untested + 1, r.size))
+        terms[0] = 1.0
+        np.multiply.accumulate(half_r2 / denominators[:untested, None], out=terms[1:])
+        term, total = terms[-1], np.add.accumulate(terms)[-1]
+        k = untested
+    else:
+        term, total, k = np.ones(r.size), np.ones(r.size), 0
+    while k < denominators.size and (
+            k < untested or np.count_nonzero(np.abs(term) > 1e-18 * np.abs(total))):
+        term *= half_r2 / denominators[k]
         total += term
-        if k >= first_test and not (np.abs(term) > 1e-18 * np.abs(total)).any():
-            break
+        k += 1
     return prefactor, total
 
 
@@ -244,9 +259,10 @@ def _regular_backward(m: int, r) -> np.ndarray:
     numpy calls.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    top = np.maximum(m, np.ceil(r)).astype(int) + _MILLER_PAD
-    kmax = int(top.max())
+    top = np.maximum(m, np.ceil(r)).astype(int)
+    top += _MILLER_PAD
     starts = set(top.tolist())
+    kmax = max(starts)
     # Each step down multiplies max|f| by at most (2 kmax + 1)/r + 1, so a
     # batch whose bound keeps the 1e-300 seed well under the limit never
     # rescales (a looser bound only adds checks that find nothing).
@@ -261,7 +277,7 @@ def _regular_backward(m: int, r) -> np.ndarray:
         new -= above  # f_{k-1} = ((2k + 1)/r) f_k - f_{k+1}
         if may_rescale:
             big = np.abs(new) > _RESCALE_LIMIT
-            if big.any():
+            if np.count_nonzero(big):
                 for row in (new, cur, saved):
                     row[big] *= 1e-250
         if k == m + 1:
@@ -278,12 +294,14 @@ def _regular(m: int, r: np.ndarray) -> np.ndarray:
     """u_m over a 1-D array of radii >= 0, branch chosen per element."""
     if m == 0:  # exact at the origin too
         return np.sin(r)
-    value = np.zeros(r.size)  # the origin limit for m >= 1
-    series = (r > 0.0) & (r < SERIES_CROSSOVER)
-    if series.any():
+    value = np.empty(r.size)
+    # the series gives the origin its limit, 0, for m >= 1
+    series = r < SERIES_CROSSOVER
+    count = np.count_nonzero(series)
+    if count:
         prefactor, total = _regular_series_parts(m, r[series])
         value[series] = prefactor * total
-    rest = r >= SERIES_CROSSOVER
+    rest = ~series
     if m == 1:
         x = r[rest]
         value[rest] = np.sin(x) / x - np.cos(x)
@@ -297,9 +315,9 @@ def _regular(m: int, r: np.ndarray) -> np.ndarray:
     if largest - 2.0 * math.sqrt(largest) >= m - 1:
         forward = rest & (m <= r - 2.0 * np.sqrt(r))
         backward = rest & ~forward
-        if forward.any():
+        if np.count_nonzero(forward):
             value[forward] = _regular_forward(m, r[forward])
-    if backward.any():
+    if np.count_nonzero(backward):
         value[backward] = _regular_backward(m, r[backward])
     return value
 
@@ -327,9 +345,11 @@ def _regular_derivative(m: int, r: np.ndarray, value: np.ndarray) -> np.ndarray:
 
 def _irregular(m: int, r: np.ndarray) -> np.ndarray:
     """v_m by forward recurrence from v_{-1} = sin, v_0 = -cos."""
-    prev, cur = np.sin(r), -np.cos(r)
-    for k in range(m):
-        prev, cur = cur, (2 * k + 1) / r * cur - prev
+    cur = -np.cos(r)
+    if m:
+        prev = np.sin(r)
+        for k in range(m):
+            prev, cur = cur, (2 * k + 1) / r * cur - prev
     return cur
 
 
@@ -358,11 +378,13 @@ def _evaluate(family: str, m, r, derivative=None):
     with np.errstate(all="ignore"):
         value = (_regular if family == "u" else _irregular)(m, x)
         slope = None if derivative is None else derivative(m, x, value)
-    finite = np.isfinite(value) if slope is None else np.isfinite(value) & np.isfinite(slope)
-    if not finite.all():
-        first = np.argmin(finite)
-        prime = "'" if np.isfinite(value[first]) else ""
-        raise OverflowError(f"{family}_{m}{prime}({float(r.flat[first])!r}) {_FAILURE[family]}")
+    if m:  # sin and cos of a finite radius are finite, so order 0 cannot fail
+        finite = np.isfinite(value) if slope is None else np.isfinite(value) & np.isfinite(slope)
+        if np.count_nonzero(finite) < finite.size:
+            first = np.argmin(finite)
+            prime = "'" if np.isfinite(value[first]) else ""
+            radius = float(r.flat[first])
+            raise OverflowError(f"{family}_{m}{prime}({radius!r}) {_FAILURE[family]}")
     return _shaped(value, r) if slope is None else FunctionPair(_shaped(value, r), _shaped(slope, r))
 
 

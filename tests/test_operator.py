@@ -517,20 +517,22 @@ class TestApplyOperator:
         small = apply_operator(reference_spec, 1e-100, lambda t: t, points / r * 1e-100)
         assert value / r == pytest.approx(small / 1e-100, abs=1e-12)
 
-    @pytest.mark.parametrize("r", [1.0, "R", 3.0])
-    @pytest.mark.parametrize("tol", [None, 1e-12])  # None: the default tolerance
+    @pytest.mark.parametrize("r", [0.7, 1.0, "R", 3.0, 3.99, 10.0])
+    @pytest.mark.parametrize("tol", [None, 1e-12, 1e-13, 1e-14])  # None: the default
     # u_2 converges at the same level on every side; t cos(30 t) does not
     @pytest.mark.parametrize("h", [u2, lambda t: t * np.cos(30.0 * t)], ids=["u2", "wiggle"])
     def test_batched_points_match_single_calls(self, reference_spec, root_r, r, tol, h):
+        # every point gets the bits it gets on its own
         r = root_r if r == "R" else r
         quad = {} if tol is None else {"tol": tol}
-        points = np.linspace(r / 7, r, 7)  # ends at s = r, whose right side is empty
-        batched = apply_operator(reference_spec, r, h, points, **quad)
-        assert isinstance(batched, np.ndarray) and batched.shape == points.shape
-        for s, value in zip(points, batched):
-            alone = apply_operator(reference_spec, r, h, float(s), **quad)
-            assert type(alone) is float
-            assert abs(value - alone) <= 1e-15, s
+        for count in (7, 20):
+            points = np.linspace(r / count, r, count)  # ends at s = r, whose right side is empty
+            batched = apply_operator(reference_spec, r, h, points, **quad)
+            assert isinstance(batched, np.ndarray) and batched.shape == points.shape
+            for s, value in zip(points, batched):
+                alone = apply_operator(reference_spec, r, h, float(s), **quad)
+                assert type(alone) is float
+                assert value == alone, (count, s)
 
     @pytest.mark.parametrize("h", [u2, lambda t: t * np.cos(30.0 * t)], ids=["u2", "wiggle"])
     def test_chunked_levels_give_identical_values(self, reference_spec, monkeypatch, h):
@@ -571,29 +573,35 @@ class TestApplyOperator:
 
 
 def levelwise_split_integrals(order, h, s, r, tol):
-    """``_kink_split_integrals`` with one ``_panel_sums`` pass per doubling level.
+    """``_kink_split_integrals`` one row and one doubling level at a time.
 
-    u_m and v_m at the points come from calls of their own.
+    It shares only the rules ``_panel_nodes`` and ``_over_square`` with the
+    code it checks: it forms each level's panel bounds itself, lo + (hi - lo)
+    times j/c (squared on [0, s]), and sums each row with ``np.dot``.  u_m
+    and v_m at the points come from calls of their own.
     """
     n = len(s)
     lo = np.concatenate([np.zeros(n), s])
     hi = np.concatenate([s, np.full(n, r)])
-    is_left = np.arange(2 * n) < n
     values = np.zeros(2 * n)
     previous = np.full(2 * n, np.nan)
     active = lo < hi
     count = 2
     for _ in range(op_module._MAX_DOUBLINGS):
-        level_rows = np.flatnonzero(active)
-        if level_rows.size == 0:
-            break
-        chunk_rows = max(1, op_module._CHUNK_NODES // (count * op_module._QUAD_NODES))
-        for start in range(0, level_rows.size, chunk_rows):
-            rows = level_rows[start:start + chunk_rows]
-            (level,), _, _ = op_module._panel_sums(order, h, lo[rows], hi[rows],
-                                                   is_left[rows], (count,), s[:0])
-            active[rows[np.abs(level - previous[rows]) <= tol]] = False
-            values[rows] = previous[rows] = level
+        for row in np.flatnonzero(active):
+            left = row < n
+            fractions = np.arange(count + 1) / count
+            with np.errstate(all="ignore"):  # see _level_bounds and _panel_sums
+                bounds = lo[row] + (hi[row] - lo[row]) * (fractions**2.0 if left else fractions)
+                bounds = np.where(np.isinf(bounds), hi[row], bounds)
+                nodes, weights = op_module._panel_nodes(bounds[:-1], bounds[1:],
+                                                        op_module._QUAD_NODES)
+                family = (eval_regular if left else eval_irregular)(order, nodes).value
+                h_values = np.broadcast_to(h(nodes), nodes.shape)
+                level = np.dot(weights, op_module._over_square(nodes, family, h_values))
+                if abs(level - previous[row]) <= tol:
+                    active[row] = False
+            values[row] = previous[row] = level
         count *= 2
     if active.any():
         row = np.flatnonzero(active)[0]
