@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,15 +70,6 @@ class IndexSets:
     def size(self) -> int:
         return len(self.s_orders)
 
-    @property
-    def integer_orders(self) -> bool:
-        """True when every element of S is a nonnegative integer.
-
-        Only then can the kernel itself be evaluated (:meth:`KernelSpec.terms`
-        checks this); coefficient solving works either way.
-        """
-        return all(x >= 0.0 and float(x).is_integer() for x in self.s_orders)
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -86,17 +78,20 @@ class KernelSpec:
     sets: IndexSets
     gamma: tuple[float, ...]
 
-    def terms(self) -> list[tuple[int, float]]:
-        """The (m, gamma_m) pairs of the kernel sum, with m as an int.
+    @cached_property
+    def terms(self) -> tuple[tuple[int, float], ...]:
+        """The (m, gamma_m) pairs of the kernel sum, with m as an int; built once per spec.
 
-        Raises UnsupportedOrderError unless every m is a nonnegative integer.
+        Raises UnsupportedOrderError unless every m is a nonnegative integer:
+        only then can the kernel itself be evaluated, while coefficient
+        solving works either way.
         """
-        if not self.sets.integer_orders:
+        if not all(m >= 0.0 and float(m).is_integer() for m in self.sets.s_orders):
             raise UnsupportedOrderError(
                 "the kernel needs nonnegative integer orders in S, got "
                 f"S={list(self.sets.s_orders)}"
             )
-        return [(int(m), g) for m, g in zip(self.sets.s_orders, self.gamma)]
+        return tuple((int(m), g) for m, g in zip(self.sets.s_orders, self.gamma))
 
 
 def _as_set(values, name: str) -> tuple[float, ...]:
@@ -187,7 +182,7 @@ def eval_kernel(spec: KernelSpec, s, t) -> float:
     split makes the symmetry bitwise exact); on the diagonal s = t the
     common continuous limit is returned.
     """
-    terms = spec.terms()
+    terms = spec.terms
     lo, hi = sorted((check_radius(s), check_radius(t)))
     total = 0.0
     for m, g in terms:

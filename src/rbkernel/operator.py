@@ -61,7 +61,6 @@ family on all their grids' nodes, and solves each grid's form on its own.
 """
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -331,7 +330,7 @@ def spectral_grid(r) -> QuadratureGrid:
 def _family_tables(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
     """u_m ([:, 0]) and v_m ([:, 1]) at the points, |S| x 2 x len(points) (values only)."""
     return np.array([(_regular_values(m, points), _irregular_values(m, points))
-                     for m, _ in spec.terms()])
+                     for m, _ in spec.terms])
 
 
 def _over_square(t: np.ndarray, family: np.ndarray, h_values: np.ndarray) -> np.ndarray:
@@ -476,13 +475,10 @@ def _level_bounds(lo, hi, is_left, counts):
     """
     uniform, graded = _level_edges(tuple(counts))
     # lo + (hi - lo) f, with 0 <= lo and 0 <= f <= 1, rounds to at most the
-    # double above hi: only a hi of 2^1023 or more can round past the
-    # largest double, to inf, which is read as hi
-    overflow = hi.max(initial=0.0) >= 2.0**1023
-    with np.errstate(over="ignore") if overflow else nullcontext():
+    # double above hi: near the largest double that is inf, read as hi
+    with np.errstate(over="ignore"):
         bounds = lo[:, None] + (hi - lo)[:, None] * np.where(is_left[:, None], graded, uniform)
-    if overflow:
-        bounds = np.where(np.isinf(bounds), hi[:, None], bounds)
+    bounds = np.where(np.isinf(bounds), hi[:, None], bounds)
     panels = bounds.shape[1] // 2
     return bounds[:, :panels], bounds[:, panels:]
 
@@ -500,17 +496,6 @@ def _unconverged(lo: float, hi: float, tol: float, panels: int) -> ConvergenceEr
     )
 
 
-def _family_values(evaluate, order: int, nodes: np.ndarray, points: np.ndarray):
-    """``evaluate(order, x).value`` at the 1-D nodes and at the points, from one call.
-
-    No call if both are empty.
-    """
-    if not (nodes.size or points.size):
-        return nodes, points
-    values = evaluate(order, np.concatenate([nodes, points]) if points.size else nodes).value
-    return values[:nodes.size], values[nodes.size:]
-
-
 def _panel_sums(order: int, h, lo, hi, is_left, counts, points):
     """Each row's Gauss sum of f_m h / t^2 per panel count, and u_m, v_m at ``points``.
 
@@ -519,12 +504,13 @@ def _panel_sums(order: int, h, lo, hi, is_left, counts, points):
     whose panels are uniform; the ``is_left`` rows come first.  The nodes of
     every count are built at once, one row of all its levels' panels per
     row; h is called once on them, and each Riccati family once on its rows'
-    nodes and the 1-D ``points`` (which may be empty), so the values at the
-    points come from the same calls.  Each sum is the dot product of one
-    row's weights and integrand over one level's slice of that row, all the
-    rows' of a level from one stacked (1 x k) @ (k x 1) ``matmul``, which
-    takes each row's product by the routine ``np.dot`` uses for two vectors.
-    Returns the list of sums, u_m at the points and v_m at the points.
+    nodes joined with the 1-D ``points`` (either may be empty, even both), so
+    the values at the points come from the same calls.  Each sum is the dot
+    product of one row's weights and integrand over one level's slice of
+    that row, all the rows' of a level from one stacked (1 x k) @ (k x 1)
+    ``matmul``, which takes each row's product by the routine ``np.dot``
+    uses for two vectors.  Returns the list of sums, u_m at the points and
+    v_m at the points.
     """
     nodes, weights = _panel_nodes(*_level_bounds(lo, hi, is_left, counts), _QUAD_NODES)
     flat = nodes.ravel()
@@ -532,89 +518,81 @@ def _panel_sums(order: int, h, lo, hi, is_left, counts, points):
     if h_values.shape != flat.shape:  # a scalar h: the same value at every node
         h_values = np.broadcast_to(h_values, flat.shape)
     split = np.count_nonzero(is_left) * nodes.shape[1]
-    left, regular = _family_values(eval_regular, order, flat[:split], points)
-    right, irregular = _family_values(eval_irregular, order, flat[split:], points)
+    right = flat.size - split
+    regular = eval_regular(order, np.concatenate([flat[:split], points])).value
+    irregular = eval_irregular(order, np.concatenate([flat[split:], points])).value
+    family = np.concatenate([regular[:split], irregular[:right]])
     sums = []
     with np.errstate(all="ignore"):  # a non-finite row never freezes
-        integrand = _over_square(flat, np.concatenate([left, right]), h_values)
-        integrand = integrand.reshape(nodes.shape)
+        integrand = _over_square(flat, family, h_values).reshape(nodes.shape)
         start = 0
         for count in counts:
             level = slice(start, start + count * _QUAD_NODES)
             sums.append(np.matmul(weights[:, None, level], integrand[:, level, None])[:, 0, 0])
             start = level.stop
-    return sums, regular, irregular
+    return sums, regular[split:], irregular[right:]
 
 
 @lru_cache(maxsize=4)
 def _pass_plan(doublings: int) -> tuple:
-    """The passes of a quadrature of ``doublings`` levels, 2, 4, ... panels.
-
-    The first pass takes the first two levels, each later one the next;
-    each comes with the first count of the pass after it (None for the last).
-    """
+    """Each pass's panel counts over ``doublings`` levels of 2, 4, ... panels: the first
+    pass takes the first two levels, each later pass the next (twice the last count)."""
     levels = [2 << k for k in range(doublings)]
-    passes = [tuple(levels[:2])] + [(count,) for count in levels[2:]] if levels else []
-    return tuple(zip(passes, [counts[0] for counts in passes[1:]] + [None]))
+    return tuple([tuple(levels[:2])] + [(count,) for count in levels[2:]] if levels else [])
 
 
 def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
     """I_m^< and I_m^> of :func:`apply_operator` at the points ``s``, and u_m, v_m there.
 
-    One row per side of each point: [0, s] graded toward the origin
-    (exponent 2), [s, r] uniform.  All rows start at 2 panels and double
-    together, up to ``2**_MAX_DOUBLINGS``; a row is frozen once two
-    consecutive values differ by at most ``tol``, so it ends with exactly
-    the panels it would get on its own.  No row can stop at 2 panels, so the
-    first pass evaluates 2 and 4 panels together, and each later pass one
-    level.  A pass's rows are evaluated in chunks of at most ``_CHUNK_NODES``
-    nodes over all its levels (at least one row each), which bounds the
-    memory a call holds however many of its points fail to converge; the
-    first chunk's Riccati calls also take u_m and v_m at every point.  After
-    a pass, a row that has not settled and whose value is not finite fails
-    at once if the smallest Gauss weight of its next level would be
-    subnormal: it cannot settle at that level, and below the smallest
-    normal double further doublings only lose precision.
+    Row i < n is [0, s_i], graded toward the origin (exponent 2), and row
+    n + i is [s_i, r], uniform.  All rows start at 2 panels and double
+    together, up to ``2**_MAX_DOUBLINGS``, in the passes of :func:`_pass_plan`;
+    a row is frozen once two consecutive values differ by at most ``tol``, so
+    it ends with exactly the panels it would get on its own.  A pass's rows
+    are gathered in chunks of at most ``_CHUNK_NODES`` nodes over all its
+    levels (at least one row each), which bounds the memory a call holds
+    however many of its points fail to converge; the first chunk's Riccati
+    calls also take u_m and v_m at every point.  After a pass but the last,
+    a row that has not settled and whose value is not finite fails at once
+    if the smallest Gauss weight of the next level (twice the pass's last
+    count) would be subnormal: it cannot settle there, and below the
+    smallest normal double further doublings only lose precision.
     """
     n = len(s)
     lo, hi = np.zeros(2 * n), np.empty(2 * n)
     lo[n:] = hi[:n] = s
     hi[n:] = r
-    is_left = np.zeros(2 * n, dtype=bool)
-    is_left[:n] = True
     active = lo < hi  # the right side of s = r is empty
     values = np.where(active, np.nan, 0.0)  # each row's last sum
     # the first chunk's Riccati calls also take u_m and v_m at the points
     at_points, regular_s, irregular_s = s, s[:0], s[:0]
-    for counts, next_count in _pass_plan(_MAX_DOUBLINGS):
+    for counts in _pass_plan(_MAX_DOUBLINGS):
         pass_rows = active.nonzero()[0]
         if pass_rows.size == 0:
             break
         chunk_rows = max(1, _CHUNK_NODES // (sum(counts) * _QUAD_NODES))
         for start in range(0, pass_rows.size, chunk_rows):
             rows = pass_rows[start:start + chunk_rows]
-            # a chunk of every row reads the row arrays whole, not gathered
-            take = slice(None) if rows.size == active.size else rows
             sums, regular, irregular = _panel_sums(
-                order, h, lo[take], hi[take], is_left[take], counts, at_points)
+                order, h, lo[rows], hi[rows], rows < n, counts, at_points)
             if at_points.size:
                 regular_s, irregular_s, at_points = regular, irregular, s[:0]
             # only a pass's last level can settle: the first pass's first
             # level has no value before it
             last = sums[-1]
-            before = sums[-2] if len(sums) > 1 else values[take]
+            before = sums[-2] if len(sums) > 1 else values[rows]
             with np.errstate(invalid="ignore"):  # inf - inf is NaN, never <= tol
                 settled = np.abs(last - before) <= tol
-            active[take] = ~settled
-            values[take] = last
-            if next_count is None or np.count_nonzero(settled) == settled.size:
+            active[rows] = ~settled
+            values[rows] = last
+            if counts[-1] == 2**_MAX_DOUBLINGS or np.count_nonzero(settled) == settled.size:
                 continue
             # a non-finite value cannot settle at the next level, and where
             # that level's weights underflow, deeper ones cannot mend it
             stuck = rows[~settled & ~np.isfinite(last)]
             if stuck.size:
                 underflow = _smallest_weights(
-                    lo[stuck], hi[stuck], is_left[stuck], next_count) < _TINY
+                    lo[stuck], hi[stuck], stuck < n, 2 * counts[-1]) < _TINY
                 if underflow.any():
                     row = stuck[np.argmax(underflow)]
                     raise _unconverged(lo[row], hi[row], tol, counts[-1])
@@ -663,7 +641,7 @@ def apply_operator(
         when a sum that has not settled is not finite and the next level's
         weights would underflow; the message names the panels reached.
     """
-    terms = spec.terms()
+    terms = spec.terms
     r = check_radius(r)
     tol = float(tol)
     if not tol >= 0.0:
@@ -725,7 +703,7 @@ def sweep(
     ``_outcome``: its row, or its one failure.
     """
     radii = radius_range(r_min, r_max, steps).tolist()
-    spec.terms()  # non-integer orders fail here, not at every point
+    spec.terms  # non-integer orders fail here, not at every point
     gamma = np.array(spec.gamma)
     _check_grid_shape(panels_count, nodes_per_panel, grading)
     panel_counts = (panels_count, 2 * panels_count) if refine else (panels_count,)

@@ -210,6 +210,13 @@ def _regular_series_parts(m: int, r):
     return prefactor, total
 
 
+def _upward(m: int, r: np.ndarray, first: int, below, cur) -> np.ndarray:
+    """f_m by forward recurrence from f_{first-1} = ``below`` and f_first = ``cur``."""
+    for k in range(first, m):
+        below, cur = cur, (2 * k + 1) / r * cur - below
+    return cur
+
+
 def _regular_forward(m: int, r: np.ndarray) -> np.ndarray:
     """u_m by forward recurrence from the exact u_0, u_1 seeds.
 
@@ -217,11 +224,8 @@ def _regular_forward(m: int, r: np.ndarray) -> np.ndarray:
     started to decay and the recurrence is neutral in both directions; the
     caller restricts this branch to m <= r - 2 sqrt(r).
     """
-    prev = np.sin(r)
-    cur = prev / r - np.cos(r)
-    for k in range(1, m):
-        prev, cur = cur, (2 * k + 1) / r * cur - prev
-    return cur
+    u0 = np.sin(r)
+    return _upward(m, r, 1, u0, u0 / r - np.cos(r))
 
 
 def _ratio_rows(r: np.ndarray, kmax: int):
@@ -344,13 +348,9 @@ def _regular_derivative(m: int, r: np.ndarray, value: np.ndarray) -> np.ndarray:
 
 
 def _irregular(m: int, r: np.ndarray) -> np.ndarray:
-    """v_m by forward recurrence from v_{-1} = sin, v_0 = -cos."""
-    cur = -np.cos(r)
-    if m:
-        prev = np.sin(r)
-        for k in range(m):
-            prev, cur = cur, (2 * k + 1) / r * cur - prev
-    return cur
+    """v_m by forward recurrence from v_{-1} = sin, v_0 = -cos (order 0 forms no sin)."""
+    v0 = -np.cos(r)
+    return _upward(m, r, 0, np.sin(r), v0) if m else v0
 
 
 def _irregular_derivative(m: int, r: np.ndarray, value: np.ndarray) -> np.ndarray:

@@ -49,7 +49,7 @@ def kernel_definition_matrix(spec, grid):
     t = grid.nodes
     low, high = np.minimum.outer(t, t), np.maximum.outer(t, t)
     g = sum(gamma * eval_regular(m, low).value * eval_irregular(m, high).value
-            for m, gamma in spec.terms())
+            for m, gamma in spec.terms)
     return -g * grid.weights / t**2
 
 
@@ -78,7 +78,7 @@ def kink_exact_definition_matrix(spec, grid):
     upper = grid.weights[None, :] - lower
     t = grid.nodes
     matrix = np.zeros_like(lower)
-    for m, gamma in spec.terms():
+    for m, gamma in spec.terms:
         u, v = eval_regular(m, t).value, eval_irregular(m, t).value
         matrix -= gamma * (v[:, None] * lower * (u / t**2) + u[:, None] * upper * (v / t**2))
     return matrix

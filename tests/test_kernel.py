@@ -26,7 +26,7 @@ class TestValidateSets:
         sets = validate_sets([0], [2])
         assert sets.s_orders == (0.0,)
         assert sets.t_orders == (2.0,)
-        assert sets.integer_orders
+        assert solve_gamma(sets).terms == ((0, -6.0),)
 
     def test_disjointness(self):
         with pytest.raises(SetValidationError, match="disjoint"):
@@ -47,7 +47,8 @@ class TestValidateSets:
             validate_sets([0], [-3])
         # the interval is open at -0.5, so anything above is fine
         sets = validate_sets([-0.4], [2])
-        assert not sets.integer_orders
+        with pytest.raises(UnsupportedOrderError):
+            solve_gamma(sets).terms
 
     def test_empty_and_nonfinite(self):
         with pytest.raises(SetValidationError):
@@ -129,6 +130,12 @@ class TestEvalKernel:
             assert eval_kernel(reference_spec, s, t) == eval_kernel(
                 reference_spec, t, s
             )
+
+    def test_terms_built_once_per_spec(self):
+        spec = solve_gamma(validate_sets([0, 4, 8], [2, 6, 10]))
+        assert spec.terms is spec.terms
+        assert spec.terms == tuple(zip((0, 4, 8), spec.gamma))
+        assert all(type(m) is int for m, _ in spec.terms)
 
     def test_non_integer_orders_rejected(self):
         spec = solve_gamma(validate_sets([0.5], [1.5]))

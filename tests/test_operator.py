@@ -151,7 +151,7 @@ class TestNystromMatrix:
         op = make(spec, grid)
         assert op.tables.shape == (len(spec.gamma), 2, grid.size)
         expected = [(eval_regular(m, grid.nodes).value, eval_irregular(m, grid.nodes).value)
-                    for m, _ in spec.terms()]
+                    for m, _ in spec.terms]
         assert np.array_equal(op.tables, np.array(expected))
         assert op.gamma.shape == (len(spec.gamma),)
         assert np.array_equal(op.gamma, spec.gamma)
@@ -570,6 +570,33 @@ class TestApplyOperator:
             apply_operator(reference_spec, 1.0, u2, np.array([0.5, math.nan]))
         with pytest.raises(ValueError):
             apply_operator(reference_spec, 1.0, u2, np.full((2, 2), 0.5))
+
+
+LARGEST = float(np.finfo(float).max)
+
+
+class TestLevelBounds:
+    """``_level_bounds`` near the largest double, where lo + (hi - lo) f may round to inf."""
+
+    @pytest.mark.parametrize("divisor", [None, 3, 9])  # lo = 0 or hi / divisor
+    @pytest.mark.parametrize("hi", [1.0, 2.0**1023, LARGEST])
+    def test_edges_read_inf_as_hi(self, hi, divisor):
+        lo = 0.0 if divisor is None else hi / divisor
+        counts = (2, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning, overflow included
+            lower, upper = op_module._level_bounds(
+                np.full(2, lo), np.full(2, hi), np.array([True, False]), counts)
+        rounded_past = False
+        for row, exponent in enumerate((2.0, 1.0)):  # the left row graded, the right uniform
+            for got, shift in ((lower[row], 0), (upper[row], 1)):
+                # in Python floats a sum past the largest double is inf, without a warning
+                raw = [lo + (hi - lo) * ((j + shift) / c) ** exponent
+                       for c in counts for j in range(c)]
+                assert got.tolist() == [hi if math.isinf(x) else x for x in raw]
+                rounded_past |= any(map(math.isinf, raw))
+        # of these cases, only lo = hi/9 at the largest double has an edge that rounds past it
+        assert rounded_past == (hi == LARGEST and divisor == 9)
 
 
 def levelwise_split_integrals(order, h, s, r, tol):

@@ -359,6 +359,9 @@ class TestArrayEvaluation:
         # no radius: the one min/max check of the radii passes it
         assert eval_regular(4, np.empty((0, 2))).value.shape == (0, 2)
         assert riccati._irregular_values(4, np.empty((0, 2))).shape == (0, 2)
+        # the pair call too: the quadrature calls a family with no node on its side
+        empty = eval_irregular(4, np.empty((0, 2)))
+        assert empty.value.shape == empty.derivative.shape == (0, 2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_array_with_a_bad_radius_raises(self, bad):
