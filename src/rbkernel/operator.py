@@ -502,21 +502,19 @@ def _panel_sums(order: int, h, lo, hi, is_left, counts, points):
     A row integrates over [lo, hi]; f_m is u_m on ``is_left`` rows, whose
     panels are graded toward the origin (exponent 2), and v_m on the others,
     whose panels are uniform; the ``is_left`` rows come first.  The nodes of
-    every count are built at once, one row of all its levels' panels per
-    row; h is called once on them, and each Riccati family once on its rows'
-    nodes joined with the 1-D ``points`` (either may be empty, even both), so
-    the values at the points come from the same calls.  Each sum is the dot
-    product of one row's weights and integrand over one level's slice of
-    that row, all the rows' of a level from one stacked (1 x k) @ (k x 1)
-    ``matmul``, which takes each row's product by the routine ``np.dot``
-    uses for two vectors.  Returns the list of sums, u_m at the points and
-    v_m at the points.
+    every count are built at once, one row of all its levels' panels per row;
+    h is called once on them (a scalar h reaches every node by numpy's
+    broadcasting), and each Riccati family once on its rows' nodes joined with
+    the 1-D ``points`` (either may be empty, even both), so the values at the
+    points come from the same calls.  Each sum is the dot product of one row's
+    weights and integrand over one level's slice of that row, all the rows' of
+    a level from one stacked (1 x k) @ (k x 1) ``matmul``, which takes each
+    row's product by the routine ``np.dot`` uses for two vectors.  Returns the
+    list of sums, u_m at the points and v_m at the points.
     """
     nodes, weights = _panel_nodes(*_level_bounds(lo, hi, is_left, counts), _QUAD_NODES)
     flat = nodes.ravel()
     h_values = np.asarray(h(flat))
-    if h_values.shape != flat.shape:  # a scalar h: the same value at every node
-        h_values = np.broadcast_to(h_values, flat.shape)
     split = np.count_nonzero(is_left) * nodes.shape[1]
     right = flat.size - split
     regular = eval_regular(order, np.concatenate([flat[:split], points])).value
@@ -694,13 +692,13 @@ def sweep(
     ``report.failures`` instead of aborting the sweep.
 
     The radii go in chunks of at most ``_CHUNK_NODES`` grid nodes (at least
-    one radius each), and the family tables of a chunk's grids that built
-    come from one Riccati call per order and family on all their nodes,
-    which gives each node the bits of a call on its own grid.  A chunk whose
-    tables raise a numeric error is redone one radius at a time through
-    :func:`nystrom_matrix`, so every failing radius records the message it
-    gets alone.  A radius's grids, then its solves, each go through one
-    ``_outcome``: its row, or its one failure.
+    one radius each).  One ``_outcome`` builds a chunk's grids, their family
+    tables from one Riccati call per order and family on all their nodes
+    (which gives each node the bits of a call on its own grid) and their
+    operators.  If any of that raises a numeric error, a grid that cannot be
+    built or tables that overflow, each radius builds its own operators
+    through :func:`nystrom_matrix`, so it records the message it gets alone.
+    A radius's solves go through one ``_outcome``: its row, or its one failure.
     """
     radii = radius_range(r_min, r_max, steps).tolist()
     spec.terms  # non-integer orders fail here, not at every point
@@ -708,30 +706,27 @@ def sweep(
     _check_grid_shape(panels_count, nodes_per_panel, grading)
     panel_counts = (panels_count, 2 * panels_count) if refine else (panels_count,)
     chunk_radii = max(1, _CHUNK_NODES // (sum(panel_counts) * nodes_per_panel))
-    rows = []
-    failures = []
+
+    def own_grids(r):
+        return [build_grid(r, count, nodes_per_panel, grading=grading) for count in panel_counts]
+
+    def shared_operators(chunk):  # each grid's tables are a view of one |S| x 2 x N array
+        grids = [grid for r in chunk for grid in own_grids(r)]
+        ends = np.cumsum([grid.size for grid in grids])[:-1]
+        tables = np.split(_family_tables(spec, np.concatenate([grid.nodes for grid in grids])),
+                          ends, axis=2)
+        return [SeparableNystromOperator(grid, gamma, own) for grid, own in zip(grids, tables)]
+
+    rows, failures = [], []
     for start in range(0, steps, chunk_radii):
         chunk = radii[start:start + chunk_radii]
-        # per radius, its grids or the numeric error building them raised
-        grids = [_outcome(lambda: [build_grid(r, count, nodes_per_panel, grading=grading)
-                                   for count in panel_counts])
-                 for r in chunk]
-        built = [grid for own in grids if not isinstance(own, Exception) for grid in own]
-        # each built grid's tables are a view of the chunk's one |S| x 2 x N array
-        ends = np.cumsum([grid.size for grid in built])[:-1]
-        tables = _outcome(lambda: np.split(_family_tables(
-            spec, np.concatenate([grid.nodes for grid in built])), ends, axis=2) if built else [])
-        # if the chunk's tables fail, each radius redoes its own, for its own message
-        tables = iter([None] * len(built) if isinstance(tables, Exception) else tables)
-        for r, own in zip(chunk, grids):
-            if isinstance(own, Exception):
-                failures.append((r, str(own)))
-                continue
-            own_tables = [next(tables) for _ in own]
-            sigmas = _outcome(lambda: [
-                min_singular_value(nystrom_matrix(spec, grid) if grid_tables is None
-                                   else SeparableNystromOperator(grid, gamma, grid_tables))
-                for grid, grid_tables in zip(own, own_tables)])
+        shared = _outcome(lambda: shared_operators(chunk))
+        for i, r in enumerate(chunk):
+            # if the chunk failed, each radius builds its own, for its own message
+            sigmas = _outcome(lambda: [min_singular_value(op) for op in (
+                shared[i * len(panel_counts):(i + 1) * len(panel_counts)]
+                if not isinstance(shared, Exception)
+                else (nystrom_matrix(spec, grid) for grid in own_grids(r)))])
             if isinstance(sigmas, Exception):  # per-point failures must not kill the scan
                 failures.append((r, str(sigmas)))
             else:

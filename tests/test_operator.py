@@ -507,6 +507,26 @@ class TestApplyOperator:
             with pytest.raises(ConvergenceError, match="did not stabilize"):
                 apply_operator(reference_spec, r, lambda t: 0.7, r / 7)
 
+    @pytest.mark.parametrize("r", [1.0, 1e-300])
+    @pytest.mark.parametrize("points", [0.5, np.linspace(1 / 7, 1.0, 7)], ids=["float", "array"])
+    @pytest.mark.parametrize("scalar, array", [
+        (lambda t: 0.0, np.zeros_like),
+        (lambda t: 0.7, lambda t: np.full_like(t, 0.7)),  # never converges
+        (lambda t: u2(t).tolist(), u2),
+    ], ids=["zero", "constant", "list"])
+    def test_scalar_h_gives_the_bits_of_its_node_array(self, reference_spec, r, points,
+                                                       scalar, array):
+        # numpy's broadcasting gives a scalar (or list) h's value to every node
+        def outcome(h):
+            try:
+                return apply_operator(reference_spec, r, h, points * r)
+            except ConvergenceError as exc:
+                return str(exc)
+
+        first, second = outcome(scalar), outcome(array)
+        assert type(first) is type(second)
+        assert np.array_equal(first, second)
+
     @pytest.mark.parametrize("r", [1e-155, 1e-158, 1e-160])
     def test_subnormal_squares_converge(self, reference_spec, r):
         # t*t is subnormal or 0 at the nodes: K t is r times its value at
@@ -1000,10 +1020,10 @@ class TestBatchedSweep:
 
     @pytest.mark.parametrize("refine", [False, True])
     def test_unbuildable_grid_is_a_per_point_failure(self, reference_spec, refine, table_calls):
-        # the grid of 1e-320 cannot be built; the two radii of its chunk
-        # whose grids build still share one table call
+        # the grid of 1e-320 cannot be built, so the chunk falls back before
+        # any table call, and each grid that builds makes its own
         report = sweep(reference_spec, 1e-320, 1e-300, 3, refine=refine)
-        assert table_calls == [2 * (288 if refine else 96)]
+        assert table_calls == ([96, 192] * 2 if refine else [96] * 2)
         assert report.failures == [
             (1e-320, "nodes must lie strictly inside (0, r) at r = 1e-320")
         ]
@@ -1011,6 +1031,18 @@ class TestBatchedSweep:
         assert (report.rows, report.failures) == per_radius_sweep(
             reference_spec, 1e-320, 1e-300, 3, refine=refine
         )
+
+    def test_chunk_failing_both_ways_falls_back_per_radius(self):
+        # one chunk: the grid of 1e-320 cannot be built, v_30 overflows at
+        # the first node of 5e-6, and 1e-5 gets a row
+        spec = solve_gamma(validate_sets([0, 30], [2, 40]))
+        report = sweep(spec, 1e-320, 1e-5, 3)
+        assert report.failures == [
+            (1e-320, "nodes must lie strictly inside (0, r) at r = 1e-320"),
+            (5e-06, "v_30(7.202877247375276e-10) overflows double precision"),
+        ]
+        assert [r for r, *_ in report.rows] == [1e-5]
+        assert (report.rows, report.failures) == per_radius_sweep(spec, 1e-320, 1e-5, 3)
 
     @pytest.mark.parametrize("chunk_nodes", [1, 200, 300, 600])
     def test_chunk_boundaries(self, monkeypatch, table_calls, chunk_nodes):
