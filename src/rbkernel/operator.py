@@ -503,18 +503,22 @@ def _panel_sums(order: int, h, lo, hi, is_left, counts, points):
     panels are graded toward the origin (exponent 2), and v_m on the others,
     whose panels are uniform; the ``is_left`` rows come first.  The nodes of
     every count are built at once, one row of all its levels' panels per row;
-    h is called once on them (a scalar h reaches every node by numpy's
-    broadcasting), and each Riccati family once on its rows' nodes joined with
-    the 1-D ``points`` (either may be empty, even both), so the values at the
-    points come from the same calls.  Each sum is the dot product of one row's
-    weights and integrand over one level's slice of that row, all the rows' of
-    a level from one stacked (1 x k) @ (k x 1) ``matmul``, which takes each
-    row's product by the routine ``np.dot`` uses for two vectors.  Returns the
-    list of sums, u_m at the points and v_m at the points.
+    h is called once on them and must give one value per node, or a scalar,
+    which reaches every node by numpy's broadcasting (any other shape is a
+    ValueError naming the two counts), and each Riccati family once on its
+    rows' nodes joined with the 1-D ``points`` (either may be empty, even
+    both), so the values at the points come from the same calls.  Each sum
+    is the dot product of one row's weights and integrand over one level's
+    slice of that row, all the rows' of a level from one stacked
+    (1 x k) @ (k x 1) ``matmul``, which takes each row's product by the
+    routine ``np.dot`` uses for two vectors.  Returns the list of sums, u_m
+    at the points and v_m at the points.
     """
     nodes, weights = _panel_nodes(*_level_bounds(lo, hi, is_left, counts), _QUAD_NODES)
     flat = nodes.ravel()
     h_values = np.asarray(h(flat))
+    if h_values.ndim and h_values.shape != flat.shape:
+        raise ValueError(f"h returned {h_values.size} values for {flat.size} quadrature nodes")
     split = np.count_nonzero(is_left) * nodes.shape[1]
     right = flat.size - split
     regular = eval_regular(order, np.concatenate([flat[:split], points])).value

@@ -20,7 +20,10 @@ Evaluation strategy, chosen for double precision:
   forward recurrence from the exact u_0, u_1 seeds, which is neutral there
   and keeps errors at a few ulps of the oscillation amplitude; otherwise by
   backward Miller-style recurrence normalized against the closed forms of
-  u_0 / u_1, which keeps a three-row window and divides out the ratios
+  u_0 / u_1.  It starts K + min(K + 10, 45) orders up, K = max(m, ceil r):
+  one order above where the irregular solution it picks up falls below
+  2^-64 of u_m's envelope, up to K ~ 175, where the cap of 45 stops
+  reaching that.  It keeps a three-row window and divides out the ratios
   (2k + 1)/r of all its orders in one call where they fit 2^13 values, and
   an order at a time into three reused rows elsewhere, so n radii take O(n)
   memory at any order;
@@ -80,9 +83,16 @@ SERIES_CROSSOVER = 0.5
 # Smallest normal double.
 _TINY = np.finfo(float).tiny
 
-# Extra orders above max(m, r) for the backward recurrence start.  Downward
-# contamination by the irregular solution shrinks at least geometrically once
-# the order exceeds the argument; 45 spare orders leave it far below 1e-13.
+# The backward recurrence starts K + min(K + _MILLER_SPARE, _MILLER_PAD)
+# orders up, K = max(m, ceil r).  Started at N, it gives u_m plus
+# (u_{N+1}/v_{N+1}) v_m of the irregular solution.  Over the radii of one K
+# that contamination falls below 2^-64 of u_m's envelope (|u_m| where
+# m >= r, the amplitude sqrt(u_m^2 + v_m^2) below) at most K + 9 orders up:
+# exactly K + 9 up to K = 7, then about 8 K^(1/3), the width of the turning
+# region k ~ r (mpmath at 60 digits, radii 1/256 apart up to K = 12 and 1/16
+# apart up to K = 46).  So K + 10 keeps an order spare.  From K = 35 on the
+# cap of 45 binds; it reaches 2^-64 up to K ~ 175 and 2^-53 up to K ~ 260.
+_MILLER_SPARE = 10
 _MILLER_PAD = 45
 
 # Magnitude at which the backward recurrence rescales to avoid overflow.
@@ -93,7 +103,7 @@ _RESCALE_LIMIT = 1e250
 # that are multiplied and summed in one call each; a larger batch takes them
 # an order or a term at a time.  The block pays off where numpy's per-call
 # cost dominates: it holds every ratio of an identity-check point's u_2
-# batch (about 50 orders over fewer than 170 radii), while numpy's
+# batch (about 20 orders over fewer than 170 radii), while numpy's
 # one-dimensional calls are faster per value on a sweep's batches of
 # thousands of radii, and a block there would only raise their peak memory.
 _BLOCK_VALUES = 2**13
@@ -247,14 +257,25 @@ def _ratio_rows(r: np.ndarray, kmax: int):
     return (np.divide(numerator, r, out=rows[i % 3]) for i, numerator in enumerate(numerators))
 
 
+def _miller_tops(m: int, r: np.ndarray) -> np.ndarray:
+    """Each radius's backward-recurrence start, K + min(K + 10, 45) with K = max(m, ceil r).
+
+    It depends on the radius's own m and r alone, so a batch starts each
+    element where a call on it alone would (see ``_MILLER_SPARE``).
+    """
+    top = np.maximum(m, np.ceil(r)).astype(int)
+    top += np.minimum(top + _MILLER_SPARE, _MILLER_PAD)
+    return top
+
+
 def _regular_backward(m: int, r) -> np.ndarray:
     """u_m by backward Miller recurrence, for m >= 2.
 
     The unnormalized f_k run down from f_top = 1e-300 (an arbitrary tiny
-    seed; the scale drops out), each radius from its own
-    ``top = max(m, ceil r) + _MILLER_PAD`` with zeros above it, and are
-    scaled to u_k by whichever of u_0, u_1 is larger in magnitude, so that
-    zeros of sin(r) cannot poison the scale.  Only the rows f_{k+1}, f_k,
+    seed; the scale drops out), each radius from its own top, the
+    K + min(K + 10, 45) of :func:`_miller_tops`, with zeros above it, and
+    are scaled to u_k by whichever of u_0, u_1 is larger in magnitude, so
+    that zeros of sin(r) cannot poison the scale.  Only the rows f_{k+1}, f_k,
     f_{k-1} of the current step, a copy of the row m, and the ratios
     (2k + 1)/r from :func:`_ratio_rows` (every order's for a small batch,
     three rows for a larger one) are held, and each step turns its ratio
@@ -263,8 +284,7 @@ def _regular_backward(m: int, r) -> np.ndarray:
     numpy calls.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    top = np.maximum(m, np.ceil(r)).astype(int)
-    top += _MILLER_PAD
+    top = _miller_tops(m, r)
     starts = set(top.tolist())
     kmax = max(starts)
     # Each step down multiplies max|f| by at most (2 kmax + 1)/r + 1, so a

@@ -21,15 +21,12 @@ from rbkernel import (
     p_wronskian,
     self_adjoint_certificate,
     solve_gamma,
-    spectral_grid,
     validate_sets,
 )
 from rbkernel.operator import (
     DEFAULT_CERTIFICATE_GRADING,
     DEFAULT_CERTIFICATE_NODES,
     DEFAULT_CERTIFICATE_PANELS,
-    DEFAULT_SPECTRAL_NODES,
-    DEFAULT_SPECTRAL_PANELS,
     build_grid,
 )
 
@@ -107,41 +104,48 @@ def test_criterion_07_nontrivial_solution_at_root(reference_spec, root_r):
             worst <= 1e-8)
 
 
+def _nearest_eigenpair(spec, r, panels):
+    """1 - lambda, signed, for the eigenvalue of the symmetric form nearest 1, and its
+    eigenvector, on ``panels`` uniform panels of 12 nodes at r; and the grid."""
+    grid = build_grid(r, panels, 12, grading=1.0)
+    eigenvalues, eigenvectors = np.linalg.eigh(nystrom_matrix(spec, grid).own_norm_form(),
+                                               UPLO="L")
+    nearest = np.argmin(np.abs(1.0 - eigenvalues))
+    return 1.0 - eigenvalues[nearest], eigenvectors[:, nearest], grid
+
+
 def test_criterion_08_spectral_corroboration(reference_spec, root_r):
-    # the Nystrom route, an independent discretization: sigma(R) and the
-    # null vector from one self-adjoint certificate of its 1536-node matrix
-    grid = spectral_grid(root_r)
-    certificate = self_adjoint_certificate(nystrom_matrix(reference_spec, grid))
-    sigma_min = certificate.sigma_min
+    # the Nystrom route, an independent discretization: its error at R is
+    # O(N^-2), so halving the panels quadruples 1 - lambda (e_16/e_32 = 4),
+    # and one Richardson step (4 e_32 - e_16)/3 removes that term
+    e_16, _, _ = _nearest_eigenpair(reference_spec, root_r, 16)
+    e_32, null_vec, grid = _nearest_eigenpair(reference_spec, root_r, 32)
+    richardson = abs(4.0 * e_32 - e_16) / 3.0
+    ratio = e_16 / e_32
 
     away = {}
     for r in (0.5, 1.0, 1.5):
-        away[r] = min_singular_value(nystrom_matrix(reference_spec, spectral_grid(r)))
+        grid_away = build_grid(r, 16, 12, grading=1.0)
+        away[r] = min_singular_value(nystrom_matrix(reference_spec, grid_away))
 
     # the null vector holds node values scaled by D = sqrt(w)/t
-    samples = np.array([eval_regular(2, t).value for t in grid.nodes]) * grid.l2_scaling
+    samples = eval_regular(2, grid.nodes).value * grid.l2_scaling
     samples /= np.linalg.norm(samples)
-    null_vec = certificate.null_vector
     if float(null_vec @ samples) < 0.0:
         null_vec = -null_vec
     deviation = float(np.max(np.abs(null_vec - samples)))
 
-    # refinement check: halving the panel count must at least double the gap
-    coarse = build_grid(root_r, DEFAULT_SPECTRAL_PANELS // 2, DEFAULT_SPECTRAL_NODES,
-                        grading=1.0)
-    sigma_coarse = min_singular_value(nystrom_matrix(reference_spec, coarse))
-
     ok = (
-        sigma_min <= 1e-6
+        richardson <= 1e-8
+        and abs(ratio - 4.0) <= 1e-2
         and all(sigma >= 0.1 for sigma in away.values())
-        and deviation <= 1e-4
-        and sigma_min <= 0.5 * sigma_coarse
+        and deviation <= 1e-5
     )
     _report(8, "sigma_min collapses only at R and the null vector matches u_2",
-            f"sigma(R) {sigma_min:.2e} <= 1e-6, "
+            f"Richardson |1 - lambda| at R {richardson:.2e} <= 1e-8, "
+            f"e_16/e_32 {ratio:.5f} within 1e-2 of 4, "
             f"min away {min(away.values()):.2f} >= 0.1, "
-            f"null-vector dev {deviation:.2e} <= 1e-4, "
-            f"refinement 0.5x panels {sigma_coarse:.2e}", ok)
+            f"null-vector dev {deviation:.2e} <= 1e-5", ok)
 
 
 def test_criterion_09_ode_residual():

@@ -527,6 +527,15 @@ class TestApplyOperator:
         assert type(first) is type(second)
         assert np.array_equal(first, second)
 
+    @pytest.mark.parametrize("values", [np.ones(3), np.ones(1), np.ones((192, 1))],
+                             ids=["short", "one", "column"])
+    def test_wrong_length_h_is_named(self, reference_spec, values):
+        # one point's first pass holds 2 + 4 panels a side of 16 nodes: 192
+        count = values.size
+        with pytest.raises(ValueError,
+                           match=rf"^h returned {count} values for 192 quadrature nodes$"):
+            apply_operator(reference_spec, 1.0, lambda t: values, 0.5)
+
     @pytest.mark.parametrize("r", [1e-155, 1e-158, 1e-160])
     def test_subnormal_squares_converge(self, reference_spec, r):
         # t*t is subnormal or 0 at the nodes: K t is r times its value at
@@ -706,8 +715,9 @@ class TestFirstPass:
     @pytest.mark.parametrize("h", H_CASES, ids=H_IDS)
     def test_bits_equal_the_level_by_level_loop(self, reference_spec, monkeypatch,
                                                 chunk_nodes, tol, h):
-        # 2**8 panels keep the failing cases cheap; u_2 converges well within it
-        monkeypatch.setattr(op_module, "_MAX_DOUBLINGS", 8)
+        # 2**9 panels keep the failing cases cheap; u_2 converges within it,
+        # at tol = 0 (two levels with equal bits) on [0.4, 1] at 512 panels
+        monkeypatch.setattr(op_module, "_MAX_DOUBLINGS", 9)
         if chunk_nodes is not None:
             monkeypatch.setattr(op_module, "_CHUNK_NODES", chunk_nodes)
         quad = {} if tol is None else {"tol": tol}

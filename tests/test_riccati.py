@@ -285,7 +285,7 @@ class TestArrayEvaluation:
         backward = self.RADII[(self.RADII >= SERIES_CROSSOVER)
                               & (m > self.RADII - 2.0 * np.sqrt(self.RADII))]
         if m >= 2:
-            kmax = max(m, math.ceil(backward.max())) + riccati._MILLER_PAD
+            kmax = int(riccati._miller_tops(m, backward).max())
             edge = block // kmax
             for count in (edge - 1, edge, edge + 1):
                 batches.append(np.full(count - backward.size, 1.0))
@@ -335,17 +335,23 @@ class TestArrayEvaluation:
                 _, alone = _regular_series_parts(order, r)
                 assert alone[0] == total[i], (order, r)
 
-    def test_rescale_path_is_exercised(self):
-        # the recurrence from the 1e-300 seed at order m + _MILLER_PAD grows
-        # past 1e308 on its way down to order 0 (by ~1e660 at (30, 1e-7)), so
-        # u_m and u_{m-1}, both normal doubles, come out right only because
-        # it rescales; without the rescale they are inf or nan
-        for m, r in ((30, 1e-7), (20, 1e-10)):
-            for order in (m, m - 1):
-                got = _regular_backward(order, r)[0]
-                expected = mp_regular(order, r)
-                assert abs(got - expected) <= 1e-12 * abs(expected), (m, r, order)
+    def test_rescale_path_is_exercised(self, monkeypatch):
+        # the recurrence from the 1e-300 seed at its start (order 2m + 10
+        # here) grows past 1e308 on its way down to order 0, so u_m and
+        # u_{m-1}, both normal doubles, come out right only because it
+        # rescales; without the rescale they are 0, nan or wrong
+        cases = [(order, r) for m, r in ((30, 3e-8), (20, 1e-11)) for order in (m, m - 1)]
+
+        def accurate(order, r):
+            got, expected = _regular_backward(order, r)[0], mp_regular(order, r)
+            return abs(got - expected) <= 1e-12 * abs(expected)
+
+        assert all(accurate(order, r) for order, r in cases)
         assert np.isfinite(eval_regular(200, 0.6).value)  # rescaled, underflows to 0
+        monkeypatch.setattr(riccati, "_RESCALE_LIMIT", math.inf)
+        with np.errstate(all="ignore"):
+            assert not any(accurate(order, r) for order, r in cases)
+            assert np.isnan(_regular_backward(200, 0.6)[0])
 
     def test_float_in_gives_python_floats(self):
         for pair in (eval_regular(2, 1.5), eval_regular(3, 0.2), eval_regular(0, 0),
@@ -530,6 +536,44 @@ class TestAgainstMpmath:
         monkeypatch.setattr(riccati, "_RESCALE_LIMIT", math.inf)
         with pytest.raises(OverflowError, match=re.escape("u_200(0.6) is not finite")):
             eval_regular(200, 0.6)
+
+    # orders and radii of the backward branch, from 0.5 up to where the
+    # forward branch takes over (about 230 at m = 200), with the radii just
+    # below an integer K = m, where the turning point k ~ r makes the
+    # recurrence's contamination fall slowest (the worst case of its start)
+    BACKWARD_ORDERS = [2, 3, 5, 8, 13, 20, 50, 200]
+
+    @pytest.mark.parametrize("m", BACKWARD_ORDERS)
+    def test_backward_branch_accuracy(self, m):
+        # within 8 + m/2 ulps of |u_m| where m >= r and of 1 (the
+        # oscillation's amplitude) where m < r, on 40 radii from 0.5 to 1e3
+        # and two just below m; the worst over ~3000 radii a order is 4 ulps
+        # at m = 2 and 78 at m = 200
+        radii = np.concatenate([np.geomspace(0.5, 1e3, 40), [m - 2.0**-20, m - 0.125]])
+        radii = radii[(radii >= SERIES_CROSSOVER) & (m > radii - 2.0 * np.sqrt(radii))]
+        values = riccati._regular_values(m, radii)
+        for r, value in zip(radii.tolist(), values.tolist()):
+            expected = mp_regular(m, r)
+            unit = np.spacing(abs(float(expected))) if m >= r else np.spacing(1.0)
+            assert float(abs(value - expected)) <= (8 + m / 2) * unit, (m, r)
+
+    @pytest.mark.parametrize("K", range(2, 41))
+    def test_start_leaves_no_visible_contamination(self, K):
+        # started at N with f_{N+1} = 0, the recurrence gives u_m plus
+        # (u_{N+1}/v_{N+1}) v_m of the irregular solution; at the start of
+        # the rule it is below 2^-64 of u_m where m = K >= r, at radii from
+        # K - 1 + 1/8 to just below K, where it falls slowest
+        for r in K - np.array([7, 5, 3, 1, 2.0**-20]) / 8:
+            top = int(riccati._miller_tops(K, np.array([r]))[0])
+            contamination = abs(mp_regular(top + 1, r) * mp_irregular(K, r)
+                                / (mp_irregular(top + 1, r) * mp_regular(K, r)))
+            assert contamination <= 2.0**-64, (K, r, top)
+
+    def test_start_is_at_most_45_orders_above_max_m_and_r(self):
+        radii = np.concatenate([[0.5, 0.7, 1.0], np.geomspace(1.0, 1e3, 200)])
+        for m in range(2, 251):
+            top = riccati._miller_tops(m, radii)
+            assert np.all(top <= np.maximum(m, np.ceil(radii)) + 45), m
 
     @pytest.mark.parametrize("m,r", [(0, 2.0), (10, 0.1), (50, 3.0), (20, 80.0)])
     def test_irregular_spot_checks(self, m, r):
