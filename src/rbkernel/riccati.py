@@ -14,19 +14,24 @@ Wronskian ``u_m v'_m - u'_m v_m`` equals 1 for every order.
 
 Evaluation strategy, chosen for double precision:
 
-* ``u_m`` for ``r < SERIES_CROSSOVER`` by Taylor series (the closed forms
-  subtract nearly equal terms near zero; u_2 alone loses ~45/r^5 in relative
-  error); deep in the oscillatory regime (order well below the argument) by
-  forward recurrence from the exact u_0, u_1 seeds, which is neutral there
-  and keeps errors at a few ulps of the oscillation amplitude; otherwise by
-  backward Miller-style recurrence normalized against the closed forms of
-  u_0 / u_1.  It starts K + min(K + 10, 45) orders up, K = max(m, ceil r):
-  one order above where the irregular solution it picks up falls below
-  2^-64 of u_m's envelope, up to K ~ 175, where the cap of 45 stops
-  reaching that.  It keeps a three-row window and divides out the ratios
-  (2k + 1)/r of all its orders in one call where they fit 2^13 values, and
-  an order at a time into three reused rows elsewhere, so n radii take O(n)
-  memory at any order;
+* ``u_m`` by its Taylor series wherever r^2 < 2m + 3, for every order whose
+  (2m + 1)!! is a finite double (1 <= m <= 149), and below
+  ``SERIES_CROSSOVER`` for every order (DLMF 10.53.1).  There the ratio of
+  each term to the one before is below 1/2, so the sum cannot cancel and
+  stays in (1/2, 1]; the closed forms would subtract nearly equal terms
+  near zero (u_2 alone loses ~45/r^5 in relative error).  Outside that
+  region: m = 1 by its closed form; deep in the oscillatory regime (order
+  well below the argument) by forward recurrence from the exact u_0, u_1
+  seeds, which is neutral there and keeps errors at a few ulps of the
+  oscillation amplitude; otherwise by backward Miller-style recurrence
+  normalized against the closed forms of u_0 / u_1.  It starts
+  K + min(K + 10, max(45, s)) orders up, K = max(m, ceil r), s the smallest
+  integer with (s - 1)^3 >= 512 K (about 8 K^(1/3) + 1): past where the
+  irregular solution it picks up falls below 2^-64 of u_m's envelope.  It
+  keeps a three-row window and divides out the ratios (2k + 1)/r of all its
+  orders in one call where they fit 2^13 values, and an order at a time
+  into three reused rows elsewhere, so n radii take O(n) memory at any
+  order;
 
 * ``v_m`` always by forward recurrence, which is stable because v_m is the
   dominant solution as the order grows;
@@ -34,9 +39,9 @@ Evaluation strategy, chosen for double precision:
 * each family's core (``_regular``, ``_irregular``) gives the values of one
   order and nothing else; a derivative is the ladder over two value calls,
   never finite differences.  Where the series value of u_m underflows
-  (subnormal or 0, r below ~1e-154 for m = 1), the ladder would lose its
-  (m/r) u_m term or overflow in m/r, so it is written with the two series
-  sums, u'_m = u_{m-1} (1 - m/(2m + 1) S_m/S_{m-1}).
+  (subnormal or 0: r below ~1e-154 for m = 1, below ~0.98 for m = 149),
+  the ladder would lose its (m/r) u_m term or overflow in m/r, so it is
+  written with the two series sums, u'_m = u_{m-1} (1 - m/(2m + 1) S_m/S_{m-1}).
 
 Where only values are wanted (family tables, kernel values, the integrand
 u_2), ``_regular_values`` and ``_irregular_values`` return the pairs' values
@@ -45,11 +50,12 @@ itself is not finite.
 
 The entries take a single radius or a numpy array of radii for one fixed
 order.  An array is evaluated element by element with the branch above
-selected per element by mask; each element keeps its own backward-recurrence
-start, and the series, summed without masks until no element's term exceeds
-1e-18 of its sum, adds to an element past its own stop only terms below half
-an ulp of its sum.  So each value is bit for bit the one a call on that
-element alone returns, whatever else is in the batch.  A float in gives a
+selected per element by mask, from the element's own m and r alone; each
+element keeps its own backward-recurrence start, and the series, summed
+without masks until no element's term exceeds 1e-18 of its sum, adds to an
+element past its own stop only terms below half an ulp of its sum.  So each
+value is bit for bit the one a call on that element alone returns, whatever
+else is in the batch.  A float in gives a
 ``FunctionPair`` of Python floats out.  Order 0 is sin or cos of a finite
 radius, so its values need no finiteness test.
 
@@ -75,23 +81,27 @@ __all__ = [
     "wronskian",
 ]
 
-# Below this radius u_m is summed as a Taylor series, above it closed forms /
-# backward recurrence take over.  Both branches deliver >= 12 digits in the
-# overlap window [0.3, 0.7].
+# Below this radius every order's u_m is summed as a Taylor series.  It is
+# the floor of the series' region, r^2 < 2m + 3 for 1 <= m <= 149, and all
+# of it for the orders beyond, whose (2m + 1)!! overflows; outside, closed
+# forms and recurrences take over.  Series and backward recurrence both
+# deliver >= 12 digits in the window [0.3, 0.7].
 SERIES_CROSSOVER = 0.5
 
 # Smallest normal double.
 _TINY = np.finfo(float).tiny
 
-# The backward recurrence starts K + min(K + _MILLER_SPARE, _MILLER_PAD)
-# orders up, K = max(m, ceil r).  Started at N, it gives u_m plus
-# (u_{N+1}/v_{N+1}) v_m of the irregular solution.  Over the radii of one K
-# that contamination falls below 2^-64 of u_m's envelope (|u_m| where
-# m >= r, the amplitude sqrt(u_m^2 + v_m^2) below) at most K + 9 orders up:
-# exactly K + 9 up to K = 7, then about 8 K^(1/3), the width of the turning
-# region k ~ r (mpmath at 60 digits, radii 1/256 apart up to K = 12 and 1/16
-# apart up to K = 46).  So K + 10 keeps an order spare.  From K = 35 on the
-# cap of 45 binds; it reaches 2^-64 up to K ~ 175 and 2^-53 up to K ~ 260.
+# The backward recurrence starts K + min(K + _MILLER_SPARE, max(_MILLER_PAD,
+# s)) orders up, K = max(m, ceil r), s the smallest integer with
+# (s - 1)^3 >= 512 K.  Started at N, it gives u_m plus (u_{N+1}/v_{N+1}) v_m
+# of the irregular solution.  Over the radii of one K that contamination
+# falls below 2^-64 of u_m's envelope (|u_m| where m >= r, the amplitude
+# sqrt(u_m^2 + v_m^2) below) at most K + 9 orders up: exactly K + 9 up to
+# K = 7, then about 8 K^(1/3), the width of the turning region k ~ r
+# (mpmath at 60 digits, radii 1/256 apart up to K = 12 and 1/16 apart up to
+# K = 46, coarser up to K = 1001: 81 orders at K = 1000).  So K + 10 keeps
+# an order spare.  From K = 35 to 166 the pad of 45 binds, which still
+# reaches 2^-64; beyond, s = ceil(8 K^(1/3)) + 1 follows the need.
 _MILLER_SPARE = 10
 _MILLER_PAD = 45
 
@@ -99,11 +109,12 @@ _MILLER_PAD = 45
 _RESCALE_LIMIT = 1e250
 
 # Most values (64 KiB of them) of a block: the ratios (2k + 1)/r that the
-# backward recurrence divides out in one numpy call, or the series terms
-# that are multiplied and summed in one call each; a larger batch takes them
-# an order or a term at a time.  The block pays off where numpy's per-call
-# cost dominates: it holds every ratio of an identity-check point's u_2
-# batch (about 20 orders over fewer than 170 radii), while numpy's
+# backward recurrence divides out in one numpy call, or the ratios of the
+# series terms it adds untested; a larger batch divides them an order or a
+# term at a time.  The block pays off where numpy's per-call cost
+# dominates: it holds the 13 series ratios of an identity-check point's
+# u_2 batch (192 radii) and every ratio of its Miller part (about 20 orders
+# over fewer than 170 radii), while numpy's
 # one-dimensional calls are faster per value on a sweep's batches of
 # thousands of radii, and a block there would only raise their peak memory.
 _BLOCK_VALUES = 2**13
@@ -167,11 +178,23 @@ def _series_denominators(m: int) -> np.ndarray:
     return (ks * (2 * m + 2 * ks + 1)).astype(float)
 
 
+def _series_bound(m: int) -> float:
+    """The r^2 below which u_m is summed as its Taylor series (u_0 is sin r).
+
+    2m + 3 while (2m + 1)!! is a finite double (m <= 149), where the
+    series' first ratio r^2 / (2 (2m + 3)) is below 1/2; beyond, the square
+    of ``SERIES_CROSSOVER``, so ``r * r < bound`` there is r < 0.5 exactly.
+    A radius's branch depends on its own m and r alone.
+    """
+    return 2 * m + 3 if m <= 149 else SERIES_CROSSOVER * SERIES_CROSSOVER
+
+
 @lru_cache(maxsize=64)
-def _series_terms(x: float, m: int) -> int:
-    """How many terms :func:`_regular_series_parts` adds to S_m at the radius x alone."""
+def _series_terms(m: int) -> int:
+    """How many terms :func:`_regular_series_parts` adds to S_m alone at the
+    edge of its region, the radius sqrt(``_series_bound(m)``)."""
     term = total = 1.0
-    half_r2 = -0.5 * x * x
+    half_r2 = -0.5 * _series_bound(m)
     for k in range(1, 202):
         term *= half_r2 / (k * (2 * m + 2 * k + 1))
         total += term
@@ -183,37 +206,38 @@ def _series_terms(x: float, m: int) -> int:
 def _regular_series_parts(m: int, r):
     # u_m(r) = r^(m+1)/(2m+1)!! * S_m(r),
     # S_m(r) = sum_k (-r^2/2)^k / (k! (2m+3)...(2m+2k+1)),
-    # an alternating series with factorially shrinking terms; safe for any r
-    # but only needed (and used) near zero.  Summed over the 1-D radii
-    # without masks until no element's term exceeds 1e-18 of its sum.  An
-    # element alone stops at its first such term, and the later terms change
-    # none of its bits: below r = 2 each term is under 2/3 of the one
-    # before, so each later one is below 1e-18 of the sum too, under half an
-    # ulp of it, and rounds away.  So no element's bits depend on the other
-    # radii, and the first terms go in untested, as many as the crossover
-    # radius adds alone (the radii the series serves lie below it): where
-    # they fit ``_BLOCK_VALUES`` values, from one ``multiply.accumulate`` of
-    # the ratios -r^2/2 / (k (2m + 2k + 1)) and one ``add.accumulate`` of
-    # the terms, which work in order and so give a loop's bits; otherwise a
-    # term a step.  Each later term is added after the test.  Returns the
-    # prefactor and S_m separately: S_m is near 1 even where u_m underflows.
+    # an alternating series with factorially shrinking terms; safe for any r,
+    # used where r^2 < ``_series_bound(m)``.  There the ratio of the k-th
+    # term to the one before, r^2 / (2k (2m + 2k + 1)), is below 1/2 and
+    # falls with k, so S_m lies in (1/2, 1] and cannot cancel.  Summed over
+    # the 1-D radii without masks until no element's term exceeds 1e-18 of
+    # its sum.  An element alone stops at its first such term, and the later
+    # terms change none of its bits: each is under half the one before, so
+    # below 1e-18 of the sum too, under half an ulp of it, and rounds away.
+    # So no element's bits depend on the other radii, and the first terms go
+    # in untested, as many as the region's edge radius adds alone, each by
+    # one in-place multiply and add; their ratios -r^2/2 / (k (2m + 2k + 1))
+    # come from one division where they fit ``_BLOCK_VALUES`` values, one
+    # per term otherwise.  Each later term is added after the test.  Returns
+    # the prefactor and S_m separately: S_m is near 1 even where u_m
+    # underflows.
     r = np.atleast_1d(np.asarray(r, dtype=float))
     # float_power calls C pow like Python's float ** int; numpy's ** takes a
     # different route for integer exponents and can differ in the last bit
     prefactor = np.float_power(r, m + 1) / _double_factorial(2 * m + 1)
     half_r2 = -0.5 * r * r
     denominators = _series_denominators(m)
-    untested = _series_terms(SERIES_CROSSOVER, m)
-    if (untested + 1) * r.size <= _BLOCK_VALUES:
-        terms = np.empty((untested + 1, r.size))
-        terms[0] = 1.0
-        np.multiply.accumulate(half_r2 / denominators[:untested, None], out=terms[1:])
-        term, total = terms[-1], np.add.accumulate(terms)[-1]
-        k = untested
+    untested = _series_terms(m)
+    if untested * r.size <= _BLOCK_VALUES:
+        ratios = half_r2 / denominators[:untested, None]
     else:
-        term, total, k = np.ones(r.size), np.ones(r.size), 0
-    while k < denominators.size and (
-            k < untested or np.count_nonzero(np.abs(term) > 1e-18 * np.abs(total))):
+        ratios = (half_r2 / denominator for denominator in denominators[:untested])
+    term, total = np.ones(r.size), np.ones(r.size)
+    for ratio in ratios:
+        term *= ratio
+        total += term
+    k = untested
+    while k < denominators.size and np.count_nonzero(np.abs(term) > 1e-18 * np.abs(total)):
         term *= half_r2 / denominators[k]
         total += term
         k += 1
@@ -257,15 +281,16 @@ def _ratio_rows(r: np.ndarray, kmax: int):
     return (np.divide(numerator, r, out=rows[i % 3]) for i, numerator in enumerate(numerators))
 
 
-def _miller_tops(m: int, r: np.ndarray) -> np.ndarray:
-    """Each radius's backward-recurrence start, K + min(K + 10, 45) with K = max(m, ceil r).
+@lru_cache(maxsize=256)
+def _miller_top(k: int) -> int:
+    """The backward recurrence's start for K = ``k``, K + min(K + 10, max(45, s)).
 
-    It depends on the radius's own m and r alone, so a batch starts each
-    element where a call on it alone would (see ``_MILLER_SPARE``).
+    s is the smallest integer with (s - 1)^3 >= 512 K (see ``_MILLER_SPARE``).
     """
-    top = np.maximum(m, np.ceil(r)).astype(int)
-    top += np.minimum(top + _MILLER_SPARE, _MILLER_PAD)
-    return top
+    spare = min(k + _MILLER_SPARE, _MILLER_PAD)
+    while (spare - 1) ** 3 < 512 * k:  # never below K = 167
+        spare += 1
+    return k + spare
 
 
 def _regular_backward(m: int, r) -> np.ndarray:
@@ -273,9 +298,11 @@ def _regular_backward(m: int, r) -> np.ndarray:
 
     The unnormalized f_k run down from f_top = 1e-300 (an arbitrary tiny
     seed; the scale drops out), each radius from its own top, the
-    K + min(K + 10, 45) of :func:`_miller_tops`, with zeros above it, and
+    :func:`_miller_top` of its K = max(m, ceil r), with zeros above it, and
     are scaled to u_k by whichever of u_0, u_1 is larger in magnitude, so
-    that zeros of sin(r) cannot poison the scale.  Only the rows f_{k+1}, f_k,
+    that zeros of sin(r) cannot poison the scale.  The start depends on the
+    radius's own m and r alone, so a batch starts each element where a call
+    on it alone would.  Only the rows f_{k+1}, f_k,
     f_{k-1} of the current step, a copy of the row m, and the ratios
     (2k + 1)/r from :func:`_ratio_rows` (every order's for a small batch,
     three rows for a larger one) are held, and each step turns its ratio
@@ -284,8 +311,8 @@ def _regular_backward(m: int, r) -> np.ndarray:
     numpy calls.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    top = _miller_tops(m, r)
-    starts = set(top.tolist())
+    orders = np.maximum(m, np.ceil(r)).astype(int)  # each radius's K
+    starts = {_miller_top(k): k for k in set(orders.tolist())}
     kmax = max(starts)
     # Each step down multiplies max|f| by at most (2 kmax + 1)/r + 1, so a
     # batch whose bound keeps the 1e-300 seed well under the limit never
@@ -296,7 +323,7 @@ def _regular_backward(m: int, r) -> np.ndarray:
     saved = np.zeros(r.shape)  # f_m, once the recurrence has reached it
     for k, new in zip(range(kmax, 0, -1), _ratio_rows(r, kmax)):
         if k in starts:
-            cur[top == k] = 1e-300
+            cur[orders == starts[k]] = 1e-300
         new *= cur
         new -= above  # f_{k-1} = ((2k + 1)/r) f_k - f_{k+1}
         if may_rescale:
@@ -318,10 +345,13 @@ def _regular(m: int, r: np.ndarray) -> np.ndarray:
     """u_m over a 1-D array of radii >= 0, branch chosen per element."""
     if m == 0:  # exact at the origin too
         return np.sin(r)
-    value = np.empty(r.size)
     # the series gives the origin its limit, 0, for m >= 1
-    series = r < SERIES_CROSSOVER
+    series = r * r < _series_bound(m)
     count = np.count_nonzero(series)
+    if count == r.size:
+        prefactor, total = _regular_series_parts(m, r)
+        return prefactor * total
+    value = np.empty(r.size)
     if count:
         prefactor, total = _regular_series_parts(m, r[series])
         value[series] = prefactor * total
@@ -359,7 +389,7 @@ def _regular_derivative(m: int, r: np.ndarray, value: np.ndarray) -> np.ndarray:
     # underflow (r^(m+1)/(2m+1)!! < 2.2e-308), so the ladder would lose
     # (m/r) u_m, a term of the same order, or overflow in m/r.  With
     # (m/r) u_m = u_{m-1} m/(2m+1) S_m/S_{m-1} the ladder needs neither.
-    underflow = (np.abs(value) < _TINY) & (r > 0.0) & (r < SERIES_CROSSOVER)
+    underflow = (np.abs(value) < _TINY) & (r > 0.0) & (r * r < _series_bound(m))
     if underflow.any():
         x = r[underflow]
         sum_ratio = _regular_series_parts(m, x)[1] / _regular_series_parts(m - 1, x)[1]

@@ -267,11 +267,18 @@ def masked_series_parts(m, r):
     return prefactor, total
 
 
+def backward_filler(m):
+    """The first integer radius outside u_m's series region: for m >= 2 it
+    takes the backward recurrence (the forward branch starts past 7.4)."""
+    return float(math.ceil(math.sqrt(riccati._series_bound(m))))
+
+
 class TestArrayEvaluation:
-    # per order: the origin, the series (r < 0.5), m = 1's closed form, the
-    # forward branch (m <= r - 2 sqrt r) and the backward recurrence; m = 200
-    # at r = 0.6 drives the backward recurrence through its overflow rescale
-    RADII = np.array([0.0, 0.01, 0.3, 0.499, 0.5, 0.6, 1.0, 3.0, 20.0, 80.0, 100.0])
+    # per order: the origin, the series (r^2 < 2m + 3 up to m = 149, r < 0.5
+    # beyond), m = 1's closed form, the forward branch (m <= r - 2 sqrt r)
+    # and the backward recurrence (10 for m = 7); m = 200 at r = 0.6 drives
+    # the backward recurrence through its overflow rescale
+    RADII = np.array([0.0, 0.01, 0.3, 0.499, 0.5, 0.6, 1.0, 3.0, 10.0, 20.0, 80.0, 100.0])
 
     @pytest.mark.parametrize("m", [0, 1, 2, 7, 50, 200])
     def test_batch_gives_the_bits_of_single_calls(self, m):
@@ -280,15 +287,17 @@ class TestArrayEvaluation:
         # above the n whose ratios (2k + 1)/r fill a block (divided out in
         # one call up to it, a row at a time beyond)
         block = riccati._BLOCK_VALUES
-        batches = [np.resize([0.3, 1.0, 3.0], size - self.RADII.size)  # series, backward
+        filler = backward_filler(m)
+        batches = [np.resize([0.3, 1.0, filler], size - self.RADII.size)  # series, backward
                    for size in (self.RADII.size, block // 2, block // 2 + 1, block, block + 1)]
-        backward = self.RADII[(self.RADII >= SERIES_CROSSOVER)
+        backward = self.RADII[(self.RADII * self.RADII >= riccati._series_bound(m))
                               & (m > self.RADII - 2.0 * np.sqrt(self.RADII))]
         if m >= 2:
-            kmax = int(riccati._miller_tops(m, backward).max())
+            kmax = max(riccati._miller_top(max(m, math.ceil(r)))
+                       for r in [*backward.tolist(), filler])
             edge = block // kmax
             for count in (edge - 1, edge, edge + 1):
-                batches.append(np.full(count - backward.size, 1.0))
+                batches.append(np.full(count - backward.size, filler))
                 blocked = isinstance(riccati._ratio_rows(np.ones(count), kmax), np.ndarray)
                 assert blocked == (count <= edge), (m, count)
         singles = [eval_regular(m, float(r)) for r in self.RADII]
@@ -436,6 +445,29 @@ class TestArrayEvaluation:
             for r, value in zip(near, expected):
                 assert bits(riccati._regular_values(m, float(r))) == bits(value), (m, r)
 
+    def test_series_region_ends_where_the_rule_says(self):
+        # one double below, at and above sqrt(2m + 3) (0.5 from m = 150 on),
+        # alone, in a batch with radii of the other branches, and through the
+        # values path: each value is the one its own branch gives, the series
+        # exactly where r^2 < 2m + 3, with the same bits
+        for m in [*range(1, 152), 200]:
+            bound = riccati._series_bound(m)
+            edge = math.sqrt(bound)
+            near = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf)])
+            series = near * near < bound
+            assert series[0] and not series[2], m
+            prefactor, total = _regular_series_parts(m, near)
+            other = np.sin(near) / near - np.cos(near) if m == 1 else _regular_backward(m, near)
+            expected = np.where(series, prefactor * total, other)
+            batch = np.concatenate([[0.0, 0.3, 1.0, 3.0], near, [2.0 * edge, 1e3]])
+            pairs = eval_regular(m, batch)
+            assert np.array_equal(bits(pairs.value[4:7]), bits(expected)), m
+            assert np.array_equal(bits(riccati._regular_values(m, batch)), bits(pairs.value)), m
+            for i, r in enumerate(batch.tolist()):
+                alone = eval_regular(m, r)
+                assert bits([alone.value, alone.derivative]).tolist() == bits(
+                    [pairs.value[i], pairs.derivative[i]]).tolist(), (m, r)
+
     @pytest.mark.parametrize("m, r", [
         (-1, 1.0), (2.5, 1.0), ("2", 1.0), (2, math.nan), (2, math.inf), (2, -1.0),
         (0, np.array([0.5, math.nan])), (3, np.array([1.0, -2.0, math.inf])),
@@ -449,20 +481,21 @@ class TestArrayEvaluation:
 
     def test_values_path_names_a_value_that_is_not_finite(self, monkeypatch):
         # no radius eval_regular accepts gives a u_m that is not finite (none
-        # on the grids above), so a branch is made to return inf at r = 3:
-        # both paths name that radius, and only the value, in one message
+        # on the grids above), so a branch is made to return inf at r = 4,
+        # a backward radius of m = 5 (4^2 >= 13): both paths name that
+        # radius, and only the value, in one message
         real = riccati._regular_backward
 
         def poisoned(m, r):
             value = real(m, r)
-            value[r == 3.0] = math.inf
+            value[r == 4.0] = math.inf
             return value
 
         monkeypatch.setattr(riccati, "_regular_backward", poisoned)
-        radii = np.array([0.3, 1.0, 3.0, 20.0, 3.0])
+        radii = np.array([0.3, 1.0, 4.0, 20.0, 4.0])
         for evaluate in (eval_regular, riccati._regular_values):
             with pytest.raises(OverflowError,
-                               match=r"^u_5\(3\.0\) is not finite in double precision$"):
+                               match=r"^u_5\(4\.0\) is not finite in double precision$"):
                 evaluate(5, radii)
 
     # positive radii, from 1e3 down to the smallest subnormal
@@ -537,20 +570,25 @@ class TestAgainstMpmath:
         with pytest.raises(OverflowError, match=re.escape("u_200(0.6) is not finite")):
             eval_regular(200, 0.6)
 
-    # orders and radii of the backward branch, from 0.5 up to where the
-    # forward branch takes over (about 230 at m = 200), with the radii just
-    # below an integer K = m, where the turning point k ~ r makes the
-    # recurrence's contamination fall slowest (the worst case of its start)
+    # orders and radii of the backward branch, from the series' edge
+    # (sqrt(2m + 3), 0.5 for m = 200) up to where the forward branch takes
+    # over (about 230 at m = 200), with the radii just below an integer
+    # K = m, or the first integer K past the edge, where the turning point
+    # k ~ r makes the recurrence's contamination fall slowest (the worst case
+    # of its start)
     BACKWARD_ORDERS = [2, 3, 5, 8, 13, 20, 50, 200]
 
     @pytest.mark.parametrize("m", BACKWARD_ORDERS)
     def test_backward_branch_accuracy(self, m):
         # within 8 + m/2 ulps of |u_m| where m >= r and of 1 (the
-        # oscillation's amplitude) where m < r, on 40 radii from 0.5 to 1e3
-        # and two just below m; the worst over ~3000 radii a order is 4 ulps
-        # at m = 2 and 78 at m = 200
-        radii = np.concatenate([np.geomspace(0.5, 1e3, 40), [m - 2.0**-20, m - 0.125]])
-        radii = radii[(radii >= SERIES_CROSSOVER) & (m > radii - 2.0 * np.sqrt(radii))]
+        # oscillation's amplitude) where m < r, on the radii of 40 from 0.5
+        # to 1e3 past the edge and three just below an integer; the worst
+        # over ~3000 radii a order is 4 ulps at m = 2 and 78 at m = 200
+        first = backward_filler(m)
+        radii = np.concatenate([np.geomspace(0.5, 1e3, 40),
+                                [m - 2.0**-20, m - 0.125, first - 2.0**-20]])
+        radii = radii[(radii * radii >= riccati._series_bound(m))
+                      & (m > radii - 2.0 * np.sqrt(radii))]
         values = riccati._regular_values(m, radii)
         for r, value in zip(radii.tolist(), values.tolist()):
             expected = mp_regular(m, r)
@@ -564,16 +602,77 @@ class TestAgainstMpmath:
         # the rule it is below 2^-64 of u_m where m = K >= r, at radii from
         # K - 1 + 1/8 to just below K, where it falls slowest
         for r in K - np.array([7, 5, 3, 1, 2.0**-20]) / 8:
-            top = int(riccati._miller_tops(K, np.array([r]))[0])
+            top = riccati._miller_top(K)
             contamination = abs(mp_regular(top + 1, r) * mp_irregular(K, r)
                                 / (mp_irregular(top + 1, r) * mp_regular(K, r)))
             assert contamination <= 2.0**-64, (K, r, top)
 
-    def test_start_is_at_most_45_orders_above_max_m_and_r(self):
+    def test_start_is_at_most_45_orders_above_max_m_and_r_until_the_need_passes_45(self):
+        # K = max(m, ceil r): K + 10 orders up to K = 35, 45 up to K = 166,
+        # then ceil(8 K^(1/3)) + 1, the need past 2^-64 (81 at K = 1000)
         radii = np.concatenate([[0.5, 0.7, 1.0], np.geomspace(1.0, 1e3, 200)])
         for m in range(2, 251):
-            top = riccati._miller_tops(m, radii)
-            assert np.all(top <= np.maximum(m, np.ceil(radii)) + 45), m
+            for K in np.maximum(m, np.ceil(radii)).astype(int).tolist():
+                spare = riccati._miller_top(K) - K
+                if K <= 166:
+                    assert spare == min(K + 10, 45), (m, K)
+                else:
+                    assert spare == math.ceil(8 * K ** (1 / 3) - 1e-9) + 1, (m, K)
+
+    @pytest.mark.parametrize("m, r", [(937, 1000.0), (1000, 1000.0)])
+    def test_backward_branch_accuracy_at_large_orders(self, m, r):
+        # with a pad of 45 orders these were off by 5.8e-9 and 6.5e-9, the
+        # irregular solution's share; the start past 8 K^(1/3) leaves the
+        # rounding of a thousand steps, within 8 + m/2 ulps of the amplitude
+        value, derivative = eval_regular(m, r)
+        expected = mp_regular(m, r)
+        assert float(abs(value - expected)) <= (8 + m / 2) * np.spacing(1.0)
+        expected = mp_regular(m - 1, r) - m / mp.mpf(r) * expected
+        assert float(abs(derivative - expected)) <= (8 + m / 2) * np.spacing(1.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 20, 50, 149])
+    def test_series_accuracy_past_the_crossover(self, m):
+        # the series serves r^2 < 2m + 3 up to m = 149; from 0.5 to that edge
+        # (where m = 1's closed form and the backward recurrence served
+        # before, up to 10 ulps off at m = 1 and 56 at m = 149 over 800 radii
+        # an order) it stays within 6 + m/25 ulps of |u_m|: the worst over
+        # those 800 radii is 4.5 ulps at m = 20 and 7.1 at m = 149
+        bound = riccati._series_bound(m)
+        radii = np.linspace(SERIES_CROSSOVER, math.sqrt(bound), 41)[:-1]
+        assert np.all(radii * radii < bound)
+        values = riccati._regular_values(m, radii)
+        for r, value in zip(radii.tolist(), values.tolist()):
+            expected = mp_regular(m, r)
+            unit = np.spacing(abs(float(expected)))
+            assert float(abs(value - expected)) <= (6 + m / 25) * unit, (m, r)
+
+    def test_series_serves_the_orders_whose_double_factorial_is_finite(self):
+        # (2m + 1)!! overflows from m = 150, where the series' prefactor
+        # r^(m+1)/(2m+1)!! would read 0 (or raise), so its region shrinks to
+        # r < 0.5 there
+        assert math.isfinite(riccati._double_factorial(2 * 149 + 1))
+        assert riccati._double_factorial(2 * 150 + 1) == math.inf
+        assert riccati._series_bound(149) == 2 * 149 + 3
+        assert riccati._series_bound(150) == SERIES_CROSSOVER**2
+
+    @pytest.mark.parametrize("m, r", [(150, 17.0), (160, 17.9), (250, 22.0)])
+    def test_orders_past_149_keep_the_backward_recurrence(self, m, r):
+        # r^2 < 2m + 3 here, but (2m + 1)!! overflows: a series would give
+        # 0 at (150, 17.0), where u_m is 3.45e-124, and raise at (250, 22.0)
+        value, derivative = eval_regular(m, r)
+        expected = mp_regular(m, r)
+        assert value == pytest.approx(float(expected), rel=1e-14, abs=0.0)
+        expected = mp_regular(m - 1, r) - m / mp.mpf(r) * expected
+        assert derivative == pytest.approx(float(expected), rel=2e-14, abs=0.0)
+
+    def test_subnormal_series_value_past_the_crossover_keeps_its_derivative(self):
+        # u_149(0.9) = 3.6e-314 is a subnormal series value, so u'_149 comes
+        # from the series sums, not from the ladder over the subnormal u_148
+        # and u_149 (21 subnormal spacings off); u'_149 itself is subnormal
+        value, derivative = eval_regular(149, 0.9)
+        assert 0.0 < value < np.finfo(float).tiny
+        expected = mp_regular(148, 0.9) - 149 / mp.mpf(0.9) * mp_regular(149, 0.9)
+        assert float(abs(derivative - expected)) <= np.spacing(abs(float(expected)))
 
     @pytest.mark.parametrize("m,r", [(0, 2.0), (10, 0.1), (50, 3.0), (20, 80.0)])
     def test_irregular_spot_checks(self, m, r):
