@@ -454,40 +454,49 @@ def dump_matrix(op: SeparableNystromOperator, path) -> None:
         handle.write(csv_text(symmetric.tolist()))
 
 
-@lru_cache(maxsize=32)
-def _level_edges(counts: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Edge fractions of the panels of every level in ``counts``, uniform and graded.
+@lru_cache(maxsize=4)
+def _level_pattern(counts: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights of the panels of every level in ``counts`` on [0, 1].
 
-    The lower edges j/c of every level c come first, level by level, then
-    the upper edges (j + 1)/c in the same order; graded edges are their
-    squares (exponent 2).
+    Row 0 has uniform panels, with edges j/c on every level c, and row 1
+    graded ones, their squares (exponent 2); the levels' panels follow one
+    another along a row.  A row [lo, hi] takes the nodes lo + (hi - lo) F
+    and the weights (hi - lo) W of its row.  Every node fraction is below
+    1, so no node passes hi, not even at the largest double.  Read-only:
+    it is cached, for four plans, so a call that doubles to 16384 panels
+    keeps only its last four levels' patterns.
     """
     ticks = [np.arange(count + 1) / count for count in counts]
-    uniform = np.concatenate([t[:-1] for t in ticks] + [t[1:] for t in ticks])
-    return uniform, uniform**2.0
+    lower = np.concatenate([t[:-1] for t in ticks])
+    upper = np.concatenate([t[1:] for t in ticks])
+    pattern = _panel_nodes(np.stack([lower, lower**2.0]), np.stack([upper, upper**2.0]),
+                           _QUAD_NODES)
+    for table in pattern:
+        table.flags.writeable = False
+    return pattern
 
 
-def _level_bounds(lo, hi, is_left, counts):
-    """Lower and upper edges of the panels of every level in ``counts``, for each row.
+def _level_nodes(lo, hi, is_left, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of every level in ``counts``, one row per row [lo, hi].
 
-    Graded on ``is_left`` rows, uniform on the others; the levels' panels
-    follow one another along a row.
+    A row takes lo + (hi - lo) F and (hi - lo) W from :func:`_level_pattern`'s
+    graded row if it ``is_left``, its uniform row if not.  Nodes lie in
+    [lo, hi], and nothing overflows.
     """
-    uniform, graded = _level_edges(tuple(counts))
-    # lo + (hi - lo) f, with 0 <= lo and 0 <= f <= 1, rounds to at most the
-    # double above hi: near the largest double that is inf, read as hi
-    with np.errstate(over="ignore"):
-        bounds = lo[:, None] + (hi - lo)[:, None] * np.where(is_left[:, None], graded, uniform)
-    bounds = np.where(np.isinf(bounds), hi[:, None], bounds)
-    panels = bounds.shape[1] // 2
-    return bounds[:, :panels], bounds[:, panels:]
+    fractions, unit_weights = _level_pattern(counts)
+    pattern = is_left.astype(np.intp)
+    width = (hi - lo)[:, None]
+    return lo[:, None] + width * fractions[pattern], width * unit_weights[pattern]
 
 
 def _smallest_weights(lo, hi, is_left, count: int) -> np.ndarray:
-    """Each row's smallest Gauss weight on ``count`` panels, as :func:`_panel_sums` forms it."""
-    lower, upper = _level_bounds(lo, hi, is_left, (count,))
-    # rounding is monotonic, so the smallest half-width gives the smallest weight
-    return np.min(0.5 * (upper - lower), axis=1) * _gauss_rule(_QUAD_NODES)[1].min()
+    """Each row's smallest Gauss weight on ``count`` panels, as :func:`_panel_sums` forms it.
+
+    That is (hi - lo) times the smallest unit weight of the row's pattern,
+    since rounding is monotonic.
+    """
+    smallest = _level_pattern((count,))[1].min(axis=1)
+    return (hi - lo) * smallest[is_left.astype(np.intp)]
 
 
 def _unconverged(lo: float, hi: float, tol: float, panels: int) -> ConvergenceError:
@@ -502,8 +511,10 @@ def _panel_sums(order: int, h, lo, hi, is_left, counts, points):
     A row integrates over [lo, hi]; f_m is u_m on ``is_left`` rows, whose
     panels are graded toward the origin (exponent 2), and v_m on the others,
     whose panels are uniform; the ``is_left`` rows come first.  The nodes of
-    every count are built at once, one row of all its levels' panels per row;
-    h is called once on them and must give one value per node, or a scalar,
+    every count are built at once, one row of all its levels' panels per row,
+    by :func:`_level_nodes` from the cached unit pattern of the pass's counts
+    (one multiply and add per node, one multiply per weight); h is called
+    once on them and must give one value per node, or a scalar,
     which reaches every node by numpy's broadcasting (any other shape is a
     ValueError naming the two counts), and each Riccati family once on its
     rows' nodes joined with the 1-D ``points`` (either may be empty, even
@@ -514,7 +525,7 @@ def _panel_sums(order: int, h, lo, hi, is_left, counts, points):
     routine ``np.dot`` uses for two vectors.  Returns the list of sums, u_m
     at the points and v_m at the points.
     """
-    nodes, weights = _panel_nodes(*_level_bounds(lo, hi, is_left, counts), _QUAD_NODES)
+    nodes, weights = _level_nodes(lo, hi, is_left, counts)
     flat = nodes.ravel()
     h_values = np.asarray(h(flat))
     if h_values.ndim and h_values.shape != flat.shape:
@@ -631,7 +642,9 @@ def apply_operator(
     array; every point gets the same value it gets on its own.
     Each sub-integral doubles its count of 16-node Gauss-Legendre panels
     until consecutive values differ by at most ``tol`` (absolute); with
-    ``tol = 0`` that means until they agree bit for bit.
+    ``tol = 0`` that means until they agree bit for bit.  A side [lo, hi]
+    takes the nodes lo + (hi - lo) F and the weights (hi - lo) W of the
+    Gauss rule's panels on [0, 1], cached per pass, so no node passes hi.
 
     Raises
     ------

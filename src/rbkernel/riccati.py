@@ -51,11 +51,10 @@ itself is not finite.
 The entries take a single radius or a numpy array of radii for one fixed
 order.  An array is evaluated element by element with the branch above
 selected per element by mask, from the element's own m and r alone; each
-element keeps its own backward-recurrence start, and the series, summed
-without masks until no element's term exceeds 1e-18 of its sum, adds to an
-element past its own stop only terms below half an ulp of its sum.  So each
-value is bit for bit the one a call on that element alone returns, whatever
-else is in the batch.  A float in gives a
+element keeps its own backward-recurrence start, and the series sums S_m by
+Horner's rule in r^2 over cached coefficients whose count depends on m
+alone.  So each value is bit for bit the one a call on that element alone
+returns, whatever else is in the batch.  A float in gives a
 ``FunctionPair`` of Python floats out.  Order 0 is sin or cos of a finite
 radius, so its values need no finiteness test.
 
@@ -109,14 +108,13 @@ _MILLER_PAD = 45
 _RESCALE_LIMIT = 1e250
 
 # Most values (64 KiB of them) of a block: the ratios (2k + 1)/r that the
-# backward recurrence divides out in one numpy call, or the ratios of the
-# series terms it adds untested; a larger batch divides them an order or a
-# term at a time.  The block pays off where numpy's per-call cost
-# dominates: it holds the 13 series ratios of an identity-check point's
-# u_2 batch (192 radii) and every ratio of its Miller part (about 20 orders
-# over fewer than 170 radii), while numpy's
-# one-dimensional calls are faster per value on a sweep's batches of
-# thousands of radii, and a block there would only raise their peak memory.
+# backward recurrence divides out in one numpy call (:func:`_ratio_rows`);
+# a larger batch divides them an order at a time.  The block pays off where
+# numpy's per-call cost dominates: it holds every ratio of the Miller part
+# of an identity-check point's u_2 batch (about 20 orders over fewer than
+# 170 radii), while numpy's one-dimensional calls are faster per value on a
+# sweep's batches of thousands of radii, and a block there would only raise
+# their peak memory.
 _BLOCK_VALUES = 2**13
 
 # The message of each family's OverflowError, after "u_m(r) " or "v_m(r) ".
@@ -167,15 +165,9 @@ def _check_radii(r, *, allow_zero: bool = False) -> np.ndarray:
 
 
 def _double_factorial(n: int) -> float:
-    """(n)!! over odd n; returns inf on overflow (caller underflows to 0)."""
-    return math.prod(range(3, n + 1, 2), start=1.0)
-
-
-@lru_cache(maxsize=64)
-def _series_denominators(m: int) -> np.ndarray:
-    """k (2m + 2k + 1) for k = 1 .. 201, exact in a double."""
-    ks = np.arange(1, 202)
-    return (ks * (2 * m + 2 * ks + 1)).astype(float)
+    """(n)!! over odd n, correctly rounded; inf on overflow (caller underflows to 0)."""
+    exact = math.prod(range(3, n + 1, 2))
+    return float(exact) if exact.bit_length() <= 1024 else math.inf
 
 
 def _series_bound(m: int) -> float:
@@ -190,17 +182,28 @@ def _series_bound(m: int) -> float:
 
 
 @lru_cache(maxsize=64)
-def _series_terms(m: int) -> int:
-    """How many terms :func:`_regular_series_parts` adds to S_m alone at the
-    edge of its region, the radius sqrt(``_series_bound(m)``)."""
-    term = total = 1.0
-    half_r2 = -0.5 * _series_bound(m)
-    for k in range(1, 202):
-        term *= half_r2 / (k * (2 * m + 2 * k + 1))
+def _series_coefficients(m: int) -> tuple:
+    """The coefficients of S_m as a polynomial in x = r^2, the highest first.
+
+    c_k = (-1/2)^k / (k! (2m + 3)(2m + 5)...(2m + 2k + 1)), each the
+    correctly rounded quotient 1 / n of the integer n = 1 / c_k (Python's
+    int division rounds correctly).  They run from c_0 = 1 up to the last
+    term whose magnitude at x = ``_series_bound(m)`` + 2 is at least 2^-64
+    of the sum so far: that covers the series' region, and the order m - 1
+    that :func:`_regular_derivative` sums on the region of order m.
+    """
+    x = _series_bound(m) + 2.0
+    coefficients, denominator, term, total = [1.0], 1, 1.0, 1.0
+    k = 1
+    while True:
+        factor = -2 * k * (2 * m + 2 * k + 1)
+        term *= x / factor
+        if abs(term) < 2.0**-64 * total:
+            return tuple(reversed(coefficients))
+        denominator *= factor
+        coefficients.append(1 / denominator)
         total += term
-        if not abs(term) > 1e-18 * abs(total):
-            break
-    return k
+        k += 1
 
 
 def _regular_series_parts(m: int, r):
@@ -209,38 +212,22 @@ def _regular_series_parts(m: int, r):
     # an alternating series with factorially shrinking terms; safe for any r,
     # used where r^2 < ``_series_bound(m)``.  There the ratio of the k-th
     # term to the one before, r^2 / (2k (2m + 2k + 1)), is below 1/2 and
-    # falls with k, so S_m lies in (1/2, 1] and cannot cancel.  Summed over
-    # the 1-D radii without masks until no element's term exceeds 1e-18 of
-    # its sum.  An element alone stops at its first such term, and the later
-    # terms change none of its bits: each is under half the one before, so
-    # below 1e-18 of the sum too, under half an ulp of it, and rounds away.
-    # So no element's bits depend on the other radii, and the first terms go
-    # in untested, as many as the region's edge radius adds alone, each by
-    # one in-place multiply and add; their ratios -r^2/2 / (k (2m + 2k + 1))
-    # come from one division where they fit ``_BLOCK_VALUES`` values, one
-    # per term otherwise.  Each later term is added after the test.  Returns
-    # the prefactor and S_m separately: S_m is near 1 even where u_m
-    # underflows.
+    # falls with k, so S_m lies in (1/2, 1] and cannot cancel.  S_m is
+    # summed by Horner's rule in x = r^2 over the cached coefficients of
+    # :func:`_series_coefficients`, each step one in-place multiply and
+    # add over the 1-D radii.  Their count depends on m alone, so no
+    # element's bits depend on the other radii.  Returns the prefactor and
+    # S_m separately: S_m is near 1 even where u_m underflows.
     r = np.atleast_1d(np.asarray(r, dtype=float))
     # float_power calls C pow like Python's float ** int; numpy's ** takes a
     # different route for integer exponents and can differ in the last bit
     prefactor = np.float_power(r, m + 1) / _double_factorial(2 * m + 1)
-    half_r2 = -0.5 * r * r
-    denominators = _series_denominators(m)
-    untested = _series_terms(m)
-    if untested * r.size <= _BLOCK_VALUES:
-        ratios = half_r2 / denominators[:untested, None]
-    else:
-        ratios = (half_r2 / denominator for denominator in denominators[:untested])
-    term, total = np.ones(r.size), np.ones(r.size)
-    for ratio in ratios:
-        term *= ratio
-        total += term
-    k = untested
-    while k < denominators.size and np.count_nonzero(np.abs(term) > 1e-18 * np.abs(total)):
-        term *= half_r2 / denominators[k]
-        total += term
-        k += 1
+    x = r * r
+    highest, *rest = _series_coefficients(m)
+    total = np.full(r.size, highest)
+    for coefficient in rest:
+        total *= x
+        total += coefficient
     return prefactor, total
 
 

@@ -104,7 +104,7 @@ class TestSeriesRoute:
         assert p_series(r) / r**2 == pytest.approx(-0.2, rel=1e-7)
 
     def test_value_at_tenth(self):
-        assert p_series(0.1) == pytest.approx(P_AT_0_1, rel=1e-13)
+        assert p_series(0.1) == pytest.approx(P_AT_0_1, rel=1e-13, abs=0.0)
 
     def test_overlap_with_explicit(self):
         assert abs(p_series(0.4) - p_explicit(0.4)) <= 1e-9

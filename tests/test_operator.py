@@ -604,38 +604,39 @@ class TestApplyOperator:
 LARGEST = float(np.finfo(float).max)
 
 
-class TestLevelBounds:
-    """``_level_bounds`` near the largest double, where lo + (hi - lo) f may round to inf."""
+class TestNodeRule:
+    """A row [lo, hi] takes the nodes lo + (hi - lo) F and weights (hi - lo) W of its unit
+    pattern, from the largest double down to subnormal radii."""
 
     @pytest.mark.parametrize("divisor", [None, 3, 9])  # lo = 0 or hi / divisor
-    @pytest.mark.parametrize("hi", [1.0, 2.0**1023, LARGEST])
-    def test_edges_read_inf_as_hi(self, hi, divisor):
-        lo = 0.0 if divisor is None else hi / divisor
-        counts = (2, 4)
+    @pytest.mark.parametrize("hi", [1.0, 2.0**1023, LARGEST, 2.2e-308, 1e-310, 5e-324])
+    def test_nodes_stay_in_the_row_and_weights_finite(self, hi, divisor):
+        lo = np.full(2, 0.0 if divisor is None else hi / divisor)
+        hi = np.full(2, hi)
+        left = np.array([True, False])  # the left row graded, the right uniform
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning, overflow included
-            lower, upper = op_module._level_bounds(
-                np.full(2, lo), np.full(2, hi), np.array([True, False]), counts)
-        rounded_past = False
-        for row, exponent in enumerate((2.0, 1.0)):  # the left row graded, the right uniform
-            for got, shift in ((lower[row], 0), (upper[row], 1)):
-                # in Python floats a sum past the largest double is inf, without a warning
-                raw = [lo + (hi - lo) * ((j + shift) / c) ** exponent
-                       for c in counts for j in range(c)]
-                assert got.tolist() == [hi if math.isinf(x) else x for x in raw]
-                rounded_past |= any(map(math.isinf, raw))
-        # of these cases, only lo = hi/9 at the largest double has an edge that rounds past it
-        assert rounded_past == (hi == LARGEST and divisor == 9)
+            nodes, weights = op_module._level_nodes(lo, hi, left, (2, 4))
+            assert np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
+            assert np.all((lo[:, None] <= nodes) & (nodes <= hi[:, None]))
+            assert np.all(weights >= 0.0)
+            for count in (2, 8, 2**14):
+                smallest = op_module._smallest_weights(lo, hi, left, count)
+                level = op_module._level_nodes(lo, hi, left, (count,))[1]
+                assert np.array_equal(smallest, level.min(axis=1)), count
 
 
 def levelwise_split_integrals(order, h, s, r, tol):
     """``_kink_split_integrals`` one row and one doubling level at a time.
 
-    It shares only the rules ``_panel_nodes`` and ``_over_square`` with the
-    code it checks: it forms each level's panel bounds itself, lo + (hi - lo)
-    times j/c (squared on [0, s]), and sums each row with ``np.dot``.  u_m
-    and v_m at the points come from calls of their own.
+    It shares only the rules ``_gauss_rule`` and ``_over_square`` with the
+    code it checks: it forms each level's unit pattern itself, the Gauss
+    nodes and weights of the panels between j/c (squared on [0, s]), and a
+    row's nodes lo + (hi - lo) F and weights (hi - lo) W from it, and sums
+    each row with ``np.dot``.  u_m and v_m at the points come from calls of
+    their own.
     """
+    x, w = op_module._gauss_rule(op_module._QUAD_NODES)
     n = len(s)
     lo = np.concatenate([np.zeros(n), s])
     hi = np.concatenate([s, np.full(n, r)])
@@ -646,12 +647,14 @@ def levelwise_split_integrals(order, h, s, r, tol):
     for _ in range(op_module._MAX_DOUBLINGS):
         for row in np.flatnonzero(active):
             left = row < n
-            fractions = np.arange(count + 1) / count
-            with np.errstate(all="ignore"):  # see _level_bounds and _panel_sums
-                bounds = lo[row] + (hi[row] - lo[row]) * (fractions**2.0 if left else fractions)
-                bounds = np.where(np.isinf(bounds), hi[row], bounds)
-                nodes, weights = op_module._panel_nodes(bounds[:-1], bounds[1:],
-                                                        op_module._QUAD_NODES)
+            edges = np.arange(count + 1) / count
+            edges = edges**2.0 if left else edges
+            half = 0.5 * (edges[1:] - edges[:-1])
+            unit = (0.5 * edges[1:] + 0.5 * edges[:-1])[:, None] + half[:, None] * x
+            width = hi[row] - lo[row]
+            nodes = lo[row] + width * unit.ravel()
+            weights = width * (half[:, None] * w).ravel()
+            with np.errstate(all="ignore"):  # see _panel_sums
                 family = (eval_regular if left else eval_irregular)(order, nodes).value
                 h_values = np.broadcast_to(h(nodes), nodes.shape)
                 level = np.dot(weights, op_module._over_square(nodes, family, h_values))
@@ -783,16 +786,17 @@ class TestFirstPass:
     @pytest.mark.parametrize("h", [lambda t: t, WIGGLE], ids=["t", "wiggle"])
     def test_subnormal_weights_alone_do_not_stop_a_row(self, reference_spec, monkeypatch,
                                                        panel_passes, h):
-        # at r = 1e-305 and tol = 0 the rows settle after up to 64 panels,
+        # at r = 1e-304 and tol = 0 the rows settle after up to 64 panels,
         # with subnormal weights from 8 panels on; their sums stay finite, so
         # they keep doubling, and end with the level-by-level loop's bits
-        points = np.array([1e-305 / 7, 1e-305 / 2, 1e-305])
-        fast = apply_operator(reference_spec, 1e-305, h, points, tol=0.0)
+        # (at 1e-305 every row settles by 8 panels)
+        points = np.array([1e-304 / 7, 1e-304 / 2, 1e-304])
+        fast = apply_operator(reference_spec, 1e-304, h, points, tol=0.0)
         assert max(counts[-1] for _, counts in panel_passes) == 64
         assert op_module._smallest_weights(
             np.zeros(1), points[-1:], np.ones(1, dtype=bool), 8)[0] < np.finfo(float).tiny
         monkeypatch.setattr(op_module, "_kink_split_integrals", levelwise_split_integrals)
-        assert np.array_equal(fast, apply_operator(reference_spec, 1e-305, h, points, tol=0.0))
+        assert np.array_equal(fast, apply_operator(reference_spec, 1e-304, h, points, tol=0.0))
 
     def test_identity_check_op_calls(self, monkeypatch, capsys):
         import rbkernel.cli as cli

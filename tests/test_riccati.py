@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -35,7 +36,7 @@ class TestRegularExamples:
 
     def test_order2_small_radius_series(self):
         value, _ = eval_regular(2, 0.5)
-        assert value == pytest.approx(U2_AT_HALF, rel=1e-13)
+        assert value == pytest.approx(U2_AT_HALF, rel=1e-13, abs=0.0)
 
     def test_origin_limits(self):
         assert eval_regular(0, 0.0) == (0.0, 1.0)
@@ -247,26 +248,6 @@ def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
-def masked_series_parts(m, r):
-    """:func:`_regular_series_parts` as summed with masks: each element stops on its own.
-
-    The reference the mask-free loop must match bit for bit: an element
-    adds its terms until the first that is no more than 1e-18 of its sum.
-    """
-    prefactor = np.float_power(r, m + 1) / riccati._double_factorial(2 * m + 1)
-    half_r2 = -0.5 * r * r
-    total = np.ones_like(prefactor)
-    term = np.ones_like(prefactor)
-    active = np.ones_like(prefactor, dtype=bool)
-    for denominator in riccati._series_denominators(m):
-        if not active.any():
-            break
-        np.multiply(term, half_r2 / denominator, out=term, where=active)
-        np.add(total, term, out=total, where=active)
-        active &= np.abs(term) > 1e-18 * np.abs(total)
-    return prefactor, total
-
-
 def backward_filler(m):
     """The first integer radius outside u_m's series region: for m >= 2 it
     takes the backward recurrence (the forward branch starts past 7.4)."""
@@ -323,15 +304,52 @@ class TestArrayEvaluation:
             # the rows of a larger batch reuse three arrays: copy each as it comes
             assert np.array_equal([row.copy() for row in rows], expected), count
 
-    def test_series_without_masks_keeps_the_masked_bits(self):
-        # every element stops where the masked loop stopped it, or later by
-        # terms below half an ulp of its sum: the same bits for orders 0 to
-        # 200, from subnormal radii through the [0.3, 0.7] overlap window
+    def test_series_coefficients_are_the_rounded_rationals(self):
+        # c_k = (-1/2)^k / (k! (2m + 3)(2m + 5)...(2m + 2k + 1)), highest first,
+        # each the double nearest its rational
         for m in range(201):
-            prefactor, total = _regular_series_parts(m, SERIES_RADII)
-            expected_prefactor, expected_total = masked_series_parts(m, SERIES_RADII)
-            assert np.array_equal(prefactor, expected_prefactor), m
-            assert np.array_equal(total, expected_total), m
+            coefficients = riccati._series_coefficients(m)[::-1]
+            exact = Fraction(1)
+            for k, coefficient in enumerate(coefficients):
+                if k:
+                    exact /= -2 * k * (2 * m + 2 * k + 1)
+                assert coefficient == float(exact), (m, k)
+
+    def test_series_keeps_every_term_above_2_to_the_minus_64(self):
+        # at r^2 = _series_bound(m) + 2, past the series' region and the
+        # order m - 1 that the underflow derivative sums there, the first
+        # omitted term is below 2^-64 of S_m and the last kept one is not
+        for m in [*range(1, 152), 200]:
+            x = Fraction(riccati._series_bound(m) + 2.0)
+            coefficients = riccati._series_coefficients(m)[::-1]
+            degree = len(coefficients) - 1
+            terms = [Fraction(1)]
+            for k in range(1, degree + 2):
+                terms.append(terms[-1] * -x / (2 * k * (2 * m + 2 * k + 1)))
+            total = sum(terms[:-1])
+            assert abs(terms[-1]) < Fraction(1, 2**64) * total, m
+            assert abs(terms[-2]) >= Fraction(1, 2**64) * total, m
+
+    # the largest error in ulps of |u_m| over the 300 radii of each order's
+    # series region below when S_m was summed term by term until a term fell
+    # below 1e-18 of the sum and (2m + 1)!! was a float product (rounded
+    # down); Horner's rule over a correctly rounded (2m + 1)!! reads 1.9,
+    # 1.9, 2.8, 2.4, 2.3, 2.3 and 1.9 ulps there
+    SERIES_MAX_ULPS = {1: 3.4, 2: 4.0, 3: 3.8, 8: 3.7, 20: 2.6, 60: 4.9, 149: 5.9}
+
+    @pytest.mark.parametrize("m", sorted(SERIES_MAX_ULPS))
+    def test_series_accuracy_on_its_region(self, m):
+        # 300 radii evenly spaced over (0, sqrt(_series_bound(m))), against
+        # mpmath at 50 digits
+        radii = np.linspace(0.0, math.sqrt(riccati._series_bound(m)), 302)[1:-1]
+        values = riccati._regular_values(m, radii)
+        worst = 0.0
+        with mp.workdps(50):
+            for r, value in zip(radii.tolist(), values.tolist()):
+                expected = mp_regular(m, r)
+                unit = np.spacing(abs(float(expected)))
+                worst = max(worst, float(abs(value - expected)) / unit)
+        assert worst <= self.SERIES_MAX_ULPS[m], worst
 
     @pytest.mark.parametrize("m", [1, 2, 30])
     def test_series_rows_summed_together_keep_their_bits(self, m):
@@ -650,7 +668,8 @@ class TestAgainstMpmath:
         # (2m + 1)!! overflows from m = 150, where the series' prefactor
         # r^(m+1)/(2m+1)!! would read 0 (or raise), so its region shrinks to
         # r < 0.5 there
-        assert math.isfinite(riccati._double_factorial(2 * 149 + 1))
+        for m in range(150):  # the double nearest each, not a float product's
+            assert riccati._double_factorial(2 * m + 1) == float(math.prod(range(1, 2 * m + 2, 2)))
         assert riccati._double_factorial(2 * 150 + 1) == math.inf
         assert riccati._series_bound(149) == 2 * 149 + 3
         assert riccati._series_bound(150) == SERIES_CROSSOVER**2
