@@ -11,7 +11,7 @@ from the object if there is one, else from the table's rows.  Identical
 invocations produce byte-identical output.
 
 Exit codes: 0 success (or verification pass), 1 verification failure,
-2 usage or domain error.
+2 usage or domain error, or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -230,7 +230,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except NUMERIC_ERRORS as exc:
+    except BrokenPipeError:  # a closed stdout is not an unwritable output path
+        raise
+    except (*NUMERIC_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -51,13 +51,12 @@ value, bit for bit, and one ``np.linalg.eigh`` for the null vector.
 ``DEFAULT_CERTIFICATE_*`` grid, 8 uniform panels x 16 nodes, where
 min |1 - lambda| reaches rounding level at the singular radius.
 
-``sweep`` and ``spectral_grid`` use ``min_singular_value`` on the Nystrom
-operator.  ``DEFAULT_SPECTRAL_*`` define the grid on which its 1e-6
-collapse threshold was calibrated: 128 uniform panels x 12 nodes push its
-kink-limited error near the singular radius to ~6e-7 (uniform panels beat
-graded ones, since that error lives in mid-interval panels).  ``sweep``
-takes the Riccati tables of a chunk of radii from one call per order and
-family on all their grids' nodes, and solves each grid's form on its own.
+``sweep`` uses ``min_singular_value`` on the Nystrom operator, taking the
+Riccati tables of a chunk of radii from one call per order and family on
+all their grids' nodes and solving each grid's form on its own.
+``spectral_grid`` only builds the README quickstart's Nystrom grid,
+``DEFAULT_SPECTRAL_*``, 128 uniform panels x 12 nodes: sigma at R reads ~6e-7
+on it, a kink-limited error in mid-interval panels (graded ones do worse).
 """
 from __future__ import annotations
 
@@ -99,7 +98,7 @@ DEFAULT_CERTIFICATE_PANELS = 8
 DEFAULT_CERTIFICATE_NODES = 16
 DEFAULT_CERTIFICATE_GRADING = 1.0
 
-# Grid on which the Nystrom sigma_min collapse threshold (1e-6) is calibrated.
+# The Nystrom grid of ``spectral_grid``: sigma_min at R reads about 6e-7 on it.
 DEFAULT_SPECTRAL_PANELS = 128
 DEFAULT_SPECTRAL_NODES = 12
 DEFAULT_SPECTRAL_GRADING = 1.0
@@ -489,16 +488,6 @@ def _level_nodes(lo, hi, is_left, counts) -> tuple[np.ndarray, np.ndarray]:
     return lo[:, None] + width * fractions[pattern], width * unit_weights[pattern]
 
 
-def _smallest_weights(lo, hi, is_left, count: int) -> np.ndarray:
-    """Each row's smallest Gauss weight on ``count`` panels, as :func:`_panel_sums` forms it.
-
-    That is (hi - lo) times the smallest unit weight of the row's pattern,
-    since rounding is monotonic.
-    """
-    smallest = _level_pattern((count,))[1].min(axis=1)
-    return (hi - lo) * smallest[is_left.astype(np.intp)]
-
-
 def _unconverged(lo: float, hi: float, tol: float, panels: int) -> ConvergenceError:
     return ConvergenceError(
         f"integral on [{lo:g}, {hi:g}] did not stabilize to {tol:.1e} within {panels} panels"
@@ -567,9 +556,10 @@ def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
     however many of its points fail to converge; the first chunk's Riccati
     calls also take u_m and v_m at every point.  After a pass but the last,
     a row that has not settled and whose value is not finite fails at once
-    if the smallest Gauss weight of the next level (twice the pass's last
-    count) would be subnormal: it cannot settle there, and below the
-    smallest normal double further doublings only lose precision.
+    if the smallest of its weights that :func:`_level_nodes` forms on the
+    next level (twice the pass's last count), for such rows alone, is
+    subnormal: it cannot settle there, and below the smallest normal double
+    further doublings only lose precision.
     """
     n = len(s)
     lo, hi = np.zeros(2 * n), np.empty(2 * n)
@@ -604,8 +594,8 @@ def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
             # that level's weights underflow, deeper ones cannot mend it
             stuck = rows[~settled & ~np.isfinite(last)]
             if stuck.size:
-                underflow = _smallest_weights(
-                    lo[stuck], hi[stuck], stuck < n, 2 * counts[-1]) < _TINY
+                weights = _level_nodes(lo[stuck], hi[stuck], stuck < n, (2 * counts[-1],))[1]
+                underflow = weights.min(axis=1) < _TINY
                 if underflow.any():
                     row = stuck[np.argmax(underflow)]
                     raise _unconverged(lo[row], hi[row], tol, counts[-1])

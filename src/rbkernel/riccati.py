@@ -20,9 +20,9 @@ Evaluation strategy, chosen for double precision:
   each term to the one before is below 1/2, so the sum cannot cancel and
   stays in (1/2, 1]; the closed forms would subtract nearly equal terms
   near zero (u_2 alone loses ~45/r^5 in relative error).  Outside that
-  region: m = 1 by its closed form; deep in the oscillatory regime (order
-  well below the argument) by forward recurrence from the exact u_0, u_1
-  seeds, which is neutral there and keeps errors at a few ulps of the
+  region, by forward recurrence from the exact u_0, u_1 seeds for m = 1
+  (its seed) and deep in the oscillatory regime (order well below the
+  argument), where it is neutral and keeps errors at a few ulps of the
   oscillation amplitude; otherwise by backward Miller-style recurrence
   normalized against the closed forms of u_0 / u_1.  It starts
   K + min(K + 10, max(45, s)) orders up, K = max(m, ceil r), s the smallest
@@ -39,9 +39,9 @@ Evaluation strategy, chosen for double precision:
 * each family's core (``_regular``, ``_irregular``) gives the values of one
   order and nothing else; a derivative is the ladder over two value calls,
   never finite differences.  Where the series value of u_m underflows
-  (subnormal or 0: r below ~1e-154 for m = 1, below ~0.98 for m = 149),
-  the ladder would lose its (m/r) u_m term or overflow in m/r, so it is
-  written with the two series sums, u'_m = u_{m-1} (1 - m/(2m + 1) S_m/S_{m-1}).
+  (the origin, r below ~1e-154 for m = 1, below ~0.98 for m = 149), the
+  ladder would lose its (m/r) u_m term or overflow in m/r, so it is written
+  with the two series sums, u'_m = u_{m-1} (1 - m/(2m + 1) S_m/S_{m-1}).
 
 Where only values are wanted (family tables, kernel values, the integrand
 u_2), ``_regular_values`` and ``_irregular_values`` return the pairs' values
@@ -243,7 +243,7 @@ def _regular_forward(m: int, r: np.ndarray) -> np.ndarray:
 
     Only safe while the order stays below the argument, where u_m has not
     started to decay and the recurrence is neutral in both directions; the
-    caller restricts this branch to m <= r - 2 sqrt(r).
+    caller takes this branch where m <= r - 2 sqrt(r), and for m = 1 (the seed).
     """
     u0 = np.sin(r)
     return _upward(m, r, 1, u0, u0 / r - np.cos(r))
@@ -343,18 +343,15 @@ def _regular(m: int, r: np.ndarray) -> np.ndarray:
         prefactor, total = _regular_series_parts(m, r[series])
         value[series] = prefactor * total
     rest = ~series
-    if m == 1:
-        x = r[rest]
-        value[rest] = np.sin(x) / x - np.cos(x)
-        return value
-    # r - 2 sqrt r rises for r >= 1 and is negative below 4, so no radius
-    # takes the forward branch (m >= 2) unless the largest comes within the
-    # margin of it; the margin of 1 on m keeps a rounding tie from skipping
-    # a radius that qualifies
+    # u_1 is the forward branch's seed, so every radius outside its series
+    # takes it.  For m >= 2, r - 2 sqrt r rises for r >= 1 and is negative
+    # below 4, so no radius takes the forward branch unless the largest
+    # comes within the margin of it; the margin of 1 on m keeps a rounding
+    # tie from skipping a radius that qualifies
     largest = r.max(initial=0.0)
     backward = rest
-    if largest - 2.0 * math.sqrt(largest) >= m - 1:
-        forward = rest & (m <= r - 2.0 * np.sqrt(r))
+    if m == 1 or largest - 2.0 * math.sqrt(largest) >= m - 1:
+        forward = rest if m == 1 else rest & (m <= r - 2.0 * np.sqrt(r))
         backward = rest & ~forward
         if np.count_nonzero(forward):
             value[forward] = _regular_forward(m, r[forward])
@@ -368,15 +365,14 @@ def _regular_derivative(m: int, r: np.ndarray, value: np.ndarray) -> np.ndarray:
     if m == 0:  # exact at the origin too
         return np.cos(r)
     below = _regular(m - 1, r)
-    # the ladder, f'_m = f_{m-1} - (m/r) f_m, at every radius but the origin
+    # the ladder, f'_m = f_{m-1} - (m/r) f_m.  A subnormal or zero u_m is
+    # a series value that lost digits to underflow (r^(m+1)/(2m+1)!! <
+    # 2.2e-308), so the ladder would lose (m/r) u_m, a term of the same
+    # order, or overflow in m/r (0 * inf at the origin).  With (m/r) u_m =
+    # u_{m-1} m/(2m+1) S_m/S_{m-1} it needs neither, and reads 0 at the
+    # origin, where u_{m-1} = 0 and S_m = S_{m-1} = 1.
     derivative = below - (m / r) * value
-    if not r.all():  # some radius is 0, where the ladder reads 0 * inf
-        derivative[r == 0.0] = 0.0
-    # a subnormal or zero u_m at r > 0 is a series value that lost digits to
-    # underflow (r^(m+1)/(2m+1)!! < 2.2e-308), so the ladder would lose
-    # (m/r) u_m, a term of the same order, or overflow in m/r.  With
-    # (m/r) u_m = u_{m-1} m/(2m+1) S_m/S_{m-1} the ladder needs neither.
-    underflow = (np.abs(value) < _TINY) & (r > 0.0) & (r * r < _series_bound(m))
+    underflow = (np.abs(value) < _TINY) & (r * r < _series_bound(m))
     if underflow.any():
         x = r[underflow]
         sum_ratio = _regular_series_parts(m, x)[1] / _regular_series_parts(m - 1, x)[1]

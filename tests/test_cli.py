@@ -437,6 +437,25 @@ class TestDeterminism:
         assert tables["json"] == tables["csv"]  # both read back to the same doubles
 
 
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--output"],
+    ["kernel-eval", "--eval-s", "2", "--eval-t", "1", "--output"],
+    ["p-scan", "--r-min", "2", "--r-max", "2.5", "--steps", "2", "--output"],
+    ["find-root", "--output"],
+    ["identity-check", "--points", "2", "--output"],
+    ["sweep", "--r-min", "2", "--r-max", "3", "--steps", "2", "--output"],
+    ["verify", "--output"],
+    ["verify", "--dump-matrix"],
+], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):
+    # a usage error: one error line, no traceback, and not verify's exit 1
+    path = tmp_path / "missing" / "out"
+    code, _, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    assert not path.exists()
+
+
 def test_console_script_installed():
     # exercise the packaged entry point in a real subprocess
     proc = subprocess.run(

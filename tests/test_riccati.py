@@ -39,8 +39,25 @@ class TestRegularExamples:
         assert value == pytest.approx(U2_AT_HALF, rel=1e-13, abs=0.0)
 
     def test_origin_limits(self):
-        assert eval_regular(0, 0.0) == (0.0, 1.0)
-        assert eval_regular(3, 0.0) == (0.0, 0.0)
+        # the limit (0, 1) for m = 0 and (0, 0) beyond, alone and among other radii
+        for m in (0, 1, 2, 3, 149, 150, 200):
+            alone = bits(eval_regular(m, 0.0)).tolist()
+            assert alone == bits((0.0, 1.0) if m == 0 else (0.0, 0.0)).tolist(), m
+            batch = eval_regular(m, np.array([0.3, 0.0, 3.0, 1e-300, 0.0]))
+            for i in (1, 4):
+                assert bits([batch.value[i], batch.derivative[i]]).tolist() == alone, m
+
+    def test_order1_outside_its_series_is_the_forward_seed(self):
+        # past sqrt 5, u_1 is sin r / r - cos r, alone and among series
+        # radii; math.sqrt(5.0) is the smallest double above sqrt 5
+        radii = np.array([math.sqrt(5.0), 3.0, 1e3, 1e300, np.finfo(float).max])
+        expected = np.sin(radii) / radii - np.cos(radii)
+        for r, value in zip(radii.tolist(), expected.tolist()):
+            assert bits(eval_regular(1, r).value) == bits(value), r
+            assert bits(riccati._regular_values(1, r)) == bits(value), r
+        batch = np.concatenate([[0.0, 0.3, 2.0], radii])
+        for got in (eval_regular(1, batch).value, riccati._regular_values(1, batch)):
+            assert np.array_equal(bits(got[3:]), bits(expected))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
