@@ -11,12 +11,14 @@ from the object if there is one, else from the table's rows.  Identical
 invocations produce byte-identical output.
 
 Exit codes: 0 success (or verification pass), 1 verification failure,
-2 usage or domain error, or an output file that cannot be written.
+2 usage or domain error, or an output file that cannot be written.  A stdout
+closed early loses the rest of the output, not the files or the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -44,6 +46,15 @@ def _parse_set(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"malformed set {text!r}; expected comma-separated numerals")
 
 
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout; if its reader has gone, discard the rest."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # fd 1 to os.devnull, as the Python docs' note on SIGPIPE does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(args, report: ScanReport, payload=None) -> None:
     """Write the report as CSV, or as JSON: ``payload`` if given, else the
     report's rows; then warn of each of the report's failures."""
@@ -52,7 +63,7 @@ def _emit(args, report: ScanReport, payload=None) -> None:
     else:
         text = report.to_json_text() if payload is None else json_text(payload)
     if args.output is None:
-        sys.stdout.write(text)
+        _write_stdout(text)
     else:
         Path(args.output).write_text(text)
     for point, message in report.failures:
@@ -210,7 +221,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = cx.verify_counterexample(r_override=args.force_r)
-    sys.stdout.write(report.summary_text())
+    _write_stdout(report.summary_text())
     if args.output is not None:
         Path(args.output).write_text(report.to_json_text())
     if args.dump_matrix is not None:
@@ -230,8 +241,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except BrokenPipeError:  # a closed stdout is not an unwritable output path
-        raise
     except (*NUMERIC_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -462,8 +462,8 @@ def _level_pattern(counts: tuple) -> tuple[np.ndarray, np.ndarray]:
     another along a row.  A row [lo, hi] takes the nodes lo + (hi - lo) F
     and the weights (hi - lo) W of its row.  Every node fraction is below
     1, so no node passes hi, not even at the largest double.  Read-only:
-    it is cached, for four plans, so a call that doubles to 16384 panels
-    keeps only its last four levels' patterns.
+    it is cached for four passes' counts, so a call that doubles to 16384
+    panels keeps only its last four passes' patterns.
     """
     ticks = [np.arange(count + 1) / count for count in counts]
     lower = np.concatenate([t[:-1] for t in ticks])
@@ -535,31 +535,22 @@ def _panel_sums(order: int, h, lo, hi, is_left, counts, points):
     return sums, regular[split:], irregular[right:]
 
 
-@lru_cache(maxsize=4)
-def _pass_plan(doublings: int) -> tuple:
-    """Each pass's panel counts over ``doublings`` levels of 2, 4, ... panels: the first
-    pass takes the first two levels, each later pass the next (twice the last count)."""
-    levels = [2 << k for k in range(doublings)]
-    return tuple([tuple(levels[:2])] + [(count,) for count in levels[2:]] if levels else [])
-
-
 def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
     """I_m^< and I_m^> of :func:`apply_operator` at the points ``s``, and u_m, v_m there.
 
     Row i < n is [0, s_i], graded toward the origin (exponent 2), and row
     n + i is [s_i, r], uniform.  All rows start at 2 panels and double
-    together, up to ``2**_MAX_DOUBLINGS``, in the passes of :func:`_pass_plan`;
-    a row is frozen once two consecutive values differ by at most ``tol``, so
-    it ends with exactly the panels it would get on its own.  A pass's rows
-    are gathered in chunks of at most ``_CHUNK_NODES`` nodes over all its
-    levels (at least one row each), which bounds the memory a call holds
-    however many of its points fail to converge; the first chunk's Riccati
-    calls also take u_m and v_m at every point.  After a pass but the last,
-    a row that has not settled and whose value is not finite fails at once
-    if the smallest of its weights that :func:`_level_nodes` forms on the
-    next level (twice the pass's last count), for such rows alone, is
-    subnormal: it cannot settle there, and below the smallest normal double
-    further doublings only lose precision.
+    together: the first pass takes 2 and 4 panels, each later pass the
+    ``following`` count, twice the last, up to ``2**_MAX_DOUBLINGS``.  A row
+    is frozen once two consecutive values differ by at most ``tol``, so it
+    ends with exactly the panels it would get on its own.  A pass's rows are
+    gathered in chunks of at most ``_CHUNK_NODES`` nodes over all its levels
+    (at least one row each), which bounds the memory a call holds however
+    many of its points fail to converge; each chunk's Riccati calls also
+    take u_m and v_m at the points, with the same bits.  A row that has not
+    settled and is not finite fails at once if its smallest weight on the
+    following level is subnormal: it cannot settle there, and below the
+    smallest normal double further doublings only lose precision.
     """
     n = len(s)
     lo, hi = np.zeros(2 * n), np.empty(2 * n)
@@ -567,19 +558,16 @@ def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
     hi[n:] = r
     active = lo < hi  # the right side of s = r is empty
     values = np.where(active, np.nan, 0.0)  # each row's last sum
-    # the first chunk's Riccati calls also take u_m and v_m at the points
-    at_points, regular_s, irregular_s = s, s[:0], s[:0]
-    for counts in _pass_plan(_MAX_DOUBLINGS):
+    regular_s = irregular_s = s  # what an empty s returns
+    counts = (2, 4)[:_MAX_DOUBLINGS]
+    while counts and np.count_nonzero(active):
+        following = (2 * counts[-1],) if counts[-1] < 2**_MAX_DOUBLINGS else ()
         pass_rows = active.nonzero()[0]
-        if pass_rows.size == 0:
-            break
         chunk_rows = max(1, _CHUNK_NODES // (sum(counts) * _QUAD_NODES))
         for start in range(0, pass_rows.size, chunk_rows):
             rows = pass_rows[start:start + chunk_rows]
-            sums, regular, irregular = _panel_sums(
-                order, h, lo[rows], hi[rows], rows < n, counts, at_points)
-            if at_points.size:
-                regular_s, irregular_s, at_points = regular, irregular, s[:0]
+            sums, regular_s, irregular_s = _panel_sums(
+                order, h, lo[rows], hi[rows], rows < n, counts, s)
             # only a pass's last level can settle: the first pass's first
             # level has no value before it
             last = sums[-1]
@@ -588,17 +576,18 @@ def _kink_split_integrals(order: int, h, s: np.ndarray, r: float, tol: float):
                 settled = np.abs(last - before) <= tol
             active[rows] = ~settled
             values[rows] = last
-            if counts[-1] == 2**_MAX_DOUBLINGS or np.count_nonzero(settled) == settled.size:
+            if not following or np.count_nonzero(settled) == settled.size:
                 continue
             # a non-finite value cannot settle at the next level, and where
             # that level's weights underflow, deeper ones cannot mend it
             stuck = rows[~settled & ~np.isfinite(last)]
             if stuck.size:
-                weights = _level_nodes(lo[stuck], hi[stuck], stuck < n, (2 * counts[-1],))[1]
+                weights = _level_nodes(lo[stuck], hi[stuck], stuck < n, following)[1]
                 underflow = weights.min(axis=1) < _TINY
                 if underflow.any():
                     row = stuck[np.argmax(underflow)]
                     raise _unconverged(lo[row], hi[row], tol, counts[-1])
+        counts = following
     if np.count_nonzero(active):
         row = active.nonzero()[0][0]
         raise _unconverged(lo[row], hi[row], tol, 2**_MAX_DOUBLINGS)

@@ -80,11 +80,12 @@ __all__ = [
     "wronskian",
 ]
 
-# Below this radius every order's u_m is summed as a Taylor series.  It is
-# the floor of the series' region, r^2 < 2m + 3 for 1 <= m <= 149, and all
-# of it for the orders beyond, whose (2m + 1)!! overflows; outside, closed
-# forms and recurrences take over.  Series and backward recurrence both
-# deliver >= 12 digits in the window [0.3, 0.7].
+# Below this radius every order's u_m is summed as a Taylor series.  For
+# 1 <= m <= 149 the series serves r^2 < 2m + 3, so r < sqrt(5) at least, and
+# no recurrence runs in [0.3, 0.7].  What 0.5 decides is the branch of the
+# orders m >= 150, whose (2m + 1)!! overflows: the series below it, the
+# backward recurrence from it on.  Both read u_m as 0.0 there (u_150 and
+# u_200 are 0.0 at 0.3, 0.5 and 0.7; u_150(1.0) is 8.8e-310).
 SERIES_CROSSOVER = 0.5
 
 # Smallest normal double.

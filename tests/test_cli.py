@@ -283,6 +283,31 @@ class TestVerify:
             assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestClosedStdout:
+    """A stdout whose reader has gone ends the output, not the command: the
+    files are written, the exit code is the command's own, stderr is empty."""
+
+    @staticmethod
+    def run_closed(*argv):
+        proc = subprocess.Popen([sys.executable, "-m", "rbkernel.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()  # long before the child has imported numpy
+        with proc.stderr:
+            err = proc.stderr.read()
+        return proc.wait(), err
+
+    def test_verify_passes_and_writes_its_files(self, tmp_path):
+        report, matrix = tmp_path / "verify.json", tmp_path / "matrix.csv"
+        code, err = self.run_closed("verify", "--output", str(report),
+                                    "--dump-matrix", str(matrix))
+        assert (code, err) == (0, "")
+        assert json.loads(report.read_text())["pass"] is True
+        assert np.loadtxt(matrix, delimiter=",").shape == (128, 128)
+
+    def test_failed_verification_still_exits_1(self):
+        assert self.run_closed("verify", "--force-r", "1.0") == (1, "")
+
+
 class TestSmallRadiusUnderflow:
     """Below about 1e-151, t*t is subnormal or 0 at the first grid nodes: K
     still forms there, each command reports only what fails, and numpy

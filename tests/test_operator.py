@@ -761,12 +761,26 @@ class TestFirstPass:
             nodes = rows * sum(counts) * op_module._QUAD_NODES
             assert rows == 1 or nodes <= chunk_nodes
 
+    @pytest.mark.parametrize("doublings, h, passes", [
+        (1, u2, [(2, (2,))]),  # u2 would settle at 4 panels
+        # 0.7 / t diverges on [0, s]; [s, r] settles at 4 panels
+        (2, lambda t: 0.7, [(2, (2, 4))]),
+        (3, lambda t: 0.7, [(2, (2, 4)), (1, (8,))]),
+    ], ids=["one", "two", "three"])
     def test_one_doubling_evaluates_two_panels_only(self, reference_spec, monkeypatch,
-                                                    panel_passes):
-        monkeypatch.setattr(op_module, "_MAX_DOUBLINGS", 1)
-        with pytest.raises(ConvergenceError, match="within 2 panels$"):
-            apply_operator(reference_spec, 1.0, u2, 0.5)
-        assert panel_passes == [(2, (2,))]
+                                                    panel_passes, doublings, h, passes):
+        monkeypatch.setattr(op_module, "_MAX_DOUBLINGS", doublings)
+        with pytest.raises(ConvergenceError, match=f"within {2**doublings} panels$"):
+            apply_operator(reference_spec, 1.0, h, 0.5)
+        assert panel_passes == passes
+
+    def test_no_points_give_an_empty_array_without_calling_h(self, reference_spec):
+        def never(t):
+            raise AssertionError("h called")
+
+        values = apply_operator(reference_spec, 1.0, never, np.empty(0))
+        assert isinstance(values, np.ndarray)
+        assert values.dtype == np.float64 and values.shape == (0,)
 
     def test_deepest_level_and_message_unchanged(self, reference_spec, panel_passes):
         with pytest.raises(ConvergenceError, match="within 16384 panels$"):
