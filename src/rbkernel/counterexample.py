@@ -34,9 +34,6 @@ import numpy as np
 
 from .kernel import KernelSpec, solve_gamma, validate_sets
 from .operator import (
-    DEFAULT_CERTIFICATE_GRADING,
-    DEFAULT_CERTIFICATE_NODES,
-    DEFAULT_CERTIFICATE_PANELS,
     SelfAdjointCertificate,
     _outcome,
     apply_operator,
@@ -54,6 +51,9 @@ __all__ = [
     "EXPLICIT_CROSSOVER",
     "SERIES_RADIUS",
     "DEFAULT_BRACKET",
+    "DEFAULT_CERTIFICATE_PANELS",
+    "DEFAULT_CERTIFICATE_NODES",
+    "DEFAULT_CERTIFICATE_GRADING",
     "GATES",
     "P_ROUTES",
     "reference_spec",
@@ -75,9 +75,13 @@ SERIES_RADIUS = 0.5
 # Default sign-change bracket for the first positive root of p.
 DEFAULT_BRACKET = (2.0, 2.5)
 
+# The certificate's grid: the kink-exact matrix of K on uniform panels.
+DEFAULT_CERTIFICATE_PANELS = 8
+DEFAULT_CERTIFICATE_NODES = 16
+DEFAULT_CERTIFICATE_GRADING = 1.0
+
 # The certificate: each gated step of verify_counterexample and the largest
-# value that passes it.  The last four are calibrated on the certificate's
-# DEFAULT_CERTIFICATE_* grid.
+# value that passes it.  The last four are calibrated on the grid above.
 GATES = {
     "gamma0_matches_-6": 1e-14,
     "root_residual": 1e-12,

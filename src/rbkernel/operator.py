@@ -47,16 +47,10 @@ much they were not symmetric.
 (values only, lower triangle): the smallest singular value of I - S, i.e.
 of I - A in K's own norm.  ``self_adjoint_certificate`` takes the same
 value, bit for bit, and one ``np.linalg.eigh`` for the null vector.
-``verify`` uses them on the kink-exact matrix of the
-``DEFAULT_CERTIFICATE_*`` grid, 8 uniform panels x 16 nodes, where
-min |1 - lambda| reaches rounding level at the singular radius.
 
 ``sweep`` uses ``min_singular_value`` on the Nystrom operator, taking the
 Riccati tables of a chunk of radii from one call per order and family on
 all their grids' nodes and solving each grid's form on its own.
-``spectral_grid`` only builds the README quickstart's Nystrom grid,
-``DEFAULT_SPECTRAL_*``, 128 uniform panels x 12 nodes: sigma at R reads ~6e-7
-on it, a kink-limited error in mid-interval panels (graded ones do worse).
 """
 from __future__ import annotations
 
@@ -68,7 +62,8 @@ import numpy as np
 
 from .kernel import KernelSpec
 from .report import ScanReport, csv_text
-from .riccati import _irregular_values, _regular_values, check_radius, eval_irregular, eval_regular
+from .riccati import (_TINY, _irregular_values, _regular_values, check_radius, eval_irregular,
+                      eval_regular)
 
 __all__ = [
     "ConvergenceError",
@@ -76,12 +71,6 @@ __all__ = [
     "QuadratureGrid",
     "SeparableNystromOperator",
     "SelfAdjointCertificate",
-    "DEFAULT_CERTIFICATE_PANELS",
-    "DEFAULT_CERTIFICATE_NODES",
-    "DEFAULT_CERTIFICATE_GRADING",
-    "DEFAULT_SPECTRAL_PANELS",
-    "DEFAULT_SPECTRAL_NODES",
-    "DEFAULT_SPECTRAL_GRADING",
     "build_grid",
     "spectral_grid",
     "nystrom_matrix",
@@ -92,16 +81,6 @@ __all__ = [
     "dump_matrix",
     "sweep",
 ]
-
-# Grid of verify's self-adjoint certificate on the kink-exact matrix.
-DEFAULT_CERTIFICATE_PANELS = 8
-DEFAULT_CERTIFICATE_NODES = 16
-DEFAULT_CERTIFICATE_GRADING = 1.0
-
-# The Nystrom grid of ``spectral_grid``: sigma_min at R reads about 6e-7 on it.
-DEFAULT_SPECTRAL_PANELS = 128
-DEFAULT_SPECTRAL_NODES = 12
-DEFAULT_SPECTRAL_GRADING = 1.0
 
 # Absolute tolerance target per sub-integral in apply_operator.
 DEFAULT_QUAD_TOL = 1e-10
@@ -119,9 +98,6 @@ _CHUNK_NODES = 2**16
 # Gauss-Legendre nodes per panel of the apply_operator quadrature.
 _QUAD_NODES = 16
 
-# Smallest normal double.
-_TINY = np.finfo(float).tiny
-
 
 class ConvergenceError(RuntimeError):
     """Raised when panel doubling fails to reach the requested tolerance."""
@@ -129,7 +105,7 @@ class ConvergenceError(RuntimeError):
 
 # The numeric failures a point of a sweep, or a CLI command, may end in;
 # anything else (a TypeError, say) is a programming error and propagates.
-NUMERIC_ERRORS = (ValueError, OverflowError, ArithmeticError, ConvergenceError)
+NUMERIC_ERRORS = (ValueError, ArithmeticError, ConvergenceError)
 
 
 def _outcome(compute: Callable[[], object]):
@@ -317,13 +293,12 @@ def build_grid(
 
 
 def spectral_grid(r) -> QuadratureGrid:
-    """Default grid for singular-value certificates (see module docstring)."""
-    return build_grid(
-        r,
-        panels_count=DEFAULT_SPECTRAL_PANELS,
-        nodes_per_panel=DEFAULT_SPECTRAL_NODES,
-        grading=DEFAULT_SPECTRAL_GRADING,
-    )
+    """The README quickstart's Nystrom grid on (0, r]: 128 uniform panels x 12 nodes.
+
+    sigma at R reads ~6e-7 on it, a kink-limited error in mid-interval panels
+    (graded ones do worse).
+    """
+    return build_grid(r, 128, 12, grading=1.0)
 
 
 def _family_tables(spec: KernelSpec, points: np.ndarray) -> np.ndarray:

@@ -23,12 +23,12 @@ from rbkernel import (
     solve_gamma,
     validate_sets,
 )
-from rbkernel.operator import (
+from rbkernel.counterexample import (
     DEFAULT_CERTIFICATE_GRADING,
     DEFAULT_CERTIFICATE_NODES,
     DEFAULT_CERTIFICATE_PANELS,
-    build_grid,
 )
+from rbkernel.operator import build_grid
 
 
 def _report(number: int, description: str, detail: str, ok: bool):

@@ -202,6 +202,18 @@ class TestFindRoot:
             find_root(2.0, 2.5, route="nope")
         assert all(repr(route) in str(exc.value) for route in P_ROUTES)
 
+    @pytest.mark.parametrize("bad_r, bad_p, message", [
+        (2.0, math.nan, "p is not finite at the bracket endpoints"),
+        (2.5, math.inf, "p is not finite at the bracket endpoints"),
+        (2.25, math.nan, r"p\(2\.25\) is not finite"),
+    ])
+    def test_non_finite_p_is_named(self, monkeypatch, bad_r, bad_p, message):
+        # |p| > tol is False for nan: without these checks a nan could pass as a root
+        real = P_ROUTES["explicit"]
+        monkeypatch.setitem(P_ROUTES, "explicit", lambda r: bad_p if r == bad_r else real(r))
+        with pytest.raises(ValueError, match=message):
+            find_root(2.0, 2.5)
+
 
 class TestCheckIdentity:
     def test_moderate_radius(self):

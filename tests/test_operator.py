@@ -96,6 +96,16 @@ class TestBuildGrid:
                 weights=np.array([1.5, -0.5]),
             )
 
+    @pytest.mark.parametrize("nodes, weights, message", [
+        ([0.3, 0.7], [1.0], "equal length"),
+        ([0.7, 0.3], [0.5, 0.5], "strictly increasing"),
+        ([0.5, 0.5], [0.5, 0.5], "strictly increasing"),
+    ])
+    def test_manual_grid_node_validation(self, nodes, weights, message):
+        with pytest.raises(ValueError, match=message):
+            QuadratureGrid(r=1.0, panel_bounds=(0.0, 1.0), nodes=np.array(nodes),
+                           weights=np.array(weights))
+
 
 class TestNystromMatrix:
     def test_single_node_entry(self, reference_spec):
