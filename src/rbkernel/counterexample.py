@@ -20,8 +20,8 @@ checks the integration-by-parts identity numerically,
 and bundles everything into a single pass/fail verification report backed
 by the self-adjoint certificate of :mod:`rbkernel.operator`: the kink-exact
 matrix of K on 8 uniform panels x 16 nodes, whose eigenvalue nearest 1
-reaches it to rounding level at R and stays a grid-independent distance
-away at r = 1 and r = 3.
+reaches it to rounding level at R, and whose largest eigenvalue at r = 3
+matches K's exact one from the dispersion relation in nu (DLMF 10.2.2).
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ GATES = {
     "sigma_min_at_R": 1e-12,
     "null_vector_deviation": 1e-10,
     "collapse_ratio": 1e-10,
-    "off_root_grid_delta": 1e-4,
+    "off_root_eigenvalue_gap": 1e-11,
 }
 
 
@@ -298,6 +298,49 @@ def find_root(lo, hi, tol: float = 1e-12, route: str = "explicit") -> RootResult
     return RootResult(root=root, bracket=(lo, hi), residual=residual, iterations=iterations)
 
 
+def _dispersion(nu: float, r: float) -> float:
+    """F(nu, r) = u_nu(r) sin r + u_nu'(r) cos r, with u_nu = sqrt(pi r/2) J_{nu+1/2}(r)
+    summed as sqrt(pi) sum_k (-1)^k (r/2)^(2k+nu+1) / (k! Gamma(k+nu+3/2)), and
+    u_nu' term by term.  F(0, r) = 1 and F(2, r) = -p(r)."""
+    half = 0.5 * r
+    term = math.sqrt(math.pi) * half ** (nu + 1.0) / math.gamma(nu + 1.5)
+    u = du = 0.0
+    for k in range(60):
+        u += term
+        du += (2 * k + nu + 1.0) * term
+        term *= -half * half / ((k + 1) * (k + nu + 1.5))
+        if k >= half and abs(term) <= 1e-17 * abs(u):
+            break
+    return u * math.sin(r) + du / r * math.cos(r)
+
+
+def _lambda0_minus_1(r: float) -> float:
+    """lambda_0(r) - 1 for the continuous K of :func:`reference_spec`, exactly.
+
+    Exact theory for S = {0}, T = {2} only: K h = lambda h is
+    h'' + h = (6/lambda) h/s^2 with h(r) sin r + h'(r) cos r = 0, so
+    h = u_nu with nu (nu + 1) = 6/lambda, and the largest eigenvalue is
+    lambda_0 = 6/(nu_0 (nu_0 + 1)), nu_0 the first root of F(., r).  Since
+    F(0, r) = 1, nu_0 is bracketed by F's first sign change on steps of 1/8,
+    then bisected to adjacent doubles as in :func:`find_root`.
+    """
+    lo, hi = 0.0, 0.125
+    f_lo, f_hi = _dispersion(lo, r), _dispersion(hi, r)
+    while not f_hi <= 0.0:
+        if hi >= 64.0:
+            raise ValueError(f"F(nu, {r!r}) changes sign for no nu <= 64")
+        lo, f_lo, hi = hi, f_hi, hi + 0.125
+        f_hi = _dispersion(hi, r)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        f_mid = _dispersion(mid, r)
+        if f_mid > 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    nu = lo if abs(f_lo) <= abs(f_hi) else hi
+    return 6.0 / (nu * (nu + 1.0)) - 1.0
+
+
 def _default_points(r: float, count: int = 20) -> np.ndarray:
     return np.linspace(r / count, r, count)
 
@@ -387,20 +430,19 @@ def verify_counterexample(r_override=None) -> VerificationReport:
     the equation residual of u_2 at R, and the self-adjoint certificate of
     the kink-exact matrix on the ``DEFAULT_CERTIFICATE_*`` grid: its min
     |1 - lambda| at R, its null vector against u_2, the ratio to the off-root
-    values at r = 1 and 3, and their change when the panels are doubled.
+    values at r = 1 and 3, and the r = 3 value against K's exact lambda_0(3) - 1
+    (at r = 3 K has one eigenvalue above 0, and the rest lie in [-24, 0]).
     A step passes when its value is at most its threshold.  A step whose
     input, or its own evaluation, raised a numeric error fails as
     ``label (message)`` with value None; the labels, in the same order, are
     ``gamma0_check``, ``root_search``, ``identity_check``, ``equation_check``,
     ``spectral_certificate``, ``null_vector_check``, ``off_root_check`` and
-    ``off_root_grid_check``.  Any other exception propagates.  ``r_override`` replaces R in the
+    ``off_root_exact_check``.  Any other exception propagates.  ``r_override`` replaces R in the
     identity, equation and certificate steps; one whose grid cannot be built
     raises ValueError before any step runs.
     """
-    panels = DEFAULT_CERTIFICATE_PANELS
-
-    def grid(r, count=panels):
-        return build_grid(r, count, DEFAULT_CERTIFICATE_NODES,
+    def grid(r):
+        return build_grid(r, DEFAULT_CERTIFICATE_PANELS, DEFAULT_CERTIFICATE_NODES,
                           grading=DEFAULT_CERTIFICATE_GRADING)
 
     spec = reference_spec()
@@ -412,15 +454,12 @@ def verify_counterexample(r_override=None) -> VerificationReport:
     points = {r: _default_points(r) for r in (1.0, r_used, 3.0)}
     k_u2 = {r: _outcome(partial(apply_operator, spec, r, _u2, at)) for r, at in points.items()}
     certificate = _outcome(lambda: self_adjoint_certificate(kink_exact_matrix(spec, grid_at_r)))
-    # per off-root radius, min |1 - lambda| on the certificate's panels and on twice as many
+    # min |1 - lambda| at r = 1 and at r = 3
     off_root = _outcome(lambda: [
-        [min_singular_value(kink_exact_matrix(spec, grid(r, count)))
-         for count in (panels, 2 * panels)]
-        for r in (1.0, 3.0)
-    ])
+        min_singular_value(kink_exact_matrix(spec, grid(r))) for r in (1.0, 3.0)])
 
     def collapse_ratio():  # an off-root failure is named before the certificate's
-        smaller = min(coarse for coarse, _ in _unwrap(off_root))
+        smaller = min(_unwrap(off_root))
         return _unwrap(certificate).sigma_min / smaller
 
     steps = [
@@ -434,8 +473,8 @@ def verify_counterexample(r_override=None) -> VerificationReport:
         _step("null_vector_deviation", "null_vector_check",
               lambda: _null_vector_deviation(_unwrap(certificate))),
         _step("collapse_ratio", "off_root_check", collapse_ratio),
-        _step("off_root_grid_delta", "off_root_grid_check", lambda: max(
-            abs(coarse - fine) for coarse, fine in _unwrap(off_root))),
+        _step("off_root_eigenvalue_gap", "off_root_exact_check",
+              lambda: abs(_unwrap(off_root)[1] - _lambda0_minus_1(3.0))),
     ]
     return VerificationReport(
         r_used=r_used, gamma0=gamma0, steps=steps,

@@ -19,7 +19,7 @@ from rbkernel.counterexample import GATES
 from rbkernel.operator import QuadratureGrid
 from rbkernel.riccati import FunctionPair, _regular_values
 
-SPECTRAL = {"sigma_min_at_R", "null_vector_deviation", "collapse_ratio", "off_root_grid_delta"}
+SPECTRAL = {"sigma_min_at_R", "null_vector_deviation", "collapse_ratio", "off_root_eigenvalue_gap"}
 
 
 def failing_gates(report):
@@ -49,13 +49,14 @@ OPERATOR_DEFECTS = {
         replaced(gamma=lambda op: op.gamma * (1.0 + 1e-12)), {"sigma_min_at_R"}),
     "gamma_off_by_1e-9": (
         replaced(gamma=lambda op: op.gamma * (1.0 + 1e-9)),
-        {"sigma_min_at_R", "collapse_ratio"}),
+        {"sigma_min_at_R", "collapse_ratio", "off_root_eigenvalue_gap"}),
 }
 
 GRID_DEFECTS = {
-    "two_panels": ("DEFAULT_CERTIFICATE_PANELS", 2, {"off_root_grid_delta"}),
+    "two_panels": ("DEFAULT_CERTIFICATE_PANELS", 2, {"off_root_eigenvalue_gap"}),
+    "four_panels": ("DEFAULT_CERTIFICATE_PANELS", 4, set()),
     "six_nodes": ("DEFAULT_CERTIFICATE_NODES", 6,
-                  {"null_vector_deviation", "off_root_grid_delta"}),
+                  {"null_vector_deviation", "off_root_eigenvalue_gap"}),
 }
 
 
@@ -115,13 +116,14 @@ def h_is_u1():
 
 
 CERTIFICATE_AT_R = {"sigma_min_at_R", "null_vector_deviation", "collapse_ratio"}
+GAP = "off_root_eigenvalue_gap"
 # defect -> (module attributes to replace, as (target, name, value), failing gates)
 INPUT_DEFECTS = {
-    "scaling_sqrt_w": (scaling_replaced(0.0), CERTIFICATE_AT_R),
-    "scaling_t_power_1+1e-7": (scaling_replaced(1.0 + 1e-7), CERTIFICATE_AT_R),
-    "u0_times_1+1e-11r": (scaled_order_0(U0_PLACES, 1e-11), {"sigma_min_at_R"}),
+    "scaling_sqrt_w": (scaling_replaced(0.0), CERTIFICATE_AT_R | {GAP}),
+    "scaling_t_power_1+1e-7": (scaling_replaced(1.0 + 1e-7), CERTIFICATE_AT_R | {GAP}),
+    "u0_times_1+1e-11r": (scaled_order_0(U0_PLACES, 1e-11), {"sigma_min_at_R", GAP}),
     "u0_times_1+1e-13r": (scaled_order_0(U0_PLACES, 1e-13), set()),
-    "v0_times_1+1e-11r": (scaled_order_0(V0_PLACES, 1e-11), {"sigma_min_at_R"}),
+    "v0_times_1+1e-11r": (scaled_order_0(V0_PLACES, 1e-11), {"sigma_min_at_R", GAP}),
     "v0_times_1+1e-13r": (scaled_order_0(V0_PLACES, 1e-13), set()),
     "p_explicit_plus_1e-11": (p_shifted(1e-11), {"sigma_min_at_R"}),
     "p_explicit_plus_1e-13": (p_shifted(1e-13), set()),

@@ -255,7 +255,7 @@ class TestVerify:
         assert payload["sigma_min_at_R"] <= 1e-12
         gated = {step["name"]: step for step in payload["steps"]}
         for name in ("sigma_min_at_R", "null_vector_deviation", "collapse_ratio",
-                     "off_root_grid_delta"):
+                     "off_root_eigenvalue_gap"):
             assert gated[name]["ok"] is True
         assert set(payload["certificate"]) == {"panels", "nodes", "size",
                                                "next_sigma", "asymmetry"}

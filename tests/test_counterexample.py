@@ -13,9 +13,12 @@ import pytest
 from rbkernel import (
     ConvergenceError,
     apply_operator,
+    build_grid,
     check_identity,
     eval_regular,
     find_root,
+    kink_exact_matrix,
+    min_singular_value,
     p_explicit,
     p_series,
     p_wronskian,
@@ -258,10 +261,10 @@ INJECTED_FAILURES = {
         "sigma_min_at_R": "spectral_certificate",
         "null_vector_deviation": "null_vector_check",
         "collapse_ratio": "off_root_check",
-        "off_root_grid_delta": "off_root_grid_check"}),
+        "off_root_eigenvalue_gap": "off_root_exact_check"}),
     "min_singular_value": ("min_singular_value", None, {
         "collapse_ratio": "off_root_check",
-        "off_root_grid_delta": "off_root_grid_check"}),
+        "off_root_eigenvalue_gap": "off_root_exact_check"}),
 }
 
 
@@ -339,7 +342,7 @@ class TestVerifyCounterexample:
         assert not steps["collapse_ratio"][1]
         assert steps["collapse_ratio"][0] >= 1.0  # r = 3 is one of the off-root radii
         assert not steps["null_vector_deviation"][1]
-        assert steps["off_root_grid_delta"][1]  # the off-root values do not depend on R
+        assert steps["off_root_eigenvalue_gap"][1]  # the r = 3 value does not depend on R
 
     def test_certificate_calls_no_svd(self, monkeypatch):
         def no_svd(*args, **kwargs):
@@ -352,7 +355,7 @@ class TestVerifyCounterexample:
         assert steps["sigma_min_at_R"] <= 1e-12
         assert steps["null_vector_deviation"] <= 1e-10
         assert steps["collapse_ratio"] <= 1e-10
-        assert steps["off_root_grid_delta"] <= 1e-4
+        assert steps["off_root_eigenvalue_gap"] <= 1e-11
 
     def test_report_explains_the_certificate(self):
         report = verify_counterexample()
@@ -386,7 +389,7 @@ class TestVerifyCounterexample:
             "spectral_certificate (synthetic failure)",
             "null_vector_check (synthetic failure)",
             "off_root_check (synthetic failure)",
-            "off_root_grid_check (synthetic failure)",
+            "off_root_exact_check (synthetic failure)",
         ]
 
     @pytest.mark.parametrize("injected", INJECTED_FAILURES)
@@ -440,14 +443,11 @@ class TestVerifyCounterexample:
             assert (f"{step} (synthetic failure)", None, 1e-8, False) in report.steps
 
     def test_one_eigh_and_three_quadratures(self, monkeypatch):
-        calls = {"eigh": 0, "eigvalsh": 0, "apply_operator": []}
+        calls = {"eigh": [], "eigvalsh": [], "apply_operator": []}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
-                if name == "apply_operator":
-                    calls[name].append(args[1])
-                else:
-                    calls[name] += 1
+                calls[name].append(args[1] if name == "apply_operator" else len(args[0]))
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -458,8 +458,10 @@ class TestVerifyCounterexample:
         report = verify_counterexample()
         assert report.passed
         # eigh only for the null vector at R; every |1 - lambda| from eigvalsh
-        assert calls["eigh"] == 1
-        assert calls["eigvalsh"] == 5
+        assert len(calls["eigh"]) == 1
+        # at R and at r = 1 and 3, and none above the certificate's 128 nodes
+        assert len(calls["eigvalsh"]) == 3
+        assert max(calls["eigh"] + calls["eigvalsh"]) <= 128
         # K u_2 at R once, shared by the identity and equation steps
         assert sorted(calls["apply_operator"]) == sorted([1.0, report.r_used, 3.0])
 
@@ -517,3 +519,59 @@ class TestVerifyCounterexample:
         report = verify_counterexample()
         assert "R ≈ 2.44" in report.summary_text()
         assert "overall: PASS" in report.summary_text()
+
+
+def mp_dispersion(nu, r):
+    """F(nu, r) = u_nu(r) sin r + u_nu'(r) cos r at 40 digits, u_nu from mpmath.besselj."""
+    with mp.workdps(40):
+        u = lambda x: mp.sqrt(mp.pi * x / 2) * mp.besselj(mp.mpf(nu) + 0.5, x)  # noqa: E731
+        r = mp.mpf(r)
+        return u(r) * mp.sin(r) + mp.diff(u, r) * mp.cos(r)
+
+
+def nu_of(excess):
+    """nu > 0 with 6 / (nu (nu + 1)) = 1 + excess."""
+    return 0.5 * (math.sqrt(1.0 + 24.0 / (1.0 + excess)) - 1.0)
+
+
+class TestExactSpectrum:
+    """The dispersion relation in nu behind the off_root_eigenvalue_gap gate."""
+
+    def test_first_eigenvalue_at_3_against_mpmath(self):
+        with mp.workdps(40):
+            nu0 = mp.findroot(lambda nu: mp_dispersion(nu, 3), 1.418)
+            excess = 6 / (nu0 * (nu0 + 1)) - 1
+        value = cx_module._lambda0_minus_1(3.0)
+        assert abs(value - float(excess)) <= 5e-15
+        assert abs(nu_of(value) - float(nu0)) <= 5e-15
+        assert float(nu0) == pytest.approx(1.4183676736166014, abs=5e-15)
+
+    @pytest.mark.parametrize("nu, r", [(0.5, 1.0), (1.4, 3.0), (3.7, 6.0)])
+    def test_dispersion_against_mpmath(self, nu, r):
+        assert cx_module._dispersion(nu, r) == pytest.approx(float(mp_dispersion(nu, r)), abs=1e-14)
+
+    def test_dispersion_at_orders_0_and_2_is_1_and_minus_p(self):
+        # u_0 = sin, so F(0, r) = 1; u_2 ties F(2, r) to the paper's p
+        for r in np.linspace(0.5, 8.0, 40):
+            assert abs(cx_module._dispersion(0.0, r) - 1.0) <= 1e-13
+            assert abs(cx_module._dispersion(2.0, r) + p_explicit(r)) <= 1e-13
+
+    def test_root_is_the_first_sign_change(self):
+        nu0 = nu_of(cx_module._lambda0_minus_1(3.0))
+        below = [cx_module._dispersion(nu, 3.0) for nu in np.linspace(0.0, nu0 - 1e-9, 2001)]
+        assert min(below) > 0.0
+        assert cx_module._dispersion(nu0 + 1e-9, 3.0) < 0.0
+
+    def test_no_positive_eigenvalue_is_an_error(self):
+        # K has an eigenvalue above 0 only from r = pi/2 on
+        with pytest.raises(ValueError, match="changes sign for no nu"):
+            cx_module._lambda0_minus_1(1.0)
+
+    def test_grid_error_falls_at_the_predicted_order(self, reference_spec):
+        # u_nu ~ t^(nu + 1) at the origin: lambda_0's error on uniform panels
+        # falls by about 2^(2 nu_0 + 1) per doubling
+        exact = cx_module._lambda0_minus_1(3.0)
+        e4, e8 = (abs(min_singular_value(kink_exact_matrix(
+            reference_spec, build_grid(3.0, panels, 16, grading=1.0))) - exact)
+            for panels in (4, 8))
+        assert abs(math.log2(e4 / e8) - (2.0 * nu_of(exact) + 1.0)) <= 0.1
