@@ -35,6 +35,7 @@ import numpy as np
 from .kernel import KernelSpec, solve_gamma, validate_sets
 from .operator import (
     SelfAdjointCertificate,
+    _mirrored,
     _outcome,
     apply_operator,
     build_grid,
@@ -393,17 +394,17 @@ def _equation_residual(u2_points: np.ndarray, k_u2: np.ndarray) -> float:
 
 
 def _null_vector_deviation(certificate: SelfAdjointCertificate) -> float:
-    """Max deviation of the certificate's null vector from u_2, both D-scaled."""
+    """sqrt(2) ||S t - t|| / next_sigma, t = D u_2 normed, S the certificate's form: by the sin
+    theta theorem (Davis and Kahan, SIAM J. Numer. Anal. 7, 1970), a bound on max |v - t| for
+    the eigenvector v nearest 1, sign matched, which is never computed.  A zero gap raises."""
     grid = certificate.operator.grid
     target = _u2(grid.nodes) * grid.l2_scaling
     norm = np.linalg.norm(target)
     if norm == 0.0:
         raise ValueError(f"u_2 underflows to 0 at the nodes of radius {grid.r!r}")
     target /= norm
-    vector = certificate.null_vector
-    if float(vector @ target) < 0.0:
-        vector = -vector
-    return float(np.max(np.abs(vector - target)))
+    residual = _mirrored(certificate.operator.own_norm_form()) @ target - target
+    return math.sqrt(2.0) * float(np.linalg.norm(residual)) / certificate.next_sigma
 
 
 def _unwrap(outcome):
@@ -429,8 +430,8 @@ def verify_counterexample(r_override=None) -> VerificationReport:
     The steps check gamma_0, the root R of p, the identity at r = 1, R and 3,
     the equation residual of u_2 at R, and the self-adjoint certificate of
     the kink-exact matrix on the ``DEFAULT_CERTIFICATE_*`` grid: its min
-    |1 - lambda| at R, its null vector against u_2, the ratio to the off-root
-    values at r = 1 and 3, and the r = 3 value against K's exact lambda_0(3) - 1
+    |1 - lambda| at R, a bound on its null vector's distance from u_2, the ratio
+    to the off-root values at r = 1 and 3, and the r = 3 value against K's exact lambda_0(3) - 1
     (at r = 3 K has one eigenvalue above 0, and the rest lie in [-24, 0]).
     A step passes when its value is at most its threshold.  A step whose
     input, or its own evaluation, raised a numeric error fails as

@@ -46,7 +46,7 @@ much they were not symmetric.
 ``min_singular_value`` takes min |1 - lambda| from ``np.linalg.eigvalsh``
 (values only, lower triangle): the smallest singular value of I - S, i.e.
 of I - A in K's own norm.  ``self_adjoint_certificate`` takes the same
-value, bit for bit, and one ``np.linalg.eigh`` for the null vector.
+value, bit for bit, and the next one, from the same ``eigvalsh``.
 
 ``sweep`` uses ``min_singular_value`` on the Nystrom operator, taking the
 Riccati tables of a chunk of radii from one call per order and family on
@@ -220,8 +220,7 @@ class SeparableNystromOperator:
 
         It is the product P Q^T of the scaled tables, with a panel rule's
         diagonal panel blocks replaced by S there, symmetrized.  Above the
-        diagonal it is not S; ``eigvalsh`` and ``eigh`` read the lower
-        triangle only.
+        diagonal it is not S; ``eigvalsh`` reads the lower triangle only.
         """
         return self._form()[0]
 
@@ -231,17 +230,14 @@ class SelfAdjointCertificate:
     """Eigenvalues lambda of the symmetric form of D A D^-1, measured from 1.
 
     ``sigma_min`` and ``next_sigma`` are the smallest and second-smallest
-    |1 - lambda|; ``null_vector`` is the unit eigenvector of the smallest,
-    i.e. the candidate solution's node values scaled by D = sqrt(w)/t (sign
-    as returned by ``np.linalg.eigh``); ``asymmetry`` is max |S - S^T| over
-    the diagonal panel blocks of S = D A D^-1 before they were symmetrized,
-    the only entries not symmetric by construction (0 for the Nystrom matrix).
+    |1 - lambda|; ``asymmetry`` is max |S - S^T| over the diagonal panel
+    blocks of S = D A D^-1 before they were symmetrized, the only entries
+    not symmetric by construction (0 for the Nystrom matrix).
     """
 
     sigma_min: float
     next_sigma: float
     asymmetry: float
-    null_vector: np.ndarray = field(repr=False)
     operator: SeparableNystromOperator = field(repr=False)
 
 
@@ -262,14 +258,18 @@ def _panel_nodes(lower: np.ndarray, upper: np.ndarray, nodes_per_panel: int):
     return nodes, weights
 
 
-def _check_grid_shape(panels_count: int, nodes_per_panel: int, grading: float) -> None:
-    """:func:`build_grid`'s checks that do not depend on r, so a sweep makes them once."""
+def _check_grid_shape(panels_count: int, nodes_per_panel: int, grading: float) -> np.ndarray:
+    """:func:`build_grid`'s r-free checks, made once by a sweep; returns bounds (i / n)**grading."""
     if panels_count < 1:
         raise ValueError("panels_count must be >= 1")
     if nodes_per_panel < 2:
         raise ValueError("nodes_per_panel must be >= 2")
     if not grading >= 1.0:  # NaN too
         raise ValueError("grading exponent must be >= 1")
+    bounds = (np.arange(panels_count + 1) / panels_count) ** grading
+    if np.any(np.diff(bounds) <= 0.0):  # a large grading underflows the first bounds to 0
+        raise ValueError(f"grading exponent {grading!r} collapses {panels_count} panels")
+    return bounds
 
 
 def build_grid(
@@ -284,8 +284,7 @@ def build_grid(
     ``r * (i / panels)**grading`` (grading 1 gives uniform panels).
     """
     r = check_radius(r)
-    _check_grid_shape(panels_count, nodes_per_panel, grading)
-    bounds = r * (np.arange(panels_count + 1) / panels_count) ** grading
+    bounds = r * _check_grid_shape(panels_count, nodes_per_panel, grading)
     nodes, weights = _panel_nodes(bounds[:-1], bounds[1:], nodes_per_panel)
     return QuadratureGrid(
         r=r, panel_bounds=tuple(float(b) for b in bounds), nodes=nodes, weights=weights
@@ -375,32 +374,32 @@ def kink_exact_matrix(spec: KernelSpec, grid: QuadratureGrid) -> SeparableNystro
                                     _legendre_cumulative(nodes_per_panel))
 
 
+def _mirrored(form: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose lower triangle, diagonal included, is that of ``form``."""
+    return np.where(np.tri(len(form), dtype=bool), form, form.T)
+
+
 def _distances_from_one(symmetric: np.ndarray) -> np.ndarray:
     """|1 - lambda|, ascending, of the symmetric matrix whose lower triangle is given."""
     return np.sort(np.abs(1.0 - np.linalg.eigvalsh(symmetric, UPLO="L")))
 
 
 def self_adjoint_certificate(op: SeparableNystromOperator) -> SelfAdjointCertificate:
-    """|1 - lambda| for the eigenvalues of D A D^-1, and the null vector.
+    """The two smallest |1 - lambda| for the eigenvalues of D A D^-1.
 
     K is self-adjoint on L^2((0, r], t^-2 dt), so S = D A D^-1 with
-    D = sqrt(w)/t is symmetric up to discretization and rounding.
-    ``sigma_min`` and ``next_sigma`` come from the eigenvalues of its
-    symmetric form (:meth:`SeparableNystromOperator.own_norm_form`) alone
-    (``np.linalg.eigvalsh``, as in :func:`min_singular_value`); one
-    ``np.linalg.eigh`` gives the null vector, the eigenvector of its own
-    eigenvalue nearest 1.  A near-zero ``sigma_min`` certifies a
+    D = sqrt(w)/t is symmetric up to discretization and rounding.  Both
+    values come from one ``np.linalg.eigvalsh`` of its symmetric form
+    (:meth:`SeparableNystromOperator.own_norm_form`), as in
+    :func:`min_singular_value`.  A near-zero ``sigma_min`` certifies a
     nontrivial discrete solution of h = K h.
     """
     symmetric, asymmetry = op._form()
     distance = _distances_from_one(symmetric)
-    eigenvalues, eigenvectors = np.linalg.eigh(symmetric, UPLO="L")
-    nearest = np.argmin(np.abs(1.0 - eigenvalues))
     return SelfAdjointCertificate(
         sigma_min=float(distance[0]),
         next_sigma=float(distance[1]),
         asymmetry=asymmetry,
-        null_vector=eigenvectors[:, nearest].copy(),
         operator=op,
     )
 
@@ -411,7 +410,7 @@ def min_singular_value(op: SeparableNystromOperator) -> float:
     The eigenvalues are those of the symmetric form of S = D A D^-1
     (``np.linalg.eigvalsh``), so the value is the smallest singular value of
     I minus that form, and the same value, bit for bit, as
-    ``self_adjoint_certificate(op).sigma_min``, without the eigenvectors.
+    ``self_adjoint_certificate(op).sigma_min``.
     A near-zero value certifies a nontrivial discrete solution of h = K h.
     """
     return float(_distances_from_one(op.own_norm_form())[0])
@@ -422,10 +421,8 @@ def dump_matrix(op: SeparableNystromOperator, path) -> None:
 
     A debugging aid; one row per line.
     """
-    form = op.own_norm_form()
-    symmetric = np.where(np.tri(len(form), dtype=bool), form, form.T)
     with open(path, "w") as handle:
-        handle.write(csv_text(symmetric.tolist()))
+        handle.write(csv_text(_mirrored(op.own_norm_form()).tolist()))
 
 
 @lru_cache(maxsize=4)
@@ -674,8 +671,9 @@ def sweep(
     radii = radius_range(r_min, r_max, steps).tolist()
     spec.terms  # non-integer orders fail here, not at every point
     gamma = np.array(spec.gamma)
-    _check_grid_shape(panels_count, nodes_per_panel, grading)
     panel_counts = (panels_count, 2 * panels_count) if refine else (panels_count,)
+    for count in panel_counts:
+        _check_grid_shape(count, nodes_per_panel, grading)
     chunk_radii = max(1, _CHUNK_NODES // (sum(panel_counts) * nodes_per_panel))
 
     def own_grids(r):

@@ -47,9 +47,7 @@ OPERATOR_DEFECTS = {
         replaced(panel_rule=lambda op: np.full_like(op.panel_rule, 0.5)), SPECTRAL),
     "gamma_off_by_1e-12": (
         replaced(gamma=lambda op: op.gamma * (1.0 + 1e-12)), {"sigma_min_at_R"}),
-    "gamma_off_by_1e-9": (
-        replaced(gamma=lambda op: op.gamma * (1.0 + 1e-9)),
-        {"sigma_min_at_R", "collapse_ratio", "off_root_eigenvalue_gap"}),
+    "gamma_off_by_1e-9": (replaced(gamma=lambda op: op.gamma * (1.0 + 1e-9)), SPECTRAL),
 }
 
 GRID_DEFECTS = {

@@ -12,6 +12,7 @@ from rbkernel import (
     find_root,
     kink_exact_matrix,
     reference_spec,
+    sweep,
 )
 import rbkernel.cli as cli_module
 from rbkernel.cli import build_parser, main
@@ -211,12 +212,23 @@ class TestSweep:
         for line in out.splitlines()[1:]:
             assert line.split(",")[2] != ""
 
+    def test_steep_grading_writes_its_rows(self, capsys):
+        # 300 collapses no bound of 8 panels, only of the 16 a refined sweep adds
+        code, out, err = run_cli(capsys, "sweep", "--r-min", "1", "--r-max", "2",
+                                 "--steps", "2", "--grading", "300")
+        assert (code, err) == (0, "")
+        assert out == sweep(reference_spec(), 1.0, 2.0, 2, grading=300.0).to_csv_text()
+
     @pytest.mark.parametrize("argv, message", [
         (["--panels", "0"], "panels_count must be >= 1"),
         (["--nodes", "1", "--refine"], "nodes_per_panel must be >= 2"),
         (["--s", "0.5", "--t", "2"], "nonnegative integer orders in S"),
         (["--r-max", "inf"], "radius must be positive and finite, got inf"),
         (["--grading", "nan"], "grading exponent must be >= 1"),
+        (["--grading", "400"], "grading exponent 400.0 collapses 8 panels"),
+        (["--grading", "inf"], "grading exponent inf collapses 8 panels"),
+        (["--grading", "300", "--refine"],
+         "grading exponent 300.0 collapses 16 panels"),
     ])
     def test_usage_errors_exit_2(self, capsys, argv, message):
         # validated once before the loop, not recorded as a failure per radius

@@ -1,5 +1,6 @@
 """Tests for the p function, its root, and the verification chain."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -22,6 +23,7 @@ from rbkernel import (
     p_explicit,
     p_series,
     p_wronskian,
+    self_adjoint_certificate,
     verify_counterexample,
 )
 import rbkernel.counterexample as cx_module
@@ -442,7 +444,7 @@ class TestVerifyCounterexample:
         for step in ("identity_check", "equation_check"):
             assert (f"{step} (synthetic failure)", None, 1e-8, False) in report.steps
 
-    def test_one_eigh_and_three_quadratures(self, monkeypatch):
+    def test_eigvalsh_only_and_three_quadratures(self, monkeypatch):
         calls = {"eigh": [], "eigvalsh": [], "apply_operator": []}
 
         def counting(name, fn):
@@ -457,11 +459,11 @@ class TestVerifyCounterexample:
                             counting("apply_operator", cx_module.apply_operator))
         report = verify_counterexample()
         assert report.passed
-        # eigh only for the null vector at R; every |1 - lambda| from eigvalsh
-        assert len(calls["eigh"]) == 1
+        # no eigenvector: the null vector is bounded from u_2 and the gap
+        assert calls["eigh"] == []
         # at R and at r = 1 and 3, and none above the certificate's 128 nodes
         assert len(calls["eigvalsh"]) == 3
-        assert max(calls["eigh"] + calls["eigvalsh"]) <= 128
+        assert max(calls["eigvalsh"]) <= 128
         # K u_2 at R once, shared by the identity and equation steps
         assert sorted(calls["apply_operator"]) == sorted([1.0, report.r_used, 3.0])
 
@@ -519,6 +521,50 @@ class TestVerifyCounterexample:
         report = verify_counterexample()
         assert "R ≈ 2.44" in report.summary_text()
         assert "overall: PASS" in report.summary_text()
+
+
+class TestNullVectorBound:
+    """``null_vector_deviation`` is sqrt(2) ||S t - t|| / next_sigma, with t the
+    D-scaled u_2: a bound on max |v - t| for the eigenvector v that verify never
+    computes, checked here against an eigh of the certificate's own form."""
+
+    @pytest.mark.parametrize("panels, nodes", [(4, 12), (8, 12), (8, 16), (16, 16)])
+    @pytest.mark.parametrize("r", [
+        "R", "R(1 - 1e-6)", "R(1 + 1e-6)", "R(1 + 1e-9)", 0.5, 1.0, 2.0, 3.0, 5.0])
+    def test_bound_dominates_the_measured_deviation(self, reference_spec, root_r, panels,
+                                                    nodes, r):
+        factors = {"R": 1.0, "R(1 - 1e-6)": 1.0 - 1e-6, "R(1 + 1e-6)": 1.0 + 1e-6,
+                   "R(1 + 1e-9)": 1.0 + 1e-9}
+        radius = root_r * factors[r] if r in factors else r
+        grid = build_grid(radius, panels, nodes, grading=1.0)
+        certificate = self_adjoint_certificate(kink_exact_matrix(reference_spec, grid))
+        target = eval_regular(2, grid.nodes).value * grid.l2_scaling
+        target /= np.linalg.norm(target)
+        eigenvalues, eigenvectors = np.linalg.eigh(certificate.operator.own_norm_form(),
+                                                   UPLO="L")
+        vector = eigenvectors[:, np.argmin(np.abs(1.0 - eigenvalues))]
+        if float(vector @ target) < 0.0:
+            vector = -vector
+        deviation = float(np.max(np.abs(vector - target)))
+        # eigh's vector is itself off by an angle of about eps ||S|| / gap (LAPACK
+        # Users' Guide, section 4.7), which shows only where both read rounding
+        # level: at R, where its bits move with the BLAS thread count
+        allowance = np.finfo(float).eps * np.max(np.abs(eigenvalues)) / certificate.next_sigma
+        assert cx_module._null_vector_deviation(certificate) + allowance >= deviation
+
+    @pytest.mark.parametrize("gap", [0.0, math.nan])
+    def test_a_gap_of_zero_or_nan_fails_the_step(self, monkeypatch, gap):
+        real = cx_module.self_adjoint_certificate
+        monkeypatch.setattr(cx_module, "self_adjoint_certificate",
+                            lambda op: dataclasses.replace(real(op), next_sigma=gap))
+        report = verify_counterexample()
+        failed = [(name, value) for name, value, _, ok in report.steps if not ok]
+        assert len(failed) == 1
+        name, value = failed[0]
+        if gap == 0.0:  # float division by zero: the step fails to evaluate
+            assert (name, value) == ("null_vector_check (float division by zero)", None)
+        else:  # NaN is never at most the threshold
+            assert name == "null_vector_deviation" and math.isnan(value)
 
 
 def mp_dispersion(nu, r):

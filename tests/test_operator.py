@@ -79,6 +79,10 @@ class TestBuildGrid:
             build_grid(1.0, grading=0.5)
         with pytest.raises(ValueError, match="grading"):
             build_grid(1.0, grading=math.nan)
+        # (1/8)**400 and (1/8)**inf are 0, the same as the first bound
+        for grading in (400.0, math.inf):
+            with pytest.raises(ValueError, match=f"grading exponent {grading!r} collapses 8"):
+                build_grid(1.0, grading=grading)
 
     def test_manual_grid_validation(self):
         with pytest.raises(ValueError, match="sum"):
@@ -276,14 +280,14 @@ class TestKinkExactMatrix:
         op = kink_exact_matrix(reference_spec, grid)
         certificate = self_adjoint_certificate(op)
         assert certificate.asymmetry <= 1e-10
-        assert np.linalg.norm(certificate.null_vector) == pytest.approx(1.0, rel=1e-14)
+        assert not hasattr(certificate, "null_vector")
         assert certificate.sigma_min <= certificate.next_sigma
-        # sigma_min and next_sigma come from eigvalsh, the null vector from
-        # eigh of the same form
+        # sigma_min and next_sigma come from eigvalsh; eigh of the same form
+        # finds both to rounding
         assert certificate.sigma_min == min_singular_value(op)
-        eigenvalues, eigenvectors = np.linalg.eigh(op.own_norm_form(), UPLO="L")
-        nearest = np.argmin(np.abs(1.0 - eigenvalues))
-        assert np.array_equal(certificate.null_vector, eigenvectors[:, nearest])
+        distance = np.sort(np.abs(1.0 - np.linalg.eigh(op.own_norm_form(), UPLO="L")[0]))
+        assert abs(certificate.sigma_min - distance[0]) <= 1e-14
+        assert abs(certificate.next_sigma - distance[1]) <= 1e-14
         # the same values from the symmetric part of the dense D A D^-1
         form = definition_form(grid, kink_exact_definition_matrix(reference_spec, grid))
         distance = np.sort(np.abs(1.0 - np.linalg.eigvalsh(form)))
@@ -333,10 +337,13 @@ class TestKinkExactMatrix:
         certificate = self_adjoint_certificate(kink_exact_matrix(reference_spec, grid))
         assert certificate.sigma_min <= 1e-12
         assert certificate.next_sigma >= 0.5
-        # the eigenvector is u_2 at the nodes, D-scaled, up to sign
+        # the eigenvector of the eigenvalue nearest 1, from an eigh of the
+        # certificate's form, is u_2 at the nodes, D-scaled, up to sign
         samples = u2(grid.nodes) * grid.l2_scaling
         samples /= np.linalg.norm(samples)
-        assert abs(float(certificate.null_vector @ samples)) == pytest.approx(1.0, abs=1e-14)
+        eigenvalues, eigenvectors = np.linalg.eigh(certificate.operator.own_norm_form(), UPLO="L")
+        null_vector = eigenvectors[:, np.argmin(np.abs(1.0 - eigenvalues))]
+        assert abs(float(null_vector @ samples)) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestNodeUnderflow:
@@ -874,12 +881,14 @@ class TestMinSingularValue:
         assert min_singular_value(nystrom_matrix(reference_spec, grid)) >= 0.5
 
     def test_certificate_invariant(self, reference_spec):
-        # the null vector is a unit vector that I - S takes to at most sigma_min
+        # eigh's unit eigenvector of the eigenvalue nearest 1 is one that
+        # I - S takes to at most the certificate's sigma_min
         grid = build_grid(2.0, panels_count=8, nodes_per_panel=12)
         op = nystrom_matrix(reference_spec, grid)
-        sigma_min = min_singular_value(op)
+        sigma_min = self_adjoint_certificate(op).sigma_min
         symmetric = mirrored(op.own_norm_form())
-        null_vector = self_adjoint_certificate(op).null_vector
+        eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
+        null_vector = eigenvectors[:, np.argmin(np.abs(1.0 - eigenvalues))]
         residual = np.linalg.norm(null_vector - symmetric @ null_vector)
         assert residual <= sigma_min * (1.0 + 1e-8) + 1e-15
 
@@ -969,6 +978,13 @@ class TestSweep:
         for grading in (0.5, math.nan):
             with pytest.raises(ValueError, match="grading"):
                 sweep(reference_spec, 1.0, 2.0, 3, grading=grading)
+        # a grading that makes two unit bounds (i/n)**grading equal fails every
+        # radius: 400 and inf on 8 panels, 300 on the 16 of a refined sweep
+        for grading, refine, panels in ((400.0, False, 8), (math.inf, False, 8),
+                                        (300.0, True, 16)):
+            with pytest.raises(ValueError,
+                               match=f"grading exponent {grading!r} collapses {panels} panels"):
+                sweep(reference_spec, 1.0, 2.0, 2, grading=grading, refine=refine)
 
 
 
@@ -1017,6 +1033,13 @@ class TestBatchedSweep:
             spec, 0.5, 4.5, 6, panels_count=4, nodes_per_panel=6,
             grading=grading, refine=refine,
         )
+
+    def test_steep_grading_keeps_its_rows(self, reference_spec):
+        # (1/8)**300 = 2**-900 is a normal double: 8 panels at grading 300 build
+        report = sweep(reference_spec, 1.0, 2.0, 2, grading=300.0)
+        assert report.failures == [] and len(report.rows) == 2
+        assert (report.rows, report.failures) == per_radius_sweep(
+            reference_spec, 1.0, 2.0, 2, grading=300.0)
 
     @pytest.mark.parametrize("refine", [False, True])
     def test_failing_chunk_falls_back_per_radius(self, refine, table_calls):
