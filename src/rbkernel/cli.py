@@ -29,11 +29,10 @@ from .operator import (
     DEFAULT_QUAD_TOL,
     NUMERIC_ERRORS,
     apply_operator,
-    dump_matrix,
     radius_range,
     sweep,
 )
-from .report import ScanReport, json_text
+from .report import ScanReport, csv_text, json_text
 from .riccati import eval_regular  # noqa: F401  perfbench's tracer test reads cli.eval_regular
 
 __all__ = ["main", "build_parser"]
@@ -227,7 +226,7 @@ def _cmd_verify(args) -> int:
     if args.dump_matrix is not None:
         if report.spectral is None:
             raise ValueError("no matrix to dump: the spectral step failed")
-        dump_matrix(report.spectral.operator, args.dump_matrix)
+        Path(args.dump_matrix).write_text(csv_text(report.spectral.form.tolist()))
     return 0 if report.passed else 1
 
 

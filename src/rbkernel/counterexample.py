@@ -35,7 +35,6 @@ import numpy as np
 from .kernel import KernelSpec, solve_gamma, validate_sets
 from .operator import (
     SelfAdjointCertificate,
-    _mirrored,
     _outcome,
     apply_operator,
     build_grid,
@@ -129,7 +128,7 @@ class VerificationReport:
     def _certificate_dict(self) -> dict | None:
         if self.spectral is None:
             return None
-        grid = self.spectral.operator.grid
+        grid = self.spectral.grid
         panels = len(grid.panel_bounds) - 1
         return {
             "panels": panels,
@@ -248,6 +247,25 @@ P_ROUTES = {
 }
 
 
+def _bisect(f, name: str, a: float, b: float, f_a: float, f_b: float):
+    """Bisect f's sign-change bracket [a, b], f(a) = f_a and f(b) = f_b, as :func:`find_root`
+    describes; returns the end with the smaller |f|, that |f| and the halvings.  A midpoint
+    where f is not finite raises ValueError naming f as ``name``."""
+    iterations = 0
+    mid = 0.5 * (a + b)
+    while f_a != 0.0 and f_b != 0.0 and a < mid < b:
+        f_mid = f(mid)
+        if not math.isfinite(f_mid):
+            raise ValueError(f"{name}({mid!r}) is not finite")
+        iterations += 1
+        if (f_mid < 0.0) == (f_a < 0.0):
+            a, f_a = mid, f_mid
+        else:
+            b, f_b = mid, f_mid
+        mid = 0.5 * (a + b)
+    return (a, abs(f_a), iterations) if abs(f_a) <= abs(f_b) else (b, abs(f_b), iterations)
+
+
 def find_root(lo, hi, tol: float = 1e-12, route: str = "explicit") -> RootResult:
     """Locate a root of p inside a sign-change bracket by bisection.
 
@@ -280,20 +298,7 @@ def find_root(lo, hi, tol: float = 1e-12, route: str = "explicit") -> RootResult
         raise ValueError(
             f"no sign change on [{lo:g}, {hi:g}]: p(lo) = {f_lo:g}, p(hi) = {f_hi:g}"
         )
-    a, b, f_a, f_b = lo, hi, f_lo, f_hi
-    iterations = 0
-    mid = 0.5 * (a + b)
-    while f_a != 0.0 and f_b != 0.0 and a < mid < b:
-        f_mid = p(mid)
-        if not math.isfinite(f_mid):
-            raise ValueError(f"p({mid!r}) is not finite")
-        iterations += 1
-        if (f_mid < 0.0) == (f_a < 0.0):
-            a, f_a = mid, f_mid
-        else:
-            b, f_b = mid, f_mid
-        mid = 0.5 * (a + b)
-    root, residual = (a, abs(f_a)) if abs(f_a) <= abs(f_b) else (b, abs(f_b))
+    root, residual, iterations = _bisect(p, "p", lo, hi, f_lo, f_hi)
     if residual > tol:
         raise ValueError(f"|p| = {residual:g} at the root {root!r} exceeds tol {tol:g}")
     return RootResult(root=root, bracket=(lo, hi), residual=residual, iterations=iterations)
@@ -323,7 +328,7 @@ def _lambda0_minus_1(r: float) -> float:
     h = u_nu with nu (nu + 1) = 6/lambda, and the largest eigenvalue is
     lambda_0 = 6/(nu_0 (nu_0 + 1)), nu_0 the first root of F(., r).  Since
     F(0, r) = 1, nu_0 is bracketed by F's first sign change on steps of 1/8,
-    then bisected to adjacent doubles as in :func:`find_root`.
+    then bisected by :func:`find_root`'s rule.
     """
     lo, hi = 0.0, 0.125
     f_lo, f_hi = _dispersion(lo, r), _dispersion(hi, r)
@@ -332,13 +337,7 @@ def _lambda0_minus_1(r: float) -> float:
             raise ValueError(f"F(nu, {r!r}) changes sign for no nu <= 64")
         lo, f_lo, hi = hi, f_hi, hi + 0.125
         f_hi = _dispersion(hi, r)
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        f_mid = _dispersion(mid, r)
-        if f_mid > 0.0:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    nu = lo if abs(f_lo) <= abs(f_hi) else hi
+    nu = _bisect(partial(_dispersion, r=r), "F", lo, hi, f_lo, f_hi)[0]
     return 6.0 / (nu * (nu + 1.0)) - 1.0
 
 
@@ -397,13 +396,13 @@ def _null_vector_deviation(certificate: SelfAdjointCertificate) -> float:
     """sqrt(2) ||S t - t|| / next_sigma, t = D u_2 normed, S the certificate's form: by the sin
     theta theorem (Davis and Kahan, SIAM J. Numer. Anal. 7, 1970), a bound on max |v - t| for
     the eigenvector v nearest 1, sign matched, which is never computed.  A zero gap raises."""
-    grid = certificate.operator.grid
+    grid = certificate.grid
     target = _u2(grid.nodes) * grid.l2_scaling
     norm = np.linalg.norm(target)
     if norm == 0.0:
         raise ValueError(f"u_2 underflows to 0 at the nodes of radius {grid.r!r}")
     target /= norm
-    residual = _mirrored(certificate.operator.own_norm_form()) @ target - target
+    residual = certificate.form @ target - target
     return math.sqrt(2.0) * float(np.linalg.norm(residual)) / certificate.next_sigma
 
 

@@ -44,9 +44,10 @@ panel and radius.  Those blocks are symmetrized; ``asymmetry`` says by how
 much they were not symmetric.
 
 ``min_singular_value`` takes min |1 - lambda| from ``np.linalg.eigvalsh``
-(values only, lower triangle): the smallest singular value of I - S, i.e.
-of I - A in K's own norm.  ``self_adjoint_certificate`` takes the same
-value, bit for bit, and the next one, from the same ``eigvalsh``.
+(values only, lower triangle) of the formed product, whose upper triangle
+is not S: the smallest singular value of I - S, i.e. of I - A in K's own
+norm.  ``self_adjoint_certificate`` mirrors that lower triangle into S once,
+takes the same value, bit for bit, and the next one, and keeps S.
 
 ``sweep`` uses ``min_singular_value`` on the Nystrom operator, taking the
 Riccati tables of a chunk of radii from one call per order and family on
@@ -61,7 +62,7 @@ from typing import Callable
 import numpy as np
 
 from .kernel import KernelSpec
-from .report import ScanReport, csv_text
+from .report import ScanReport
 from .riccati import (_TINY, _irregular_values, _regular_values, check_radius, eval_irregular,
                       eval_regular)
 
@@ -78,7 +79,6 @@ __all__ = [
     "apply_operator",
     "min_singular_value",
     "self_adjoint_certificate",
-    "dump_matrix",
     "sweep",
 ]
 
@@ -160,7 +160,7 @@ class SeparableNystromOperator:
     |S| x 2 x N array, ``tables[:, 0]`` u_m and ``tables[:, 1]`` v_m at the
     nodes, a row per order in S: the shape the product reads.  Since
     g(s, t) = sum_m gamma_m u_m(min) v_m(max), they fix A, which is read
-    only through :meth:`own_norm_form`.  ``panel_rule`` is None for
+    only through :meth:`_form`.  ``panel_rule`` is None for
     :func:`nystrom_matrix`, or the n x n rule every panel of
     :func:`kink_exact_matrix` shares.  The form is built in one pass, which
     also measures how far its diagonal panel blocks were from symmetric;
@@ -191,8 +191,9 @@ class SeparableNystromOperator:
         return rows, columns
 
     def _form(self) -> tuple[np.ndarray, float]:
-        """:meth:`own_norm_form`, and max |B - B^T| over its diagonal panel blocks B
-        before they were symmetrized (0.0 without a panel rule)."""
+        """P Q^T, its diagonal panel blocks replaced by S's: a matrix whose lower triangle,
+        diagonal included, is S = D A D^-1 and whose upper one is not; and max |B - B^T|
+        over those blocks B before they were symmetrized (0.0 without a panel rule)."""
         asymmetry = 0.0
         with np.errstate(all="ignore"):  # the finiteness check below reports it
             rows, columns = self._generators()
@@ -215,15 +216,6 @@ class SeparableNystromOperator:
             raise ValueError(f"{kind} matrix contains non-finite entries at r = {self.grid.r!r}")
         return form, asymmetry
 
-    def own_norm_form(self) -> np.ndarray:
-        """A matrix whose lower triangle, diagonal included, is S = D A D^-1.
-
-        It is the product P Q^T of the scaled tables, with a panel rule's
-        diagonal panel blocks replaced by S there, symmetrized.  Above the
-        diagonal it is not S; ``eigvalsh`` reads the lower triangle only.
-        """
-        return self._form()[0]
-
 
 @dataclass(frozen=True, eq=False)
 class SelfAdjointCertificate:
@@ -232,13 +224,15 @@ class SelfAdjointCertificate:
     ``sigma_min`` and ``next_sigma`` are the smallest and second-smallest
     |1 - lambda|; ``asymmetry`` is max |S - S^T| over the diagonal panel
     blocks of S = D A D^-1 before they were symmetrized, the only entries
-    not symmetric by construction (0 for the Nystrom matrix).
+    not symmetric by construction (0 for the Nystrom matrix).  ``form`` is
+    the symmetric N x N matrix S whose eigenvalues these are, on ``grid``.
     """
 
     sigma_min: float
     next_sigma: float
     asymmetry: float
-    operator: SeparableNystromOperator = field(repr=False)
+    grid: QuadratureGrid = field(repr=False)
+    form: np.ndarray = field(repr=False)
 
 
 @lru_cache(maxsize=32)
@@ -374,11 +368,6 @@ def kink_exact_matrix(spec: KernelSpec, grid: QuadratureGrid) -> SeparableNystro
                                     _legendre_cumulative(nodes_per_panel))
 
 
-def _mirrored(form: np.ndarray) -> np.ndarray:
-    """The symmetric matrix whose lower triangle, diagonal included, is that of ``form``."""
-    return np.where(np.tri(len(form), dtype=bool), form, form.T)
-
-
 def _distances_from_one(symmetric: np.ndarray) -> np.ndarray:
     """|1 - lambda|, ascending, of the symmetric matrix whose lower triangle is given."""
     return np.sort(np.abs(1.0 - np.linalg.eigvalsh(symmetric, UPLO="L")))
@@ -388,19 +377,21 @@ def self_adjoint_certificate(op: SeparableNystromOperator) -> SelfAdjointCertifi
     """The two smallest |1 - lambda| for the eigenvalues of D A D^-1.
 
     K is self-adjoint on L^2((0, r], t^-2 dt), so S = D A D^-1 with
-    D = sqrt(w)/t is symmetric up to discretization and rounding.  Both
-    values come from one ``np.linalg.eigvalsh`` of its symmetric form
-    (:meth:`SeparableNystromOperator.own_norm_form`), as in
-    :func:`min_singular_value`.  A near-zero ``sigma_min`` certifies a
-    nontrivial discrete solution of h = K h.
+    D = sqrt(w)/t is symmetric up to discretization and rounding.  The lower
+    triangle of :meth:`SeparableNystromOperator._form` is mirrored once into
+    the whole S, which the certificate keeps as ``form``; both values come
+    from one ``np.linalg.eigvalsh`` of it, as in :func:`min_singular_value`.
+    A near-zero ``sigma_min`` certifies a nontrivial discrete solution of h = K h.
     """
-    symmetric, asymmetry = op._form()
+    form, asymmetry = op._form()
+    symmetric = np.where(np.tri(len(form), dtype=bool), form, form.T)
     distance = _distances_from_one(symmetric)
     return SelfAdjointCertificate(
         sigma_min=float(distance[0]),
         next_sigma=float(distance[1]),
         asymmetry=asymmetry,
-        operator=op,
+        grid=op.grid,
+        form=symmetric,
     )
 
 
@@ -408,21 +399,12 @@ def min_singular_value(op: SeparableNystromOperator) -> float:
     """min |1 - lambda| over the eigenvalues of D A D^-1, from eigenvalues alone.
 
     The eigenvalues are those of the symmetric form of S = D A D^-1
-    (``np.linalg.eigvalsh``), so the value is the smallest singular value of
-    I minus that form, and the same value, bit for bit, as
-    ``self_adjoint_certificate(op).sigma_min``.
+    (``np.linalg.eigvalsh`` of the unmirrored form), so the value is the
+    smallest singular value of I minus that form, and the same value, bit
+    for bit, as ``self_adjoint_certificate(op).sigma_min``.
     A near-zero value certifies a nontrivial discrete solution of h = K h.
     """
-    return float(_distances_from_one(op.own_norm_form())[0])
-
-
-def dump_matrix(op: SeparableNystromOperator, path) -> None:
-    """Write S = D A D^-1 as the eigensolvers read it, the lower triangle mirrored, as CSV.
-
-    A debugging aid; one row per line.
-    """
-    with open(path, "w") as handle:
-        handle.write(csv_text(_mirrored(op.own_norm_form()).tolist()))
+    return float(_distances_from_one(op._form()[0])[0])
 
 
 @lru_cache(maxsize=4)

@@ -38,9 +38,9 @@ def mp_p(r):
 
 
 def read_matrix(op):
-    """What production reads of an operator: the lower triangle of its
-    symmetric form of S = D A D^-1 (it holds no dense A)."""
-    return np.tril(op.own_norm_form())
+    """What production reads of an operator: S = D A D^-1, the lower triangle
+    of the matrix it forms (it holds no dense A)."""
+    return np.tril(op._form()[0])
 
 
 def kernel_definition_matrix(spec, grid):

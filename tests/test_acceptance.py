@@ -108,7 +108,7 @@ def _nearest_eigenpair(spec, r, panels):
     """1 - lambda, signed, for the eigenvalue of the symmetric form nearest 1, and its
     eigenvector, on ``panels`` uniform panels of 12 nodes at r; and the grid."""
     grid = build_grid(r, panels, 12, grading=1.0)
-    eigenvalues, eigenvectors = np.linalg.eigh(nystrom_matrix(spec, grid).own_norm_form(),
+    eigenvalues, eigenvectors = np.linalg.eigh(nystrom_matrix(spec, grid)._form()[0],
                                                UPLO="L")
     nearest = np.argmin(np.abs(1.0 - eigenvalues))
     return 1.0 - eigenvalues[nearest], eigenvectors[:, nearest], grid
@@ -181,11 +181,11 @@ def test_criterion_11_kink_exact_certificate(reference_spec, root_r):
     result = certificate(root_r)
     away = {r: certificate(r).sigma_min for r in (0.5, 1.0, 1.5)}
 
-    grid = result.operator.grid
+    grid = result.grid
     samples = np.array([eval_regular(2, t).value for t in grid.nodes]) * grid.l2_scaling
     samples /= np.linalg.norm(samples)
     # the eigenvector of the eigenvalue nearest 1, from an eigh of the form's own
-    eigenvalues, eigenvectors = np.linalg.eigh(result.operator.own_norm_form(), UPLO="L")
+    eigenvalues, eigenvectors = np.linalg.eigh(result.form, UPLO="L")
     null_vec = eigenvectors[:, np.argmin(np.abs(1.0 - eigenvalues))]
     if float(null_vec @ samples) < 0.0:
         null_vec = -null_vec

@@ -8,17 +8,18 @@ import numpy as np
 import pytest
 
 from rbkernel import (
+    SeparableNystromOperator,
     build_grid,
     find_root,
     kink_exact_matrix,
     reference_spec,
+    self_adjoint_certificate,
     sweep,
 )
 import rbkernel.cli as cli_module
 from rbkernel.cli import build_parser, main
 from rbkernel.counterexample import P_ROUTES
-from rbkernel.operator import dump_matrix
-from rbkernel.report import fmt_float
+from rbkernel.report import csv_text, fmt_float
 
 from conftest import csv_table, json_table
 
@@ -281,9 +282,47 @@ class TestVerify:
         assert all(float(cell) == float(cell) for row in rows for cell in row)
         # the dump is the certificate's own matrix on its 8 x 16 grid
         grid = build_grid(find_root(2.0, 2.5).root, 8, 16, grading=1.0)
-        expected = tmp_path / "expected.csv"
-        dump_matrix(kink_exact_matrix(reference_spec(), grid), expected)
-        assert path.read_bytes() == expected.read_bytes()
+        certificate = self_adjoint_certificate(kink_exact_matrix(reference_spec(), grid))
+        assert path.read_text() == csv_text(certificate.form.tolist())
+
+    def test_each_matrix_is_formed_once_and_dumped_as_solved(self, capsys, monkeypatch,
+                                                            tmp_path):
+        # the matrices at R, r = 1 and r = 3; the null-vector step and the
+        # dump read the certificate's kept form, not a new one
+        formed, reports = [], []
+        form = SeparableNystromOperator._form
+        verify = cli_module.cx.verify_counterexample
+
+        def counted(self):
+            formed.append(self.grid.r)
+            return form(self)
+
+        def recorded(**kwargs):
+            reports.append(verify(**kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(SeparableNystromOperator, "_form", counted)
+        monkeypatch.setattr(cli_module.cx, "verify_counterexample", recorded)
+        path = tmp_path / "matrix.csv"
+        code, _, _ = run_cli(capsys, "verify", "--dump-matrix", str(path))
+        assert code == 0
+        report, = reports
+        assert sorted(formed) == sorted([1.0, report.r_used, 3.0])
+        assert path.read_text() == csv_text(report.spectral.form.tolist())
+
+    def test_no_dump_after_a_failed_certificate(self, capsys, monkeypatch, tmp_path):
+        def failing(op):
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setattr(cli_module.cx, "self_adjoint_certificate", failing)
+        report, matrix = tmp_path / "R.json", tmp_path / "M.csv"
+        code, _, err = run_cli(capsys, "verify", "--output", str(report),
+                               "--dump-matrix", str(matrix))
+        assert code == 2
+        assert err == "error: no matrix to dump: the spectral step failed\n"
+        payload = json.loads(report.read_text())
+        assert payload["pass"] is False and payload["certificate"] is None
+        assert not matrix.exists()
 
     def test_certificate_is_not_settable(self, capsys):
         # the gates and the grid are fixed: a flag that would loosen or

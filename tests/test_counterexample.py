@@ -540,8 +540,7 @@ class TestNullVectorBound:
         certificate = self_adjoint_certificate(kink_exact_matrix(reference_spec, grid))
         target = eval_regular(2, grid.nodes).value * grid.l2_scaling
         target /= np.linalg.norm(target)
-        eigenvalues, eigenvectors = np.linalg.eigh(certificate.operator.own_norm_form(),
-                                                   UPLO="L")
+        eigenvalues, eigenvectors = np.linalg.eigh(certificate.form, UPLO="L")
         vector = eigenvectors[:, np.argmin(np.abs(1.0 - eigenvalues))]
         if float(vector @ target) < 0.0:
             vector = -vector
@@ -607,6 +606,20 @@ class TestExactSpectrum:
         below = [cx_module._dispersion(nu, 3.0) for nu in np.linspace(0.0, nu0 - 1e-9, 2001)]
         assert min(below) > 0.0
         assert cx_module._dispersion(nu0 + 1e-9, 3.0) < 0.0
+
+    def test_bisection_stops_at_an_exact_zero(self, monkeypatch):
+        # find_root's rule: F vanishes at the bracket [7/8, 1]'s first midpoint,
+        # so the bisection ends there after one evaluation
+        calls = []
+
+        def linear(nu, r):
+            calls.append(nu)
+            return 0.9375 - nu
+
+        monkeypatch.setattr(cx_module, "_dispersion", linear)
+        value = cx_module._lambda0_minus_1(3.0)
+        assert calls[-2:] == [1.0, 0.9375] and len(calls) == 10
+        assert value == 6.0 / (0.9375 * 1.9375) - 1.0
 
     def test_no_positive_eigenvalue_is_an_error(self):
         # K has an eigenvalue above 0 only from r = pi/2 on

@@ -120,7 +120,7 @@ class TestNystromMatrix:
             weights=np.array([1.0]),
         )
         # D cancels on the diagonal: S[0, 0] = A[0, 0]
-        entry = nystrom_matrix(reference_spec, grid).own_norm_form()[0, 0]
+        entry = nystrom_matrix(reference_spec, grid)._form()[0][0, 0]
         assert entry == pytest.approx(A00_SINGLE_NODE, rel=1e-13)
         # same number from the defining formula
         direct = 6.0 * math.sin(0.5) * (-math.cos(0.5)) * 1.0 / 0.25
@@ -135,7 +135,7 @@ class TestNystromMatrix:
         grid = build_grid(1.7, panels_count=2, nodes_per_panel=3)
         tables = np.array([(np.full(grid.size, np.inf), np.ones(grid.size))])
         op = SeparableNystromOperator(grid, np.array([1.0]), tables)
-        for evaluate in (op.own_norm_form, lambda: min_singular_value(op)):
+        for evaluate in (op._form, lambda: min_singular_value(op)):
             with pytest.raises(ValueError) as exc:
                 evaluate()
             assert str(exc.value) == "Nystrom matrix contains non-finite entries at r = 1.7"
@@ -182,7 +182,7 @@ class TestNystromMatrix:
             a = grid.l2_scaling
             with np.errstate(over="ignore"):  # above the diagonal, at S = {0, 30}
                 plain = (-op.gamma * a[:, None] * op.tables[:, 1].T) @ (a * op.tables[:, 0])
-            assert np.array_equal(np.tril(op.own_norm_form()), np.tril(plain)), r
+            assert np.array_equal(np.tril(op._form()[0]), np.tril(plain)), r
 
     @pytest.mark.parametrize("sets", [([0], [2]), THREE_TERMS])
     @pytest.mark.parametrize("grading", [1.0, 2.0])
@@ -198,7 +198,7 @@ class TestNystromMatrix:
             dense = kernel_definition_matrix(spec, grid)
             scaling = grid.l2_scaling
             reference = np.tril(scaling[:, None] * dense / scaling[None, :])
-            gap = np.max(np.abs(np.tril(op.own_norm_form()) - reference))
+            gap = np.max(np.abs(np.tril(op._form()[0]) - reference))
             assert gap <= 1e-14 * np.max(np.abs(reference)), r
             assert abs(min_singular_value(op) - definition_sigma(grid, dense)) <= 1e-13, r
             assert self_adjoint_certificate(op).asymmetry == 0.0
@@ -237,8 +237,8 @@ class TestKinkExactMatrix:
         # different panels, bit for bit; only the diagonal blocks differ
         spec = solve_gamma(validate_sets(*sets))
         grid = build_grid(root_r, 8, 12, grading=grading)
-        kink = kink_exact_matrix(spec, grid).own_norm_form()
-        nystrom = nystrom_matrix(spec, grid).own_norm_form()
+        kink = kink_exact_matrix(spec, grid)._form()[0]
+        nystrom = nystrom_matrix(spec, grid)._form()[0]
         panel = np.repeat(np.arange(8), 12)
         apart = panel[:, None] != panel[None, :]
         assert np.array_equal(kink[apart], nystrom[apart])
@@ -285,7 +285,7 @@ class TestKinkExactMatrix:
         # sigma_min and next_sigma come from eigvalsh; eigh of the same form
         # finds both to rounding
         assert certificate.sigma_min == min_singular_value(op)
-        distance = np.sort(np.abs(1.0 - np.linalg.eigh(op.own_norm_form(), UPLO="L")[0]))
+        distance = np.sort(np.abs(1.0 - np.linalg.eigh(op._form()[0], UPLO="L")[0]))
         assert abs(certificate.sigma_min - distance[0]) <= 1e-14
         assert abs(certificate.next_sigma - distance[1]) <= 1e-14
         # the same values from the symmetric part of the dense D A D^-1
@@ -341,7 +341,7 @@ class TestKinkExactMatrix:
         # certificate's form, is u_2 at the nodes, D-scaled, up to sign
         samples = u2(grid.nodes) * grid.l2_scaling
         samples /= np.linalg.norm(samples)
-        eigenvalues, eigenvectors = np.linalg.eigh(certificate.operator.own_norm_form(), UPLO="L")
+        eigenvalues, eigenvectors = np.linalg.eigh(certificate.form, UPLO="L")
         null_vector = eigenvectors[:, np.argmin(np.abs(1.0 - eigenvalues))]
         assert abs(float(null_vector @ samples)) == pytest.approx(1.0, abs=1e-14)
 
@@ -475,7 +475,7 @@ class TestApplyOperator:
         for panels in (8, 16):
             grid = build_grid(1.0, panels_count=panels, nodes_per_panel=12)
             # A h = D^-1 S D h
-            form = mirrored(nystrom_matrix(reference_spec, grid).own_norm_form())
+            form = mirrored(nystrom_matrix(reference_spec, grid)._form()[0])
             scaling = grid.l2_scaling
             samples = np.array([u2(t) for t in grid.nodes])
             lhs = form @ (scaling * samples) / scaling
@@ -885,8 +885,10 @@ class TestMinSingularValue:
         # I - S takes to at most the certificate's sigma_min
         grid = build_grid(2.0, panels_count=8, nodes_per_panel=12)
         op = nystrom_matrix(reference_spec, grid)
-        sigma_min = self_adjoint_certificate(op).sigma_min
-        symmetric = mirrored(op.own_norm_form())
+        certificate = self_adjoint_certificate(op)
+        sigma_min, symmetric = certificate.sigma_min, certificate.form
+        # the certificate keeps the whole symmetric matrix it solved
+        assert np.array_equal(symmetric, mirrored(op._form()[0]))
         eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
         null_vector = eigenvectors[:, np.argmin(np.abs(1.0 - eigenvalues))]
         residual = np.linalg.norm(null_vector - symmetric @ null_vector)
@@ -898,7 +900,7 @@ class TestMinSingularValue:
         # of I - S; the two LAPACK routes differ by at most 1.4e-15 here
         grid = build_grid(root_r if r == "R" else r, panels_count=8, nodes_per_panel=12)
         op = nystrom_matrix(reference_spec, grid)
-        symmetric = mirrored(op.own_norm_form())
+        symmetric = mirrored(op._form()[0])
         _, singular_values, _ = np.linalg.svd(np.eye(grid.size) - symmetric)
         assert abs(min_singular_value(op) - singular_values[-1]) <= 1e-14
 
