@@ -16,12 +16,12 @@ near the origin, tends to 1 at infinity, and crosses zero for the first
 time at R = 2.4431401944938766 (the default bracket (2.0, 2.5) pins it).
 
 This module evaluates p by three independent routes, locates R by bisection,
-checks the integration-by-parts identity numerically,
-and bundles everything into a single pass/fail verification report backed
-by the self-adjoint certificate of :mod:`rbkernel.operator`: the kink-exact
-matrix of K on 8 uniform panels x 16 nodes, whose eigenvalue nearest 1
-reaches it to rounding level at R, and whose largest eigenvalue at r = 3
-matches K's exact one from the dispersion relation in nu (DLMF 10.2.2).
+checks the integration-by-parts identity numerically, and bundles everything
+into one pass/fail report backed by the self-adjoint certificate of
+:mod:`rbkernel.operator`: the kink-exact matrix of K on 8 uniform panels x 16
+nodes has an eigenvalue 1 to rounding level at R, one eigenvalue above 0 at R
+and at r = 3, as K has, and at r = 3 K's exact largest eigenvalue, from the
+dispersion relation in nu (DLMF 10.2.2).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .operator import (
     apply_operator,
     build_grid,
     kink_exact_matrix,
-    min_singular_value,
     self_adjoint_certificate,
 )
 from .report import json_text
@@ -55,6 +54,7 @@ __all__ = [
     "DEFAULT_CERTIFICATE_NODES",
     "DEFAULT_CERTIFICATE_GRADING",
     "GATES",
+    "POSITIVE_EIGENVALUE_FLOOR",
     "P_ROUTES",
     "reference_spec",
     "p_explicit",
@@ -80,8 +80,8 @@ DEFAULT_CERTIFICATE_PANELS = 8
 DEFAULT_CERTIFICATE_NODES = 16
 DEFAULT_CERTIFICATE_GRADING = 1.0
 
-# The certificate: each gated step of verify_counterexample and the largest
-# value that passes it.  The last four are calibrated on the grid above.
+# The certificate: each gated step of verify_counterexample and the largest value
+# that passes it.  The last four are calibrated on the grid above; the count's 0 is exact.
 GATES = {
     "gamma0_matches_-6": 1e-14,
     "root_residual": 1e-12,
@@ -89,9 +89,14 @@ GATES = {
     "equation_residual": 1e-8,
     "sigma_min_at_R": 1e-12,
     "null_vector_deviation": 1e-10,
-    "collapse_ratio": 1e-10,
+    "positive_eigenvalue_count": 0.0,
     "off_root_eigenvalue_gap": 1e-11,
 }
+
+# positive_eigenvalue_count counts eigenvalues above this floor, not 0: K has one above 0 at R
+# and r = 3 (#{k >= 0 : pi/2 + k pi < r}; lambda_0 reads 1 and 1.749), and the discrete edge of
+# its band [-24, 0] tends to 0 from below (-2.5e-4, -4.6e-6, -2.2e-7 at R on 2, 8, 32 x 16).
+POSITIVE_EIGENVALUE_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -113,7 +118,8 @@ class VerificationReport:
     failed steps); ``passed`` is every step ok.  ``spectral`` is the
     self-adjoint certificate at ``r_used``, None if it failed to evaluate.
     :meth:`to_json_dict`'s top-level ``identity_residual``, ``equation_residual``
-    and ``sigma_min_at_R`` are those steps' values, None where the step failed.
+    and ``sigma_min_at_R`` are those steps' values, None where the step failed,
+    and its ``certificate`` holds None for a non-finite value.
     """
 
     r_used: float
@@ -130,27 +136,22 @@ class VerificationReport:
             return None
         grid = self.spectral.grid
         panels = len(grid.panel_bounds) - 1
-        return {
-            "panels": panels,
-            "nodes": grid.size // panels,
-            "size": grid.size,
-            "next_sigma": self.spectral.next_sigma,
-            "asymmetry": self.spectral.asymmetry,
-        }
+        return {"panels": panels, "nodes": grid.size // panels, "size": grid.size,
+                "next_sigma": self.spectral.next_sigma, "asymmetry": self.spectral.asymmetry}
 
     def to_json_dict(self) -> dict:
         values = {name: value for name, value, *_ in self.steps}  # a failed step is renamed
+        certificate = self._certificate_dict()
         return {
             "R": self.r_used,
             "gamma0": self.gamma0,
             **{gate: values.get(gate)
                for gate in ("identity_residual", "equation_residual", "sigma_min_at_R")},
-            "certificate": self._certificate_dict(),
+            "certificate": certificate and {key: value if math.isfinite(value) else None
+                                            for key, value in certificate.items()},
             "pass": self.passed,
-            "steps": [
-                {"name": name, "value": value, "threshold": threshold, "ok": ok}
-                for name, value, threshold, ok in self.steps
-            ],
+            "steps": [{"name": name, "value": value, "threshold": threshold, "ok": ok}
+                      for name, value, threshold, ok in self.steps],
         }
 
     def to_json_text(self) -> str:
@@ -167,10 +168,8 @@ class VerificationReport:
             )
         for name, value, threshold, ok in self.steps:
             shown = "failed to evaluate" if value is None else f"{value:.6e}"
-            lines.append(
-                f"  {'PASS' if ok else 'FAIL'}  {name}: {shown} "
-                f"(threshold {threshold:.1e})"
-            )
+            lines.append(f"  {'PASS' if ok else 'FAIL'}  {name}: {shown} "
+                         f"(threshold {threshold:.1e})")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines) + "\n"
 
@@ -395,7 +394,10 @@ def _equation_residual(u2_points: np.ndarray, k_u2: np.ndarray) -> float:
 def _null_vector_deviation(certificate: SelfAdjointCertificate) -> float:
     """sqrt(2) ||S t - t|| / next_sigma, t = D u_2 normed, S the certificate's form: by the sin
     theta theorem (Davis and Kahan, SIAM J. Numer. Anal. 7, 1970), a bound on max |v - t| for
-    the eigenvector v nearest 1, sign matched, which is never computed.  A zero gap raises."""
+    the eigenvector v nearest 1, sign matched, which is never computed.  A gap that is not
+    finite and positive raises."""
+    if not 0.0 < certificate.next_sigma < math.inf:
+        raise ValueError(f"the gap {certificate.next_sigma!r} is not finite and positive")
     grid = certificate.grid
     target = _u2(grid.nodes) * grid.l2_scaling
     norm = np.linalg.norm(target)
@@ -415,11 +417,14 @@ def _unwrap(outcome):
 
 def _step(gate: str, label: str, compute) -> tuple:
     """(gate, value, threshold, ok) for ``compute()``, or
-    (``label (message)``, None, threshold, False) if it raised a numeric error."""
+    (``label (message)``, None, threshold, False) if it raised a numeric error
+    or its value is not finite."""
     threshold = GATES[gate]
     value = _outcome(compute)
     if isinstance(value, Exception):
         return (f"{label} ({value})", None, threshold, False)
+    if not math.isfinite(value):
+        return (f"{label} (not finite: {float(value)!r})", None, threshold, False)
     return (gate, value, threshold, value <= threshold)
 
 
@@ -427,41 +432,33 @@ def verify_counterexample(r_override=None) -> VerificationReport:
     """Run the certificate: one step per :data:`GATES` entry, in its order.
 
     The steps check gamma_0, the root R of p, the identity at r = 1, R and 3,
-    the equation residual of u_2 at R, and the self-adjoint certificate of
-    the kink-exact matrix on the ``DEFAULT_CERTIFICATE_*`` grid: its min
-    |1 - lambda| at R, a bound on its null vector's distance from u_2, the ratio
-    to the off-root values at r = 1 and 3, and the r = 3 value against K's exact lambda_0(3) - 1
-    (at r = 3 K has one eigenvalue above 0, and the rest lie in [-24, 0]).
-    A step passes when its value is at most its threshold.  A step whose
-    input, or its own evaluation, raised a numeric error fails as
-    ``label (message)`` with value None; the labels, in the same order, are
-    ``gamma0_check``, ``root_search``, ``identity_check``, ``equation_check``,
-    ``spectral_certificate``, ``null_vector_check``, ``off_root_check`` and
-    ``off_root_exact_check``.  Any other exception propagates.  ``r_override`` replaces R in the
-    identity, equation and certificate steps; one whose grid cannot be built
-    raises ValueError before any step runs.
+    the equation residual of u_2 at R, and the self-adjoint certificates of
+    the kink-exact matrix on the ``DEFAULT_CERTIFICATE_*`` grid at R and r = 3
+    (one if R is 3): min |1 - lambda| at R, a bound on its null vector's
+    distance from u_2, each one's count of eigenvalues above
+    ``POSITIVE_EIGENVALUE_FLOOR`` against K's exact 1, and the r = 3 value
+    against K's exact lambda_0(3) - 1.  A step passes when its value is at
+    most its threshold.  A step whose input or evaluation raised a numeric
+    error, or whose value is not finite, fails as ``label (message)`` with
+    value None; the labels, in the same order, are ``gamma0_check``,
+    ``root_search``, ``identity_check``, ``equation_check``,
+    ``spectral_certificate``, ``null_vector_check``, ``count_check`` and
+    ``off_root_exact_check``.  Any other exception propagates.  ``r_override``
+    replaces R in the identity, equation and certificate steps; one whose
+    grid cannot be built raises ValueError before any step runs.
     """
-    def grid(r):
-        return build_grid(r, DEFAULT_CERTIFICATE_PANELS, DEFAULT_CERTIFICATE_NODES,
-                          grading=DEFAULT_CERTIFICATE_GRADING)
-
     spec = reference_spec()
     gamma0 = spec.gamma[0]
     root = _outcome(lambda: find_root(*DEFAULT_BRACKET, tol=GATES["root_residual"]))
     r_star = root.root if isinstance(root, RootResult) else 0.5 * sum(DEFAULT_BRACKET)
     r_used = float(r_override) if r_override is not None else r_star
-    grid_at_r = grid(r_used)
+    grids = {r: build_grid(r, DEFAULT_CERTIFICATE_PANELS, DEFAULT_CERTIFICATE_NODES,
+                           grading=DEFAULT_CERTIFICATE_GRADING) for r in (r_used, 3.0)}
     points = {r: _default_points(r) for r in (1.0, r_used, 3.0)}
     k_u2 = {r: _outcome(partial(apply_operator, spec, r, _u2, at)) for r, at in points.items()}
-    certificate = _outcome(lambda: self_adjoint_certificate(kink_exact_matrix(spec, grid_at_r)))
-    # min |1 - lambda| at r = 1 and at r = 3
-    off_root = _outcome(lambda: [
-        min_singular_value(kink_exact_matrix(spec, grid(r))) for r in (1.0, 3.0)])
-
-    def collapse_ratio():  # an off-root failure is named before the certificate's
-        smaller = min(_unwrap(off_root))
-        return _unwrap(certificate).sigma_min / smaller
-
+    certificates = {r: _outcome(lambda g=g: self_adjoint_certificate(kink_exact_matrix(spec, g)))
+                    for r, g in grids.items()}
+    certificate = certificates[r_used]
     steps = [
         _step("gamma0_matches_-6", "gamma0_check", lambda: abs(gamma0 + 6.0)),
         _step("root_residual", "root_search", lambda: _unwrap(root).residual),
@@ -472,9 +469,11 @@ def verify_counterexample(r_override=None) -> VerificationReport:
         _step("sigma_min_at_R", "spectral_certificate", lambda: _unwrap(certificate).sigma_min),
         _step("null_vector_deviation", "null_vector_check",
               lambda: _null_vector_deviation(_unwrap(certificate))),
-        _step("collapse_ratio", "off_root_check", collapse_ratio),
+        _step("positive_eigenvalue_count", "count_check", lambda: float(max(
+            abs(np.count_nonzero(_unwrap(c).eigenvalues > POSITIVE_EIGENVALUE_FLOOR) - 1)
+            for c in certificates.values()))),
         _step("off_root_eigenvalue_gap", "off_root_exact_check",
-              lambda: abs(_unwrap(off_root)[1] - _lambda0_minus_1(3.0))),
+              lambda: abs(_unwrap(certificates[3.0]).sigma_min - _lambda0_minus_1(3.0))),
     ]
     return VerificationReport(
         r_used=r_used, gamma0=gamma0, steps=steps,

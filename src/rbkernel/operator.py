@@ -47,7 +47,7 @@ much they were not symmetric.
 (values only, lower triangle) of the formed product, whose upper triangle
 is not S: the smallest singular value of I - S, i.e. of I - A in K's own
 norm.  ``self_adjoint_certificate`` mirrors that lower triangle into S once,
-takes the same value, bit for bit, and the next one, and keeps S.
+takes the same value, bit for bit, and the next one, and keeps S and lambda.
 
 ``sweep`` uses ``min_singular_value`` on the Nystrom operator, taking the
 Riccati tables of a chunk of radii from one call per order and family on
@@ -221,11 +221,12 @@ class SeparableNystromOperator:
 class SelfAdjointCertificate:
     """Eigenvalues lambda of the symmetric form of D A D^-1, measured from 1.
 
-    ``sigma_min`` and ``next_sigma`` are the smallest and second-smallest
-    |1 - lambda|; ``asymmetry`` is max |S - S^T| over the diagonal panel
-    blocks of S = D A D^-1 before they were symmetrized, the only entries
-    not symmetric by construction (0 for the Nystrom matrix).  ``form`` is
-    the symmetric N x N matrix S whose eigenvalues these are, on ``grid``.
+    ``eigenvalues`` holds lambda, ascending; ``sigma_min`` and ``next_sigma``
+    are the smallest and second-smallest |1 - lambda|; ``asymmetry`` is
+    max |S - S^T| over the diagonal panel blocks of S = D A D^-1 before they
+    were symmetrized, the only entries not symmetric by construction (0 for
+    the Nystrom matrix).  ``form`` is the symmetric N x N matrix S whose
+    eigenvalues these are, on ``grid``.
     """
 
     sigma_min: float
@@ -233,6 +234,7 @@ class SelfAdjointCertificate:
     asymmetry: float
     grid: QuadratureGrid = field(repr=False)
     form: np.ndarray = field(repr=False)
+    eigenvalues: np.ndarray = field(repr=False)
 
 
 @lru_cache(maxsize=32)
@@ -368,30 +370,28 @@ def kink_exact_matrix(spec: KernelSpec, grid: QuadratureGrid) -> SeparableNystro
                                     _legendre_cumulative(nodes_per_panel))
 
 
-def _distances_from_one(symmetric: np.ndarray) -> np.ndarray:
-    """|1 - lambda|, ascending, of the symmetric matrix whose lower triangle is given."""
-    return np.sort(np.abs(1.0 - np.linalg.eigvalsh(symmetric, UPLO="L")))
-
-
 def self_adjoint_certificate(op: SeparableNystromOperator) -> SelfAdjointCertificate:
-    """The two smallest |1 - lambda| for the eigenvalues of D A D^-1.
+    """The eigenvalues of D A D^-1 and their two smallest |1 - lambda|.
 
     K is self-adjoint on L^2((0, r], t^-2 dt), so S = D A D^-1 with
     D = sqrt(w)/t is symmetric up to discretization and rounding.  The lower
     triangle of :meth:`SeparableNystromOperator._form` is mirrored once into
-    the whole S, which the certificate keeps as ``form``; both values come
-    from one ``np.linalg.eigvalsh`` of it, as in :func:`min_singular_value`.
+    the whole S, which the certificate keeps as ``form``; its eigenvalues and
+    both values come from one ``np.linalg.eigvalsh`` of it, as in
+    :func:`min_singular_value`.
     A near-zero ``sigma_min`` certifies a nontrivial discrete solution of h = K h.
     """
     form, asymmetry = op._form()
     symmetric = np.where(np.tri(len(form), dtype=bool), form, form.T)
-    distance = _distances_from_one(symmetric)
+    eigenvalues = np.linalg.eigvalsh(symmetric, UPLO="L")
+    distance = np.sort(np.abs(1.0 - eigenvalues))
     return SelfAdjointCertificate(
         sigma_min=float(distance[0]),
         next_sigma=float(distance[1]),
         asymmetry=asymmetry,
         grid=op.grid,
         form=symmetric,
+        eigenvalues=eigenvalues,
     )
 
 
@@ -399,12 +399,13 @@ def min_singular_value(op: SeparableNystromOperator) -> float:
     """min |1 - lambda| over the eigenvalues of D A D^-1, from eigenvalues alone.
 
     The eigenvalues are those of the symmetric form of S = D A D^-1
-    (``np.linalg.eigvalsh`` of the unmirrored form), so the value is the
-    smallest singular value of I minus that form, and the same value, bit
-    for bit, as ``self_adjoint_certificate(op).sigma_min``.
-    A near-zero value certifies a nontrivial discrete solution of h = K h.
+    (``np.linalg.eigvalsh`` of the lower triangle of the unmirrored form),
+    so the value is the smallest singular value of I minus that form, and
+    the same value, bit for bit, as ``self_adjoint_certificate(op).sigma_min``.
+    ``sweep`` reads it.  A near-zero value certifies a nontrivial discrete
+    solution of h = K h.
     """
-    return float(_distances_from_one(op._form()[0])[0])
+    return float(np.min(np.abs(1.0 - np.linalg.eigvalsh(op._form()[0], UPLO="L"))))
 
 
 @lru_cache(maxsize=4)

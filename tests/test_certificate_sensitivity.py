@@ -1,11 +1,12 @@
 """Sensitivity of the certificate: one injected defect, and exactly which gates fail.
 
 Each case breaks one input of ``verify_counterexample`` -- the kink-exact
-operator's fields, the certificate's grid, the scaling D, a Riccati
-function, p or the witness u_2 -- and checks the set of failing gates, so a
-gate that stops seeing a defect, or starts failing on one it should pass,
-shows up here.  A defect too small for any gate is listed too, with the
-empty set: it marks how far below its threshold each gate's slack ends.
+operator's fields or its formed matrix, the certificate's grid, the scaling
+D, a Riccati function, p or the witness u_2 -- and checks the set of failing
+gates, so a gate that stops seeing a defect, or starts failing on one it
+should pass, shows up here.  A defect too small for any gate is listed too,
+with the empty set: it marks how far below its threshold each gate's slack
+ends.
 """
 
 import dataclasses
@@ -19,7 +20,11 @@ from rbkernel.counterexample import GATES
 from rbkernel.operator import QuadratureGrid
 from rbkernel.riccati import FunctionPair, _regular_values
 
-SPECTRAL = {"sigma_min_at_R", "null_vector_deviation", "collapse_ratio", "off_root_eigenvalue_gap"}
+COUNT = "positive_eigenvalue_count"
+GAP = "off_root_eigenvalue_gap"
+SPECTRAL = {"sigma_min_at_R", "null_vector_deviation", COUNT, GAP}
+# a defect that leaves one eigenvalue above the floor at R and at r = 3
+COUNTED = SPECTRAL - {COUNT}
 
 
 def failing_gates(report):
@@ -41,13 +46,13 @@ def replaced(**change):
 
 OPERATOR_DEFECTS = {
     "u_and_v_swapped": (replaced(tables=lambda op: op.tables[:, ::-1]), SPECTRAL),
-    "panel_rule_dropped": (replaced(panel_rule=lambda op: None), SPECTRAL),
+    "panel_rule_dropped": (replaced(panel_rule=lambda op: None), COUNTED),
     "panel_rule_transposed": (replaced(panel_rule=lambda op: op.panel_rule.T), SPECTRAL),
     "panel_rule_half": (
         replaced(panel_rule=lambda op: np.full_like(op.panel_rule, 0.5)), SPECTRAL),
     "gamma_off_by_1e-12": (
         replaced(gamma=lambda op: op.gamma * (1.0 + 1e-12)), {"sigma_min_at_R"}),
-    "gamma_off_by_1e-9": (replaced(gamma=lambda op: op.gamma * (1.0 + 1e-9)), SPECTRAL),
+    "gamma_off_by_1e-9": (replaced(gamma=lambda op: op.gamma * (1.0 + 1e-9)), COUNTED),
 }
 
 GRID_DEFECTS = {
@@ -113,12 +118,16 @@ def h_is_u1():
     return [(cx_module, "apply_operator", apply)]
 
 
-CERTIFICATE_AT_R = {"sigma_min_at_R", "null_vector_deviation", "collapse_ratio"}
-GAP = "off_root_eigenvalue_gap"
+def every_radius_collapsed():
+    """S = I at every radius: every eigenvalue is 1, at R, at r = 3 and off the root alike."""
+    identity = lambda op: (np.eye(op.grid.size), 0.0)  # noqa: E731
+    return [(operator_module.SeparableNystromOperator, "_form", identity)]
+
+
 # defect -> (module attributes to replace, as (target, name, value), failing gates)
 INPUT_DEFECTS = {
-    "scaling_sqrt_w": (scaling_replaced(0.0), CERTIFICATE_AT_R | {GAP}),
-    "scaling_t_power_1+1e-7": (scaling_replaced(1.0 + 1e-7), CERTIFICATE_AT_R | {GAP}),
+    "scaling_sqrt_w": (scaling_replaced(0.0), COUNTED),
+    "scaling_t_power_1+1e-7": (scaling_replaced(1.0 + 1e-7), COUNTED),
     "u0_times_1+1e-11r": (scaled_order_0(U0_PLACES, 1e-11), {"sigma_min_at_R", GAP}),
     "u0_times_1+1e-13r": (scaled_order_0(U0_PLACES, 1e-13), set()),
     "v0_times_1+1e-11r": (scaled_order_0(V0_PLACES, 1e-11), {"sigma_min_at_R", GAP}),
@@ -128,6 +137,8 @@ INPUT_DEFECTS = {
     "u2_times_1+1e-8r": (u2_scaled(1e-8), {"identity_residual", "null_vector_deviation"}),
     "u2_times_1+1e-11r": (u2_scaled(1e-11), set()),
     "h_is_u1_in_quadrature": (h_is_u1(), {"identity_residual", "equation_residual"}),
+    # sigma_min_at_R reads 0 and passes; the gap to the next eigenvalue is 0
+    "every_radius_collapsed": (every_radius_collapsed(), {"null_vector_deviation", COUNT, GAP}),
 }
 
 

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -252,11 +254,16 @@ class TestVerify:
         assert payload["pass"] is True
         assert payload["sigma_min_at_R"] <= 1e-6
 
-    @pytest.mark.parametrize("radius", ["1.0", "3.0"])
-    def test_forced_off_root_radius_fails(self, capsys, radius):
+    @pytest.mark.parametrize("radius, count_line", [
+        ("1.0", "FAIL  positive_eigenvalue_count: 1.000000e+00"),
+        ("3.0", "PASS  positive_eigenvalue_count: 0.000000e+00"),
+    ], ids=["1.0", "3.0"])
+    def test_forced_off_root_radius_fails(self, capsys, radius, count_line):
         code, out, _ = run_cli(capsys, "verify", "--force-r", radius)
         assert code == 1
-        assert "FAIL  collapse_ratio" in out
+        assert "FAIL  sigma_min_at_R" in out
+        assert count_line in out
+        assert "PASS  off_root_eigenvalue_gap" in out
         assert "overall: FAIL" in out
 
     def test_certificate_gates_and_grid_in_report(self, capsys, tmp_path):
@@ -267,7 +274,7 @@ class TestVerify:
         payload = json.loads(path.read_text())
         assert payload["sigma_min_at_R"] <= 1e-12
         gated = {step["name"]: step for step in payload["steps"]}
-        for name in ("sigma_min_at_R", "null_vector_deviation", "collapse_ratio",
+        for name in ("sigma_min_at_R", "null_vector_deviation", "positive_eigenvalue_count",
                      "off_root_eigenvalue_gap"):
             assert gated[name]["ok"] is True
         assert set(payload["certificate"]) == {"panels", "nodes", "size",
@@ -287,8 +294,8 @@ class TestVerify:
 
     def test_each_matrix_is_formed_once_and_dumped_as_solved(self, capsys, monkeypatch,
                                                             tmp_path):
-        # the matrices at R, r = 1 and r = 3; the null-vector step and the
-        # dump read the certificate's kept form, not a new one
+        # the matrices at R and r = 3; the null-vector step and the dump
+        # read the certificate's kept form, not a new one
         formed, reports = [], []
         form = SeparableNystromOperator._form
         verify = cli_module.cx.verify_counterexample
@@ -307,8 +314,23 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--dump-matrix", str(path))
         assert code == 0
         report, = reports
-        assert sorted(formed) == sorted([1.0, report.r_used, 3.0])
+        assert sorted(formed) == sorted([report.r_used, 3.0])
         assert path.read_text() == csv_text(report.spectral.form.tolist())
+
+    @pytest.mark.parametrize("gap", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_gap_fails_and_the_report_writes(self, capsys, monkeypatch, tmp_path,
+                                                          gap):
+        real = cli_module.cx.self_adjoint_certificate
+        monkeypatch.setattr(cli_module.cx, "self_adjoint_certificate",
+                            lambda op: dataclasses.replace(real(op), next_sigma=gap))
+        path = tmp_path / "verify.json"
+        code, out, err = run_cli(capsys, "verify", "--output", str(path))
+        assert (code, err) == (1, "")
+        assert f"FAIL  null_vector_check (the gap {gap!r} is not finite and positive)" in out
+        payload = json.loads(path.read_text())
+        assert payload["pass"] is False and payload["certificate"]["next_sigma"] is None
+        failed = [step["name"] for step in payload["steps"] if not step["ok"]]
+        assert failed == [f"null_vector_check (the gap {gap!r} is not finite and positive)"]
 
     def test_no_dump_after_a_failed_certificate(self, capsys, monkeypatch, tmp_path):
         def failing(op):

@@ -1,6 +1,7 @@
 """Tests for the p function, its root, and the verification chain."""
 
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -252,7 +253,8 @@ class TestCheckIdentity:
 
 
 # an input of verify made to raise: (the function, the radius it fails at,
-# None for every call and "R" for the root, {gate: label} of the steps it fails)
+# None for every call and "R" for the root, {gate: label} of the steps it fails);
+# kink_exact_matrix's radius is its grid's
 INJECTED_FAILURES = {
     "find_root": ("find_root", None, {"root_residual": "root_search"}),
     "apply_at_1": ("apply_operator", 1.0, {"identity_residual": "identity_check"}),
@@ -262,10 +264,10 @@ INJECTED_FAILURES = {
     "kink_exact_matrix": ("kink_exact_matrix", None, {
         "sigma_min_at_R": "spectral_certificate",
         "null_vector_deviation": "null_vector_check",
-        "collapse_ratio": "off_root_check",
+        "positive_eigenvalue_count": "count_check",
         "off_root_eigenvalue_gap": "off_root_exact_check"}),
-    "min_singular_value": ("min_singular_value", None, {
-        "collapse_ratio": "off_root_check",
+    "certificate_at_3": ("kink_exact_matrix", 3.0, {
+        "positive_eigenvalue_count": "count_check",
         "off_root_eigenvalue_gap": "off_root_exact_check"}),
 }
 
@@ -277,7 +279,8 @@ def inject_failure(monkeypatch, name, root_r):
     original = getattr(cx_module, target)
 
     def failing(*args, **kwargs):
-        if at is None or args[1] == at:  # apply_operator(spec, r, ...)
+        # apply_operator(spec, r, ...) and kink_exact_matrix(spec, grid)
+        if at is None or getattr(args[1], "r", args[1]) == at:
             raise ValueError("synthetic failure")
         return original(*args, **kwargs)
 
@@ -334,16 +337,16 @@ class TestVerifyCounterexample:
         with pytest.raises(ValueError, match="u_2 underflows to 0 at every point"):
             cx_module._equation_residual(np.zeros(3), np.zeros(3))
 
-    @pytest.mark.parametrize("r", [1.0, 3.0])
-    def test_forced_off_root_radius_fails_the_certificate(self, r):
+    @pytest.mark.parametrize("r, miscount", [(1.0, 1.0), (3.0, 0.0)], ids=["1.0", "3.0"])
+    def test_forced_off_root_radius_fails_the_certificate(self, r, miscount):
         report = verify_counterexample(r_override=r)
         assert not report.passed
         steps = {name: (value, ok) for name, value, _, ok in report.steps}
         assert report.to_json_dict()["sigma_min_at_R"] >= 0.1
         assert not steps["sigma_min_at_R"][1]
-        assert not steps["collapse_ratio"][1]
-        assert steps["collapse_ratio"][0] >= 1.0  # r = 3 is one of the off-root radii
         assert not steps["null_vector_deviation"][1]
+        # K has no eigenvalue above 0 at r = 1, and one at r = 3, as at R
+        assert steps["positive_eigenvalue_count"] == (miscount, miscount == 0.0)
         assert steps["off_root_eigenvalue_gap"][1]  # the r = 3 value does not depend on R
 
     def test_certificate_calls_no_svd(self, monkeypatch):
@@ -356,7 +359,7 @@ class TestVerifyCounterexample:
         steps = {name: value for name, value, _, _ in report.steps}
         assert steps["sigma_min_at_R"] <= 1e-12
         assert steps["null_vector_deviation"] <= 1e-10
-        assert steps["collapse_ratio"] <= 1e-10
+        assert steps["positive_eigenvalue_count"] == 0.0
         assert steps["off_root_eigenvalue_gap"] <= 1e-11
 
     def test_report_explains_the_certificate(self):
@@ -390,7 +393,7 @@ class TestVerifyCounterexample:
             "equation_residual",
             "spectral_certificate (synthetic failure)",
             "null_vector_check (synthetic failure)",
-            "off_root_check (synthetic failure)",
+            "count_check (synthetic failure)",
             "off_root_exact_check (synthetic failure)",
         ]
 
@@ -461,8 +464,8 @@ class TestVerifyCounterexample:
         assert report.passed
         # no eigenvector: the null vector is bounded from u_2 and the gap
         assert calls["eigh"] == []
-        # at R and at r = 1 and 3, and none above the certificate's 128 nodes
-        assert len(calls["eigvalsh"]) == 3
+        # at R and at r = 3, and none above the certificate's 128 nodes
+        assert len(calls["eigvalsh"]) == 2
         assert max(calls["eigvalsh"]) <= 128
         # K u_2 at R once, shared by the identity and equation steps
         assert sorted(calls["apply_operator"]) == sorted([1.0, report.r_used, 3.0])
@@ -500,11 +503,62 @@ class TestVerifyCounterexample:
         assert data["identity_residual"] is None and data["equation_residual"] is None
         assert all(ok for _, _, _, ok in report.steps[4:])
 
-    def test_forced_radius_three_is_its_own_off_root_value(self):
-        # the radius used and r = 3 go through the same eigvalsh on the same matrix
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_step_value_fails_and_the_report_writes(self, monkeypatch, value):
+        # -inf would pass a threshold and NaN or inf would stop the JSON writer
+        real = cx_module.self_adjoint_certificate
+        monkeypatch.setattr(cx_module, "self_adjoint_certificate", lambda op: dataclasses.replace(
+            real(op), sigma_min=value, asymmetry=value))
+        report = verify_counterexample()
+        failed = [(name, reading) for name, reading, _, ok in report.steps if not ok]
+        # the r = 3 certificate has the same sigma_min
+        assert failed == [(f"spectral_certificate (not finite: {value!r})", None),
+                          (f"off_root_exact_check (not finite: {abs(value)!r})", None)]
+        data = json.loads(report.to_json_text())
+        assert data["pass"] is False and data["sigma_min_at_R"] is None
+        assert data["certificate"]["asymmetry"] is None
+        assert data["certificate"]["next_sigma"] == report.spectral.next_sigma
+        assert "asymmetry " + format(value, ".1e") in report.summary_text()
+
+    def test_failed_root_search_falls_back_to_the_bracket_midpoint(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("synthetic failure")
+
+        applied = []
+        apply = cx_module.apply_operator
+
+        def recorded(spec, r, *args, **kwargs):
+            applied.append(r)
+            return apply(spec, r, *args, **kwargs)
+
+        monkeypatch.setattr(cx_module, "find_root", failing)
+        monkeypatch.setattr(cx_module, "apply_operator", recorded)
+        report = verify_counterexample()
+        steps = {name: ok for name, _, _, ok in report.steps}
+        assert report.r_used == 2.25 == 0.5 * sum(cx_module.DEFAULT_BRACKET)
+        assert steps["root_search (synthetic failure)"] is False
+        # the spectral steps run, and fail, at 2.25
+        assert report.spectral.grid.r == 2.25 and sorted(applied) == [1.0, 2.25, 3.0]
+        assert report.to_json_dict()["sigma_min_at_R"] > GATES["sigma_min_at_R"]
+        assert steps["sigma_min_at_R"] is False and steps["null_vector_deviation"] is False
+        assert steps["positive_eigenvalue_count"] and steps["off_root_eigenvalue_gap"]
+
+    def test_forced_radius_three_is_its_own_off_root_value(self, monkeypatch):
+        # the radius used and r = 3 share one certificate, from one eigvalsh
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         report = verify_counterexample(r_override=3.0)
         steps = {name: value for name, value, _, _ in report.steps}
-        assert steps["collapse_ratio"] == 1.0
+        assert calls == [128]
+        assert steps["off_root_eigenvalue_gap"] == abs(
+            steps["sigma_min_at_R"] - cx_module._lambda0_minus_1(3.0))
+        assert steps["positive_eigenvalue_count"] == 0.0
 
     def test_certificate_does_not_import_scipy(self):
         # scipy is a test oracle only; the certificate path must not load it
@@ -551,19 +605,32 @@ class TestNullVectorBound:
         allowance = np.finfo(float).eps * np.max(np.abs(eigenvalues)) / certificate.next_sigma
         assert cx_module._null_vector_deviation(certificate) + allowance >= deviation
 
-    @pytest.mark.parametrize("gap", [0.0, math.nan])
-    def test_a_gap_of_zero_or_nan_fails_the_step(self, monkeypatch, gap):
+    @pytest.mark.parametrize("gap", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_a_gap_not_finite_and_positive_fails_the_step(self, monkeypatch, gap):
+        # an infinite gap would make the bound 0 and pass; it fails to evaluate
         real = cx_module.self_adjoint_certificate
         monkeypatch.setattr(cx_module, "self_adjoint_certificate",
                             lambda op: dataclasses.replace(real(op), next_sigma=gap))
         report = verify_counterexample()
         failed = [(name, value) for name, value, _, ok in report.steps if not ok]
-        assert len(failed) == 1
-        name, value = failed[0]
-        if gap == 0.0:  # float division by zero: the step fails to evaluate
-            assert (name, value) == ("null_vector_check (float division by zero)", None)
-        else:  # NaN is never at most the threshold
-            assert name == "null_vector_deviation" and math.isnan(value)
+        assert failed == [(f"null_vector_check (the gap {gap!r} is not finite and positive)",
+                           None)]
+        certificate = json.loads(report.to_json_text())["certificate"]
+        assert certificate["next_sigma"] == (gap if math.isfinite(gap) else None)
+
+    def test_bound_recomputed_from_the_kept_form(self, root_r):
+        # the step's value, to 1e-12 relative, from the matrix the report keeps
+        # and u_2 at its nodes: sqrt(2) ||S t - t|| / next_sigma
+        report = verify_counterexample()
+        certificate = report.spectral
+        target = eval_regular(2, certificate.grid.nodes).value * certificate.grid.l2_scaling
+        target /= np.linalg.norm(target)
+        bound = (math.sqrt(2.0) * float(np.linalg.norm(certificate.form @ target - target))
+                 / certificate.next_sigma)
+        value = dict((name, value) for name, value, _, _ in report.steps)["null_vector_deviation"]
+        assert certificate.grid.r == root_r
+        assert 0.0 < value <= GATES["null_vector_deviation"]
+        assert abs(bound - value) <= 1e-12 * value
 
 
 def mp_dispersion(nu, r):
@@ -625,6 +692,21 @@ class TestExactSpectrum:
         # K has an eigenvalue above 0 only from r = pi/2 on
         with pytest.raises(ValueError, match="changes sign for no nu"):
             cx_module._lambda0_minus_1(1.0)
+
+    @pytest.mark.parametrize("panels, nodes", [(2, 16), (4, 12), (8, 6), (8, 16), (16, 16),
+                                               (32, 16)])
+    def test_eigenvalues_above_the_floor_count_k_above_0(self, reference_spec, root_r, panels,
+                                                        nodes):
+        # #{k >= 0 : pi/2 + k pi < r} above 0; the band [-24, 0]'s discrete edge
+        # lies between -floor and 0, below every count's smallest member
+        floor = cx_module.POSITIVE_EIGENVALUE_FLOOR
+        for r, exact in ((1.0, 0), (root_r, 1), (3.0, 1), (5.0, 2)):
+            grid = build_grid(r, panels, nodes, grading=1.0)
+            eigenvalues = self_adjoint_certificate(kink_exact_matrix(reference_spec, grid)).eigenvalues
+            count = np.count_nonzero(eigenvalues > floor)
+            assert count == exact, (r, count)
+            assert -floor < eigenvalues[-1 - count] < 0.0
+            assert eigenvalues[0] >= -24.0
 
     def test_grid_error_falls_at_the_predicted_order(self, reference_spec):
         # u_nu ~ t^(nu + 1) at the origin: lambda_0's error on uniform panels

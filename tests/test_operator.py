@@ -285,6 +285,11 @@ class TestKinkExactMatrix:
         # sigma_min and next_sigma come from eigvalsh; eigh of the same form
         # finds both to rounding
         assert certificate.sigma_min == min_singular_value(op)
+        # and from the signed eigenvalues the certificate keeps, ascending
+        eigenvalues = certificate.eigenvalues
+        assert eigenvalues.shape == (grid.size,) and np.all(np.diff(eigenvalues) >= 0.0)
+        kept = np.sort(np.abs(1.0 - eigenvalues))
+        assert (kept[0], kept[1]) == (certificate.sigma_min, certificate.next_sigma)
         distance = np.sort(np.abs(1.0 - np.linalg.eigh(op._form()[0], UPLO="L")[0]))
         assert abs(certificate.sigma_min - distance[0]) <= 1e-14
         assert abs(certificate.next_sigma - distance[1]) <= 1e-14
